@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .data import GeneratorConfig
 from .errors import ContractError
+from .losses import IRM_VARIANTS
 
 FUSION_MODES = ("multiplicative", "additive", "mul", "add")
 
@@ -92,6 +93,24 @@ class RunConfig:
                 "invariance learning operates on mined samples; enable step 1 "
                 "or set invariance_on_all"
             )
+        if self.irm_variant not in IRM_VARIANTS:
+            raise ContractError(f"unknown irm_variant {self.irm_variant!r}; "
+                                f"expected one of {IRM_VARIANTS}")
+        envs = 2 + self.include_25d
+        if self.rex_lambda_min > 1.0 / envs:
+            raise ContractError(f"rex_lambda_min must be <= 1/{envs} with {envs} environments")
+        for name in ("fusion_phi", "align_tau"):
+            if not getattr(self, name) > 0.0:
+                raise ContractError(f"{name} must be positive")
+        for name in ("rex_beta", "irm_lambda"):
+            if not getattr(self, name) >= 0.0:
+                raise ContractError(f"{name} must be non-negative")
+        for name in ("mining_warmup", "mining_period", "mining_topk"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1")
+        for name in ("posterior_p2", "posterior_p3"):
+            if not (0.0 < getattr(self, name) <= 1.0):
+                raise ContractError(f"{name} must lie in (0, 1]")
         if not (0.0 < self.mining_rho <= 1.0):
             raise ContractError("mining_rho must lie in (0, 1]")
         if self.epochs < 1 or self.batch_size < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
 MODALITIES = ("2d", "3d", "2.5d")
@@ -193,14 +193,11 @@ class ClassHead:
         if features.shape[-1] != self.dim:
             raise ShapeError(f"head of dim {self.dim} got features {features.shape}")
         if self.mode == "cosine":
-            norms = np.linalg.norm(features.data.reshape(-1, self.dim), axis=-1)
-            if np.any(norms == 0.0):
-                raise NumericError("cosine head got a zero-norm feature")
-            f = T.l2_normalize(features, axis=-1)
+            f = T.l2_normalize(features, axis=-1)   # raises on a zero-norm feature
             p = T.l2_normalize(self.prototypes, axis=-1)
         else:
             f, p = features, self.prototypes
-        return T.matmul(f, T.transpose2d(p))
+        return T.matmul_t(f, p)
 
 
 def classify(features: Tensor | np.ndarray, head: ClassHead) -> Tensor:

@@ -1,10 +1,11 @@
 """The named finite-difference battery behind `invgate gradcheck`.
 
-Each check re-derives gradients of one loss (or one representative pipeline)
-by central differences on randomized small inputs and compares them with
-the tape's output. The theta check compares the closed-form inner
-derivative of the invariance risk against differencing the risk in theta,
-at a much tighter tolerance since both sides are exact to O(eps^2).
+Each check re-derives gradients of one loss, one fused tape op or one
+representative pipeline by central differences on randomized small inputs
+and compares them with the tape's output. The theta check compares the
+closed-form inner derivative of the invariance risk against differencing the
+risk in theta, at a much tighter tolerance since both sides are exact to
+O(eps^2).
 """
 
 from __future__ import annotations
@@ -80,10 +81,28 @@ def _loss_builders(seed: int):
                  sup_infonce(ContrastiveBatch(leaves[1], labels_b))]
         return v_rex(risks, beta=2.0)
 
+    # the fused tape ops, weighted so that no gradient is trivially uniform
+    def fused_mean(leaves):
+        return T.sum_(T.square(T.mean_(T.mul(leaves[0], weights), axis=0)))
+
+    def fused_log_softmax(leaves):
+        return T.sum_(T.mul(T.log_softmax(leaves[0], axis=-1), weights))
+
+    def fused_l2_normalize(leaves):
+        return T.sum_(T.mul(T.l2_normalize(leaves[0], axis=-1), weights))
+
+    def fused_gather(leaves):
+        return T.sum_(T.square(T.gather(leaves[0], index)))
+
+    def fused_matmul_t(leaves):
+        return T.sum_(T.square(T.matmul_t(leaves[0], leaves[1])))
+
     feat = rng.uniform(-2, 2, size=(N, D))
     feat_b = rng.uniform(-2, 2, size=(N, D))
     logits = rng.uniform(-2, 2, size=(N, C))
     gate_logits = rng.uniform(-2, 2, size=D)
+    weights = T.constant(rng.uniform(-1, 1, size=(N, D)))
+    index = rng.integers(0, D, size=N)
     return [
         ("cross_entropy", ce, [logits]),
         ("sup_infonce", infonce, [feat]),
@@ -93,6 +112,11 @@ def _loss_builders(seed: int):
         ("nt_xent_align", align, [feat, feat_b]),
         ("mm_rex", rex_mm, [feat, feat_b]),
         ("v_rex", rex_v, [feat, feat_b]),
+        ("fused_mean", fused_mean, [feat]),
+        ("fused_log_softmax", fused_log_softmax, [feat]),
+        ("fused_l2_normalize", fused_l2_normalize, [feat]),
+        ("fused_gather", fused_gather, [feat]),
+        ("fused_matmul_t", fused_matmul_t, [feat, feat_b]),
     ]
 
 

@@ -37,6 +37,7 @@ from .losses import (
     IRMConfig,
     ObjectiveTerms,
     combine_objective,
+    contrastive_report,
     cross_entropy,
     modality_irm_loss,
     nt_xent_align,
@@ -254,10 +255,14 @@ class Trainer:
         so this term's backward reaches nothing but the gate.
         """
         cfg = self.cfg
-        subset = np.intersect1d(idx, self.d_joint)
+        if self.d_joint.size == 0:
+            return None
+        is_hard = np.zeros(len(self.train_labels), dtype=bool)
+        is_hard[self.d_joint] = True
+        is_hard = is_hard[idx]
+        subset = np.sort(idx[is_hard])      # idx holds no repeats
         if subset.size == 0:
             return None
-        is_hard = np.isin(idx, subset)
         labels = self.train_labels[idx]
         x3_hard = self.train_x3[subset]
         rng = np.random.default_rng(
@@ -289,14 +294,16 @@ class Trainer:
                                    labels3, anchor_mask=anchors3),
         }
         if self.model.xattn is not None:
-            # some anchor needs a same-class partner for this env to score
-            label_counts = np.bincount(labels, minlength=cfg.generator.num_classes)
-            if (label_counts[labels[is_hard]] >= 2).any():
-                with T.no_grad():
-                    fused = self.model.xattn(T.constant(agg2),
-                                             T.constant(feats3[: idx.size])).data
-                envs["2.5d"] = ContrastiveBatch(gate.apply(T.constant(fused), learn=True),
-                                                labels, anchor_mask=is_hard)
+            with T.no_grad():
+                fused = self.model.xattn(T.constant(agg2), T.constant(feats3[: idx.size])).data
+            envs["2.5d"] = ContrastiveBatch(gate.apply(T.constant(fused), learn=True),
+                                            labels, anchor_mask=is_hard)
+        # an environment scores only if some anchor has a same-class partner in
+        # its pool; with one view per sample the 2D pool can lack one
+        envs = {name: batch for name, batch in envs.items()
+                if contrastive_report(batch).n_pairs > 0}
+        if len(envs) < 2:
+            return None
         theta = 1.0 if cfg.irm_variant == "irmv1" else cfg.inv_theta
         irm_cfg = IRMConfig(lam=cfg.irm_lambda, dummy_theta=theta,
                             variant=cfg.irm_variant, lambda_min=cfg.rex_lambda_min,
@@ -358,21 +365,7 @@ class Trainer:
             active |= set(groups)
         self.optimizer.zero_grad()
         T.backward(total)
-        saved = {}
-        for g in self.optimizer.groups:
-            saved[g.name] = g.frozen
-            if g.frozen:
-                continue  # permanently frozen (e.g. cross-attention weights)
-            g.frozen = g.name not in active
-            if not g.frozen:
-                for p in g.params:
-                    if p.grad is None:
-                        # param unused by this step's terms: gradient is zero
-                        p.grad = np.zeros_like(p.data)
-        lr = self.optimizer.step()
-        for g in self.optimizer.groups:
-            g.frozen = saved[g.name]
-        return lr
+        return self.optimizer.step(active=active)
 
     def run_epoch(self, epoch: int, term_filter: set[str] | None = None) -> dict:
         cfg = self.cfg

@@ -29,6 +29,7 @@ from .tensor import Tensor
 GROUP_E2D = "e2d"
 GROUP_E3D = "e3d"
 GROUP_GATE = "gate"
+IRM_VARIANTS = ("irmv1", "mm_rex", "v_rex")
 
 # which parameter groups each loss term is allowed to update
 ROUTING: dict[str, tuple[str, ...]] = {
@@ -49,10 +50,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= c:
         raise ContractError(f"labels must lie in [0, {c}), got range "
                             f"[{labels.min()}, {labels.max()}]")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    picked = T.sum_(T.mul(T.log_softmax(logits, axis=-1), T.constant(onehot)), axis=1)
-    return T.neg(picked)
+    return T.neg(T.gather(T.log_softmax(logits, axis=-1), labels))
 
 
 @dataclass
@@ -103,18 +101,19 @@ def _pair_masks(batch: ContrastiveBatch) -> tuple[np.ndarray, np.ndarray]:
 
 def _similarity(batch: ContrastiveBatch) -> Tensor:
     z = T.l2_normalize(batch.features, axis=-1)
-    return T.matmul(z, T.transpose2d(z))
+    return T.matmul_t(z, z)
 
 
 def contrastive_report(batch: ContrastiveBatch) -> ContrastiveReport:
-    pos, _ = _pair_masks(batch)
-    anchors = (batch.anchor_mask if batch.anchor_mask is not None
-               else np.ones(len(batch.labels), dtype=bool))
-    per_anchor = pos.sum(axis=1)
+    # an anchor's positives are the other pool rows with its label
+    pool = np.sort(batch.labels)
+    anchors = batch.labels if batch.anchor_mask is None else batch.labels[batch.anchor_mask]
+    per_anchor = (np.searchsorted(pool, anchors, side="right")
+                  - np.searchsorted(pool, anchors, side="left") - 1)
     return ContrastiveReport(
-        n_anchors=int(anchors.sum()),
+        n_anchors=int(per_anchor.size),
         n_pairs=int(per_anchor.sum()),
-        n_skipped_anchors=int((per_anchor[anchors] == 0).sum()),
+        n_skipped_anchors=int((per_anchor == 0).sum()),
     )
 
 
@@ -176,7 +175,7 @@ class IRMConfig:
     def __post_init__(self):
         if self.lam < 0:
             raise ContractError("penalty weight must be non-negative")
-        if self.variant not in ("irmv1", "mm_rex", "v_rex"):
+        if self.variant not in IRM_VARIANTS:
             raise ContractError(f"unknown variant {self.variant!r}")
         if self.variant == "irmv1" and self.dummy_theta != 1.0:
             raise ContractError("irmv1 evaluates the dummy classifier at 1")
@@ -265,13 +264,12 @@ def nt_xent_align(z2: Tensor, z3: Tensor, tau: float,
 
     a = T.l2_normalize(z2, axis=-1)
     b = T.l2_normalize(z3, axis=-1)
-    sims = T.mul(T.matmul(a, T.transpose2d(b)), T.constant(tau))   # [n, n]
-    diag = T.constant(np.eye(n))
+    sims = T.mul(T.matmul_t(a, b), T.constant(tau))   # [n, n]
+    diag = np.arange(n)
 
     def direction(s):
         denom = T.log(T.sum_(T.exp(s), axis=1))
-        pos = T.sum_(T.mul(s, diag), axis=1)
-        return T.sub(denom, pos)
+        return T.sub(denom, T.gather(s, diag))
 
     fwd = direction(sims)                      # 2D anchors vs 3D candidates
     rev = direction(T.transpose2d(sims))       # 3D anchors vs 2D candidates

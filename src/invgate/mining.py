@@ -11,6 +11,7 @@ statistics so a target fraction of candidates survives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,13 @@ class MixtureFit:
     loglik_path: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
 
 
-def _log_normal_pdf(x, mean, var):
-    return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
+def _log_joint(sq_dev, weights, variances) -> np.ndarray:
+    """[2, n] rows log w_k + log N(x | mean_k, var_k), from sq_dev = (x - mean_k)^2.
+
+    The parameters are [2, 1] columns, so one broadcast covers both
+    components.
+    """
+    return np.log(weights) + -0.5 * (np.log(2.0 * np.pi * variances) + sq_dev / variances)
 
 
 def fit_gmm2(
@@ -54,37 +60,46 @@ def fit_gmm2(
     if upper.size == 0:  # ties at the median can empty the upper half
         lower = x[x < median]
         upper = x[x >= median]
-    means = np.array([lower.mean(), upper.mean()])
-    variances = np.maximum(np.array([lower.var(), upper.var()]), var_floor)
-    weights = np.array([lower.size, upper.size], dtype=np.float64) / x.size
+    means = np.array([[lower.mean()], [upper.mean()]])
+    variances = np.maximum(np.array([[lower.var()], [upper.var()]]), var_floor)
+    weights = np.array([[lower.size], [upper.size]], dtype=np.float64) / x.size
+    # Parameters are [2, 1] columns and x is tiled to [2, n]: each step is one
+    # broadcast over both components. np.add.reduce is ndarray.sum without
+    # the Python-level wrapper; the summation is the same.
+    xx = np.stack((x, x))
+    sq_dev = (xx - means) ** 2
+    sums = np.empty((5, x.size))        # rows: log_total, resp (2), resp * x (2)
 
     loglik_path = []
-    prev_ll = -np.inf
+    prev_ll = -math.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         # E-step
-        log_joint = np.stack(
-            [np.log(weights[k]) + _log_normal_pdf(x, means[k], variances[k]) for k in range(2)]
-        )                                                       # [2, n]
-        shift = log_joint.max(axis=0, keepdims=True)
-        log_total = shift[0] + np.log(np.exp(log_joint - shift).sum(axis=0))
-        resp = np.exp(log_joint - log_total)                     # responsibilities
-        ll = float(log_total.sum())
+        log_joint = _log_joint(sq_dev, weights, variances)
+        shift = np.maximum(log_joint[0], log_joint[1])
+        shifted = np.exp(log_joint - shift)
+        log_total = np.add(shift, np.log(shifted[0] + shifted[1]), out=sums[0])
+        resp = np.exp(log_joint - log_total, out=sums[1:3])     # responsibilities
+        np.multiply(resp, xx, out=sums[3:])
+        totals = np.add.reduce(sums, axis=1, keepdims=True)
+        ll = float(totals[0, 0])
         loglik_path.append(ll)
 
         # M-step
-        nk = resp.sum(axis=1)
-        nk = np.maximum(nk, 1e-12)
-        means = (resp * x).sum(axis=1) / nk
-        variances = np.maximum((resp * (x - means[:, None]) ** 2).sum(axis=1) / nk, var_floor)
+        nk = np.maximum(totals[1:3], 1e-12)
+        means = totals[3:] / nk
+        sq_dev = (xx - means) ** 2
+        variances = np.maximum(np.add.reduce(resp * sq_dev, axis=1, keepdims=True) / nk,
+                               var_floor)
         weights = nk / x.size
 
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if ll - prev_ll < tol and math.isfinite(prev_ll):
             converged = True
             break
         prev_ll = ll
 
+    means, variances, weights = means[:, 0], variances[:, 0], weights[:, 0]
     order = np.argsort(means)
     return MixtureFit(
         means=means[order],
@@ -99,13 +114,11 @@ def fit_gmm2(
 def posterior_small(fit: MixtureFit, loss) -> np.ndarray | float:
     """P(easy component | loss): Bayes responsibility of the smaller mean."""
     x = np.asarray(loss, dtype=np.float64)
-    log_joint = np.stack(
-        [np.log(fit.weights[k]) + _log_normal_pdf(x, fit.means[k], fit.variances[k])
-         for k in range(2)]
-    )
-    shift = log_joint.max(axis=0)
-    total = np.exp(log_joint - shift).sum(axis=0)
-    post = np.exp(log_joint[0] - shift) / total
+    # components on a trailing axis, so a scalar loss works as well
+    log_joint = _log_joint((x[..., None] - fit.means) ** 2, fit.weights, fit.variances)
+    shift = np.maximum(log_joint[..., 0], log_joint[..., 1])
+    joint = np.exp(log_joint - shift[..., None])
+    post = joint[..., 0] / (joint[..., 0] + joint[..., 1])
     return float(post) if np.isscalar(loss) or np.ndim(loss) == 0 else post
 
 
@@ -139,6 +152,16 @@ def topk_overlap(f2: np.ndarray, f3: np.ndarray, k: int) -> int:
     a = set(topk_indices(f2, k).tolist())
     b = set(topk_indices(f3, k).tolist())
     return len(a & b)
+
+
+def _topk_overlaps(f2: np.ndarray, f3: np.ndarray, k: int) -> np.ndarray:
+    """topk_overlap of every row pair: a stable argsort of the negated
+    scores breaks ties toward the smaller index, as topk_indices does."""
+    rows = np.arange(f2.shape[0])[:, None]
+    member = np.zeros((2,) + f2.shape, dtype=bool)
+    member[0, rows, np.argsort(-f2, axis=1, kind="stable")[:, :k]] = True
+    member[1, rows, np.argsort(-f3, axis=1, kind="stable")[:, :k]] = True
+    return (member[0] & member[1]).sum(axis=1)
 
 
 @dataclass
@@ -208,11 +231,9 @@ def select_joint_hard(
     s1 = wrong_class_confidence(probs2[candidates], probs3[candidates], labels[candidates])
     r1 = float(np.quantile(s1, 1.0 - rho))
 
-    overlaps = np.array(
-        [topk_overlap(probs2[i], probs3[i], k) for i in candidates], dtype=int
-    )
+    overlaps = _topk_overlaps(probs2[candidates], probs3[candidates], k)
     cutoffs = np.arange(0, k + 2)
-    fractions = np.array([(overlaps < c).mean() for c in cutoffs])
+    fractions = (overlaps < cutoffs[:, None]).mean(axis=1)
     r2 = int(cutoffs[np.argmin(np.abs(fractions - rho))])
 
     keep = (s1 > r1) & (overlaps < r2)

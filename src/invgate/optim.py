@@ -92,19 +92,28 @@ class SGD:
         for p in self.parameters():
             p.grad = None
 
-    def step(self) -> float:
-        """One update at the current epoch's rate; returns the rate used."""
+    def step(self, active: set[str] | None = None) -> float:
+        """One update at the current epoch's rate; returns the rate used.
+
+        `active` (None = every group) names the groups this step updates; a
+        frozen group never updates. In an active group given by name, a
+        parameter without a gradient takes a zero one (the step's terms did
+        not use it); without `active`, a missing gradient is an error.
+        """
         lr = cosine_lr(self.state)
         wd = self.state.weight_decay
         mom = self.state.momentum
         for g in self.groups:
-            if g.frozen:
+            if g.frozen or (active is not None and g.name not in active):
                 continue
             for p in g.params:
                 if p.grad is None:
-                    raise ContractError(
-                        f"parameter {p.name!r} in non-frozen group '{g.name}' has no gradient"
-                    )
+                    if active is None:
+                        raise ContractError(
+                            f"parameter {p.name!r} in non-frozen group '{g.name}' "
+                            f"has no gradient"
+                        )
+                    p.grad = np.zeros_like(p.data)
                 v = self.velocity.get(id(p))
                 if v is None:
                     v = np.zeros_like(p.data)

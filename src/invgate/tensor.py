@@ -21,6 +21,7 @@ from .errors import ContractError, NumericError, ShapeError
 
 _GRAD_ENABLED = True
 _STRICT = False
+_F64 = np.dtype(np.float64)
 
 
 @contextlib.contextmanager
@@ -66,7 +67,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is np.ndarray and data.dtype is _F64:
+            self.data = data        # what np.asarray would return, without the call
+        else:
+            self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.name = name
@@ -152,23 +156,31 @@ def parameter(x, name: str | None = None) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjp, op: str) -> Tensor:
-    """Wrap an op result, recording the node only when the tape is live."""
-    _check_finite(data, op)
+    """Wrap an op result, recording the node only when the tape is live.
+
+    A parent may be listed more than once; `backward` then adds the VJP's
+    contributions to it in list order.
+    """
+    if _STRICT:
+        _check_finite(data, op)
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._vjp = vjp
+                break
     return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad
 
 
@@ -180,8 +192,17 @@ def _broadcast_op(a: Tensor, b: Tensor, fn, vjp_a, vjp_b, op: str) -> Tensor:
         data = fn(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not conform") from exc
+    a_bc, b_bc = a.data.shape != data.shape, b.data.shape != data.shape
+
     def vjp(g):
-        return (_unbroadcast(vjp_a(g), a.shape), _unbroadcast(vjp_b(g), b.shape))
+        # a constant side gets no gradient; an unbroadcast side needs no sum
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(vjp_a(g), a.data.shape) if a_bc else vjp_a(g)
+        if b.requires_grad:
+            gb = _unbroadcast(vjp_b(g), b.data.shape) if b_bc else vjp_b(g)
+        return ga, gb
+
     return _node(data, (a, b), vjp, op)
 
 
@@ -318,34 +339,94 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
     data = np.matmul(a.data, b.data)
-    _check_finite(data, "matmul")
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
+        return ga, gb
 
     return _node(data, (a, b), vjp, "matmul")
 
 
+def matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b.T for a 2-d `b`, as one node: matmul(a, transpose2d(b)).
+
+    The composite hands `b` its gradient only after a's ancestors; when `b`
+    also feeds those ancestors, the accumulation order there differs.
+    """
+    if b.ndim != 2:
+        raise ShapeError(f"matmul_t expects a 2-d right operand, got {b.shape}")
+    bt = b.data.T.copy()
+    if a.ndim < 2 or a.shape[-1] != bt.shape[0]:
+        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {bt.shape}")
+
+    def vjp(g):
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, bt.swapaxes(-1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), bt.shape).T
+        return ga, gb
+
+    return _node(np.matmul(a.data, bt), (a, b), vjp, "matmul_t")
+
+
 # -- reductions ---------------------------------------------------------------
+#
+# The fused ops here and matmul_t are single tape nodes whose forward pass and
+# VJP repeat, operation for operation, the arithmetic of the primitive
+# composite they replace, so results stay bit-identical to building that
+# composite. np.add.reduce is ndarray.sum without its Python-level wrapper
+# (likewise maximum.reduce for max, logical_or.reduce for any).
+
+
+def _kept_shape(shape: tuple[int, ...], axis, keepdims: bool):
+    """`shape` with the summed axis kept as 1; None when a sum's output
+    already broadcasts back to `shape`."""
+    if axis is None or keepdims:
+        return None
+    axis = axis % len(shape)
+    return shape[:axis] + (1,) + shape[axis + 1:]
+
+
+def _spread(g, kept, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of a sum: `g` copied back over the reduced axes."""
+    out = np.empty(shape)
+    out[...] = g if kept is None else g.reshape(kept)
+    return out
 
 
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _node(data, (a,), vjp, "sum")
+    data = np.add.reduce(a.data, axis=axis, keepdims=keepdims)
+    kept = _kept_shape(a.data.shape, axis, keepdims)
+    return _node(data, (a,), lambda g: (_spread(g, kept, a.data.shape),), "sum")
 
 
 def mean_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), constant(1.0 / n))
+    """sum_ then a multiply by 1/n, as one node."""
+    scale = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
+    data = np.add.reduce(a.data, axis=axis, keepdims=keepdims) * scale
+    kept = _kept_shape(a.data.shape, axis, keepdims)
+    return _node(data, (a,), lambda g: (_spread(g * scale, kept, a.data.shape),), "mean")
+
+
+def gather(a: Tensor, index: np.ndarray) -> Tensor:
+    """out[i] = a[i, index[i]] for a 2-d `a`: the row sums of `a` times a
+    one-hot matrix, without the products."""
+    index = np.asarray(index)
+    rows = np.arange(a.shape[0])
+
+    def vjp(g):
+        # the composite's gradient: g times the one-hot matrix, signed zeros
+        # included
+        onehot = np.zeros(a.shape)
+        onehot[rows, index] = 1.0
+        return (g[:, None] * onehot,)
+
+    return _node(a.data[rows, index], (a,), vjp, "gather")
 
 
 # -- composites (backward falls out of the primitives) ------------------------
@@ -359,11 +440,19 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """(a - max) - log(sum(exp(a - max))) along `axis`, as one node."""
     ax = axis if axis >= 0 else a.ndim + axis
-    shift = constant(np.max(a.data, axis=ax, keepdims=True))
-    shifted = sub(a, shift)
-    lse = log(sum_(exp(shifted), axis=ax, keepdims=True))
-    return sub(shifted, lse)
+    shifted = a.data - np.maximum.reduce(a.data, axis=ax, keepdims=True)
+    e = np.exp(shifted)
+    s = np.add.reduce(e, axis=ax, keepdims=True)
+
+    def vjp(g):
+        # the composite copies g_s over the reduced axis, then multiplies by
+        # e; broadcasting the product gives the same values without the copy
+        g_s = _unbroadcast(-g, s.shape) / s
+        return (g + g_s * e,)
+
+    return _node(shifted - np.log(s), (a,), vjp, "log_softmax")
 
 
 def l2_norm(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -372,11 +461,24 @@ def l2_norm(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 
 def l2_normalize(a: Tensor, axis: int = -1, min_norm: float = 0.0) -> Tensor:
-    """Rows scaled to unit norm; rows with norm <= min_norm raise."""
-    norms = l2_norm(a, axis=axis, keepdims=True)
-    if np.any(norms.data <= min_norm):
+    """Rows scaled to unit norm, as one node; rows with norm <= min_norm raise.
+
+    `a` is listed twice as a parent: the composite a / sqrt(sum(a*a)) hands
+    it the quotient's gradient first and the square's second.
+    """
+    ax = axis if axis >= 0 else a.ndim + axis
+    x = a.data
+    norms = np.sqrt(np.add.reduce(x * x, axis=ax, keepdims=True))
+    _check_finite(norms, "l2_normalize")
+    if np.logical_or.reduce(norms <= min_norm, axis=None):
         raise NumericError("cannot normalize a zero-norm vector")
-    return div(a, norms)
+
+    def vjp(g):
+        g_norms = _unbroadcast(-g * x / (norms * norms), norms.shape)
+        # the square's gradient, with the sum's copy left to broadcasting
+        return g / norms, g_norms * 0.5 / norms * 2.0 * x
+
+    return _node(x / norms, (a, a), vjp, "l2_normalize")
 
 
 def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
@@ -398,40 +500,38 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
 
-    # topological order, leaves first (iterative postorder DFS)
+    # topological order, leaves first: iterative postorder DFS that explores
+    # a node's parents last-listed first. Tensors hash by identity.
     topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    visited = {loss}
+    stack = [(loss, reversed(loss._parents))]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
+        node, parents = stack[-1]
+        for p in parents:
+            if p.requires_grad and p not in visited:
+                visited.add(p)
+                stack.append((p, reversed(p._parents)))
+                break
+        else:
+            stack.pop()
             topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
         if node._vjp is None:
             # leaf: accumulate into .grad
             if node.grad is None:
-                node.grad = np.zeros_like(node.data)
+                node.grad = np.zeros(node.data.shape)
             node.grad += g
             continue
-        parent_grads = node._vjp(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if not p.requires_grad or pg is None:
+        for p, pg in zip(node._parents, node._vjp(g)):
+            if pg is None or not p.requires_grad:
                 continue
-            acc = grads.get(id(p))
-            grads[id(p)] = pg if acc is None else acc + pg
+            acc = grads.get(p)
+            grads[p] = pg if acc is None else acc + pg
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

@@ -67,3 +67,28 @@ def test_replace_revalidates():
     cfg = RunConfig()
     with pytest.raises(ContractError):
         cfg.replace(mining_rho=0.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"irm_variant": "irm"},
+    {"irm_variant": "mm_rex", "rex_lambda_min": 0.9},
+    {"include_25d": True, "rex_lambda_min": 0.4},
+    {"fusion_phi": 0.0},
+    {"align_tau": 0.0},
+    {"rex_beta": -0.5},
+    {"irm_lambda": -1.0},
+    {"mining_warmup": 0},
+    {"mining_period": 0},
+    {"mining_topk": 0},
+    {"posterior_p2": 0.0},
+    {"posterior_p3": 1.5},
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_rejected_at_construction(overrides):
+    with pytest.raises(ContractError):
+        RunConfig(**overrides)
+
+
+def test_boundary_values_accepted():
+    RunConfig(rex_lambda_min=0.5, rex_beta=0.0, irm_lambda=0.0, posterior_p2=1.0,
+              posterior_p3=1.0, mining_warmup=1, mining_period=1, mining_topk=1)
+    RunConfig(include_25d=True, rex_lambda_min=1.0 / 3.0)

@@ -88,6 +88,32 @@ class TestTrainingLoop:
             Trainer(cfg).run()
 
 
+class TestSingleView:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_single_view_run_completes(self, seed):
+        cfg = RunConfig(seed=seed, generator=GeneratorConfig(seed=seed, num_views=1), epochs=12)
+        result = Trainer(cfg).run()
+        assert sum(m["inv_batches"] for m in result.metrics) > 0
+        assert all(np.isfinite(m["loss_ce"]) for m in result.metrics)
+
+    @pytest.mark.parametrize("include_25d", [False, True])
+    def test_environment_without_pairs_is_dropped(self, include_25d):
+        gen = GeneratorConfig(num_classes=4, shots=6, invariant_dim=6, confound_dim=4,
+                              num_views=1, seed=0)
+        trainer = Trainer(RunConfig(generator=gen, output_dim=10, include_25d=include_25d))
+        labels = trainer.train_labels
+        lone = np.flatnonzero(labels == 0)[0]
+        others = np.flatnonzero(labels != 0)[:5]
+        idx = np.concatenate([[lone], others])
+        trainer.d_joint = np.array([lone])
+        # the anchor's class appears once in the batch: only the 3D pool, which
+        # holds its augmented copy, can score it
+        assert trainer._invariance_term(idx, 0, 0) is None
+        trainer.d_joint = np.array([others[0]])
+        same = np.flatnonzero(labels == labels[others[0]])[1]
+        assert trainer._invariance_term(np.append(idx, same), 0, 0) is not None
+
+
 class TestRoutingAudit:
     def test_inv_backward_touches_only_gate(self):
         cfg = tiny_cfg(enable_step1=False, enable_step2=True, invariance_on_all=True)

@@ -81,6 +81,19 @@ class TestSupInfoNCE:
         assert rep.n_pairs == 2
         assert rep.n_skipped_anchors == 1
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.integers(-2, 3), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+    def test_report_matches_pair_masks(self, labels, seed):
+        labels = np.asarray(labels)
+        mask = np.random.default_rng(seed).random(labels.size) < 0.6
+        mask[0] = True
+        b = ContrastiveBatch(T.constant(np.ones((labels.size, 2))), labels, anchor_mask=mask)
+        same = labels[:, None] == labels[None, :]
+        per_anchor = (same & ~np.eye(labels.size, dtype=bool)).sum(axis=1)[mask]
+        rep = contrastive_report(b)
+        assert (rep.n_anchors, rep.n_pairs, rep.n_skipped_anchors) == (
+            int(mask.sum()), int(per_anchor.sum()), int((per_anchor == 0).sum()))
+
 
 class TestIrmGradTheta:
     def test_all_similarities_equal_gives_zero(self):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from invgate.errors import ContractError, MixtureDegeneracyError
 from invgate.mining import (
     MixtureFit,
+    _topk_overlaps,
     fit_gmm2,
     mining_schedule,
     posterior_small,
@@ -261,3 +263,92 @@ class TestSchedule:
     def test_bad_args(self):
         with pytest.raises(ContractError):
             mining_schedule(1, warmup=0, period=1)
+
+
+# -- vectorised EM and selection against the per-component / per-row loops ----
+
+
+def _reference_fit_gmm2(losses, tol=1e-8, max_iter=200, var_floor=1e-6):
+    """fit_gmm2 as a loop over the two components, one row at a time."""
+    x = np.asarray(losses, dtype=np.float64)
+    median = np.median(x)
+    lower, upper = x[x <= median], x[x > median]
+    if upper.size == 0:
+        lower, upper = x[x < median], x[x >= median]
+    means = np.array([lower.mean(), upper.mean()])
+    variances = np.maximum(np.array([lower.var(), upper.var()]), var_floor)
+    weights = np.array([lower.size, upper.size], dtype=np.float64) / x.size
+
+    def log_pdf(mean, var):
+        return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
+
+    path, prev_ll, converged, it = [], -np.inf, False, 0
+    for it in range(1, max_iter + 1):
+        log_joint = np.stack(
+            [np.log(weights[k]) + log_pdf(means[k], variances[k]) for k in range(2)])
+        shift = log_joint.max(axis=0, keepdims=True)
+        log_total = shift[0] + np.log(np.exp(log_joint - shift).sum(axis=0))
+        resp = np.exp(log_joint - log_total)
+        ll = float(log_total.sum())
+        path.append(ll)
+        nk = np.maximum(resp.sum(axis=1), 1e-12)
+        means = (resp * x).sum(axis=1) / nk
+        variances = np.maximum((resp * (x - means[:, None]) ** 2).sum(axis=1) / nk, var_floor)
+        weights = nk / x.size
+        if ll - prev_ll < tol and np.isfinite(prev_ll):
+            converged = True
+            break
+        prev_ll = ll
+    order = np.argsort(means)
+    return MixtureFit(means[order], variances[order], weights[order], it, converged,
+                      np.asarray(path))
+
+
+def _reference_posterior_small(fit, x):
+    def log_pdf(mean, var):
+        return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
+
+    log_joint = np.stack(
+        [np.log(fit.weights[k]) + log_pdf(fit.means[k], fit.variances[k]) for k in range(2)])
+    shift = log_joint.max(axis=0)
+    return np.exp(log_joint[0] - shift) / np.exp(log_joint - shift).sum(axis=0)
+
+
+_LOSSES = arrays(np.float64, st.integers(4, 300),
+                 elements=st.floats(0.0, 50.0, allow_subnormal=False))
+
+
+class TestVectorisedEM:
+    @settings(deadline=None, max_examples=60)
+    @given(_LOSSES)
+    def test_matches_per_component_loop(self, x):
+        if np.ptp(x) == 0.0:
+            return
+        got, want = fit_gmm2(x), _reference_fit_gmm2(x)
+        for name in ("means", "variances", "weights", "loglik_path"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert np.array_equal(posterior_small(got, x), _reference_posterior_small(want, x))
+        assert posterior_small(got, float(x[0])) == _reference_posterior_small(want, x[:1])[0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_on_loss_like_mixtures(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([rng.gamma(2.0, 0.3, 120), rng.normal(3.0, 0.5, 40)])
+        got, want = fit_gmm2(x), _reference_fit_gmm2(x)
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.loglik_path, want.loglik_path)
+        assert np.array_equal(got.means, want.means)
+
+
+class TestVectorisedOverlap:
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 20), st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_matches_topk_oracle_with_ties(self, n, c, seed, k):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so most rows have tied scores
+        f2 = rng.integers(0, 3, size=(n, c)) / 4.0
+        f3 = rng.integers(0, 3, size=(n, c)) / 4.0
+        k = min(k, c)
+        expected = [topk_overlap(f2[i], f3[i], k) for i in range(n)]
+        assert _topk_overlaps(f2, f3, k).tolist() == expected

@@ -90,3 +90,27 @@ def test_velocity_roundtrip_by_name():
     opt2 = SGD([ParamGroup("g", [q])], make_state(momentum=0.9))
     opt2.load_velocity(named)
     np.testing.assert_array_equal(opt2.velocity[id(q)], named["w"])
+
+
+def test_step_updates_only_active_groups():
+    a = T.parameter([1.0, 2.0], name="a")
+    b = T.parameter([3.0], name="b")
+    c = T.parameter([4.0], name="c")
+    opt = SGD([ParamGroup("a", [a]), ParamGroup("b", [b]), ParamGroup("c", [c], frozen=True)],
+              make_state(weight_decay=0.5, momentum=0.9))
+    a.grad = np.array([1.0, 1.0])
+    b.grad = np.array([1.0])
+    before_b, before_c = b.data.tobytes(), c.data.tobytes()
+    opt.step(active={"a", "c"})
+    assert b.data.tobytes() == before_b and id(b) not in opt.velocity
+    assert c.data.tobytes() == before_c and id(c) not in opt.velocity
+    assert id(a) in opt.velocity
+
+
+def test_active_param_without_grad_takes_zero_gradient():
+    p = T.parameter([2.0], name="p")
+    opt = SGD([ParamGroup("g", [p])], make_state(weight_decay=0.5, momentum=0.9))
+    lr = opt.step(active={"g"})
+    np.testing.assert_array_equal(p.grad, [0.0])
+    np.testing.assert_array_equal(opt.velocity[id(p)], [0.0])
+    np.testing.assert_array_equal(p.data, [2.0 - lr * 0.5 * 2.0])

@@ -126,6 +126,14 @@ OP_CASES = [
     ("cosine", lambda ls: T.sum_(T.cosine_similarity(T.add(ls[0], T.constant(3.0)), T.add(ls[1], T.constant(3.0)))), 2, (4, 3)),
     ("broadcast_mul", lambda ls: T.sum_(T.mul(ls[0], T.reshape(ls[1], (1, 4)))), "bc", None),
     ("batched_matmul", lambda ls: T.sum_(T.matmul(ls[0], T.swap_last2(ls[1]))), "bmm", None),
+    ("mean_axis", lambda ls: T.sum_(T.square(T.mean_(ls[0], axis=1))), 1, (2, 3, 4)),
+    ("mean_keepdims", lambda ls: T.sum_(T.mul(T.mean_(ls[0], axis=-1, keepdims=True), ls[0])), 1, (3, 4)),
+    ("log_softmax_3d", lambda ls: T.sum_(T.square(T.log_softmax(ls[0], axis=1))), 1, (2, 3, 4)),
+    ("l2_normalize", lambda ls: T.sum_(T.mul(T.l2_normalize(ls[0]), T.constant(np.arange(12.0).reshape(3, 4)))), 1, (3, 4)),
+    ("l2_normalize_reused", lambda ls: T.sum_(T.mul(T.l2_normalize(ls[0], axis=0), ls[0])), 1, (3, 4)),
+    ("gather", lambda ls: T.sum_(T.square(T.gather(ls[0], np.array([2, 0, 3])))), 1, (3, 4)),
+    ("matmul_t", lambda ls: T.sum_(T.square(T.matmul_t(ls[0], ls[1]))), 2, (3, 4)),
+    ("matmul_t_self", lambda ls: T.sum_(T.square(T.matmul_t(ls[0], ls[0]))), 1, (3, 4)),
 ]
 
 
@@ -160,3 +168,93 @@ def test_backward_deterministic_repeat():
     g2 = run()
     np.testing.assert_array_equal(g1[0], g2[0])
     np.testing.assert_array_equal(g1[1], g2[1])
+
+
+# -- fused ops against the primitive composites they replace -------------------
+#
+# Each fused op must reproduce its composite bit for bit: forward values and
+# the gradients of a graph in which the op's input has further consumers, so
+# the order in which contributions accumulate is checked too.
+
+
+def _composite_mean(a, axis=None, keepdims=False):
+    n = a.data.size if axis is None else a.data.shape[axis]
+    return T.mul(T.sum_(a, axis=axis, keepdims=keepdims), T.constant(1.0 / n))
+
+
+def _composite_log_softmax(a, axis=-1):
+    ax = axis if axis >= 0 else a.ndim + axis
+    shifted = T.sub(a, T.constant(np.max(a.data, axis=ax, keepdims=True)))
+    return T.sub(shifted, T.log(T.sum_(T.exp(shifted), axis=ax, keepdims=True)))
+
+
+def _composite_l2_normalize(a, axis=-1):
+    ax = axis if axis >= 0 else a.ndim + axis
+    return T.div(a, T.sqrt(T.sum_(T.square(a), axis=ax, keepdims=True)))
+
+
+def _composite_gather(a, index):
+    onehot = np.zeros(a.shape)
+    onehot[np.arange(a.shape[0]), index] = 1.0
+    return T.sum_(T.mul(a, T.constant(onehot)), axis=1)
+
+
+def _composite_matmul_t(a, b):
+    return T.matmul(a, T.transpose2d(b))
+
+
+def _run(op, shape, seed):
+    """Forward value and leaf gradients of a loss where x feeds op and two
+    further consumers: `backward` hands x one of their gradients before op's
+    and the other after, so op's contributions land between the two."""
+    rng = np.random.default_rng(seed)
+    x = T.parameter(rng.uniform(-2.0, 2.0, size=shape))
+    w = [T.constant(rng.normal(size=shape)) for _ in range(2)]
+    first = T.mul(x, w[0])
+    y = op(x)
+    last = T.exp(T.mul(x, w[1]))
+    out_w = T.constant(rng.normal(size=y.shape))
+    loss = T.add(T.add(T.sum_(T.square(first)), T.sum_(T.mul(y, out_w))), T.sum_(last))
+    T.backward(loss)
+    return y.data, loss.data, x.grad
+
+
+FUSED_CASES = [
+    ("mean_all", lambda x: T.mean_(x), lambda x: _composite_mean(x), (4, 5)),
+    ("mean_axis1", lambda x: T.mean_(x, axis=1), lambda x: _composite_mean(x, axis=1), (3, 4, 5)),
+    ("mean_keepdims", lambda x: T.mean_(x, axis=-1, keepdims=True),
+     lambda x: _composite_mean(x, axis=-1, keepdims=True), (6, 5)),
+    ("log_softmax", lambda x: T.log_softmax(x), lambda x: _composite_log_softmax(x), (6, 5)),
+    ("log_softmax_axis0", lambda x: T.log_softmax(x, axis=0),
+     lambda x: _composite_log_softmax(x, axis=0), (3, 4, 2)),
+    ("l2_normalize", lambda x: T.l2_normalize(x), lambda x: _composite_l2_normalize(x), (7, 5)),
+    ("l2_normalize_3d", lambda x: T.l2_normalize(x, axis=1),
+     lambda x: _composite_l2_normalize(x, axis=1), (2, 3, 4)),
+    ("gather", lambda x: T.gather(x, np.array([1, 0, 4, 4, 2])),
+     lambda x: _composite_gather(x, np.array([1, 0, 4, 4, 2])), (5, 5)),
+    ("matmul_t_self", lambda x: T.matmul_t(x, x), lambda x: _composite_matmul_t(x, x), (6, 4)),
+    ("matmul_t_normalized", lambda x: T.matmul_t(T.l2_normalize(x), T.l2_normalize(T.mul(x, x))),
+     lambda x: _composite_matmul_t(_composite_l2_normalize(x), _composite_l2_normalize(T.mul(x, x))),
+     (5, 3)),
+]
+
+
+@pytest.mark.parametrize("name,fused,composite,shape", FUSED_CASES, ids=[c[0] for c in FUSED_CASES])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fused_op_bit_identical_to_composite(name, fused, composite, shape, seed):
+    for got, want in zip(_run(fused, shape, seed), _run(composite, shape, seed)):
+        assert np.array_equal(got, want), name
+
+
+def test_fused_ops_record_one_node():
+    x = T.parameter(np.ones((3, 4)))
+    for op in (T.mean_, T.log_softmax, T.l2_normalize,
+               lambda a: T.gather(a, np.zeros(3, dtype=int)), lambda a: T.matmul_t(a, a)):
+        assert all(p is x for p in op(x)._parents)
+
+
+def test_matmul_t_rejects_bad_shapes():
+    with pytest.raises(ShapeError):
+        T.matmul_t(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 4))))
+    with pytest.raises(ShapeError):
+        T.matmul_t(T.constant(np.ones((2, 3))), T.constant(np.ones(3)))
