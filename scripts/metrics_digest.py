@@ -2,9 +2,10 @@
 """One sha256 per run of the outputs that must stay byte-identical.
 
 Prints a digest of the metrics log of each default full run (config seeds
-0-5) and each CE-only baseline run (seeds 0-1), and of the ablation CSV of
-the invariance_on_all cells for seed 0. Two builds whose lines match train
-bit-identically on these inputs:
+0-5), each CE-only baseline run (seeds 0-1) and three runs with the 2.5D
+environment (V-REx seed 0, IRMv1 seed 1, view attention seed 0), and of the
+ablation CSV of the invariance_on_all cells for seed 0. Two builds whose
+lines match train bit-identically on these inputs:
 
     PYTHONPATH=src python scripts/metrics_digest.py
 """
@@ -23,6 +24,13 @@ from invgate.data import GeneratorConfig, generate  # noqa: E402
 from invgate.harness import Trainer, ablate, ablation_csv, metrics_log_lines  # noqa: E402
 
 CE_ONLY = {"enable_step1": False, "enable_step2": False, "enable_align": False}
+RUNS = (
+    ("train_full", range(6), {}),
+    ("train_ce", range(2), CE_ONLY),
+    ("25d_vrex", [0], {"include_25d": True}),
+    ("25d_irmv1", [1], {"include_25d": True, "irm_variant": "irmv1"}),
+    ("25d_view_attention", [0], {"include_25d": True, "use_view_attention": True}),
+)
 
 
 def _config(seed: int, **overrides) -> RunConfig:
@@ -34,7 +42,7 @@ def _digest(text: str) -> str:
 
 
 def main() -> None:
-    for name, seeds, overrides in (("train_full", range(6), {}), ("train_ce", range(2), CE_ONLY)):
+    for name, seeds, overrides in RUNS:
         for seed in seeds:
             metrics = Trainer(_config(seed, **overrides)).run().metrics
             print(f"{name} seed={seed} {_digest(chr(10).join(metrics_log_lines(metrics)))}")

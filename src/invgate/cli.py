@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,11 +17,13 @@ SEED_ENV = "INVGATE_SEED"
 
 
 def _load_generator_config(path: str) -> GeneratorConfig:
+    """A bare generator config, or the generator of a run config (whose
+    unknown keys raise ContractError)."""
     with open(path) as fh:
         data = json.load(fh)
-    if "generator" in data:
-        return RunConfig.from_dict(data).generator
-    return GeneratorConfig(**data)
+    if set(data) <= {f.name for f in dataclasses.fields(GeneratorConfig)}:
+        return GeneratorConfig(**data)
+    return RunConfig.from_dict(data).generator
 
 
 def _apply_overrides(cfg: RunConfig, args) -> tuple[RunConfig, dict]:

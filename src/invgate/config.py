@@ -151,11 +151,5 @@ def load_config(path: str) -> RunConfig:
         return RunConfig.from_dict(json.load(fh))
 
 
-def save_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -199,18 +199,6 @@ def augment_3d(
     return x3 * scale * wobble + jitter
 
 
-def augment_2d(sample: Sample, seed, num_views: int | None = None,
-               view_sigma: float | None = None) -> np.ndarray:
-    """Fresh views drawn around the sample's 2D base (the mean of its views)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    base = sample.views.mean(axis=0)
-    n = num_views if num_views is not None else sample.views.shape[0]
-    if n < 1:
-        raise ContractError("need at least one view")
-    sigma = view_sigma if view_sigma is not None else 0.0
-    return base[None, :] + sigma * rng.normal(size=(n, base.shape[0]))
-
-
 def bayes_oracle(dataset: Dataset, split: str = "test") -> float:
     """Accuracy of nearest-class-mean on the invariant block alone.
 

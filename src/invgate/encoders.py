@@ -9,8 +9,6 @@ mask gates that space for both modalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -18,32 +16,6 @@ from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
 MODALITIES = ("2d", "3d", "2.5d")
-
-
-@dataclass
-class ViewSet:
-    """The per-sample bag of 2D view feature vectors."""
-
-    views: list[np.ndarray]
-
-    def __post_init__(self):
-        if len(self.views) < 1:
-            raise ContractError("ViewSet needs at least one view")
-        dims = {np.asarray(v).shape for v in self.views}
-        if len(dims) != 1 or len(next(iter(dims))) != 1:
-            raise ContractError(f"views must share a single vector shape, got {dims}")
-        self.views = [np.asarray(v, dtype=np.float64) for v in self.views]
-
-    @property
-    def n(self) -> int:
-        return len(self.views)
-
-    @property
-    def dim(self) -> int:
-        return self.views[0].shape[0]
-
-    def as_array(self) -> np.ndarray:
-        return np.stack(self.views, axis=0)
 
 
 def _affine_params(dims, init, rng, prefix):
@@ -113,27 +85,6 @@ class ModalityEncoder:
         return h
 
 
-def encode_3d(encoder: ModalityEncoder, features: Tensor | np.ndarray) -> Tensor:
-    return encoder(features)
-
-
-def encode_2d(adapter: ModalityEncoder, views: ViewSet) -> tuple[list[Tensor], Tensor]:
-    """Per-view features plus their mean as the aggregated 2D feature."""
-    per_view = [adapter(v) for v in views.views]
-    total = per_view[0]
-    for v in per_view[1:]:
-        total = T.add(total, v)
-    return per_view, T.mul(total, T.constant(1.0 / views.n))
-
-
-def encode_view_batch(adapter: ModalityEncoder, views: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Batched form: [B, N, d_in] -> (per-view [B, N, d_out], mean [B, d_out])."""
-    if views.ndim != 3:
-        raise ShapeError(f"expected [B, N, d] views, got {views.shape}")
-    feats = adapter(T.constant(views))
-    return feats, T.mean_(feats, axis=1)
-
-
 class GateMask:
     """Learnable per-dimension soft mask shared by both modalities."""
 
@@ -200,17 +151,6 @@ class ClassHead:
         return T.matmul_t(f, p)
 
 
-def classify(features: Tensor | np.ndarray, head: ClassHead) -> Tensor:
-    return head.logits(features)
-
-
-def average_view_logits(per_view_logits: Tensor) -> Tensor:
-    """[B, N, C] per-view logits -> [B, C] branch logits."""
-    if per_view_logits.ndim != 3:
-        raise ShapeError(f"expected [B, N, C], got {per_view_logits.shape}")
-    return T.mean_(per_view_logits, axis=1)
-
-
 class MultiViewAggregator:
     """Opt-in replacement for mean view pooling.
 
@@ -242,14 +182,10 @@ class MultiViewAggregator:
     def params(self) -> list[Tensor]:
         return [self.f1_w, self.f1_b, self.f2_w, self.f2_b, self.proj_w, self.proj_b]
 
-    def __call__(self, per_view: Tensor, delta: float, return_parts: bool = False):
+    def __call__(self, per_view: Tensor, delta: float) -> Tensor:
+        """[B, N, d] per-view features -> [B, d] blended feature."""
         if not (0.0 <= delta <= 1.0):
             raise ContractError(f"delta must lie in [0, 1], got {delta}")
-        if per_view.ndim == 2:
-            per_view = T.reshape(per_view, (1,) + per_view.shape)
-            squeeze = True
-        else:
-            squeeze = False
         b, n, d = per_view.shape
         if n != self.num_views or d != self.dim:
             raise ShapeError(f"aggregator built for {self.num_views}x{self.dim}, got {per_view.shape}")
@@ -267,72 +203,34 @@ class MultiViewAggregator:
         weighted = T.mul(projected, T.reshape(weights, (b, n, 1)))
         f_view = T.relu(T.sum_(weighted, axis=1))
 
-        out = T.add(
+        return T.add(
             T.mul(T.constant(1.0 - delta), f_global), T.mul(T.constant(delta), f_view)
         )
-        if squeeze:
-            out = T.reshape(out, (d,))
-            f_global = T.reshape(f_global, (d,))
-            f_view = T.reshape(f_view, (d,))
-        if return_parts:
-            return out, f_global, f_view
-        return out
-
-
-def multi_view_aggregate(
-    aggregator: MultiViewAggregator, per_view: Tensor, delta: float, return_parts: bool = False
-):
-    return aggregator(per_view, delta, return_parts=return_parts)
 
 
 class CrossAttention:
-    """Bidirectional single-token cross-attention producing a blended feature.
+    """The 2.5D environment's feature: bidirectional cross-attention between
+    the 2D and 3D features of a sample, with frozen weights.
 
-    Forward pass queries with the 3D feature over the 2D key/value; the
-    reverse pass swaps roles; outputs are averaged. Used only as an extra
-    invariance environment, so its weights stay frozen.
+    Each direction attends over a single key, so its softmax weight is
+    exactly 1 and the query/key projections never reach the output: the
+    forward direction returns the 2D value projection, the reverse one the
+    3D value projection, and the blend is 0.5 * (x2 @ wv + x3 @ wv2).
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator | None = None, identity: bool = False,
-                 name: str = "xattn"):
-        def init(tag):
-            w = np.eye(dim) if identity else rng.normal(0, 1 / np.sqrt(dim), (dim, dim))
-            return T.parameter(w, name=f"{name}.{tag}")
-
-        if not identity and rng is None:
-            raise ContractError("random init requires an rng")
+    def __init__(self, dim: int, rng: np.random.Generator, name: str = "xattn"):
+        # draw all six projections (wq, wk, wv, wq2, wk2, wv2) so the two kept
+        # values stay those of the attention written out in full
+        draws = [rng.normal(0, 1 / np.sqrt(dim), (dim, dim)) for _ in range(6)]
         self.dim = dim
-        self.wq, self.wk, self.wv = init("wq"), init("wk"), init("wv")
-        self.wq2, self.wk2, self.wv2 = init("wq2"), init("wk2"), init("wv2")
+        self.wv = T.parameter(draws[2], name=f"{name}.wv")
+        self.wv2 = T.parameter(draws[5], name=f"{name}.wv2")
 
     @property
     def params(self) -> list[Tensor]:
-        return [self.wq, self.wk, self.wv, self.wq2, self.wk2, self.wv2]
+        return [self.wv, self.wv2]
 
-    def __call__(self, x2: Tensor | np.ndarray, x3: Tensor | np.ndarray) -> Tensor:
-        x2, x3 = T.as_tensor(x2), T.as_tensor(x3)
+    def __call__(self, x2: Tensor, x3: Tensor) -> Tensor:
         if x2.shape != x3.shape or x2.shape[-1] != self.dim:
             raise ShapeError(f"cross-attention dim {self.dim}, got {x2.shape} / {x3.shape}")
-        squeeze = x2.ndim == 1
-        if squeeze:
-            x2 = T.reshape(x2, (1, self.dim))
-            x3 = T.reshape(x3, (1, self.dim))
-
-        def one_way(q_in, kv_in, wq, wk, wv):
-            q = T.matmul(q_in, wq)
-            k = T.matmul(kv_in, wk)
-            v = T.matmul(kv_in, wv)
-            score = T.sum_(T.mul(q, k), axis=-1, keepdims=True)  # [B, 1]
-            attn = T.softmax(score, axis=-1)                     # single key -> 1
-            return T.mul(attn, v)
-
-        fwd = one_way(x3, x2, self.wq, self.wk, self.wv)
-        rev = one_way(x2, x3, self.wq2, self.wk2, self.wv2)
-        out = T.mul(T.add(fwd, rev), T.constant(0.5))
-        if squeeze:
-            out = T.reshape(out, (self.dim,))
-        return out
-
-
-def cross_attention_fuse(attn: CrossAttention, x2, x3) -> Tensor:
-    return attn(x2, x3)
+        return T.mul(T.add(T.matmul(x2, self.wv), T.matmul(x3, self.wv2)), T.constant(0.5))

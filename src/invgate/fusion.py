@@ -2,8 +2,7 @@
 
 Multiplicative fusion takes the elementwise product of the two branch
 softmaxes, with a temperature on the 2D branch to calibrate its sharpness;
-the additive variant sums them instead. Scores stay unnormalized (an
-optional renormalization is for reporting only and never moves the argmax).
+the additive variant sums them instead. Scores stay unnormalized.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ _MODE_ALIASES = {
 class FusionConfig:
     phi: float = 1.0
     mode: str = "multiplicative"
-    renormalize: bool = False
 
     def __post_init__(self):
         if self.phi <= 0:
@@ -51,10 +49,7 @@ def fuse(f2: np.ndarray, f3: np.ndarray, cfg: FusionConfig) -> np.ndarray:
         raise NumericError("non-finite branch logits")
     p2 = softmax_np(f2 / cfg.phi)
     p3 = softmax_np(f3)
-    scores = p2 * p3 if cfg.mode == "multiplicative" else p2 + p3
-    if cfg.renormalize:
-        scores = scores / scores.sum(axis=-1, keepdims=True)
-    return scores
+    return p2 * p3 if cfg.mode == "multiplicative" else p2 + p3
 
 
 def predict(scores: np.ndarray) -> np.ndarray | int:

@@ -112,7 +112,7 @@ class Model:
             ParamGroup("gate", self.gate.params),
         ]
         if self.xattn is not None:
-            groups.append(ParamGroup("xattn", self.xattn.params, frozen=True))
+            groups.append(ParamGroup("xattn", self.xattn.params))  # no routing plan names it
         return groups
 
     def named_params(self) -> dict[str, T.Tensor]:
@@ -246,13 +246,16 @@ class Trainer:
 
     # -- loss terms -----------------------------------------------------------
 
-    def _invariance_term(self, idx: np.ndarray, epoch: int, batch_i: int):
+    def _invariance_term(self, idx: np.ndarray, epoch: int, batch_i: int,
+                         per_view: T.Tensor, agg2: T.Tensor):
         """Invariance loss anchored at the batch's joint-hard members.
 
         The whole batch joins each environment's pool (otherwise the few
         mined anchors would see mostly their own augmented copies as
         positives); only mined rows act as anchors. Features enter detached,
-        so this term's backward reaches nothing but the gate.
+        so this term's backward reaches nothing but the gate. `per_view` and
+        `agg2` are the batch's 2D features from `total_objective`; only their
+        values are read.
         """
         cfg = self.cfg
         if self.d_joint.size == 0:
@@ -277,9 +280,7 @@ class Trainer:
             feats3 = self.model.features_3d(
                 np.concatenate([self.train_x3[idx], *aug], axis=0)
             ).data
-            per_view, agg2 = self.model.features_2d(self.train_views[idx])
-            feats2 = per_view.data.reshape(-1, cfg.output_dim)
-            agg2 = agg2.data
+        feats2 = per_view.data.reshape(-1, cfg.output_dim)
 
         n_aug = cfg.n_3d_augments * subset.size
         labels3 = np.concatenate([labels, np.tile(self.train_labels[subset], cfg.n_3d_augments)])
@@ -295,7 +296,7 @@ class Trainer:
         }
         if self.model.xattn is not None:
             with T.no_grad():
-                fused = self.model.xattn(T.constant(agg2), T.constant(feats3[: idx.size])).data
+                fused = self.model.xattn(T.constant(agg2.data), T.constant(feats3[: idx.size])).data
             envs["2.5d"] = ContrastiveBatch(gate.apply(T.constant(fused), learn=True),
                                             labels, anchor_mask=is_hard)
         # an environment scores only if some anchor has a same-class partner in
@@ -307,7 +308,7 @@ class Trainer:
         theta = 1.0 if cfg.irm_variant == "irmv1" else cfg.inv_theta
         irm_cfg = IRMConfig(lam=cfg.irm_lambda, dummy_theta=theta,
                             variant=cfg.irm_variant, lambda_min=cfg.rex_lambda_min,
-                            beta=cfg.rex_beta, include_25d=cfg.include_25d)
+                            beta=cfg.rex_beta)
         return modality_irm_loss(envs, irm_cfg)
 
     def total_objective(self, idx: np.ndarray, epoch: int, batch_i: int,
@@ -337,7 +338,9 @@ class Trainer:
         else:
             ce = T.constant(0.0)
 
-        inv = self._invariance_term(idx, epoch, batch_i) if "inv" in enabled else None
+        inv = None
+        if "inv" in enabled:
+            inv = self._invariance_term(idx, epoch, batch_i, per_view, agg2)
 
         align = None
         if "align" in enabled and idx.size >= 2:

@@ -170,7 +170,6 @@ class IRMConfig:
     variant: str = "irmv1"          # irmv1 | mm_rex | v_rex
     lambda_min: float = 0.0         # mm_rex knob
     beta: float = 1.0               # v_rex knob
-    include_25d: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
@@ -181,47 +180,37 @@ class IRMConfig:
             raise ContractError("irmv1 evaluates the dummy classifier at 1")
 
 
-def _value(x) -> float:
-    return x.item() if isinstance(x, Tensor) else float(x)
+def mm_rex(env_losses: Sequence[Tensor], lambda_min: float) -> Tensor:
+    """(1 - m*lambda_min) * max_e L_e + lambda_min * sum_e L_e over scalar risks.
 
-
-def mm_rex(env_losses: Sequence, lambda_min: float):
-    """(1 - m*lambda_min) * max_e L_e + lambda_min * sum_e L_e.
-
-    Works on floats or scalar Tensors; the max picks the largest realized
-    risk (first on ties), which is the correct subgradient.
+    The max picks the largest realized risk (first on ties), which is the
+    correct subgradient.
     """
     m = len(env_losses)
     if m < 2:
         raise ContractError("mm_rex needs at least two environments")
     if lambda_min > 1.0 / m:
         raise ContractError(f"lambda_min must be <= 1/{m}")
-    values = [_value(x) for x in env_losses]
+    values = [x.item() for x in env_losses]
     worst = env_losses[int(np.argmax(values))]
     total = env_losses[0]
     for x in env_losses[1:]:
-        total = total + x
+        total = T.add(total, x)
     coeff = 1.0 - m * lambda_min
-    if isinstance(worst, Tensor) or isinstance(total, Tensor):
-        return T.add(T.mul(T.as_tensor(worst), T.constant(coeff)),
-                     T.mul(T.as_tensor(total), T.constant(lambda_min)))
-    return coeff * worst + lambda_min * total
+    return T.add(T.mul(worst, T.constant(coeff)), T.mul(total, T.constant(lambda_min)))
 
 
-def v_rex(env_losses: Sequence, beta: float):
-    """beta * Var({L_e}) + sum_e L_e, with population variance."""
+def v_rex(env_losses: Sequence[Tensor], beta: float) -> Tensor:
+    """beta * Var({L_e}) + sum_e L_e over scalar risks, with population variance."""
     m = len(env_losses)
     if m < 2:
         raise ContractError("v_rex needs at least two environments")
     if beta < 0:
         raise ContractError("beta must be non-negative")
-    if any(isinstance(x, Tensor) for x in env_losses):
-        stacked = T.stack([T.as_tensor(x) for x in env_losses])
-        mean = T.mean_(stacked)
-        var = T.mean_(T.square(T.sub(stacked, mean)))
-        return T.add(T.mul(var, T.constant(beta)), T.sum_(stacked))
-    values = np.asarray([float(x) for x in env_losses])
-    return beta * float(values.var()) + float(values.sum())
+    stacked = T.stack(env_losses)
+    mean = T.mean_(stacked)
+    var = T.mean_(T.square(T.sub(stacked, mean)))
+    return T.add(T.mul(var, T.constant(beta)), T.sum_(stacked))
 
 
 def modality_irm_loss(envs: Mapping[str, ContrastiveBatch], cfg: IRMConfig) -> Tensor:
@@ -247,8 +236,7 @@ def modality_irm_loss(envs: Mapping[str, ContrastiveBatch], cfg: IRMConfig) -> T
     return v_rex(risks, cfg.beta)
 
 
-def nt_xent_align(z2: Tensor, z3: Tensor, tau: float,
-                  allow_singleton: bool = False) -> Tensor:
+def nt_xent_align(z2: Tensor, z3: Tensor, tau: float) -> Tensor:
     """Cross-modality NT-Xent over gated features of the same samples.
 
     The i-th 2D/3D pair is the positive; each anchor is contrasted against
@@ -259,7 +247,7 @@ def nt_xent_align(z2: Tensor, z3: Tensor, tau: float,
     if z2.shape != z3.shape or z2.ndim != 2:
         raise ContractError(f"aligned features must match as [n, d], got {z2.shape} / {z3.shape}")
     n = z2.shape[0]
-    if n < 2 and not allow_singleton:
+    if n < 2:
         raise DegenerateBatchError("alignment needs a batch of >= 2 samples")
 
     a = T.l2_normalize(z2, axis=-1)

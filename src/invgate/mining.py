@@ -122,18 +122,9 @@ def posterior_small(fit: MixtureFit, loss) -> np.ndarray | float:
     return float(post) if np.isscalar(loss) or np.ndim(loss) == 0 else post
 
 
-def select_modality_hard(losses: np.ndarray, p: float, fit: MixtureFit | None = None) -> np.ndarray:
-    """Indices whose easy-component posterior is strictly below p.
-
-    Degenerate loss distributions yield the empty set (no hard samples this
-    epoch) rather than an error.
-    """
+def select_modality_hard(losses: np.ndarray, p: float, fit: MixtureFit) -> np.ndarray:
+    """Indices whose easy-component posterior under `fit` is strictly below p."""
     losses = np.asarray(losses, dtype=np.float64)
-    if fit is None:
-        try:
-            fit = fit_gmm2(losses)
-        except MixtureDegeneracyError:
-            return np.empty(0, dtype=int)
     post = posterior_small(fit, losses)
     return np.flatnonzero(post < p)
 

@@ -1,8 +1,8 @@
 """SGD with momentum, decoupled weight decay, and a cosine-annealed rate.
 
-Parameters are organized into named groups so the training loop can freeze
-a group for a step (frozen groups receive no update at all, including no
-weight decay and no momentum-buffer change).
+Parameters are organized into named groups so the training loop can restrict
+a step to some of them (the other groups receive no update at all, including
+no weight decay and no momentum-buffer change).
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from .tensor import Tensor
 
 @dataclass
 class ParamGroup:
-    """A named set of trainable tensors updated (or frozen) together."""
+    """A named set of trainable tensors updated together."""
 
     name: str
     params: list[Tensor]
-    frozen: bool = False
 
     def __post_init__(self):
         for p in self.params:
@@ -95,23 +94,22 @@ class SGD:
     def step(self, active: set[str] | None = None) -> float:
         """One update at the current epoch's rate; returns the rate used.
 
-        `active` (None = every group) names the groups this step updates; a
-        frozen group never updates. In an active group given by name, a
-        parameter without a gradient takes a zero one (the step's terms did
-        not use it); without `active`, a missing gradient is an error.
+        `active` (None = every group) names the groups this step updates. In
+        an active group given by name, a parameter without a gradient takes a
+        zero one (the step's terms did not use it); without `active`, a
+        missing gradient is an error.
         """
         lr = cosine_lr(self.state)
         wd = self.state.weight_decay
         mom = self.state.momentum
         for g in self.groups:
-            if g.frozen or (active is not None and g.name not in active):
+            if active is not None and g.name not in active:
                 continue
             for p in g.params:
                 if p.grad is None:
                     if active is None:
                         raise ContractError(
-                            f"parameter {p.name!r} in non-frozen group '{g.name}' "
-                            f"has no gradient"
+                            f"parameter {p.name!r} in group '{g.name}' has no gradient"
                         )
                     p.grad = np.zeros_like(p.data)
                 v = self.velocity.get(id(p))

@@ -13,7 +13,7 @@ of silently producing NaN/Inf.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,10 +46,6 @@ def strict_numerics(enabled: bool = True):
         yield
     finally:
         _STRICT = prev
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -95,9 +91,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return self.data.item()
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def detach(self) -> "Tensor":
         """A view of the same values cut off from the tape."""
@@ -266,13 +259,6 @@ def sigmoid(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return _node(a.data * mask, (a,), lambda g: (g * mask,), "relu")
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    """a**p; caller guarantees the domain (integer p, or positive base)."""
-    data = a.data ** p
-    _check_finite(data, "power")
-    return _node(data, (a,), lambda g: (g * p * a.data ** (p - 1),), "power")
 
 
 def square(a: Tensor) -> Tensor:
@@ -455,13 +441,8 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(shifted - np.log(s), (a,), vjp, "log_softmax")
 
 
-def l2_norm(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    ax = axis if axis >= 0 else a.ndim + axis
-    return sqrt(sum_(square(a), axis=ax, keepdims=keepdims))
-
-
-def l2_normalize(a: Tensor, axis: int = -1, min_norm: float = 0.0) -> Tensor:
-    """Rows scaled to unit norm, as one node; rows with norm <= min_norm raise.
+def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
+    """Rows scaled to unit norm, as one node; a zero-norm row raises.
 
     `a` is listed twice as a parent: the composite a / sqrt(sum(a*a)) hands
     it the quotient's gradient first and the square's second.
@@ -470,7 +451,7 @@ def l2_normalize(a: Tensor, axis: int = -1, min_norm: float = 0.0) -> Tensor:
     x = a.data
     norms = np.sqrt(np.add.reduce(x * x, axis=ax, keepdims=True))
     _check_finite(norms, "l2_normalize")
-    if np.logical_or.reduce(norms <= min_norm, axis=None):
+    if np.logical_or.reduce(norms <= 0.0, axis=None):
         raise NumericError("cannot normalize a zero-norm vector")
 
     def vjp(g):
@@ -479,11 +460,6 @@ def l2_normalize(a: Tensor, axis: int = -1, min_norm: float = 0.0) -> Tensor:
         return g / norms, g_norms * 0.5 / norms * 2.0 * x
 
     return _node(x / norms, (a, a), vjp, "l2_normalize")
-
-
-def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
-    return sum_(mul(l2_normalize(a, axis), l2_normalize(b, axis)),
-                axis=axis if axis >= 0 else max(a.ndim, b.ndim) + axis)
 
 
 # -- backward pass ------------------------------------------------------------
@@ -532,8 +508,3 @@ def backward(loss: Tensor) -> None:
                 continue
             acc = grads.get(p)
             grads[p] = pg if acc is None else acc + pg
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None

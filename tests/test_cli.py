@@ -3,8 +3,9 @@ import json
 import pytest
 
 from invgate.cli import main
-from invgate.config import RunConfig, save_config
+from invgate.config import RunConfig
 from invgate.data import GeneratorConfig, load_dataset
+from invgate.errors import ContractError
 
 
 @pytest.fixture()
@@ -14,7 +15,7 @@ def tiny_config_file(tmp_path):
     cfg = RunConfig(generator=gen, output_dim=10, epochs=2, batch_size=8,
                     mining_warmup=1, seed=0)
     p = tmp_path / "cfg.json"
-    save_config(cfg, str(p))
+    p.write_text(json.dumps(cfg.to_dict()))
     return p, cfg
 
 
@@ -35,6 +36,21 @@ def test_generate_accepts_bare_generator_config(tmp_path, capsys):
     out = tmp_path / "d.igds"
     assert main(["generate", "--config", str(p), "--out", str(out), "--text"]) == 0
     assert load_dataset(str(out)).config.seed == 3
+
+
+def test_generate_accepts_run_config_without_generator_key(tmp_path):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({"epochs": 6}))
+    out = tmp_path / "d.igds"
+    assert main(["generate", "--config", str(p), "--out", str(out)]) == 0
+    assert load_dataset(str(out)).config == GeneratorConfig()
+
+
+def test_generate_rejects_unknown_config_keys(tmp_path):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({"epochs": 6, "learning_rate": 0.1}))
+    with pytest.raises(ContractError, match="unknown config keys"):
+        main(["generate", "--config", str(p), "--out", str(tmp_path / "d.igds")])
 
 
 def test_train_eval_pipeline(tmp_path, tiny_config_file, capsys):

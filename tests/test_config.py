@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from invgate.config import RunConfig, load_config, save_config
+from invgate.config import RunConfig, load_config
 from invgate.data import GeneratorConfig
 from invgate.errors import ContractError
 
@@ -21,7 +21,7 @@ def test_dict_roundtrip():
 def test_file_roundtrip(tmp_path):
     cfg = RunConfig(seed=3, fusion_mode="additive")
     p = tmp_path / "cfg.json"
-    save_config(cfg, str(p))
+    p.write_text(json.dumps(cfg.to_dict()))
     assert load_config(str(p)) == cfg
 
 

@@ -5,7 +5,6 @@ from invgate.data import (
     Dataset,
     GeneratorConfig,
     Sample,
-    augment_2d,
     augment_3d,
     bayes_oracle,
     class_means,
@@ -123,20 +122,6 @@ class TestAugment:
                 hits += np.linalg.norm(inv - mu, axis=1).argmin() == s.label
                 trials += 1
         assert hits / trials >= 0.99
-
-    def test_augment_2d_identity_at_zero_noise(self):
-        ds = generate(small_cfg())
-        s = ds.train[0]
-        views = augment_2d(s, seed=0, view_sigma=0.0)
-        base = s.views.mean(axis=0)
-        np.testing.assert_allclose(views, np.tile(base, (s.views.shape[0], 1)))
-
-    def test_augment_2d_deterministic(self):
-        ds = generate(small_cfg())
-        s = ds.train[1]
-        a = augment_2d(s, seed=9, view_sigma=0.1)
-        b = augment_2d(s, seed=9, view_sigma=0.1)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestBayesOracle:

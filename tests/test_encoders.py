@@ -6,44 +6,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invgate import tensor as T
+from invgate.config import RunConfig
+from invgate.data import GeneratorConfig
 from invgate.encoders import (
     ClassHead,
     CrossAttention,
     GateMask,
     ModalityEncoder,
     MultiViewAggregator,
-    ViewSet,
-    average_view_logits,
-    encode_2d,
-    encode_3d,
-    encode_view_batch,
 )
 from invgate.errors import ContractError, NumericError, ShapeError
+from invgate.harness import Model, _component_rng
 
 
 def identity_encoder(modality, dim):
     return ModalityEncoder(modality, [dim, dim], init="identity")
 
 
+def small_model(dim, num_views, **kw):
+    """A two-class model over dim-wide features; identity encoders by default."""
+    gen = GeneratorConfig(num_classes=2, p_conflict=0.0, invariant_dim=dim - 1,
+                          confound_dim=1, num_views=num_views)
+    return Model(RunConfig(generator=gen, **{"output_dim": dim, **kw}), input_dim=dim)
+
+
 class TestEncoders:
     def test_identity_single_affine_passthrough(self):
         enc = identity_encoder("3d", 4)
-        v = np.array([1.0, -2.0, 0.5, 3.0])
-        np.testing.assert_array_equal(encode_3d(enc, v).data, v)
+        v = np.array([[1.0, -2.0, 0.5, 3.0]])
+        np.testing.assert_array_equal(enc(v).data, v)
 
     def test_zero_input_zero_output(self):
         rng = np.random.default_rng(0)
         enc = ModalityEncoder("3d", [4, 8, 4], init="random", rng=rng)
-        out = encode_3d(enc, np.zeros(4))
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        out = enc(np.zeros((2, 4)))
+        np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
     def test_matches_handrolled_matmul(self):
         rng = np.random.default_rng(1)
         enc = ModalityEncoder("3d", [3, 5], init="random", rng=rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(2, 3))
         # independent oracle: plain numpy product
         expected = x @ enc.weights[0].data + enc.biases[0].data
-        np.testing.assert_allclose(encode_3d(enc, x).data, expected, atol=1e-12)
+        np.testing.assert_allclose(enc(x).data, expected, atol=1e-12)
 
     def test_dim_mismatch(self):
         enc = identity_encoder("3d", 4)
@@ -63,33 +68,33 @@ class TestEncoders:
 
 class TestEncode2d:
     def test_identical_views_mean_is_adapter_output(self):
-        enc = identity_encoder("2d", 3)
         v = np.array([1.0, 2.0, 3.0])
-        _, x2 = encode_2d(enc, ViewSet([v, v, v]))
-        np.testing.assert_allclose(x2.data, v)
+        _, x2 = small_model(3, 3).features_2d(np.stack([v, v, v])[None])
+        np.testing.assert_allclose(x2.data[0], v)
 
     def test_single_view_equals_per_view(self):
-        enc = identity_encoder("2d", 3)
-        per_view, x2 = encode_2d(enc, ViewSet([np.array([1.0, 0.0, -1.0])]))
-        np.testing.assert_array_equal(per_view[0].data, x2.data)
+        per_view, x2 = small_model(3, 1).features_2d(np.array([[[1.0, 0.0, -1.0]]]))
+        np.testing.assert_array_equal(per_view.data[:, 0], x2.data)
 
     def test_two_view_mean(self):
-        enc = identity_encoder("2d", 2)
-        _, x2 = encode_2d(enc, ViewSet([np.array([1.0, 0.0]), np.array([0.0, 1.0])]))
-        np.testing.assert_allclose(x2.data, [0.5, 0.5])
+        _, x2 = small_model(2, 2).features_2d(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        np.testing.assert_allclose(x2.data, [[0.5, 0.5]])
 
     def test_empty_viewset_rejected(self):
         with pytest.raises(ContractError):
-            ViewSet([])
+            GeneratorConfig(num_views=0)
 
     def test_batched_matches_sample_level(self):
         rng = np.random.default_rng(3)
-        enc = ModalityEncoder("2d", [3, 4], init="random", rng=rng)
+        model = small_model(3, 3, encoder_init="random", output_dim=4)
         views = rng.normal(size=(2, 3, 3))
-        feats, mean = encode_view_batch(enc, views)
-        for b in range(2):
-            _, x2 = encode_2d(enc, ViewSet(list(views[b])))
-            np.testing.assert_allclose(mean.data[b], x2.data, atol=1e-12)
+        per_view, mean = model.features_2d(views)
+        w, b = model.enc2d.weights[0].data, model.enc2d.biases[0].data
+        for i in range(2):
+            # independent oracle: each view through the affine map, then the mean
+            expected = np.mean([v @ w + b for v in views[i]], axis=0)
+            np.testing.assert_allclose(per_view.data[i], views[i] @ w + b, atol=1e-12)
+            np.testing.assert_allclose(mean.data[i], expected, atol=1e-12)
 
 
 class TestGate:
@@ -155,8 +160,10 @@ class TestClassHead:
         np.testing.assert_allclose(logits, [0.0, 0.0], atol=1e-12)
 
     def test_view_logit_average(self):
-        logits = T.constant(np.array([[[1.0, 0.0], [0.0, 1.0]]]))  # [1, 2, 2]
-        np.testing.assert_allclose(average_view_logits(logits).data, [[0.5, 0.5]])
+        model = small_model(2, 2, head2d_mode="affine")
+        model.head2d.prototypes.data[:] = np.eye(2)      # per-view logits = features
+        per_view = T.constant(np.array([[[1.0, 0.0], [0.0, 1.0]]]))  # [1, 2, 2]
+        np.testing.assert_allclose(model.logits_2d(per_view).data, [[0.5, 0.5]])
 
     def test_zero_norm_cosine_rejected(self):
         with pytest.raises(NumericError):
@@ -194,9 +201,12 @@ class TestMultiViewAggregator:
 
     def test_delta_zero_is_global_path(self):
         agg = self.make()
-        per_view = T.constant(np.random.default_rng(1).normal(size=(1, 3, 4)))
-        out, f_global, _ = agg(per_view, delta=0.0, return_parts=True)
-        np.testing.assert_allclose(out.data, f_global.data, atol=1e-15)
+        views = np.random.default_rng(1).normal(size=(1, 3, 4))
+        out = agg(T.constant(views), delta=0.0)
+        # the global path by hand: affine, ReLU, affine over the concatenated views
+        hidden = np.maximum(views.reshape(1, 12) @ agg.f1_w.data + agg.f1_b.data, 0.0)
+        f_global = hidden @ agg.f2_w.data + agg.f2_b.data
+        np.testing.assert_allclose(out.data, f_global, atol=1e-12)
 
     def test_orthogonal_views_uniform_weights(self):
         # affinity matrix by hand: T = [[1,0],[0,1]], row means .5 -> softmax [.5,.5]
@@ -204,8 +214,8 @@ class TestMultiViewAggregator:
         self.identity_proj(agg)
         v1, v2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         per_view = T.constant(np.stack([v1, v2])[None])
-        _, _, f_view = agg(per_view, delta=1.0, return_parts=True)
-        np.testing.assert_allclose(f_view.data[0], [0.5, 0.5], atol=1e-12)
+        out = agg(per_view, delta=1.0)       # the view path alone
+        np.testing.assert_allclose(out.data[0], [0.5, 0.5], atol=1e-12)
 
     def test_delta_out_of_range(self):
         agg = self.make()
@@ -217,35 +227,68 @@ class TestMultiViewAggregator:
     def test_view_path_permutation_invariant(self, perm, seed):
         agg = self.make()
         views = np.random.default_rng(seed).normal(size=(1, 3, 4))
-        _, _, base = agg(T.constant(views), delta=1.0, return_parts=True)
-        _, _, permuted = agg(T.constant(views[:, list(perm)]), delta=1.0, return_parts=True)
+        base = agg(T.constant(views), delta=1.0)
+        permuted = agg(T.constant(views[:, list(perm)]), delta=1.0)
         np.testing.assert_allclose(permuted.data, base.data, atol=1e-10)
 
 
+def _full_attention(x2, x3, weights):
+    """The 2.5D feature with the attention written out: per direction, the
+    softmax over one key's query-key score times the value projection."""
+    wq, wk, wv, wq2, wk2, wv2 = (T.constant(w) for w in weights)
+
+    def one_way(q_in, kv_in, wq, wk, wv):
+        score = T.sum_(T.mul(T.matmul(q_in, wq), T.matmul(kv_in, wk)), axis=-1, keepdims=True)
+        return T.mul(T.softmax(score, axis=-1), T.matmul(kv_in, wv))
+
+    fwd = one_way(x3, x2, wq, wk, wv)
+    rev = one_way(x2, x3, wq2, wk2, wv2)
+    return T.mul(T.add(fwd, rev), T.constant(0.5))
+
+
 class TestCrossAttention:
+    def make(self, dim):
+        return CrossAttention(dim, rng=np.random.default_rng(0))
+
     def test_identity_projections_equal_inputs(self):
-        attn = CrossAttention(3, identity=True)
-        v = np.array([0.5, -1.0, 2.0])
-        np.testing.assert_allclose(attn(v, v).data, v, atol=1e-12)
+        attn = self.make(3)
+        attn.wv.data[:] = np.eye(3)
+        attn.wv2.data[:] = np.eye(3)
+        v = T.constant(np.array([[0.5, -1.0, 2.0]]))
+        np.testing.assert_allclose(attn(v, v).data, v.data, atol=1e-12)
 
     def test_zero_value_projections(self):
-        attn = CrossAttention(3, identity=True)
+        attn = self.make(3)
         attn.wv.data[:] = 0.0
         attn.wv2.data[:] = 0.0
-        out = attn(np.ones(3), np.full(3, 2.0))
-        np.testing.assert_allclose(out.data, np.zeros(3), atol=1e-15)
+        out = attn(T.constant(np.ones((1, 3))), T.constant(np.full((1, 3), 2.0)))
+        np.testing.assert_allclose(out.data, np.zeros((1, 3)), atol=1e-15)
 
     def test_hand_computed_two_dim(self):
         # single key/query token: softmax(q k^T) = 1, so each direction returns
         # its value projection; the blend is their average
-        attn = CrossAttention(2, identity=True)
+        attn = self.make(2)
         attn.wv.data[:] = [[2.0, 0.0], [0.0, 2.0]]   # forward value = 2*x2
         attn.wv2.data[:] = [[1.0, 1.0], [0.0, 1.0]]  # reverse value = x3 @ wv2
-        x2 = np.array([1.0, 3.0])
-        x3 = np.array([2.0, -1.0])
+        x2 = np.array([[1.0, 3.0]])
+        x3 = np.array([[2.0, -1.0]])
         expected = 0.5 * (2.0 * x2 + x3 @ attn.wv2.data)
-        np.testing.assert_allclose(attn(x2, x3).data, expected, atol=1e-12)
+        np.testing.assert_allclose(attn(T.constant(x2), T.constant(x3)).data, expected, atol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            CrossAttention(3, identity=True)(np.zeros(3), np.zeros(4))
+            self.make(3)(T.constant(np.zeros((1, 3))), T.constant(np.zeros((1, 4))))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_six_matrix_attention(self, seed):
+        dim = 20
+        rng = _component_rng(seed, "xattn")
+        weights = [rng.normal(0, 1 / np.sqrt(dim), (dim, dim)) for _ in range(6)]
+        model = small_model(dim, 2, include_25d=True, seed=seed)
+        attn = model.xattn
+        assert [p.name for p in attn.params] == ["xattn.wv", "xattn.wv2"]
+        assert np.array_equal(attn.wv.data, weights[2])
+        assert np.array_equal(attn.wv2.data, weights[5])
+        data = np.random.default_rng(seed).normal(size=(2, 8, dim))
+        x2, x3 = T.constant(data[0]), T.constant(data[1])
+        assert np.array_equal(attn(x2, x3).data, _full_attention(x2, x3, weights).data)

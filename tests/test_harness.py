@@ -6,6 +6,7 @@ import pytest
 from invgate import tensor as T
 from invgate.config import RunConfig
 from invgate.data import GeneratorConfig, generate
+from invgate.encoders import ModalityEncoder
 from invgate.fusion import FusionConfig
 from invgate.harness import (
     Model,
@@ -105,13 +106,18 @@ class TestSingleView:
         lone = np.flatnonzero(labels == 0)[0]
         others = np.flatnonzero(labels != 0)[:5]
         idx = np.concatenate([[lone], others])
+
+        def inv_term(idx):
+            per_view, agg2 = trainer.model.features_2d(trainer.train_views[idx])
+            return trainer._invariance_term(idx, 0, 0, per_view, agg2)
+
         trainer.d_joint = np.array([lone])
         # the anchor's class appears once in the batch: only the 3D pool, which
         # holds its augmented copy, can score it
-        assert trainer._invariance_term(idx, 0, 0) is None
+        assert inv_term(idx) is None
         trainer.d_joint = np.array([others[0]])
         same = np.flatnonzero(labels == labels[others[0]])[1]
-        assert trainer._invariance_term(np.append(idx, same), 0, 0) is not None
+        assert inv_term(np.append(idx, same)) is not None
 
 
 class TestRoutingAudit:
@@ -128,6 +134,23 @@ class TestRoutingAudit:
             if not name.startswith("gate."):
                 assert p.grad is None, name
         assert plan == {"inv": ("gate",)}
+
+    def test_invariance_step_encodes_2d_once(self, monkeypatch):
+        # the invariance term reuses the batch's 2D features, 2.5D included
+        cfg = tiny_cfg(enable_step1=False, enable_step2=True, invariance_on_all=True,
+                       include_25d=True)
+        trainer = Trainer(cfg)
+        calls = []
+        forward = ModalityEncoder.__call__
+
+        def counting(enc, x):
+            calls.append(enc.modality)
+            return forward(enc, x)
+
+        monkeypatch.setattr(ModalityEncoder, "__call__", counting)
+        _, plan, parts = trainer.total_objective(np.arange(8), epoch=0, batch_i=0)
+        assert "inv" in plan and parts["inv"] is not None
+        assert calls.count("2d") == 1
 
     def test_two_epoch_inv_only_run_freezes_encoders(self):
         cfg = tiny_cfg(epochs=2, enable_step1=False, enable_step2=True,
@@ -170,8 +193,6 @@ class TestSingleBranchOracle:
         """Train one branch alone with the same seeds; return its accuracy."""
         trainer = Trainer(cfg)
         model, opt = trainer.model, trainer.optimizer
-        for g in opt.groups:
-            g.frozen = g.name != branch
         for epoch in range(cfg.epochs):
             opt.state.epoch = epoch
             order = np.random.default_rng(
@@ -188,7 +209,7 @@ class TestSingleBranchOracle:
                     loss = T.mean_(cross_entropy(model.logits_3d(feats3), labels))
                 opt.zero_grad()
                 T.backward(loss)
-                opt.step()
+                opt.step(active={branch})
         rec = evaluate_model(model, trainer.dataset, FusionConfig())
         return rec.acc2 if branch == "e2d" else rec.acc3
 

@@ -176,39 +176,43 @@ class TestModalityIrm:
             modality_irm_loss({"2d": batch([E1, E1], [0, 0])}, IRMConfig())
 
 
+def risks(values):
+    return [T.constant(v) for v in values]
+
+
 class TestRexVariants:
     def test_mm_rex_equal_risks(self):
-        assert mm_rex([1.0, 1.0], 0.0) == pytest.approx(1.0)
+        assert mm_rex(risks([1.0, 1.0]), 0.0).item() == pytest.approx(1.0)
 
     def test_mm_rex_picks_max(self):
-        assert mm_rex([1.0, 3.0], 0.0) == pytest.approx(3.0)
+        assert mm_rex(risks([1.0, 3.0]), 0.0).item() == pytest.approx(3.0)
 
     def test_mm_rex_direct_evaluation(self):
-        assert mm_rex([1.0, 3.0], 0.5) == pytest.approx((1 - 1) * 3 + 0.5 * 4)
+        assert mm_rex(risks([1.0, 3.0]), 0.5).item() == pytest.approx((1 - 1) * 3 + 0.5 * 4)
 
     def test_mm_rex_lambda_min_cap(self):
         with pytest.raises(ContractError):
-            mm_rex([1.0, 2.0], 0.6)
+            mm_rex(risks([1.0, 2.0]), 0.6)
 
     @given(st.lists(st.floats(0, 10), min_size=2, max_size=5))
     def test_mm_rex_at_cap_forces_uniform_weights(self, losses):
         # lambda_min = 1/m collapses the weight simplex to a point
         m = len(losses)
-        assert mm_rex(losses, 1.0 / m) == pytest.approx(sum(losses) / m, abs=1e-9)
+        assert mm_rex(risks(losses), 1.0 / m).item() == pytest.approx(sum(losses) / m, abs=1e-9)
 
     def test_v_rex_zero_variance(self):
-        assert v_rex([1.0, 1.0], 123.0) == pytest.approx(2.0)
+        assert v_rex(risks([1.0, 1.0]), 123.0).item() == pytest.approx(2.0)
 
     def test_v_rex_beta_zero_is_erm(self):
-        assert v_rex([0.5, 1.5, 2.0], 0.0) == pytest.approx(4.0)
+        assert v_rex(risks([0.5, 1.5, 2.0]), 0.0).item() == pytest.approx(4.0)
 
     def test_v_rex_direct_evaluation(self):
-        assert v_rex([1.0, 3.0], 1.0) == pytest.approx(5.0)
+        assert v_rex(risks([1.0, 3.0]), 1.0).item() == pytest.approx(5.0)
 
     @given(st.floats(0, 50), st.lists(st.floats(0, 5), min_size=2, max_size=4))
     def test_v_rex_constant_losses_ignore_beta(self, beta, base):
         losses = [base[0]] * len(base)
-        assert v_rex(losses, beta) == pytest.approx(sum(losses), rel=1e-9)
+        assert v_rex(risks(losses), beta).item() == pytest.approx(sum(losses), rel=1e-9)
 
     def test_tensor_inputs_stay_differentiable(self):
         xs = [T.parameter([float(v)], name=f"x{v}") for v in (1.0, 3.0)]
@@ -218,10 +222,6 @@ class TestRexVariants:
 
 
 class TestAlignment:
-    def test_singleton_relaxation(self):
-        z = T.constant(E1[None, :])
-        assert nt_xent_align(z, z, tau=1.0, allow_singleton=True).item() == pytest.approx(0.0)
-
     def test_singleton_raises_by_default(self):
         z = T.constant(E1[None, :])
         with pytest.raises(DegenerateBatchError):

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from invgate.config import RunConfig
+from invgate.data import GeneratorConfig
 from invgate.errors import ContractError, MixtureDegeneracyError
+from invgate.harness import Trainer
 from invgate.mining import (
     MixtureFit,
     _topk_overlaps,
@@ -127,11 +130,11 @@ class TestPosterior:
 
 class TestSelectModalityHard:
     def test_p_zero_empty(self):
-        assert select_modality_hard(BIMODAL, 0.0).size == 0
+        assert select_modality_hard(BIMODAL, 0.0, fit=fit_gmm2(BIMODAL)).size == 0
 
     def test_p_one_selects_everything_below_one(self):
-        got = select_modality_hard(BIMODAL, 1.0)
         fit = fit_gmm2(BIMODAL)
+        got = select_modality_hard(BIMODAL, 1.0, fit=fit)
         expected = np.flatnonzero(posterior_small(fit, BIMODAL) < 1.0)
         np.testing.assert_array_equal(got, expected)
         # the high-loss tail is always strictly below 1
@@ -149,8 +152,16 @@ class TestSelectModalityHard:
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(got, [4, 5])
 
-    def test_degenerate_propagates_as_empty(self):
-        assert select_modality_hard(np.full(8, 1.0), 0.5).size == 0
+    def test_degenerate_propagates_as_empty(self, monkeypatch):
+        # constant losses have no mixture: the trainer's mining takes no hard
+        # samples that epoch instead of failing
+        gen = GeneratorConfig(num_classes=4, shots=4, seed=0)
+        trainer = Trainer(RunConfig(generator=gen, epochs=2, mining_warmup=1))
+        n = len(trainer.train_labels)
+        losses, probs = np.full(n, 1.0), np.full((n, 4), 0.25)
+        monkeypatch.setattr(trainer, "_train_split_stats", lambda: (losses, losses, probs, probs))
+        report = trainer._mine(1)
+        assert report.d2.size == report.d3.size == report.d_joint.size == 0
 
 
 class TestTopk:
