@@ -2,7 +2,8 @@
 """One sha256 per run of the outputs that must stay byte-identical.
 
 Prints a digest of the metrics log of each default full run (config seeds
-0-5), each CE-only baseline run (seeds 0-1) and three runs with the 2.5D
+0-5), each CE-only baseline run (seeds 0-1), an IRMv1 and an MM-REx run
+over the 2D and 3D environments (seed 0 each), three runs with the 2.5D
 environment (V-REx seed 0, IRMv1 seed 1, view attention seed 0), and of the
 ablation CSV of the invariance_on_all cells for seed 0. Two builds whose
 lines match train bit-identically on these inputs:
@@ -27,6 +28,8 @@ CE_ONLY = {"enable_step1": False, "enable_step2": False, "enable_align": False}
 RUNS = (
     ("train_full", range(6), {}),
     ("train_ce", range(2), CE_ONLY),
+    ("irmv1", [0], {"irm_variant": "irmv1"}),
+    ("mm_rex", [0], {"irm_variant": "mm_rex", "rex_lambda_min": 0.2}),
     ("25d_vrex", [0], {"include_25d": True}),
     ("25d_irmv1", [1], {"include_25d": True, "irm_variant": "irmv1"}),
     ("25d_view_attention", [0], {"include_25d": True, "use_view_attention": True}),

@@ -10,6 +10,7 @@ import sys
 
 from .config import RunConfig, load_config
 from .data import GeneratorConfig, generate, load_dataset, save_dataset, write_manifest
+from .errors import CheckpointError, ContractError
 from .fusion import FusionConfig
 from .harness import ablate, ablation_csv, evaluate_checkpoint, train, write_eval_artifacts
 
@@ -181,7 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ContractError, CheckpointError) as exc:
+        print(f"invgate: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ substreams keep it so even if classes are generated out of order.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,9 +79,13 @@ class Sample:
 
 @dataclass
 class Dataset:
+    """Two splits of samples. The sample lists are not mutated after
+    construction: `arrays` stacks each split once and keeps the result."""
+
     config: GeneratorConfig
     train: list[Sample]
     test: list[Sample]
+    _stacked: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def split(self, name: str) -> list[Sample]:
         if name not in SPLITS:
@@ -89,12 +93,16 @@ class Dataset:
         return self.train if name == "train" else self.test
 
     def arrays(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x3 [n, d], views [n, N, d], labels [n]) for one split."""
-        samples = self.split(name)
-        x3 = np.stack([s.x3 for s in samples])
-        views = np.stack([s.views for s in samples])
-        labels = np.array([s.label for s in samples], dtype=int)
-        return x3, views, labels
+        """(x3 [n, d], views [n, N, d], labels [n]) for one split, read-only."""
+        if name not in self._stacked:
+            samples = self.split(name)
+            stacked = (np.stack([s.x3 for s in samples]),
+                       np.stack([s.views for s in samples]),
+                       np.array([s.label for s in samples], dtype=int))
+            for arr in stacked:
+                arr.flags.writeable = False
+            self._stacked[name] = stacked
+        return self._stacked[name]
 
 
 def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

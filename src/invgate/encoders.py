@@ -143,12 +143,9 @@ class ClassHead:
         features = T.as_tensor(features)
         if features.shape[-1] != self.dim:
             raise ShapeError(f"head of dim {self.dim} got features {features.shape}")
-        if self.mode == "cosine":
-            f = T.l2_normalize(features, axis=-1)   # raises on a zero-norm feature
-            p = T.l2_normalize(self.prototypes, axis=-1)
-        else:
-            f, p = features, self.prototypes
-        return T.matmul_t(f, p)
+        if self.mode == "cosine":   # raises on a zero-norm feature
+            return T.cosine_matmul_t(features, self.prototypes)
+        return T.matmul_t(features, self.prototypes)
 
 
 class MultiViewAggregator:

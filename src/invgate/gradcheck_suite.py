@@ -97,6 +97,9 @@ def _loss_builders(seed: int):
     def fused_matmul_t(leaves):
         return T.sum_(T.square(T.matmul_t(leaves[0], leaves[1])))
 
+    def fused_cosine_matmul_t(leaves):
+        return T.sum_(T.square(T.cosine_matmul_t(leaves[0], leaves[1])))
+
     feat = rng.uniform(-2, 2, size=(N, D))
     feat_b = rng.uniform(-2, 2, size=(N, D))
     logits = rng.uniform(-2, 2, size=(N, C))
@@ -117,6 +120,7 @@ def _loss_builders(seed: int):
         ("fused_l2_normalize", fused_l2_normalize, [feat]),
         ("fused_gather", fused_gather, [feat]),
         ("fused_matmul_t", fused_matmul_t, [feat, feat_b]),
+        ("fused_cosine_matmul_t", fused_cosine_matmul_t, [feat, feat_b]),
     ]
 
 

@@ -11,12 +11,15 @@ Three terms make up the overall objective:
 * a cross-modality NT-Xent alignment between the gated 2D and 3D features
   of the same sample (updates the encoders through a detached mask).
 
-The penalty's inner derivative is supplied in closed form, built from
-differentiable ops, so plain first-order backprop covers everything.
+The penalty's inner derivative is supplied in closed form as a
+differentiable node, so plain first-order backprop covers everything. Each
+term is one tape node whose forward pass and VJP repeat the numpy
+operations of the primitive composite it replaces, in the same order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -50,7 +53,12 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= c:
         raise ContractError(f"labels must lie in [0, {c}), got range "
                             f"[{labels.min()}, {labels.max()}]")
-    return T.neg(T.gather(T.log_softmax(logits, axis=-1), labels))
+    # one node: neg(gather(log_softmax(logits), labels))
+    log_probs, e, s = T._log_softmax(logits.data, 1)
+    T._check_all("cross_entropy", log_probs)
+    return T._node(-log_probs[np.arange(n), labels], (logits,),
+                   lambda g: (T._log_softmax_vjp(T._gather_vjp(-g, (n, c), labels), e, s),),
+                   "cross_entropy")
 
 
 @dataclass
@@ -89,19 +97,39 @@ class ContrastiveReport:
     n_skipped_anchors: int
 
 
-def _pair_masks(batch: ContrastiveBatch) -> tuple[np.ndarray, np.ndarray]:
+def _pair_weights(batch: ContrastiveBatch) -> tuple[np.ndarray, np.ndarray, float]:
+    """(negative mask, positive mask, 1 / pairs); no pair at all raises."""
     labels = batch.labels
     same = labels[:, None] == labels[None, :]
     pos = same & ~np.eye(len(labels), dtype=bool)
-    neg = ~same
     if batch.anchor_mask is not None:
         pos = pos & batch.anchor_mask[:, None]
-    return pos, neg
+    n_pairs = int(pos.sum())
+    if n_pairs == 0:
+        raise DegenerateBatchError("no anchor has a positive")
+    return (~same).astype(float), pos.astype(float), 1.0 / n_pairs
 
 
-def _similarity(batch: ContrastiveBatch) -> Tensor:
-    z = T.l2_normalize(batch.features, axis=-1)
-    return T.matmul_t(z, z)
+def _pool_node(batch: ContrastiveBatch, op: str, terms) -> Tensor:
+    """One node over matmul_t(z, z), z the normalized pool. `terms(sim, negf,
+    posf, scale)` returns the value, then a pullback to sim per similarity
+    matrix its composite builds, each handing the features two contributions."""
+    weights = _pair_weights(batch)
+    x = batch.features.data
+    z, norms = T._l2n(x, -1)
+    zt = z.T.copy()
+    sim = np.matmul(z, zt)
+    T._check_all(op, z, sim)
+    value, *pullbacks = terms(sim, *weights)
+
+    def vjp(g):
+        grads = []
+        for to_sim in pullbacks:
+            ga, gb = T._matmul_t_vjp(to_sim(g), z, zt)
+            grads += T._l2n_vjp(ga + gb, x, norms)
+        return grads
+
+    return T._node(value, (batch.features,) * (2 * len(pullbacks)), vjp, op)
 
 
 def contrastive_report(batch: ContrastiveBatch) -> ContrastiveReport:
@@ -117,6 +145,57 @@ def contrastive_report(batch: ContrastiveBatch) -> ContrastiveReport:
     )
 
 
+def _infonce(sim, theta, negf, posf, scale):
+    """sup_infonce over a similarity matrix: (value, pullback to it)."""
+    s = sim * theta
+    exp_s = np.exp(s)
+    masked = exp_s * negf
+    neg_sum = np.add.reduce(masked, axis=1, keepdims=True)
+    denom = exp_s + neg_sum
+    T._check_log(denom)
+    pair_loss = np.log(denom) - s                                   # [n, n]
+    weighted = pair_loss * posf
+    value = np.add.reduce(weighted, axis=None) * scale
+    T._check_all("sup_infonce", s, exp_s, masked, neg_sum, denom, pair_loss, weighted, value)
+
+    def pullback(g):
+        g_pair = T._spread(g * scale, None, weighted.shape) * posf
+        g_denom = g_pair / denom
+        g_masked = T._spread(T._unbroadcast(g_denom, neg_sum.shape), None, masked.shape)
+        # s feeds the subtraction and exp; exp_s feeds the sum and the mask
+        return (-g_pair + (g_denom + g_masked * negf) * exp_s) * theta
+
+    return value, pullback
+
+
+def _grad_theta(sim, negf, posf, scale):
+    """irm_grad_theta over a similarity matrix: (value, pullback to it)."""
+    exp_s = np.exp(sim)
+    masked = exp_s * negf                     # also the second exp_s * negf
+    neg_exp_sum = np.add.reduce(masked, axis=1, keepdims=True)            # [n,1]
+    masked_s = masked * sim
+    neg_weighted = np.add.reduce(masked_s, axis=1, keepdims=True)         # [n,1]
+    exp_s_s = exp_s * sim
+    num, den = exp_s_s + neg_weighted, exp_s + neg_exp_sum
+    expectation = num / den                                               # [n,n]
+    per_pair = expectation - sim
+    weighted = per_pair * posf
+    value = np.add.reduce(weighted, axis=None) * scale
+    T._check_all("irm_grad_theta", exp_s, masked, neg_exp_sum, masked_s, neg_weighted,
+                 exp_s_s, num, den, expectation, per_pair, weighted, value)
+
+    def pullback(g):
+        g_pair = T._spread(g * scale, None, weighted.shape) * posf
+        g_num, g_den = g_pair / den, -g_pair * num / (den * den)
+        g_masked_s = T._spread(T._unbroadcast(g_num, neg_weighted.shape), None, masked_s.shape)
+        g_masked = T._spread(T._unbroadcast(g_den, neg_exp_sum.shape), None, masked.shape)
+        # exp_s's four consumers and sim's four, in the composite's order
+        g_exp = g_num * sim + g_masked_s * sim * negf + g_den + g_masked * negf
+        return -g_pair + g_num * exp_s + g_masked_s * masked + g_exp * exp_s
+
+    return value, pullback
+
+
 def sup_infonce(batch: ContrastiveBatch, theta: float = 1.0) -> Tensor:
     """Supervised InfoNCE risk with similarities scaled by `theta`.
 
@@ -124,17 +203,7 @@ def sup_infonce(batch: ContrastiveBatch, theta: float = 1.0) -> Tensor:
     averaged over all pairs. Anchors with no positive are skipped; a batch
     with no pairs at all is degenerate.
     """
-    pos, neg = _pair_masks(batch)
-    n_pairs = int(pos.sum())
-    if n_pairs == 0:
-        raise DegenerateBatchError("no anchor has a positive")
-
-    s = T.mul(_similarity(batch), T.constant(theta))
-    exp_s = T.exp(s)
-    neg_sum = T.sum_(T.mul(exp_s, T.constant(neg.astype(float))), axis=1, keepdims=True)
-    pair_loss = T.sub(T.log(T.add(exp_s, neg_sum)), s)          # [n, n]
-    total = T.sum_(T.mul(pair_loss, T.constant(pos.astype(float))))
-    return T.mul(total, T.constant(1.0 / n_pairs))
+    return _pool_node(batch, "sup_infonce", lambda sim, *w: _infonce(sim, theta, *w))
 
 
 def irm_grad_theta(batch: ContrastiveBatch) -> Tensor:
@@ -142,25 +211,23 @@ def irm_grad_theta(batch: ContrastiveBatch) -> Tensor:
 
     Per pair, the derivative of -log softmax is E_p[s] - s+, with p the
     softmax over the positive plus the anchor's negatives at theta = 1.
-    Built from differentiable ops so the squared penalty backprops to the
-    gate with first-order autodiff only.
+    A differentiable node, so the squared penalty backprops to the gate
+    with first-order autodiff only.
     """
-    pos, neg = _pair_masks(batch)
-    n_pairs = int(pos.sum())
-    if n_pairs == 0:
-        raise DegenerateBatchError("no anchor has a positive")
+    return _pool_node(batch, "irm_grad_theta", _grad_theta)
 
-    s = _similarity(batch)
-    exp_s = T.exp(s)
-    negf = T.constant(neg.astype(float))
-    neg_exp_sum = T.sum_(T.mul(exp_s, negf), axis=1, keepdims=True)            # [n,1]
-    neg_weighted = T.sum_(T.mul(T.mul(exp_s, negf), s), axis=1, keepdims=True)  # [n,1]
-    expectation = T.div(
-        T.add(T.mul(exp_s, s), neg_weighted), T.add(exp_s, neg_exp_sum)
-    )                                                                           # [n,n]
-    per_pair = T.sub(expectation, s)
-    total = T.sum_(T.mul(per_pair, T.constant(pos.astype(float))))
-    return T.mul(total, T.constant(1.0 / n_pairs))
+
+def _irmv1_term(batch: ContrastiveBatch, cfg: IRMConfig) -> Tensor:
+    """sup_infonce + lam * irm_grad_theta^2 of one environment, one node over one
+    similarity matrix: the risk's contributions come first, then the penalty's."""
+    def terms(sim, *weights):
+        risk, risk_to_sim = _infonce(sim, cfg.dummy_theta, *weights)
+        grad, grad_to_sim = _grad_theta(sim, *weights)
+        penalty = grad * grad * cfg.lam
+        T._check_all("irmv1", grad * grad, penalty, risk + penalty)
+        return risk + penalty, risk_to_sim, lambda g: grad_to_sim(g * cfg.lam * 2.0 * grad)
+
+    return _pool_node(batch, "irmv1", terms)
 
 
 @dataclass
@@ -193,9 +260,7 @@ def mm_rex(env_losses: Sequence[Tensor], lambda_min: float) -> Tensor:
         raise ContractError(f"lambda_min must be <= 1/{m}")
     values = [x.item() for x in env_losses]
     worst = env_losses[int(np.argmax(values))]
-    total = env_losses[0]
-    for x in env_losses[1:]:
-        total = T.add(total, x)
+    total = functools.reduce(T.add, env_losses)
     coeff = 1.0 - m * lambda_min
     return T.add(T.mul(worst, T.constant(coeff)), T.mul(total, T.constant(lambda_min)))
 
@@ -207,10 +272,24 @@ def v_rex(env_losses: Sequence[Tensor], beta: float) -> Tensor:
         raise ContractError("v_rex needs at least two environments")
     if beta < 0:
         raise ContractError("beta must be non-negative")
-    stacked = T.stack(env_losses)
-    mean = T.mean_(stacked)
-    var = T.mean_(T.square(T.sub(stacked, mean)))
-    return T.add(T.mul(var, T.constant(beta)), T.sum_(stacked))
+    # one node: stack, mean, sub, square, mean, mul by beta, plus the sum
+    stacked = np.concatenate([x.data.reshape((1,) + x.shape) for x in env_losses])
+    scale = 1.0 / stacked.size
+    mean = np.add.reduce(stacked, axis=None) * scale
+    dev = stacked - mean
+    var = np.add.reduce(dev * dev, axis=None) * scale
+    total = np.add.reduce(stacked, axis=None)
+    value = var * beta + total
+    T._check_all("v_rex", stacked, mean, dev, dev * dev, var, var * beta, total, value)
+
+    def vjp(g):
+        g_dev = T._spread(g * beta * scale, None, dev.shape) * 2.0 * dev
+        g_mean = T._unbroadcast(-g_dev, ())
+        # the stack's gradient: from the deviation, the mean, then the sum
+        return tuple(g_dev + T._spread(g_mean * scale, None, dev.shape)
+                     + T._spread(g, None, dev.shape))
+
+    return T._node(value, tuple(env_losses), vjp, "v_rex")
 
 
 def modality_irm_loss(envs: Mapping[str, ContrastiveBatch], cfg: IRMConfig) -> Tensor:
@@ -223,13 +302,7 @@ def modality_irm_loss(envs: Mapping[str, ContrastiveBatch], cfg: IRMConfig) -> T
     if len(envs) < 2:
         raise ContractError("modality-wise invariance needs >= 2 environments")
     if cfg.variant == "irmv1":
-        total = None
-        for batch in envs.values():
-            risk = sup_infonce(batch, theta=cfg.dummy_theta)
-            grad = irm_grad_theta(batch)
-            term = T.add(risk, T.mul(T.square(grad), T.constant(cfg.lam)))
-            total = term if total is None else T.add(total, term)
-        return total
+        return functools.reduce(T.add, [_irmv1_term(batch, cfg) for batch in envs.values()])
     risks = [sup_infonce(batch, theta=cfg.dummy_theta) for batch in envs.values()]
     if cfg.variant == "mm_rex":
         return mm_rex(risks, cfg.lambda_min)
@@ -250,18 +323,39 @@ def nt_xent_align(z2: Tensor, z3: Tensor, tau: float) -> Tensor:
     if n < 2:
         raise DegenerateBatchError("alignment needs a batch of >= 2 samples")
 
-    a = T.l2_normalize(z2, axis=-1)
-    b = T.l2_normalize(z3, axis=-1)
-    sims = T.mul(T.matmul_t(a, b), T.constant(tau))   # [n, n]
-    diag = np.arange(n)
+    # one node with parents (z2, z2, z3, z3)
+    cos, to_inputs = T._cosine(z2.data, z3.data)
+    sims = cos * tau                                     # [n, n]
+    fwd, fwd_to_sims = _nt_direction(sims)               # 2D anchors vs 3D candidates
+    rev, rev_to_sims_t = _nt_direction(sims.T.copy())    # 3D anchors vs 2D candidates
+    value = (fwd + rev) * (0.5 / n)
+    T._check_all("nt_xent_align", fwd + rev, value)
 
-    def direction(s):
-        denom = T.log(T.sum_(T.exp(s), axis=1))
-        return T.sub(denom, T.gather(s, diag))
+    def vjp(g):
+        g_dir = g * (0.5 / n)
+        # sims feeds the forward exp, the forward gather, then the transpose
+        g_sims = fwd_to_sims(g_dir) + rev_to_sims_t(g_dir).T
+        return to_inputs(g_sims * tau, z2.requires_grad, z3.requires_grad)
 
-    fwd = direction(sims)                      # 2D anchors vs 3D candidates
-    rev = direction(T.transpose2d(sims))       # 3D anchors vs 2D candidates
-    return T.mul(T.add(T.sum_(fwd), T.sum_(rev)), T.constant(0.5 / n))
+    return T._node(value, (z2, z2, z3, z3), vjp, "nt_xent_align")
+
+
+def _nt_direction(s: np.ndarray):
+    """sum_i [log(sum_j e^{s_ij}) - s_ii]: (value, pullback to s)."""
+    exp_s = np.exp(s)
+    sums = np.add.reduce(exp_s, axis=1)
+    T._check_log(sums)
+    diag = np.arange(s.shape[0])
+    per_anchor = np.log(sums) - s[diag, diag]
+    value = np.add.reduce(per_anchor, axis=None)
+    T._check_all("nt_xent_align", s, exp_s, sums, per_anchor, value)
+
+    def pullback(g):
+        g_anchor = T._spread(g, None, per_anchor.shape)
+        g_exp = T._spread(g_anchor / sums, (s.shape[0], 1), s.shape)
+        return g_exp * exp_s + T._gather_vjp(-g_anchor, s.shape, diag)
+
+    return value, pullback
 
 
 @dataclass

@@ -111,15 +111,14 @@ def fit_gmm2(
     )
 
 
-def posterior_small(fit: MixtureFit, loss) -> np.ndarray | float:
-    """P(easy component | loss): Bayes responsibility of the smaller mean."""
-    x = np.asarray(loss, dtype=np.float64)
-    # components on a trailing axis, so a scalar loss works as well
+def posterior_small(fit: MixtureFit, losses: np.ndarray) -> np.ndarray:
+    """P(easy component | loss) per loss: Bayes responsibility of the smaller mean."""
+    x = np.asarray(losses, dtype=np.float64)
+    # components on a trailing axis
     log_joint = _log_joint((x[..., None] - fit.means) ** 2, fit.weights, fit.variances)
     shift = np.maximum(log_joint[..., 0], log_joint[..., 1])
     joint = np.exp(log_joint - shift[..., None])
-    post = joint[..., 0] / (joint[..., 0] + joint[..., 1])
-    return float(post) if np.isscalar(loss) or np.ndim(loss) == 0 else post
+    return joint[..., 0] / (joint[..., 0] + joint[..., 1])
 
 
 def select_modality_hard(losses: np.ndarray, p: float, fit: MixtureFit) -> np.ndarray:

@@ -53,6 +53,18 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"{op} produced non-finite values")
 
 
+def _check_all(op: str, *arrays) -> None:
+    """Strict mode in a fused node: check each value its composite checks."""
+    if _STRICT:
+        for arr in arrays:
+            _check_finite(arr, op)
+
+
+def _check_log(x: np.ndarray) -> None:
+    if _STRICT and np.any(x <= 0.0):
+        raise NumericError("log of non-positive value")
+
+
 class Tensor:
     """A dense float64 array, optionally tracked on the autodiff tape.
 
@@ -102,38 +114,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
 
 def as_tensor(x) -> Tensor:
@@ -234,8 +214,7 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    if _STRICT and np.any(a.data <= 0.0):
-        raise NumericError("log of non-positive value")
+    _check_log(a.data)
     data = np.log(a.data)
     return _node(data, (a,), lambda g: (g / a.data,), "log")
 
@@ -307,19 +286,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(data, tensors, vjp, "concat")
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    expanded = [reshape(t, t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
-    return concat(expanded, axis=axis)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product: 2d@2d, batched Nd@Nd (equal batch dims), or Nd@2d."""
-    if a.ndim < 1 or b.ndim < 2:
+    if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul expects matrices, got {a.shape} @ {b.shape}")
-    if a.ndim == 1:
-        # route vectors through a row matrix so the vjp stays uniform
-        return reshape(matmul(reshape(a, (1, a.shape[0])), b), (b.shape[-1],))
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
@@ -337,27 +307,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), vjp, "matmul")
 
 
+def _check_matmul_t(a, b) -> None:
+    if b.ndim != 2:
+        raise ShapeError(f"matmul_t expects a 2-d right operand, got {b.shape}")
+    if a.ndim < 2 or a.shape[-1] != b.shape[1]:
+        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape[::-1]}")
+
+
 def matmul_t(a: Tensor, b: Tensor) -> Tensor:
     """a @ b.T for a 2-d `b`, as one node: matmul(a, transpose2d(b)).
 
     The composite hands `b` its gradient only after a's ancestors; when `b`
     also feeds those ancestors, the accumulation order there differs.
     """
-    if b.ndim != 2:
-        raise ShapeError(f"matmul_t expects a 2-d right operand, got {b.shape}")
+    _check_matmul_t(a, b)
     bt = b.data.T.copy()
-    if a.ndim < 2 or a.shape[-1] != bt.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {bt.shape}")
+    return _node(np.matmul(a.data, bt), (a, b),
+                 lambda g: _matmul_t_vjp(g, a.data, bt, a.requires_grad, b.requires_grad),
+                 "matmul_t")
 
-    def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, bt.swapaxes(-1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), bt.shape).T
-        return ga, gb
 
-    return _node(np.matmul(a.data, bt), (a, b), vjp, "matmul_t")
+def cosine_matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """matmul_t(l2_normalize(a), l2_normalize(b)), the cosine heads' logits, as
+    one node; parents (a, a, b, b), as each normalization hands two gradients."""
+    data, pullback = _cosine(a.data, b.data)
+    return _node(data, (a, a, b, b),
+                 lambda g: pullback(g, a.requires_grad, b.requires_grad), "cosine_matmul_t")
 
 
 # -- reductions ---------------------------------------------------------------
@@ -403,16 +378,8 @@ def gather(a: Tensor, index: np.ndarray) -> Tensor:
     """out[i] = a[i, index[i]] for a 2-d `a`: the row sums of `a` times a
     one-hot matrix, without the products."""
     index = np.asarray(index)
-    rows = np.arange(a.shape[0])
-
-    def vjp(g):
-        # the composite's gradient: g times the one-hot matrix, signed zeros
-        # included
-        onehot = np.zeros(a.shape)
-        onehot[rows, index] = 1.0
-        return (g[:, None] * onehot,)
-
-    return _node(a.data[rows, index], (a,), vjp, "gather")
+    return _node(a.data[np.arange(a.shape[0]), index], (a,),
+                 lambda g: (_gather_vjp(g, a.data.shape, index),), "gather")
 
 
 # -- composites (backward falls out of the primitives) ------------------------
@@ -427,18 +394,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     """(a - max) - log(sum(exp(a - max))) along `axis`, as one node."""
-    ax = axis if axis >= 0 else a.ndim + axis
-    shifted = a.data - np.maximum.reduce(a.data, axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    s = np.add.reduce(e, axis=ax, keepdims=True)
-
-    def vjp(g):
-        # the composite copies g_s over the reduced axis, then multiplies by
-        # e; broadcasting the product gives the same values without the copy
-        g_s = _unbroadcast(-g, s.shape) / s
-        return (g + g_s * e,)
-
-    return _node(shifted - np.log(s), (a,), vjp, "log_softmax")
+    data, e, s = _log_softmax(a.data, axis if axis >= 0 else a.ndim + axis)
+    return _node(data, (a,), lambda g: (_log_softmax_vjp(g, e, s),), "log_softmax")
 
 
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
@@ -447,19 +404,72 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     `a` is listed twice as a parent: the composite a / sqrt(sum(a*a)) hands
     it the quotient's gradient first and the square's second.
     """
-    ax = axis if axis >= 0 else a.ndim + axis
-    x = a.data
-    norms = np.sqrt(np.add.reduce(x * x, axis=ax, keepdims=True))
+    data, norms = _l2n(a.data, axis if axis >= 0 else a.ndim + axis)
+    return _node(data, (a, a), lambda g: _l2n_vjp(g, a.data, norms), "l2_normalize")
+
+
+# -- numpy kernels of the fused nodes ------------------------------------------
+#
+# Shared by the fused nodes here and in losses.py, so each formula exists once.
+
+
+def _l2n(x: np.ndarray, axis: int):
+    """(x / norms, norms) along `axis`; a zero-norm row raises."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=axis, keepdims=True))
     _check_finite(norms, "l2_normalize")
     if np.logical_or.reduce(norms <= 0.0, axis=None):
         raise NumericError("cannot normalize a zero-norm vector")
+    return x / norms, norms
 
-    def vjp(g):
-        g_norms = _unbroadcast(-g * x / (norms * norms), norms.shape)
-        # the square's gradient, with the sum's copy left to broadcasting
-        return g / norms, g_norms * 0.5 / norms * 2.0 * x
 
-    return _node(x / norms, (a, a), vjp, "l2_normalize")
+def _l2n_vjp(g, x, norms):
+    """x's contributions from x / sqrt(sum(x*x)): the quotient's, then the square's."""
+    g_norms = _unbroadcast(-g * x / (norms * norms), norms.shape)
+    return g / norms, g_norms * 0.5 / norms * 2.0 * x
+
+
+def _log_softmax(x: np.ndarray, axis: int):
+    """(log_softmax, shifted exponentials, their sums) along `axis`."""
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = np.add.reduce(e, axis=axis, keepdims=True)
+    return shifted - np.log(s), e, s
+
+
+def _log_softmax_vjp(g, e, s):
+    # the composite copies g_s over the reduced axis, then multiplies by e;
+    # broadcasting the product gives the same values without the copy
+    return g + _unbroadcast(-g, s.shape) / s * e
+
+
+def _gather_vjp(g, shape, index):
+    """g times the one-hot matrix of `index`, signed zeros included."""
+    onehot = np.zeros(shape)
+    onehot[np.arange(shape[0]), index] = 1.0
+    return g[:, None] * onehot
+
+
+def _matmul_t_vjp(g, a, bt, need_a=True, need_b=True):
+    ga = _unbroadcast(np.matmul(g, bt.swapaxes(-1, -2)), a.shape) if need_a else None
+    gb = _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), bt.shape).T if need_b else None
+    return ga, gb
+
+
+def _cosine(a: np.ndarray, b: np.ndarray):
+    """(value, pullback) of matmul_t(l2_normalize(a), l2_normalize(b))."""
+    _check_matmul_t(a, b)
+    za, na = _l2n(a, -1)
+    zb, nb = _l2n(b, -1)
+    bt = zb.T.copy()
+    out = np.matmul(za, bt)
+    _check_all("cosine_matmul_t", za, zb, out)
+
+    def pullback(g, need_a=True, need_b=True):
+        ga, gb = _matmul_t_vjp(g, za, bt, need_a, need_b)
+        return (*(_l2n_vjp(ga, a, na) if need_a else (None, None)),
+                *(_l2n_vjp(gb, b, nb) if need_b else (None, None)))
+
+    return out, pullback
 
 
 # -- backward pass ------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from invgate.cli import main
 from invgate.config import RunConfig
 from invgate.data import GeneratorConfig, load_dataset
-from invgate.errors import ContractError
 
 
 @pytest.fixture()
@@ -46,11 +45,27 @@ def test_generate_accepts_run_config_without_generator_key(tmp_path):
     assert load_dataset(str(out)).config == GeneratorConfig()
 
 
-def test_generate_rejects_unknown_config_keys(tmp_path):
+def test_generate_rejects_unknown_config_keys(tmp_path, capsys):
     p = tmp_path / "run.json"
     p.write_text(json.dumps({"epochs": 6, "learning_rate": 0.1}))
-    with pytest.raises(ContractError, match="unknown config keys"):
-        main(["generate", "--config", str(p), "--out", str(tmp_path / "d.igds")])
+    assert main(["generate", "--config", str(p), "--out", str(tmp_path / "d.igds")]) == 2
+    err = capsys.readouterr().err
+    assert err == "invgate: error: unknown config keys: ['learning_rate']\n"
+    assert not (tmp_path / "d.igds").exists()
+
+
+def test_eval_truncated_checkpoint_is_a_one_line_error(tmp_path, tiny_config_file, capsys):
+    cfg_path, _ = tiny_config_file
+    data, run_dir = tmp_path / "data.igds", tmp_path / "run"
+    main(["generate", "--config", str(cfg_path), "--out", str(data)])
+    main(["train", "--config", str(cfg_path), "--data", str(data), "--out", str(run_dir)])
+    ckpt = run_dir / "checkpoint.igck"
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invgate: error: ") and "truncated" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_train_eval_pipeline(tmp_path, tiny_config_file, capsys):
@@ -115,3 +130,5 @@ def test_gradcheck_exits_zero(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    passed, total = out.strip().splitlines()[-1].split()[0].split("/")
+    assert passed == total and int(total) > 15

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,38 @@ class TestPersistence:
         text = p.read_text()
         assert "total=40" in text
         assert "class 0: 8" in text
+
+
+class TestArrays:
+    def test_second_call_returns_the_same_arrays(self):
+        ds = generate(small_cfg())
+        first, second = ds.arrays("train"), ds.arrays("train")
+        assert all(a is b for a, b in zip(first, second))
+        assert ds.arrays("test")[0] is not first[0]
+
+    def test_arrays_are_read_only(self):
+        x3, views, labels = generate(small_cfg()).arrays("test")
+        for arr in (x3, views, labels):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_values_equal_a_fresh_stack(self, split):
+        ds = generate(small_cfg())
+        ds.arrays(split)
+        x3, views, labels = ds.arrays(split)
+        samples = ds.split(split)
+        assert np.array_equal(x3, np.stack([s.x3 for s in samples]))
+        assert np.array_equal(views, np.stack([s.views for s in samples]))
+        assert np.array_equal(labels, [s.label for s in samples]) and labels.dtype == int
+
+    def test_cache_is_not_compared_or_shown(self):
+        ds = generate(small_cfg())
+        ds.arrays("train")
+        cache, = [f for f in dataclasses.fields(Dataset) if f.name == "_stacked"]
+        assert not (cache.compare or cache.repr or cache.init)
+        assert "_stacked" not in repr(ds)
+
+    def test_unknown_split_rejected(self):
+        with pytest.raises(ContractError):
+            generate(small_cfg()).arrays("val")

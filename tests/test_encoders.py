@@ -58,7 +58,7 @@ class TestEncoders:
     def test_grad_reaches_encoder_params(self):
         rng = np.random.default_rng(2)
         enc = ModalityEncoder("3d", [3, 3], init="random", rng=rng)
-        T.backward(T.sum_(enc(np.ones(3))))
+        T.backward(T.sum_(enc(np.ones((1, 3)))))
         assert enc.weights[0].grad is not None
 
     def test_identity_init_requires_square(self):

@@ -9,6 +9,16 @@ from hypothesis.extra.numpy import arrays
 from invgate import tensor as T
 from invgate.errors import ContractError, NumericError, ShapeError
 from invgate.gradcheck import check_gradients
+from invgate.losses import (
+    ContrastiveBatch,
+    IRMConfig,
+    cross_entropy,
+    irm_grad_theta,
+    modality_irm_loss,
+    nt_xent_align,
+    sup_infonce,
+    v_rex,
+)
 
 
 def test_softmax_symmetry():
@@ -79,6 +89,8 @@ def test_shape_mismatch_raises():
         T.add(T.constant(np.ones((2, 3))), T.constant(np.ones((4,))))
     with pytest.raises(ShapeError):
         T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 3))))
+    with pytest.raises(ShapeError):     # vectors enter as [1, d] rows
+        T.matmul(T.constant(np.ones(3)), T.constant(np.ones((3, 2))))
 
 
 def test_zero_norm_normalize_raises():
@@ -107,6 +119,7 @@ def _rand(rng, *shape):
     return rng.uniform(-2.0, 2.0, size=shape)
 
 
+POOL = np.array([0, 0, 1, 1, 2, 0])   # labels of a contrastive pool with positives
 OP_CASES = [
     ("add", lambda ls: T.sum_(T.add(ls[0], ls[1])), 2, (3, 4)),
     ("sub", lambda ls: T.sum_(T.sub(ls[0], ls[1])), 2, (3, 4)),
@@ -135,6 +148,14 @@ OP_CASES = [
     ("gather", lambda ls: T.sum_(T.square(T.gather(ls[0], np.array([2, 0, 3])))), 1, (3, 4)),
     ("matmul_t", lambda ls: T.sum_(T.square(T.matmul_t(ls[0], ls[1]))), 2, (3, 4)),
     ("matmul_t_self", lambda ls: T.sum_(T.square(T.matmul_t(ls[0], ls[0]))), 1, (3, 4)),
+    ("cosine_matmul_t", lambda ls: T.sum_(T.square(T.cosine_matmul_t(ls[0], ls[1]))), 2, (3, 4)),
+    ("cross_entropy", lambda ls: T.sum_(cross_entropy(ls[0], np.array([2, 0, 3]))), 1, (3, 4)),
+    ("sup_infonce", lambda ls: sup_infonce(ContrastiveBatch(ls[0], POOL), theta=2.0), 1, (6, 3)),
+    ("irm_grad_theta", lambda ls: T.square(irm_grad_theta(ContrastiveBatch(ls[0], POOL))), 1, (6, 3)),
+    ("irmv1", lambda ls: modality_irm_loss({e: ContrastiveBatch(x, POOL) for e, x in zip("ab", ls)},
+                                           IRMConfig(lam=5.0)), 2, (6, 3)),
+    ("v_rex", lambda ls: v_rex([T.sum_(T.square(ls[0])), T.sum_(ls[1]), T.mean_(ls[0])], 2.0), 2, (3,)),
+    ("nt_xent_align", lambda ls: nt_xent_align(ls[0], ls[1], tau=3.0), 2, (4, 3)),
 ]
 
 
@@ -237,6 +258,13 @@ FUSED_CASES = [
     ("matmul_t_normalized", lambda x: T.matmul_t(T.l2_normalize(x), T.l2_normalize(T.mul(x, x))),
      lambda x: _composite_matmul_t(_composite_l2_normalize(x), _composite_l2_normalize(T.mul(x, x))),
      (5, 3)),
+    ("cosine_matmul_t", lambda x: T.cosine_matmul_t(x, T.mul(x, x)),
+     lambda x: T.matmul_t(T.l2_normalize(x), T.l2_normalize(T.mul(x, x))), (5, 3)),
+    ("cosine_matmul_t_self", lambda x: T.cosine_matmul_t(x, x),
+     lambda x: T.matmul_t(T.l2_normalize(x), T.l2_normalize(x)), (6, 4)),
+    ("cosine_matmul_t_3d", lambda x: T.cosine_matmul_t(x, T.constant(np.ones((2, 4)))),
+     lambda x: T.matmul_t(T.l2_normalize(x), T.l2_normalize(T.constant(np.ones((2, 4))))),
+     (2, 3, 4)),
 ]
 
 
@@ -250,12 +278,14 @@ def test_fused_op_bit_identical_to_composite(name, fused, composite, shape, seed
 def test_fused_ops_record_one_node():
     x = T.parameter(np.ones((3, 4)))
     for op in (T.mean_, T.log_softmax, T.l2_normalize,
-               lambda a: T.gather(a, np.zeros(3, dtype=int)), lambda a: T.matmul_t(a, a)):
+               lambda a: T.gather(a, np.zeros(3, dtype=int)), lambda a: T.matmul_t(a, a),
+               lambda a: T.cosine_matmul_t(a, a)):
         assert all(p is x for p in op(x)._parents)
 
 
 def test_matmul_t_rejects_bad_shapes():
-    with pytest.raises(ShapeError):
-        T.matmul_t(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 4))))
-    with pytest.raises(ShapeError):
-        T.matmul_t(T.constant(np.ones((2, 3))), T.constant(np.ones(3)))
+    for op in (T.matmul_t, T.cosine_matmul_t):
+        with pytest.raises(ShapeError):
+            op(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 4))))
+        with pytest.raises(ShapeError):
+            op(T.constant(np.ones((2, 3))), T.constant(np.ones(3)))

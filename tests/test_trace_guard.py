@@ -1,0 +1,45 @@
+"""The traced benchmark run (`perfbench/run.py --trace 1`) against this tree.
+
+`perfbench/spans.py` wraps functions of invgate by name; a rename there
+would crash traced benchmark runs. This trains one short run under the
+tracer and checks that every per-layer metric BENCHMARK.json names comes
+out finite.
+"""
+
+import importlib.util
+import json
+import math
+import os
+
+from invgate import harness, losses
+from invgate.config import RunConfig
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_reports_every_per_layer_metric():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"] if m["name"] != "trace.overhead"]
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        tracer.run = "rep-0"
+        # past the 5-epoch warm-up, so mining, invariance and alignment all run
+        harness.Trainer(RunConfig(epochs=7)).run()
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert harness.cross_entropy is losses.cross_entropy    # originals are back
+    assert sorted(names) == sorted(metrics)
+    assert all(math.isfinite(metrics[name]) for name in names)
+    for name in ("mining.gmm_iters", "losses.inv_calls", "losses.align_ms", "losses.ce_ms",
+                 "tensor.nodes_per_step", "data.arrays_calls", "harness.eval_ms"):
+        assert metrics[name] > 0, name
