@@ -4,7 +4,8 @@
 Prints a digest of the metrics log of each default full run (config seeds
 0-5), each CE-only baseline run (seeds 0-1), an IRMv1 and an MM-REx run
 over the 2D and 3D environments (seed 0 each), three runs with the 2.5D
-environment (V-REx seed 0, IRMv1 seed 1, view attention seed 0), and of the
+environment (V-REx seed 0, IRMv1 seed 1, view attention seed 0), a run with
+different mining thresholds for the two modalities (seed 0), and of the
 ablation CSV of the invariance_on_all cells for seed 0. Two builds whose
 lines match train bit-identically on these inputs:
 
@@ -33,6 +34,7 @@ RUNS = (
     ("25d_vrex", [0], {"include_25d": True}),
     ("25d_irmv1", [1], {"include_25d": True, "irm_variant": "irmv1"}),
     ("25d_view_attention", [0], {"include_25d": True, "use_view_attention": True}),
+    ("posterior_split", [0], {"posterior_p2": 0.3, "posterior_p3": 0.7}),
 )
 
 

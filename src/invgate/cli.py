@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_json_file
 from .data import GeneratorConfig, generate, load_dataset, save_dataset, write_manifest
 from .errors import CheckpointError, ContractError
 from .fusion import FusionConfig
@@ -20,8 +20,7 @@ SEED_ENV = "INVGATE_SEED"
 def _load_generator_config(path: str) -> GeneratorConfig:
     """A bare generator config, or the generator of a run config (whose
     unknown keys raise ContractError)."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json_file(path)
     if set(data) <= {f.name for f in dataclasses.fields(GeneratorConfig)}:
         return GeneratorConfig(**data)
     return RunConfig.from_dict(data).generator

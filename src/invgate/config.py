@@ -146,9 +146,17 @@ class RunConfig:
         return dataclasses.replace(self, **overrides)
 
 
+def read_json_file(path: str):
+    """The JSON value in `path`; an unreadable or malformed file is a ContractError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ContractError(f"cannot read config {path}: {exc}") from exc
+
+
 def load_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        return RunConfig.from_dict(json.load(fh))
+    return RunConfig.from_dict(read_json_file(path))
 
 
 def canonical_json(data) -> str:

@@ -76,6 +76,11 @@ class Sample:
             if r2 == r3 or self.label in (r2, r3):
                 raise ContractError("wrong-class targets must be distinct and != label")
 
+    def __eq__(self, other):
+        return (isinstance(other, Sample) and (self.label, self.planted_hard, self.hard_targets)
+                == (other.label, other.planted_hard, other.hard_targets)
+                and np.array_equal(self.x3, other.x3) and np.array_equal(self.views, other.views))
+
 
 @dataclass
 class Dataset:
@@ -86,6 +91,10 @@ class Dataset:
     train: list[Sample]
     test: list[Sample]
     _stacked: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, Dataset) and self.config == other.config
+                and self.train == other.train and self.test == other.test)
 
     def split(self, name: str) -> list[Sample]:
         if name not in SPLITS:

@@ -25,12 +25,7 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, canonical_json
 from .data import Dataset, augment_3d, generate
 from .encoders import ClassHead, CrossAttention, GateMask, ModalityEncoder, MultiViewAggregator
-from .errors import (
-    CheckpointError,
-    ContractError,
-    MixtureDegeneracyError,
-    NumericError,
-)
+from .errors import CheckpointError, ContractError, NumericError
 from .fusion import EvalRecord, FusionConfig, confusion_csv, fuse, predict, softmax_np
 from .losses import (
     ContrastiveBatch,
@@ -220,15 +215,18 @@ class Trainer:
         if not (cfg.enable_step1 and mining_schedule(epoch, cfg.mining_warmup, cfg.mining_period)):
             return None
         ce2, ce3, probs2, probs3 = self._train_split_stats()
-
-        def modality_hard(losses, p):
-            try:
-                return select_modality_hard(losses, p, fit=fit_gmm2(losses))
-            except (MixtureDegeneracyError, ContractError):
-                return np.empty(0, dtype=int)  # no mixture structure this epoch
-
-        d2 = modality_hard(ce2, cfg.posterior_p2)
-        d3 = modality_hard(ce3, cfg.posterior_p3)
+        # one EM loop fits the modalities with spread; the rest (all, below 4
+        # samples) have no mixture, so no hard samples this epoch
+        ces, ps = (ce2, ce3), (cfg.posterior_p2, cfg.posterior_p3)
+        spread = [i for i in (0, 1) if np.ptp(ces[i]) > 0]
+        hard = [np.empty(0, dtype=int)] * 2
+        try:
+            fits = fit_gmm2(np.stack([ces[i] for i in spread])).fits if spread else []
+        except ContractError:
+            fits = []
+        for i, fit in zip(spread, fits):
+            hard[i] = select_modality_hard(ces[i], ps[i], fit=fit)
+        d2, d3 = hard
         candidates = np.union1d(d2, d3)
         if candidates.size == 0:
             report = SelectionReport(d2=d2, d3=d3, d_joint=np.empty(0, dtype=int),

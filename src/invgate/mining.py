@@ -31,11 +31,19 @@ class MixtureFit:
     loglik_path: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
 
 
-def _log_joint(sq_dev, weights, variances) -> np.ndarray:
-    """[2, n] rows log w_k + log N(x | mean_k, var_k), from sq_dev = (x - mean_k)^2.
+@dataclass
+class MixtureStack:
+    """Per-row fits of one stacked EM run; `iterations` counts its sweeps."""
 
-    The parameters are [2, 1] columns, so one broadcast covers both
-    components.
+    fits: list[MixtureFit]
+    iterations: int
+
+
+def _log_joint(sq_dev, weights, variances) -> np.ndarray:
+    """log w_k + log N(x | mean_k, var_k), from sq_dev = (x - mean_k)^2.
+
+    Components lead: [2, m, 1] parameters broadcast over [2, m, n] data, so
+    one call covers both components of every row.
     """
     return np.log(weights) + -0.5 * (np.log(2.0 * np.pi * variances) + sq_dev / variances)
 
@@ -45,36 +53,48 @@ def fit_gmm2(
     tol: float = 1e-8,
     max_iter: int = 200,
     var_floor: float = 1e-6,
-) -> MixtureFit:
+) -> MixtureFit | MixtureStack:
     """EM fit initialized by a median split; log-likelihood is tracked per
-    iteration (it is monotone up to the variance floor)."""
+    iteration (it is monotone up to the variance floor). A 1-d input gives its
+    MixtureFit; an [m, n] input gives a MixtureStack from one loop, where each
+    row leaves at the sweep it converges, its fit bit for bit its 1-d fit."""
     x = np.asarray(losses, dtype=np.float64)
-    if x.ndim != 1 or x.size < 4:
-        raise ContractError(f"need >= 4 one-dimensional losses, got shape {x.shape}")
-    if np.ptp(x) == 0.0:
+    if x.ndim not in (1, 2) or x.shape[-1] < 4 or x.size == 0:
+        raise ContractError(f"need one or more rows of >= 4 losses, got shape {x.shape}")
+    rows = x.reshape(-1, x.shape[-1])
+    m, n = rows.shape
+    if (np.ptp(rows, axis=1) == 0.0).any():
         raise MixtureDegeneracyError("all losses identical; no mixture structure")
 
-    median = np.median(x)
-    lower = x[x <= median]
-    upper = x[x > median]
-    if upper.size == 0:  # ties at the median can empty the upper half
-        lower = x[x < median]
-        upper = x[x >= median]
-    means = np.array([[lower.mean()], [upper.mean()]])
-    variances = np.maximum(np.array([[lower.var()], [upper.var()]]), var_floor)
-    weights = np.array([[lower.size], [upper.size]], dtype=np.float64) / x.size
-    # Parameters are [2, 1] columns and x is tiled to [2, n]: each step is one
-    # broadcast over both components. np.add.reduce is ndarray.sum without
-    # the Python-level wrapper; the summation is the same.
-    xx = np.stack((x, x))
+    stats = np.empty((3, 2, m, 1))      # mean, var, size of each median half
+    for r, row in enumerate(rows):
+        median = np.median(row)
+        lower, upper = row[row <= median], row[row > median]
+        if upper.size == 0:  # ties at the median can empty the upper half
+            lower, upper = row[row < median], row[row >= median]
+        stats[:, :, r, 0] = [[lower.mean(), upper.mean()], [lower.var(), upper.var()],
+                             [lower.size, upper.size]]
+    means, variances, weights = stats[0], np.maximum(stats[1], var_floor), stats[2] / n
+    # Each step is one broadcast over x tiled to [2, m, n]. np.add.reduce is
+    # ndarray.sum without its Python wrapper; each row sums as a 1-d fit does.
+    xx = np.stack((rows, rows))
     sq_dev = (xx - means) ** 2
-    sums = np.empty((5, x.size))        # rows: log_total, resp (2), resp * x (2)
+    sums = np.empty((5, m, n))          # log_total, resp (2), resp * x (2)
 
-    loglik_path = []
-    prev_ll = -math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    # per-row bookkeeping in lists: cheaper than numpy calls on m-element arrays
+    live = list(range(m))               # input row of each working row
+    fits: list = [None] * m
+    paths: list[list[float]] = [[] for _ in range(m)]
+    prev_ll = [-math.inf] * m
+
+    def record(j, sweep, converged):
+        """Store working row j's fit from the parameters as they stand now."""
+        order = np.argsort(means[:, j, 0])
+        fits[live[j]] = MixtureFit(*(a[:, j, 0][order] for a in (means, variances, weights)),
+                                   sweep, converged, np.asarray(paths[live[j]]))
+
+    sweep = 0
+    for sweep in range(1, max_iter + 1):
         # E-step
         log_joint = _log_joint(sq_dev, weights, variances)
         shift = np.maximum(log_joint[0], log_joint[1])
@@ -82,33 +102,38 @@ def fit_gmm2(
         log_total = np.add(shift, np.log(shifted[0] + shifted[1]), out=sums[0])
         resp = np.exp(log_joint - log_total, out=sums[1:3])     # responsibilities
         np.multiply(resp, xx, out=sums[3:])
-        totals = np.add.reduce(sums, axis=1, keepdims=True)
-        ll = float(totals[0, 0])
-        loglik_path.append(ll)
+        totals = np.add.reduce(sums, axis=2, keepdims=True)
+        lls = totals[0, :, 0].tolist()
+        for r, ll in zip(live, lls):
+            paths[r].append(ll)
 
         # M-step
         nk = np.maximum(totals[1:3], 1e-12)
         means = totals[3:] / nk
         sq_dev = (xx - means) ** 2
-        variances = np.maximum(np.add.reduce(resp * sq_dev, axis=1, keepdims=True) / nk,
+        variances = np.maximum(np.add.reduce(resp * sq_dev, axis=2, keepdims=True) / nk,
                                var_floor)
-        weights = nk / x.size
+        weights = nk / n
 
-        if ll - prev_ll < tol and math.isfinite(prev_ll):
-            converged = True
-            break
-        prev_ll = ll
+        done = [j for j, (ll, prev) in enumerate(zip(lls, prev_ll))
+                if ll - prev < tol and math.isfinite(prev)]
+        prev_ll = lls
+        if done:
+            for j in done:
+                record(j, sweep, True)
+            keep = [j for j in range(len(live)) if j not in done]
+            if not keep:
+                break
+            live, prev_ll = [live[j] for j in keep], [prev_ll[j] for j in keep]
+            # take keeps the working arrays contiguous, components first
+            xx, sq_dev, means, variances, weights = (
+                np.take(a, keep, axis=1) for a in (xx, sq_dev, means, variances, weights))
+            sums = np.empty((5, len(keep), n))
 
-    means, variances, weights = means[:, 0], variances[:, 0], weights[:, 0]
-    order = np.argsort(means)
-    return MixtureFit(
-        means=means[order],
-        variances=variances[order],
-        weights=weights[order],
-        iterations=iterations,
-        converged=converged,
-        loglik_path=np.asarray(loglik_path),
-    )
+    for j, r in enumerate(live):
+        if fits[r] is None:
+            record(j, sweep, False)
+    return fits[0] if x.ndim == 1 else MixtureStack(fits=fits, iterations=sweep)
 
 
 def posterior_small(fit: MixtureFit, losses: np.ndarray) -> np.ndarray:

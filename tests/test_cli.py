@@ -54,6 +54,19 @@ def test_generate_rejects_unknown_config_keys(tmp_path, capsys):
     assert not (tmp_path / "d.igds").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "train"])
+@pytest.mark.parametrize("content", ['{"epochs": 6,', None], ids=["malformed", "missing"])
+def test_unreadable_config_is_a_one_line_error(tmp_path, capsys, command, content):
+    p = tmp_path / "cfg.json"
+    if content is not None:
+        p.write_text(content)
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invgate: error: cannot read config {p}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_truncated_checkpoint_is_a_one_line_error(tmp_path, tiny_config_file, capsys):
     cfg_path, _ = tiny_config_file
     data, run_dir = tmp_path / "data.igds", tmp_path / "run"

@@ -101,6 +101,32 @@ class TestGenerate:
             assert np.linalg.norm(con2 - nu2, axis=1).argmin() == r2
 
 
+class TestEquality:
+    def test_equal_configs_give_equal_datasets(self):
+        a, b = generate(small_cfg()), generate(small_cfg())
+        a.arrays("train")                       # a filled cache is not compared
+        assert a == b and not (a != b)
+        assert a.train[0] == b.train[0]
+
+    @pytest.mark.parametrize("name", ["label", "x3", "hard_targets"])
+    def test_one_changed_field_gives_unequal(self, name):
+        a, b = generate(small_cfg()), generate(small_cfg())
+        i = next(i for i, s in enumerate(b.test) if s.planted_hard == (name == "hard_targets"))
+        s = b.test[i]
+        new = {"label": (s.label + 1) % 5, "x3": s.x3 + np.eye(1, s.x3.size, 2)[0],
+               "hard_targets": s.hard_targets and s.hard_targets[::-1]}[name]
+        b.test[i] = dataclasses.replace(s, **{name: new})
+        assert a != b and a.test[i] != b.test[i]
+
+    def test_different_seed_unequal(self):
+        assert generate(small_cfg()) != generate(small_cfg(seed=12))
+
+    def test_non_dataset_is_unequal(self):
+        ds = generate(small_cfg())
+        assert ds != "dataset" and not (ds == None)  # noqa: E711
+        assert ds.train[0] != "sample"
+
+
 class TestAugment:
     def test_identity_at_zero_knobs(self):
         x = np.array([1.0, -2.0, 3.0])
@@ -162,6 +188,7 @@ class TestPersistence:
         loaded = load_dataset(str(p))
         assert datasets_equal(ds, loaded)
         assert loaded.config == ds.config
+        assert loaded == ds
 
     @pytest.mark.parametrize("mode", ["binary", "text"])
     def test_byte_stable_resave(self, tmp_path, mode):

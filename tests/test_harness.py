@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from invgate import harness
 from invgate import tensor as T
 from invgate.config import RunConfig
 from invgate.data import GeneratorConfig, generate
@@ -18,7 +19,7 @@ from invgate.harness import (
     train,
 )
 from invgate.losses import cross_entropy
-from invgate.mining import mining_schedule
+from invgate.mining import fit_gmm2, mining_schedule, select_modality_hard
 from invgate.optim import cosine_lr
 
 
@@ -87,6 +88,37 @@ class TestTrainingLoop:
         cfg = tiny_cfg(base_lr=1e200, epochs=2)
         with pytest.raises(Exception, match="epoch"):
             Trainer(cfg).run()
+
+
+class TestMiningFit:
+    def test_one_fit_per_mining_epoch(self, monkeypatch):
+        shapes = []
+
+        def counting_fit(losses):
+            shapes.append(np.shape(losses))
+            return fit_gmm2(losses)
+
+        monkeypatch.setattr(harness, "fit_gmm2", counting_fit)
+        cfg = tiny_cfg(epochs=6, mining_warmup=2, mining_period=2)
+        result = Trainer(cfg).run()
+        n = len(result.reports)
+        assert n == sum(mining_schedule(e, 2, 2) for e in range(6)) > 0
+        assert shapes == [(2, cfg.generator.num_classes * cfg.generator.shots)] * n
+
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_constant_modality_is_not_mined(self, constant):
+        cfg = tiny_cfg(epochs=2)
+        trainer = Trainer(cfg)
+        ce2, ce3, probs2, probs3 = trainer._train_split_stats()
+        ces = [ce2, ce3]
+        ces[constant] = np.full_like(ces[constant], 0.5)
+        trainer._train_split_stats = lambda: (*ces, probs2, probs3)
+        report = trainer._mine(1)
+        hard = [report.d2, report.d3]
+        other, p = 1 - constant, (cfg.posterior_p2, cfg.posterior_p3)[1 - constant]
+        assert hard[constant].size == 0
+        expected = select_modality_hard(ces[other], p, fit=fit_gmm2(ces[other]))
+        assert expected.size > 0 and np.array_equal(hard[other], expected)
 
 
 class TestSingleView:

@@ -10,6 +10,7 @@ from invgate.errors import ContractError, MixtureDegeneracyError
 from invgate.harness import Trainer
 from invgate.mining import (
     MixtureFit,
+    MixtureStack,
     _topk_overlaps,
     fit_gmm2,
     mining_schedule,
@@ -350,6 +351,65 @@ class TestVectorisedEM:
         assert got.iterations == want.iterations
         assert np.array_equal(got.loglik_path, want.loglik_path)
         assert np.array_equal(got.means, want.means)
+
+
+def _loss_rows(rng, n, spreads, coarse=False):
+    """One loss-like row per spread: a gamma bulk plus a high-loss tail."""
+    rows = np.stack([np.concatenate([rng.gamma(2.0, s, n - n // 4), rng.normal(3.0 * s, s, n // 4)])
+                     for s in spreads])
+    return np.round(rows, 1) if coarse else rows
+
+
+def _assert_same_fit(got, want):
+    for name in ("means", "variances", "weights", "loglik_path"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+
+class TestStackedEM:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 3), st.integers(4, 300), st.integers(0, 2**32 - 1),
+           st.sampled_from([200, 1, 7, 60]), st.booleans())
+    def test_each_row_equals_its_1d_fit(self, m, n, seed, max_iter, coarse):
+        rng = np.random.default_rng(seed)
+        rows = _loss_rows(rng, n, rng.uniform(0.05, 5.0, m), coarse)
+        if (np.ptp(rows, axis=1) == 0.0).any():
+            return
+        stack = fit_gmm2(rows, max_iter=max_iter)
+        assert isinstance(stack, MixtureStack) and len(stack.fits) == m
+        for row, fit in zip(rows, stack.fits):
+            _assert_same_fit(fit, fit_gmm2(row, max_iter=max_iter))
+        assert type(stack.iterations) is int
+        assert stack.iterations == max(fit.iterations for fit in stack.fits)
+
+    def test_rows_leave_at_their_own_sweep(self):
+        rows = _loss_rows(np.random.default_rng(3), 160, (0.3, 0.6, 1.5))
+        alone = [fit_gmm2(row).iterations for row in rows]
+        assert len(set(alone)) == 3
+        cap = sorted(alone)[1]          # one row converges at the cap, one stops there
+        stack = fit_gmm2(rows, max_iter=cap)
+        assert [f.iterations for f in stack.fits] == [min(i, cap) for i in alone]
+        assert [f.converged for f in stack.fits] == [i <= cap for i in alone]
+        assert stack.iterations == cap
+        for row, fit in zip(rows, stack.fits):
+            _assert_same_fit(fit, fit_gmm2(row, max_iter=cap))
+            _assert_same_fit(fit, _reference_fit_gmm2(row, max_iter=cap))
+
+    def test_single_row_stack_matches_1d(self):
+        row = _loss_rows(np.random.default_rng(1), 50, (1.0,))[0]
+        stack = fit_gmm2(row[None])
+        _assert_same_fit(stack.fits[0], fit_gmm2(row))
+        assert stack.iterations == stack.fits[0].iterations
+
+    def test_constant_row_degenerate(self):
+        rows = _loss_rows(np.random.default_rng(2), 40, (1.0,))
+        with pytest.raises(MixtureDegeneracyError):
+            fit_gmm2(np.concatenate([rows, np.full((1, 40), 0.25)]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 10), (2, 2, 10)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ContractError):
+            fit_gmm2(np.arange(np.prod(shape), dtype=float).reshape(shape))
 
 
 class TestVectorisedOverlap:
