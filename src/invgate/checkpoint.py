@@ -8,6 +8,8 @@ listed sorted by name, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -45,7 +47,10 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: str) -> tuple[dict, int, dict, dict[str, np.ndarray]]:
+    """(config, epoch, optimizer, arrays); a truncated or malformed file, or
+    one with bytes after its last array, raises CheckpointError."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a {FORMAT_NAME} file")
@@ -59,20 +64,22 @@ def read_checkpoint(path: str) -> tuple[dict, int, dict, dict[str, np.ndarray]]:
         if len(len_raw) < 8:
             raise CheckpointError(f"{path}: truncated before header")
         header_len = int(np.frombuffer(len_raw, dtype="<u8")[0])
-        blob = fh.read(header_len)
-        if len(blob) < header_len:
+        if fh.tell() + header_len > size:
             raise CheckpointError(f"{path}: truncated inside header")
-        header = json.loads(blob.decode())
-        if header.get("format") != FORMAT_NAME:
-            raise CheckpointError(f"{path}: bad header format tag")
-        arrays: dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) < count * 8:
-                raise CheckpointError(
-                    f"{path}: truncated while reading array '{entry['name']}'"
-                )
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        return header["config"], header["epoch"], header["optimizer"], arrays
+        try:
+            header = json.loads(fh.read(header_len).decode())
+            if header["format"] != FORMAT_NAME:
+                raise CheckpointError(f"{path}: bad header format tag")
+            arrays: dict[str, np.ndarray] = {}
+            for entry in header["arrays"]:
+                name, shape = entry["name"], tuple(entry["shape"])
+                nbytes = 8 * math.prod(shape)
+                if fh.tell() + nbytes > size:
+                    raise CheckpointError(f"{path}: truncated while reading array '{name}'")
+                arrays[name] = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape).copy()
+            fields = header["config"], header["epoch"], header["optimizer"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
+        if fh.tell() != size:
+            raise CheckpointError(f"{path}: {size - fh.tell()} bytes after the last array")
+        return (*fields, arrays)

@@ -105,9 +105,11 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg, _ = _apply_overrides(load_config(args.config), args)
-    with open(args.grid) as fh:
-        grid = json.load(fh)
-    cells = grid["cells"] if isinstance(grid, dict) else grid
+    grid = read_json_file(args.grid, "grid")
+    cells = grid.get("cells") if isinstance(grid, dict) else grid
+    if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
+        raise ContractError(f"grid {args.grid} must be a list of override objects "
+                            f'or {{"cells": [...]}}')
     dataset = load_dataset(args.data) if args.data else None
     rows = ablate(cfg, cells, dataset=dataset,
                   progress=lambda row: print(
@@ -183,7 +185,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ContractError, CheckpointError) as exc:
+    except (ContractError, CheckpointError, OSError) as exc:
         print(f"invgate: error: {exc}", file=sys.stderr)
         return 2
 

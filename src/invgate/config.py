@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 from .data import GeneratorConfig
 from .errors import ContractError
+from .fusion import MODE_ALIASES
 from .losses import IRM_VARIANTS
-
-FUSION_MODES = ("multiplicative", "additive", "mul", "add")
 
 
 @dataclass
@@ -86,7 +85,7 @@ class RunConfig:
         for mode in (self.head2d_mode, self.head3d_mode):
             if mode not in ("cosine", "affine"):
                 raise ContractError(f"unknown head mode {mode!r}")
-        if self.fusion_mode not in FUSION_MODES:
+        if self.fusion_mode not in MODE_ALIASES:
             raise ContractError(f"unknown fusion mode {self.fusion_mode!r}")
         if self.enable_step2 and not self.enable_step1 and not self.invariance_on_all:
             raise ContractError(
@@ -99,13 +98,13 @@ class RunConfig:
         envs = 2 + self.include_25d
         if self.rex_lambda_min > 1.0 / envs:
             raise ContractError(f"rex_lambda_min must be <= 1/{envs} with {envs} environments")
-        for name in ("fusion_phi", "align_tau"):
+        for name in ("fusion_phi", "align_tau", "base_lr", "head_scale"):
             if not getattr(self, name) > 0.0:
                 raise ContractError(f"{name} must be positive")
-        for name in ("rex_beta", "irm_lambda"):
+        for name in ("rex_beta", "irm_lambda", "weight_decay"):
             if not getattr(self, name) >= 0.0:
                 raise ContractError(f"{name} must be non-negative")
-        for name in ("mining_warmup", "mining_period", "mining_topk"):
+        for name in ("mining_warmup", "mining_period", "mining_topk", "output_dim"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1")
         for name in ("posterior_p2", "posterior_p3"):
@@ -113,6 +112,10 @@ class RunConfig:
                 raise ContractError(f"{name} must lie in (0, 1]")
         if not (0.0 < self.mining_rho <= 1.0):
             raise ContractError("mining_rho must lie in (0, 1]")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ContractError("momentum must lie in [0, 1)")
+        if not (0.0 <= self.view_attention_delta <= 1.0):
+            raise ContractError("view_attention_delta must lie in [0, 1]")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be positive")
         if self.n_3d_augments < 1:
@@ -143,16 +146,19 @@ class RunConfig:
         return cls(**kwargs)
 
     def replace(self, **overrides) -> "RunConfig":
+        unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}
+        if unknown:
+            raise ContractError(f"unknown config keys: {sorted(unknown)}")
         return dataclasses.replace(self, **overrides)
 
 
-def read_json_file(path: str):
+def read_json_file(path: str, what: str = "config"):
     """The JSON value in `path`; an unreadable or malformed file is a ContractError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ContractError(f"cannot read config {path}: {exc}") from exc
+        raise ContractError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:

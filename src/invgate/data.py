@@ -14,6 +14,7 @@ substreams keep it so even if classes are generated out of order.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -293,52 +294,74 @@ def _sample_from_parts(cfg, ints, flat):
     )
 
 
-def _parse_header(raw: bytes) -> GeneratorConfig:
-    header = json.loads(raw.decode())
-    if header.get("format") != FORMAT_NAME:
-        raise CheckpointError(f"not a {FORMAT_NAME} file")
-    if header.get("version") != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported dataset version {header.get('version')}")
-    return GeneratorConfig(**header["config"])
+def _parse_header(raw: bytes, path: str) -> GeneratorConfig:
+    try:
+        header = json.loads(raw.decode())
+        if header["format"] != FORMAT_NAME:
+            raise CheckpointError(f"not a {FORMAT_NAME} file")
+        if header["version"] != FORMAT_VERSION:
+            raise CheckpointError(f"unsupported dataset version {header['version']}")
+        return GeneratorConfig(**header["config"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed dataset header: {exc!r}") from exc
 
 
 def load_dataset(path: str) -> Dataset:
+    """A dataset file of either mode; a truncated or malformed file raises
+    CheckpointError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic == MAGIC:
-            return _load_binary(fh)
-    with open(path, "r") as fh:
+            return _load_binary(fh, path)
+    with open(path, "r", errors="replace") as fh:
         first = fh.readline().strip()
         if first != f"{FORMAT_NAME} v{FORMAT_VERSION} text":
             raise CheckpointError(f"unrecognized dataset file {path!r}")
-        cfg = _parse_header(fh.readline().strip().encode())
+        cfg = _parse_header(fh.readline().strip().encode(), path)
         per_split = cfg.num_classes * cfg.shots
+        n_fields = 4 + cfg.dim * (1 + cfg.num_views)
         samples = []
-        for line in fh:
-            if not line.strip():
-                continue
+        for i, line in enumerate(fh, start=3):
+            if not line.endswith("\n"):
+                raise CheckpointError(f"{path}: dataset truncated in line {i}")
             parts = line.split()
-            ints, floats = parts[:4], np.array([float(v) for v in parts[4:]])
-            samples.append(_sample_from_parts(cfg, ints, floats))
+            if not parts:
+                continue
+            if len(parts) != n_fields:
+                raise CheckpointError(
+                    f"{path}: line {i} has {len(parts)} fields, expected {n_fields}")
+            try:
+                floats = np.array([float(v) for v in parts[4:]])
+                samples.append(_sample_from_parts(cfg, parts[:4], floats))
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: line {i}: {exc}") from exc
     return _assemble(cfg, samples, per_split, path)
 
 
-def _load_binary(fh) -> Dataset:
-    version = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
+def _load_binary(fh, path: str) -> Dataset:
+    size = os.fstat(fh.fileno()).st_size
+    raw = fh.read(12)
+    if len(raw) < 12:
+        raise CheckpointError(f"{path}: dataset truncated before its header")
+    version = int(np.frombuffer(raw[:4], dtype="<u4")[0])
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported dataset version {version}")
-    header_len = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-    cfg = _parse_header(fh.read(header_len))
+    header_len = int(np.frombuffer(raw[4:], dtype="<u8")[0])
+    if fh.tell() + header_len > size:
+        raise CheckpointError(f"{path}: dataset truncated inside its header")
+    cfg = _parse_header(fh.read(header_len), path)
     per_split = cfg.num_classes * cfg.shots
     rec_floats = cfg.dim * (1 + cfg.num_views)
+    expected = fh.tell() + 2 * per_split * 8 * (4 + rec_floats)
+    if size != expected:
+        kind = "truncated" if size < expected else "followed by trailing bytes"
+        raise CheckpointError(f"{path}: dataset {kind} ({size} bytes, header implies {expected})")
     samples = []
-    for i in range(2 * per_split):
+    for _ in range(2 * per_split):
         ints = np.frombuffer(fh.read(4 * 8), dtype="<i8")
         raw = fh.read(rec_floats * 8)
-        if ints.size < 4 or len(raw) < rec_floats * 8:
-            raise CheckpointError(f"dataset truncated at sample {i}")
         samples.append(_sample_from_parts(cfg, ints, np.frombuffer(raw, dtype="<f8")))
-    return _assemble(cfg, samples, per_split, "<binary>")
+    return _assemble(cfg, samples, per_split, path)
 
 
 def _assemble(cfg, samples, per_split, path) -> Dataset:

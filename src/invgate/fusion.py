@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ContractError, NumericError
 
-_MODE_ALIASES = {
+MODE_ALIASES = {
     "mul": "multiplicative",
     "multiplicative": "multiplicative",
     "add": "additive",
@@ -29,9 +29,9 @@ class FusionConfig:
     def __post_init__(self):
         if self.phi <= 0:
             raise ContractError(f"phi must be positive, got {self.phi}")
-        if self.mode not in _MODE_ALIASES:
+        if self.mode not in MODE_ALIASES:
             raise ContractError(f"unknown fusion mode {self.mode!r}")
-        self.mode = _MODE_ALIASES[self.mode]
+        self.mode = MODE_ALIASES[self.mode]
 
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:

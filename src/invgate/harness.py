@@ -70,7 +70,6 @@ class Model:
     def __init__(self, cfg: RunConfig, input_dim: int):
         dims = [input_dim, *cfg.encoder_hidden, cfg.output_dim]
         self.cfg = cfg
-        self.input_dim = input_dim
         self.enc2d = ModalityEncoder(
             "2d", dims, init=cfg.encoder_init,
             rng=_component_rng(cfg.seed, "enc2d"), name="enc2d",

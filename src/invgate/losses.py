@@ -55,10 +55,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
                             f"[{labels.min()}, {labels.max()}]")
     # one node: neg(gather(log_softmax(logits), labels))
     log_probs, e, s = T._log_softmax(logits.data, 1)
-    T._check_all("cross_entropy", log_probs)
     return T._node(-log_probs[np.arange(n), labels], (logits,),
-                   lambda g: (T._log_softmax_vjp(T._gather_vjp(-g, (n, c), labels), e, s),),
-                   "cross_entropy")
+                   lambda g: (T._log_softmax_vjp(T._gather_vjp(-g, (n, c), labels), e, s),))
 
 
 @dataclass
@@ -110,7 +108,7 @@ def _pair_weights(batch: ContrastiveBatch) -> tuple[np.ndarray, np.ndarray, floa
     return (~same).astype(float), pos.astype(float), 1.0 / n_pairs
 
 
-def _pool_node(batch: ContrastiveBatch, op: str, terms) -> Tensor:
+def _pool_node(batch: ContrastiveBatch, terms) -> Tensor:
     """One node over matmul_t(z, z), z the normalized pool. `terms(sim, negf,
     posf, scale)` returns the value, then a pullback to sim per similarity
     matrix its composite builds, each handing the features two contributions."""
@@ -119,7 +117,6 @@ def _pool_node(batch: ContrastiveBatch, op: str, terms) -> Tensor:
     z, norms = T._l2n(x, -1)
     zt = z.T.copy()
     sim = np.matmul(z, zt)
-    T._check_all(op, z, sim)
     value, *pullbacks = terms(sim, *weights)
 
     def vjp(g):
@@ -129,7 +126,7 @@ def _pool_node(batch: ContrastiveBatch, op: str, terms) -> Tensor:
             grads += T._l2n_vjp(ga + gb, x, norms)
         return grads
 
-    return T._node(value, (batch.features,) * (2 * len(pullbacks)), vjp, op)
+    return T._node(value, (batch.features,) * (2 * len(pullbacks)), vjp)
 
 
 def contrastive_report(batch: ContrastiveBatch) -> ContrastiveReport:
@@ -152,11 +149,9 @@ def _infonce(sim, theta, negf, posf, scale):
     masked = exp_s * negf
     neg_sum = np.add.reduce(masked, axis=1, keepdims=True)
     denom = exp_s + neg_sum
-    T._check_log(denom)
     pair_loss = np.log(denom) - s                                   # [n, n]
     weighted = pair_loss * posf
     value = np.add.reduce(weighted, axis=None) * scale
-    T._check_all("sup_infonce", s, exp_s, masked, neg_sum, denom, pair_loss, weighted, value)
 
     def pullback(g):
         g_pair = T._spread(g * scale, None, weighted.shape) * posf
@@ -181,8 +176,6 @@ def _grad_theta(sim, negf, posf, scale):
     per_pair = expectation - sim
     weighted = per_pair * posf
     value = np.add.reduce(weighted, axis=None) * scale
-    T._check_all("irm_grad_theta", exp_s, masked, neg_exp_sum, masked_s, neg_weighted,
-                 exp_s_s, num, den, expectation, per_pair, weighted, value)
 
     def pullback(g):
         g_pair = T._spread(g * scale, None, weighted.shape) * posf
@@ -203,7 +196,7 @@ def sup_infonce(batch: ContrastiveBatch, theta: float = 1.0) -> Tensor:
     averaged over all pairs. Anchors with no positive are skipped; a batch
     with no pairs at all is degenerate.
     """
-    return _pool_node(batch, "sup_infonce", lambda sim, *w: _infonce(sim, theta, *w))
+    return _pool_node(batch, lambda sim, *w: _infonce(sim, theta, *w))
 
 
 def irm_grad_theta(batch: ContrastiveBatch) -> Tensor:
@@ -214,7 +207,7 @@ def irm_grad_theta(batch: ContrastiveBatch) -> Tensor:
     A differentiable node, so the squared penalty backprops to the gate
     with first-order autodiff only.
     """
-    return _pool_node(batch, "irm_grad_theta", _grad_theta)
+    return _pool_node(batch, _grad_theta)
 
 
 def _irmv1_term(batch: ContrastiveBatch, cfg: IRMConfig) -> Tensor:
@@ -224,10 +217,9 @@ def _irmv1_term(batch: ContrastiveBatch, cfg: IRMConfig) -> Tensor:
         risk, risk_to_sim = _infonce(sim, cfg.dummy_theta, *weights)
         grad, grad_to_sim = _grad_theta(sim, *weights)
         penalty = grad * grad * cfg.lam
-        T._check_all("irmv1", grad * grad, penalty, risk + penalty)
         return risk + penalty, risk_to_sim, lambda g: grad_to_sim(g * cfg.lam * 2.0 * grad)
 
-    return _pool_node(batch, "irmv1", terms)
+    return _pool_node(batch, terms)
 
 
 @dataclass
@@ -280,7 +272,6 @@ def v_rex(env_losses: Sequence[Tensor], beta: float) -> Tensor:
     var = np.add.reduce(dev * dev, axis=None) * scale
     total = np.add.reduce(stacked, axis=None)
     value = var * beta + total
-    T._check_all("v_rex", stacked, mean, dev, dev * dev, var, var * beta, total, value)
 
     def vjp(g):
         g_dev = T._spread(g * beta * scale, None, dev.shape) * 2.0 * dev
@@ -289,7 +280,7 @@ def v_rex(env_losses: Sequence[Tensor], beta: float) -> Tensor:
         return tuple(g_dev + T._spread(g_mean * scale, None, dev.shape)
                      + T._spread(g, None, dev.shape))
 
-    return T._node(value, tuple(env_losses), vjp, "v_rex")
+    return T._node(value, tuple(env_losses), vjp)
 
 
 def modality_irm_loss(envs: Mapping[str, ContrastiveBatch], cfg: IRMConfig) -> Tensor:
@@ -329,7 +320,6 @@ def nt_xent_align(z2: Tensor, z3: Tensor, tau: float) -> Tensor:
     fwd, fwd_to_sims = _nt_direction(sims)               # 2D anchors vs 3D candidates
     rev, rev_to_sims_t = _nt_direction(sims.T.copy())    # 3D anchors vs 2D candidates
     value = (fwd + rev) * (0.5 / n)
-    T._check_all("nt_xent_align", fwd + rev, value)
 
     def vjp(g):
         g_dir = g * (0.5 / n)
@@ -337,18 +327,16 @@ def nt_xent_align(z2: Tensor, z3: Tensor, tau: float) -> Tensor:
         g_sims = fwd_to_sims(g_dir) + rev_to_sims_t(g_dir).T
         return to_inputs(g_sims * tau, z2.requires_grad, z3.requires_grad)
 
-    return T._node(value, (z2, z2, z3, z3), vjp, "nt_xent_align")
+    return T._node(value, (z2, z2, z3, z3), vjp)
 
 
 def _nt_direction(s: np.ndarray):
     """sum_i [log(sum_j e^{s_ij}) - s_ii]: (value, pullback to s)."""
     exp_s = np.exp(s)
     sums = np.add.reduce(exp_s, axis=1)
-    T._check_log(sums)
     diag = np.arange(s.shape[0])
     per_anchor = np.log(sums) - s[diag, diag]
     value = np.add.reduce(per_anchor, axis=None)
-    T._check_all("nt_xent_align", s, exp_s, sums, per_anchor, value)
 
     def pullback(g):
         g_anchor = T._spread(g, None, per_anchor.shape)

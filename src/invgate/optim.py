@@ -77,12 +77,6 @@ class SGD:
         self.state = state
         self.velocity: dict[int, np.ndarray] = {}
 
-    def group(self, name: str) -> ParamGroup:
-        for g in self.groups:
-            if g.name == name:
-                return g
-        raise KeyError(name)
-
     def parameters(self):
         for g in self.groups:
             yield from g.params

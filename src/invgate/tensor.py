@@ -6,8 +6,7 @@ single `backward` call on a scalar populates leaf gradients. First-order
 only: no gradients of gradients are ever taken here.
 
 Broadcasting follows numpy semantics; the backward pass sums gradients over
-broadcast axes. A global strict flag makes ops raise `NumericError` instead
-of silently producing NaN/Inf.
+broadcast axes.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError
 
 _GRAD_ENABLED = True
-_STRICT = False
 _F64 = np.dtype(np.float64)
 
 
@@ -34,35 +32,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-@contextlib.contextmanager
-def strict_numerics(enabled: bool = True):
-    """Raise NumericError whenever an op would emit a non-finite value."""
-    global _STRICT
-    prev = _STRICT
-    _STRICT = enabled
-    try:
-        yield
-    finally:
-        _STRICT = prev
-
-
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _STRICT and not np.all(np.isfinite(arr)):
-        raise NumericError(f"{op} produced non-finite values")
-
-
-def _check_all(op: str, *arrays) -> None:
-    """Strict mode in a fused node: check each value its composite checks."""
-    if _STRICT:
-        for arr in arrays:
-            _check_finite(arr, op)
-
-
-def _check_log(x: np.ndarray) -> None:
-    if _STRICT and np.any(x <= 0.0):
-        raise NumericError("log of non-positive value")
 
 
 class Tensor:
@@ -108,9 +77,6 @@ class Tensor:
         """A view of the same values cut off from the tape."""
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
@@ -128,14 +94,12 @@ def parameter(x, name: str | None = None) -> Tensor:
     return Tensor(x, requires_grad=True, name=name)
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], vjp, op: str) -> Tensor:
+def _node(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
     """Wrap an op result, recording the node only when the tape is live.
 
     A parent may be listed more than once; `backward` then adds the VJP's
     contributions to it in list order.
     """
-    if _STRICT:
-        _check_finite(data, op)
     out = Tensor(data)
     if _GRAD_ENABLED:
         for p in parents:
@@ -176,7 +140,7 @@ def _broadcast_op(a: Tensor, b: Tensor, fn, vjp_a, vjp_b, op: str) -> Tensor:
             gb = _unbroadcast(vjp_b(g), b.data.shape) if b_bc else vjp_b(g)
         return ga, gb
 
-    return _node(data, (a, b), vjp, op)
+    return _node(data, (a, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -205,25 +169,22 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,), "neg")
+    return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
-    return _node(data, (a,), lambda g: (g * data,), "exp")
+    return _node(data, (a,), lambda g: (g * data,))
 
 
 def log(a: Tensor) -> Tensor:
-    _check_log(a.data)
     data = np.log(a.data)
-    return _node(data, (a,), lambda g: (g / a.data,), "log")
+    return _node(data, (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
-    if _STRICT and np.any(a.data < 0.0):
-        raise NumericError("sqrt of negative value")
     data = np.sqrt(a.data)
-    return _node(data, (a,), lambda g: (g * 0.5 / data,), "sqrt")
+    return _node(data, (a,), lambda g: (g * 0.5 / data,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -232,16 +193,16 @@ def sigmoid(a: Tensor) -> Tensor:
         a.data >= 0, 1.0 / (1.0 + np.exp(-a.data)),
         np.exp(np.minimum(a.data, 0)) / (1.0 + np.exp(np.minimum(a.data, 0))),
     )
-    return _node(data, (a,), lambda g: (g * data * (1.0 - data),), "sigmoid")
+    return _node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return _node(a.data * mask, (a,), lambda g: (g * mask,), "relu")
+    return _node(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 def square(a: Tensor) -> Tensor:
-    return _node(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,), "square")
+    return _node(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
 
 
 # -- structural ops -----------------------------------------------------------
@@ -253,20 +214,20 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         data = a.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}") from exc
-    return _node(data, (a,), lambda g: (g.reshape(a.shape),), "reshape")
+    return _node(data, (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose2d(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose2d expects 2-d, got {a.shape}")
-    return _node(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose2d")
+    return _node(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def swap_last2(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"swap_last2 expects >=2-d, got {a.shape}")
     data = np.swapaxes(a.data, -1, -2).copy()
-    return _node(data, (a,), lambda g: (np.swapaxes(g, -1, -2),), "swap_last2")
+    return _node(data, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -283,7 +244,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _node(data, tensors, vjp, "concat")
+    return _node(data, tensors, vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -304,7 +265,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
         return ga, gb
 
-    return _node(data, (a, b), vjp, "matmul")
+    return _node(data, (a, b), vjp)
 
 
 def _check_matmul_t(a, b) -> None:
@@ -323,8 +284,7 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
     _check_matmul_t(a, b)
     bt = b.data.T.copy()
     return _node(np.matmul(a.data, bt), (a, b),
-                 lambda g: _matmul_t_vjp(g, a.data, bt, a.requires_grad, b.requires_grad),
-                 "matmul_t")
+                 lambda g: _matmul_t_vjp(g, a.data, bt, a.requires_grad, b.requires_grad))
 
 
 def cosine_matmul_t(a: Tensor, b: Tensor) -> Tensor:
@@ -332,7 +292,7 @@ def cosine_matmul_t(a: Tensor, b: Tensor) -> Tensor:
     one node; parents (a, a, b, b), as each normalization hands two gradients."""
     data, pullback = _cosine(a.data, b.data)
     return _node(data, (a, a, b, b),
-                 lambda g: pullback(g, a.requires_grad, b.requires_grad), "cosine_matmul_t")
+                 lambda g: pullback(g, a.requires_grad, b.requires_grad))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -363,7 +323,7 @@ def _spread(g, kept, shape: tuple[int, ...]) -> np.ndarray:
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     data = np.add.reduce(a.data, axis=axis, keepdims=keepdims)
     kept = _kept_shape(a.data.shape, axis, keepdims)
-    return _node(data, (a,), lambda g: (_spread(g, kept, a.data.shape),), "sum")
+    return _node(data, (a,), lambda g: (_spread(g, kept, a.data.shape),))
 
 
 def mean_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -371,7 +331,7 @@ def mean_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     scale = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
     data = np.add.reduce(a.data, axis=axis, keepdims=keepdims) * scale
     kept = _kept_shape(a.data.shape, axis, keepdims)
-    return _node(data, (a,), lambda g: (_spread(g * scale, kept, a.data.shape),), "mean")
+    return _node(data, (a,), lambda g: (_spread(g * scale, kept, a.data.shape),))
 
 
 def gather(a: Tensor, index: np.ndarray) -> Tensor:
@@ -379,7 +339,7 @@ def gather(a: Tensor, index: np.ndarray) -> Tensor:
     one-hot matrix, without the products."""
     index = np.asarray(index)
     return _node(a.data[np.arange(a.shape[0]), index], (a,),
-                 lambda g: (_gather_vjp(g, a.data.shape, index),), "gather")
+                 lambda g: (_gather_vjp(g, a.data.shape, index),))
 
 
 # -- composites (backward falls out of the primitives) ------------------------
@@ -395,7 +355,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     """(a - max) - log(sum(exp(a - max))) along `axis`, as one node."""
     data, e, s = _log_softmax(a.data, axis if axis >= 0 else a.ndim + axis)
-    return _node(data, (a,), lambda g: (_log_softmax_vjp(g, e, s),), "log_softmax")
+    return _node(data, (a,), lambda g: (_log_softmax_vjp(g, e, s),))
 
 
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
@@ -405,7 +365,7 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     it the quotient's gradient first and the square's second.
     """
     data, norms = _l2n(a.data, axis if axis >= 0 else a.ndim + axis)
-    return _node(data, (a, a), lambda g: _l2n_vjp(g, a.data, norms), "l2_normalize")
+    return _node(data, (a, a), lambda g: _l2n_vjp(g, a.data, norms))
 
 
 # -- numpy kernels of the fused nodes ------------------------------------------
@@ -416,7 +376,6 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
 def _l2n(x: np.ndarray, axis: int):
     """(x / norms, norms) along `axis`; a zero-norm row raises."""
     norms = np.sqrt(np.add.reduce(x * x, axis=axis, keepdims=True))
-    _check_finite(norms, "l2_normalize")
     if np.logical_or.reduce(norms <= 0.0, axis=None):
         raise NumericError("cannot normalize a zero-norm vector")
     return x / norms, norms
@@ -462,7 +421,6 @@ def _cosine(a: np.ndarray, b: np.ndarray):
     zb, nb = _l2n(b, -1)
     bt = zb.T.copy()
     out = np.matmul(za, bt)
-    _check_all("cosine_matmul_t", za, zb, out)
 
     def pullback(g, need_a=True, need_b=True):
         ga, gb = _matmul_t_vjp(g, za, bt, need_a, need_b)

@@ -5,6 +5,8 @@ import pytest
 from invgate.cli import main
 from invgate.config import RunConfig
 from invgate.data import GeneratorConfig, load_dataset
+from invgate.errors import CheckpointError
+from invgate.harness import load_checkpoint
 
 
 @pytest.fixture()
@@ -81,6 +83,68 @@ def test_eval_truncated_checkpoint_is_a_one_line_error(tmp_path, tiny_config_fil
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def artefacts(tmp_path_factory):
+    """A binary and a text dataset, and a checkpoint trained on the binary one."""
+    tmp = tmp_path_factory.mktemp("artefacts")
+    gen = GeneratorConfig(num_classes=4, shots=4, invariant_dim=6, confound_dim=4,
+                          num_views=2, seed=0)
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(RunConfig(generator=gen, output_dim=10, epochs=2,
+                                        batch_size=8, mining_warmup=1).to_dict()))
+    paths = {"binary": tmp / "data.igds", "text": tmp / "data.txt",
+             "checkpoint": tmp / "run" / "checkpoint.igck"}
+    assert main(["generate", "--config", str(cfg), "--out", str(paths["binary"])]) == 0
+    assert main(["generate", "--config", str(cfg), "--out", str(paths["text"]), "--text"]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(paths["binary"]),
+                 "--out", str(tmp / "run")]) == 0
+    return paths
+
+
+DAMAGE = {
+    "cut_at_6": lambda b: b[:6],
+    "cut_at_14": lambda b: b[:14],
+    "cut_at_40": lambda b: b[:40],
+    "cut_at_200": lambda b: b[:200],
+    "cut_mid_file": lambda b: b[: len(b) // 2],
+    "cut_5_before_end": lambda b: b[:-5],
+    "8_trailing_bytes": lambda b: b + bytes(8),
+    "corrupt_header": lambda b: b.replace(b'"config"', b'"konfig"', 1),
+    "wrong_magic": lambda b: b"IGXX" + b[4:],
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+@pytest.mark.parametrize("artefact", ["binary", "text", "checkpoint"])
+def test_damaged_artefact_is_a_one_line_error(artefacts, tmp_path, capsys, artefact, damage):
+    bad = tmp_path / "bad"
+    bad.write_bytes(DAMAGE[damage](artefacts[artefact].read_bytes()))
+    with pytest.raises(CheckpointError):
+        (load_checkpoint if artefact == "checkpoint" else load_dataset)(str(bad))
+    ckpt, data = ((bad, artefacts["binary"]) if artefact == "checkpoint"
+                  else (artefacts["checkpoint"], bad))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invgate: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "{missing}", "--data", "{binary}"],
+    ["eval", "--checkpoint", "{checkpoint}", "--data", "{missing}"],
+    ["train", "--config", "{config}", "--data", "{missing}", "--out", "{out}"],
+], ids=["eval_checkpoint", "eval_data", "train_data"])
+def test_missing_artefact_is_a_one_line_error(artefacts, tiny_config_file, tmp_path, capsys,
+                                              argv):
+    names = {"missing": tmp_path / "missing", "config": tiny_config_file[0],
+             "out": tmp_path / "out", **artefacts}
+    assert main([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invgate: error: ") and str(tmp_path / "missing") in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_train_eval_pipeline(tmp_path, tiny_config_file, capsys):
     cfg_path, cfg = tiny_config_file
     data = tmp_path / "data.igds"
@@ -137,6 +201,24 @@ def test_ablate_grid(tmp_path, tiny_config_file, capsys):
     csv = (out / "results.csv").read_text().strip().splitlines()
     assert len(csv) == 3
     assert csv[0].startswith("enable_step1,")
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read grid"),
+    ('[{"fusion_mode": ', "cannot read grid"),
+    ('{"rows": []}', "must be a list of override objects"),
+    ("[1, 2]", "must be a list of override objects"),
+    ('[{"fusion": "add"}]', "unknown config keys: ['fusion']"),
+], ids=["missing", "malformed", "wrong_shape", "not_objects", "unknown_key"])
+def test_bad_grid_is_a_one_line_error(tmp_path, tiny_config_file, capsys, content, message):
+    cfg_path, _ = tiny_config_file
+    grid = tmp_path / "grid.json"
+    if content is not None:
+        grid.write_text(content)
+    assert main(["ablate", "--config", str(cfg_path), "--grid", str(grid)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invgate: error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_gradcheck_exits_zero(capsys):

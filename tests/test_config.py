@@ -69,6 +69,11 @@ def test_replace_revalidates():
         cfg.replace(mining_rho=0.0)
 
 
+def test_replace_rejects_unknown_keys():
+    with pytest.raises(ContractError, match="unknown config keys"):
+        RunConfig().replace(learning_rate=0.1)
+
+
 @pytest.mark.parametrize("overrides", [
     {"irm_variant": "irm"},
     {"irm_variant": "mm_rex", "rex_lambda_min": 0.9},
@@ -82,6 +87,14 @@ def test_replace_revalidates():
     {"mining_topk": 0},
     {"posterior_p2": 0.0},
     {"posterior_p3": 1.5},
+    {"base_lr": 0.0},
+    {"base_lr": float("nan")},
+    {"head_scale": -1.0},
+    {"weight_decay": -1.0},
+    {"encoder_init": "random", "output_dim": 0},
+    {"momentum": 1.0},
+    {"view_attention_delta": 2.0},
+    {"fusion_mode": "product"},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_rejected_at_construction(overrides):
     with pytest.raises(ContractError):
@@ -92,3 +105,5 @@ def test_boundary_values_accepted():
     RunConfig(rex_lambda_min=0.5, rex_beta=0.0, irm_lambda=0.0, posterior_p2=1.0,
               posterior_p3=1.0, mining_warmup=1, mining_period=1, mining_topk=1)
     RunConfig(include_25d=True, rex_lambda_min=1.0 / 3.0)
+    RunConfig(weight_decay=0.0, momentum=0.0, view_attention_delta=0.0)
+    RunConfig(view_attention_delta=1.0, fusion_mode="add")

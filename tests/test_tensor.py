@@ -63,7 +63,7 @@ def test_backward_accumulates_until_zeroed():
     first = x.grad.copy()
     T.backward(loss)
     np.testing.assert_allclose(x.grad, 2 * first)
-    x.zero_grad()
+    x.grad = None
     T.backward(loss)
     np.testing.assert_array_equal(x.grad, first)
 
@@ -75,11 +75,9 @@ def test_no_grad_blocks_recording():
     assert not y.requires_grad
 
 
-def test_strict_mode_flags_log_domain():
-    with T.strict_numerics():
-        with pytest.raises(NumericError):
-            T.log(T.constant([-1.0]))
-    # outside strict mode the op goes through (nan result)
+def test_log_of_negative_is_nan():
+    # no op checks its domain: the value goes through and training's
+    # non-finite-loss check reports it
     with np.errstate(invalid="ignore"):
         assert np.isnan(T.log(T.constant([-1.0])).data).all()
 
@@ -180,8 +178,8 @@ def test_backward_deterministic_repeat():
     w = T.parameter(rng.normal(size=(3, 2)))
 
     def run():
-        x.zero_grad()
-        w.zero_grad()
+        x.grad = None
+        w.grad = None
         loss = T.sum_(T.square(T.relu(T.matmul(x, w))))
         T.backward(loss)
         return x.grad.copy(), w.grad.copy()
