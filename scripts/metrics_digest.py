@@ -8,9 +8,9 @@ environment (V-REx seed 0, IRMv1 seed 1, view attention seed 0), a run with
 different mining thresholds for the two modalities (seed 0), and of the
 ablation CSV of the invariance_on_all cells for seed 0. Then one digest per
 written artefact: the binary and the text dataset of the seed-0 generator
-config and the checkpoint of the CE-only baseline run, seed 0. Two builds
-whose lines match train bit-identically on these inputs and write the same
-bytes:
+config, its manifest, the checkpoint of the CE-only baseline run, seed 0,
+and every file that run writes into its run directory. Two builds whose
+lines match train bit-identically on these inputs and write the same bytes:
 
     PYTHONPATH=src python scripts/metrics_digest.py
 """
@@ -26,13 +26,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 from run_ablation import grid_cells  # noqa: E402  (scripts/ is on sys.path)
 
 from invgate.config import RunConfig  # noqa: E402
-from invgate.data import GeneratorConfig, generate, save_dataset  # noqa: E402
+from invgate.data import GeneratorConfig, generate, save_dataset, write_manifest  # noqa: E402
 from invgate.harness import (  # noqa: E402
     Trainer,
     ablate,
     ablation_csv,
     metrics_log_lines,
     save_checkpoint,
+    train,
 )
 
 CE_ONLY = {"enable_step1": False, "enable_step2": False, "enable_align": False}
@@ -46,6 +47,9 @@ RUNS = (
     ("25d_view_attention", [0], {"include_25d": True, "use_view_attention": True}),
     ("posterior_split", [0], {"posterior_p2": 0.3, "posterior_p3": 0.7}),
 )
+RUN_DIR_FILES = ("manifest.json", "metrics.jsonl", "checkpoint.igck", "per_sample.csv",
+                 "confusion_2d.csv", "confusion_3d.csv", "confusion_joint.csv",
+                 "aggregates.json")
 
 
 def _config(seed: int, **overrides) -> RunConfig:
@@ -56,13 +60,17 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _file_digest(write) -> str:
     """sha256 of the file that `write(path)` writes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "artefact")
         write(path)
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+        return _sha256(path)
 
 
 def main() -> None:
@@ -80,6 +88,11 @@ def main() -> None:
               f"{_file_digest(lambda path: save_dataset(dataset, path, mode=mode))}")
     result = Trainer(_config(0, **CE_ONLY)).run()
     print(f"checkpoint_train_ce seed=0 {_file_digest(lambda path: save_checkpoint(path, result))}")
+    print(f"manifest seed=0 {_file_digest(lambda path: write_manifest(dataset, path))}")
+    with tempfile.TemporaryDirectory() as tmp:
+        train(_config(0, **CE_ONLY), out_dir=tmp)
+        for name in RUN_DIR_FILES:
+            print(f"run_dir_train_ce seed=0 {name} {_sha256(os.path.join(tmp, name))}")
 
 
 if __name__ == "__main__":

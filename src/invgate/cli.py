@@ -10,7 +10,8 @@ import sys
 
 from .config import RunConfig, load_config, read_json_file
 from .data import GeneratorConfig, generate, load_dataset, save_dataset, write_manifest
-from .errors import CheckpointError, ContractError
+from .container import atomic_open
+from .errors import CheckpointError, ContractError, NumericError
 from .fusion import FusionConfig
 from .harness import ablate, ablation_csv, evaluate_checkpoint, train, write_eval_artifacts
 
@@ -21,7 +22,8 @@ def _load_generator_config(path: str) -> GeneratorConfig:
     """A bare generator config, or the generator of a run config (whose
     unknown keys raise ContractError)."""
     data = read_json_file(path)
-    if set(data) <= {f.name for f in dataclasses.fields(GeneratorConfig)}:
+    generator_keys = {f.name for f in dataclasses.fields(GeneratorConfig)}
+    if isinstance(data, dict) and set(data) <= generator_keys:
         return GeneratorConfig(**data)
     return RunConfig.from_dict(data).generator
 
@@ -119,7 +121,7 @@ def cmd_ablate(args) -> int:
     csv = ablation_csv(rows)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "results.csv"), "w") as fh:
+        with atomic_open(os.path.join(args.out, "results.csv")) as fh:
             fh.write(csv)
         print(f"wrote {os.path.join(args.out, 'results.csv')}")
     else:
@@ -185,7 +187,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ContractError, CheckpointError, OSError) as exc:
+    except (ContractError, CheckpointError, NumericError, OSError) as exc:
         print(f"invgate: error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,8 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .data import GeneratorConfig
+from .container import canonical_json  # noqa: F401  (re-exported)
+from .data import GeneratorConfig, require_finite
 from .errors import ContractError
 from .fusion import MODE_ALIASES
 from .losses import IRM_VARIANTS
@@ -72,6 +73,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.encoder_hidden = tuple(self.encoder_hidden)
+        require_finite(self)
         if self.encoder_init not in ("identity", "random"):
             raise ContractError(f"unknown encoder init {self.encoder_init!r}")
         if self.encoder_init == "identity":
@@ -104,9 +106,12 @@ class RunConfig:
         for name in ("rex_beta", "irm_lambda", "weight_decay"):
             if not getattr(self, name) >= 0.0:
                 raise ContractError(f"{name} must be non-negative")
-        for name in ("mining_warmup", "mining_period", "mining_topk", "output_dim"):
+        for name in ("mining_warmup", "mining_period", "mining_topk", "output_dim",
+                     "view_attention_hidden"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1")
+        if min(self.encoder_hidden, default=1) < 1:
+            raise ContractError("encoder_hidden widths must be >= 1")
         for name in ("posterior_p2", "posterior_p3"):
             if not (0.0 < getattr(self, name) <= 1.0):
                 raise ContractError(f"{name} must lie in (0, 1]")
@@ -128,28 +133,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ContractError(f"unknown config keys: {sorted(unknown)}")
-        gen = data.pop("generator", None)
+        kwargs = dict(_known_keys(data, cls, "config"))
+        gen = kwargs.pop("generator", None)
         if gen is not None and not isinstance(gen, GeneratorConfig):
-            gen_known = {f.name for f in dataclasses.fields(GeneratorConfig)}
-            gen_unknown = set(gen) - gen_known
-            if gen_unknown:
-                raise ContractError(f"unknown generator keys: {sorted(gen_unknown)}")
-            gen = GeneratorConfig(**gen)
-        kwargs = dict(data)
+            gen = GeneratorConfig(**_known_keys(gen, GeneratorConfig, "generator"))
         if gen is not None:
             kwargs["generator"] = gen
         return cls(**kwargs)
 
     def replace(self, **overrides) -> "RunConfig":
-        unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}
-        if unknown:
-            raise ContractError(f"unknown config keys: {sorted(unknown)}")
-        return dataclasses.replace(self, **overrides)
+        return dataclasses.replace(self, **_known_keys(overrides, RunConfig, "config"))
+
+
+def _known_keys(data, cls, what: str) -> dict:
+    """`data`, which must be a dict naming only fields of dataclass `cls`."""
+    if not isinstance(data, dict):
+        raise ContractError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ContractError(f"unknown {what} keys: {sorted(unknown)}")
+    return data
 
 
 def read_json_file(path: str, what: str = "config"):
@@ -164,6 +167,3 @@ def read_json_file(path: str, what: str = "config"):
 def load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(read_json_file(path))
 
-
-def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -13,18 +13,26 @@ substreams keep it so even if classes are generated out of order.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import container
 from .errors import CheckpointError, ContractError
 
 FORMAT_NAME = "invgate-dataset"
 FORMAT_VERSION = 1
 MAGIC = b"IGDS"
 SPLITS = ("train", "test")
+
+
+def require_finite(config) -> None:
+    """Reject a config dataclass with a NaN or infinite float field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ContractError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -44,6 +52,7 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if not (0.0 <= self.p_conflict <= 1.0):
             raise ContractError("p_conflict must lie in [0, 1]")
         if not (0.0 <= self.confound_shared_frac <= 1.0):
@@ -237,15 +246,9 @@ def bayes_oracle(dataset: Dataset, split: str = "test") -> float:
 # -- persistence ---------------------------------------------------------------
 
 
-def _header_bytes(cfg: GeneratorConfig, mode: str) -> bytes:
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "mode": mode,
-        "config": asdict(cfg),
-        "counts": {s: cfg.num_classes * cfg.shots for s in SPLITS},
-    }
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+def _header(cfg: GeneratorConfig, mode: str) -> dict:
+    return {"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": mode,
+            "config": asdict(cfg), "counts": {s: cfg.num_classes * cfg.shots for s in SPLITS}}
 
 
 def _sample_ints(sample: Sample) -> tuple[int, int, int, int]:
@@ -254,31 +257,24 @@ def _sample_ints(sample: Sample) -> tuple[int, int, int, int]:
 
 
 def save_dataset(dataset: Dataset, path: str, mode: str = "binary") -> None:
-    """Write the container; load->save is byte-stable in both modes."""
+    """Write the container, one sample at a time; load->save is byte-stable
+    in both modes."""
     if mode not in ("binary", "text"):
         raise ContractError(f"unknown mode {mode!r}")
-    cfg = dataset.config
+    samples = [*dataset.train, *dataset.test]
+    header = _header(dataset.config, mode)
     if mode == "binary":
-        header = _header_bytes(cfg, mode)
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(np.uint32(FORMAT_VERSION).tobytes())
-            fh.write(np.uint64(len(header)).tobytes())
-            fh.write(header)
-            for split in SPLITS:
-                for s in dataset.split(split):
-                    fh.write(np.asarray(_sample_ints(s), dtype="<i8").tobytes())
-                    fh.write(np.asarray(s.x3, dtype="<f8").tobytes())
-                    fh.write(np.asarray(s.views, dtype="<f8").tobytes())
+        container.write(path, MAGIC, FORMAT_VERSION, header, (
+            block for s in samples for block in (np.asarray(_sample_ints(s), dtype="<i8"),
+                                                 np.ascontiguousarray(s.x3, dtype="<f8"),
+                                                 np.ascontiguousarray(s.views, dtype="<f8"))))
         return
-    lines = [f"{FORMAT_NAME} v{FORMAT_VERSION} text", _header_bytes(cfg, mode).decode()]
-    for split in SPLITS:
-        for s in dataset.split(split):
+    with container.atomic_open(path) as fh:
+        fh.write(f"{FORMAT_NAME} v{FORMAT_VERSION} text\n{container.canonical_json(header)}\n")
+        for s in samples:
             ints = " ".join(str(v) for v in _sample_ints(s))
             floats = " ".join(repr(float(v)) for v in np.concatenate([s.x3, s.views.ravel()]))
-            lines.append(f"{ints} {floats}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            fh.write(f"{ints} {floats}\n")
 
 
 def _sample_from_parts(cfg, ints, flat):
@@ -294,31 +290,29 @@ def _sample_from_parts(cfg, ints, flat):
     )
 
 
-def _parse_header(raw: bytes, path: str) -> GeneratorConfig:
-    try:
-        header = json.loads(raw.decode())
-        if header["format"] != FORMAT_NAME:
-            raise CheckpointError(f"not a {FORMAT_NAME} file")
-        if header["version"] != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported dataset version {header['version']}")
+def _generator_config(header: dict, path: str) -> GeneratorConfig:
+    with container.malformed(path):
         return GeneratorConfig(**header["config"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: malformed dataset header: {exc!r}") from exc
+
+
+def _dataset(cfg: GeneratorConfig, samples: list[Sample], path: str) -> Dataset:
+    per_split = cfg.num_classes * cfg.shots
+    if len(samples) != 2 * per_split:
+        raise CheckpointError(f"{path}: expected {2 * per_split} samples, found {len(samples)}")
+    return Dataset(config=cfg, train=samples[:per_split], test=samples[per_split:])
 
 
 def load_dataset(path: str) -> Dataset:
-    """A dataset file of either mode; a truncated or malformed file raises
-    CheckpointError."""
+    """A dataset file of either mode, read one sample at a time; a truncated
+    or malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic == MAGIC:
-            return _load_binary(fh, path)
+        if fh.read(len(MAGIC)) == MAGIC:
+            return _load_binary(path)
     with open(path, "r", errors="replace") as fh:
         first = fh.readline().strip()
         if first != f"{FORMAT_NAME} v{FORMAT_VERSION} text":
             raise CheckpointError(f"unrecognized dataset file {path!r}")
-        cfg = _parse_header(fh.readline().strip().encode(), path)
-        per_split = cfg.num_classes * cfg.shots
+        cfg = _generator_config(container.parse_header(fh.readline(), path, FORMAT_NAME), path)
         n_fields = 4 + cfg.dim * (1 + cfg.num_views)
         samples = []
         for i, line in enumerate(fh, start=3):
@@ -335,41 +329,20 @@ def load_dataset(path: str) -> Dataset:
                 samples.append(_sample_from_parts(cfg, parts[:4], floats))
             except ValueError as exc:
                 raise CheckpointError(f"{path}: line {i}: {exc}") from exc
-    return _assemble(cfg, samples, per_split, path)
+    return _dataset(cfg, samples, path)
 
 
-def _load_binary(fh, path: str) -> Dataset:
-    size = os.fstat(fh.fileno()).st_size
-    raw = fh.read(12)
-    if len(raw) < 12:
-        raise CheckpointError(f"{path}: dataset truncated before its header")
-    version = int(np.frombuffer(raw[:4], dtype="<u4")[0])
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported dataset version {version}")
-    header_len = int(np.frombuffer(raw[4:], dtype="<u8")[0])
-    if fh.tell() + header_len > size:
-        raise CheckpointError(f"{path}: dataset truncated inside its header")
-    cfg = _parse_header(fh.read(header_len), path)
-    per_split = cfg.num_classes * cfg.shots
-    rec_floats = cfg.dim * (1 + cfg.num_views)
-    expected = fh.tell() + 2 * per_split * 8 * (4 + rec_floats)
-    if size != expected:
-        kind = "truncated" if size < expected else "followed by trailing bytes"
-        raise CheckpointError(f"{path}: dataset {kind} ({size} bytes, header implies {expected})")
-    samples = []
-    for _ in range(2 * per_split):
-        ints = np.frombuffer(fh.read(4 * 8), dtype="<i8")
-        raw = fh.read(rec_floats * 8)
-        samples.append(_sample_from_parts(cfg, ints, np.frombuffer(raw, dtype="<f8")))
-    return _assemble(cfg, samples, per_split, path)
-
-
-def _assemble(cfg, samples, per_split, path) -> Dataset:
-    if len(samples) != 2 * per_split:
-        raise CheckpointError(
-            f"{path}: expected {2 * per_split} samples, found {len(samples)}"
-        )
-    return Dataset(config=cfg, train=samples[:per_split], test=samples[per_split:])
+def _load_binary(path: str) -> Dataset:
+    with container.read(path, MAGIC, FORMAT_VERSION, FORMAT_NAME) as (header, take):
+        cfg = _generator_config(header, path)
+        record = 8 * (4 + cfg.dim * (1 + cfg.num_views))
+        samples = []
+        for i in range(2 * cfg.num_classes * cfg.shots):
+            raw = take(record, f"sample {i}")
+            ints = np.frombuffer(raw, dtype="<i8", count=4).tolist()
+            floats = np.frombuffer(raw, dtype="<f8", offset=32)
+            samples.append(_sample_from_parts(cfg, ints, floats))
+    return _dataset(cfg, samples, path)
 
 
 def write_manifest(dataset: Dataset, path: str) -> None:
@@ -392,5 +365,5 @@ def write_manifest(dataset: Dataset, path: str) -> None:
         for c, n in enumerate(counts):
             lines.append(f"  class {c}: {n}")
         lines.append("")
-    with open(path, "w") as fh:
+    with container.atomic_open(path) as fh:
         fh.write("\n".join(lines))

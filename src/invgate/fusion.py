@@ -27,7 +27,7 @@ class FusionConfig:
     mode: str = "multiplicative"
 
     def __post_init__(self):
-        if self.phi <= 0:
+        if not self.phi > 0:
             raise ContractError(f"phi must be positive, got {self.phi}")
         if self.mode not in MODE_ALIASES:
             raise ContractError(f"unknown fusion mode {self.mode!r}")

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import container
 from . import tensor as T
-from .checkpoint import read_checkpoint, write_checkpoint
-from .config import RunConfig, canonical_json
+from .config import RunConfig
+from .container import canonical_json
 from .data import Dataset, augment_3d, generate
 from .encoders import ClassHead, CrossAttention, GateMask, ModalityEncoder, MultiViewAggregator
 from .errors import CheckpointError, ContractError, NumericError
@@ -431,10 +432,10 @@ def train(cfg: RunConfig, dataset: Dataset | None = None,
         os.makedirs(out_dir, exist_ok=True)
         manifest = {"config": cfg.to_dict()}
         manifest.update(manifest_extra or {})
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        with container.atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        with open(os.path.join(out_dir, "metrics.jsonl"), "w") as fh:
+        with container.atomic_open(os.path.join(out_dir, "metrics.jsonl")) as fh:
             fh.write("\n".join(metrics_log_lines(result.metrics)) + "\n")
         save_checkpoint(os.path.join(out_dir, "checkpoint.igck"), result)
         rec = evaluate_model(result.model, trainer.dataset,
@@ -445,66 +446,76 @@ def train(cfg: RunConfig, dataset: Dataset | None = None,
 
 def write_eval_artifacts(rec: EvalRecord, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "per_sample.csv"), "w") as fh:
+    with container.atomic_open(os.path.join(out_dir, "per_sample.csv")) as fh:
         fh.write(rec.per_sample_csv())
     for tag, mat in (("2d", rec.confusion2), ("3d", rec.confusion3),
                      ("joint", rec.confusion_joint)):
-        with open(os.path.join(out_dir, f"confusion_{tag}.csv"), "w") as fh:
+        with container.atomic_open(os.path.join(out_dir, f"confusion_{tag}.csv")) as fh:
             fh.write(confusion_csv(mat))
-    with open(os.path.join(out_dir, "aggregates.json"), "w") as fh:
+    with container.atomic_open(os.path.join(out_dir, "aggregates.json")) as fh:
         json.dump(rec.aggregates(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 # -- checkpointing ---------------------------------------------------------------
 
+CHECKPOINT_MAGIC = b"IGCK"
+CHECKPOINT_FORMAT = "invgate-checkpoint"
+CHECKPOINT_VERSION = 1
+_VELOCITY = "opt.velocity."
+
 
 def save_checkpoint(path: str, result: TrainResult) -> None:
-    model, opt, cfg = result.model, result.optimizer, result.cfg
-    arrays = {name: p.data for name, p in model.named_params().items()}
-    for name, v in opt.named_velocity().items():
-        arrays[f"opt.velocity.{name}"] = v
-    state = opt.state
-    write_checkpoint(
-        path,
-        config=cfg.to_dict(),
-        epoch=state.epoch,
-        optimizer={
-            "base_lr": state.base_lr, "weight_decay": state.weight_decay,
-            "momentum": state.momentum, "epoch": state.epoch,
-            "total_epochs": state.total_epochs, "lr_min": state.lr_min,
-        },
-        arrays=arrays,
-    )
+    """Parameters and optimizer velocities as float64 arrays sorted by name,
+    so save -> load -> save is byte-identical."""
+    opt = result.optimizer
+    arrays = {name: p.data for name, p in result.model.named_params().items()}
+    arrays.update({_VELOCITY + name: v for name, v in opt.named_velocity().items()})
+    names = sorted(arrays)
+    header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+              "config": result.cfg.to_dict(), "epoch": int(opt.state.epoch),
+              "optimizer": asdict(opt.state),
+              "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names]}
+    container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
+                    (np.ascontiguousarray(arrays[n], dtype="<f8") for n in names))
 
 
 def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD, int]:
-    config_dict, epoch, opt_state, arrays = read_checkpoint(path)
-    cfg = RunConfig.from_dict(config_dict)
-    model = Model(cfg, input_dim=cfg.generator.dim)
-    params = model.named_params()
-
-    expected = sorted(params)
-    found = sorted(n for n in arrays if not n.startswith("opt.velocity."))
-    for name in expected:
-        if name not in arrays:
-            raise CheckpointError(f"{path}: missing parameter array '{name}'")
-        if arrays[name].shape != params[name].data.shape:
-            raise CheckpointError(
-                f"{path}: shape mismatch for '{name}': "
-                f"file {arrays[name].shape} vs model {params[name].data.shape}"
-            )
-    extra = [n for n in found if n not in params]
-    if extra:
-        raise CheckpointError(f"{path}: unexpected arrays {extra}")
-    for name in expected:
-        params[name].data = arrays[name].copy()
-
-    opt = SGD(model.param_groups(), OptimizerState(**opt_state))
-    opt.load_velocity({
-        n[len("opt.velocity."):]: a for n, a in arrays.items()
-        if n.startswith("opt.velocity.")
-    })
+    """(config, model, optimizer, epoch), one array per read. A damaged file,
+    a malformed header field, an array the model has no place for, a missing
+    parameter and a non-finite array each raise CheckpointError."""
+    with container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                        CHECKPOINT_FORMAT) as (header, take):
+        with container.malformed(path):
+            cfg = RunConfig.from_dict(header["config"])
+            opt_state = OptimizerState(**header["optimizer"])
+            entries = [(str(e["name"]), tuple(e["shape"])) for e in header["arrays"]]
+            epoch = header["epoch"]
+        model = Model(cfg, input_dim=cfg.generator.dim)
+        opt = SGD(model.param_groups(), opt_state)
+        params = model.named_params()
+        velocity: dict[str, np.ndarray] = {}
+        loaded: set[str] = set()
+        for name, shape in entries:
+            param = params.get(name.removeprefix(_VELOCITY))
+            if param is None:
+                raise CheckpointError(f"{path}: unexpected array '{name}'")
+            if shape != param.data.shape:
+                raise CheckpointError(f"{path}: shape mismatch for '{name}': "
+                                      f"file {shape} vs model {param.data.shape}")
+            raw = take(8 * param.data.size, f"array '{name}'")
+            arr = np.frombuffer(raw, dtype="<f8").reshape(param.data.shape).copy()
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: non-finite values in array '{name}'")
+            if name.startswith(_VELOCITY):
+                velocity[param.name] = arr
+            else:
+                param.data = arr
+                loaded.add(name)
+    missing = sorted(set(params) - loaded)
+    if missing:
+        raise CheckpointError(f"{path}: missing parameter array '{missing[0]}'")
+    opt.load_velocity(velocity)
     return cfg, model, opt, epoch
 
 

@@ -41,9 +41,9 @@ class OptimizerState:
     lr_min: float = 0.0
 
     def __post_init__(self):
-        if self.base_lr <= 0:
+        if not self.base_lr > 0:
             raise ContractError("base_lr must be positive")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ContractError("weight_decay must be non-negative")
         if not (0.0 <= self.momentum < 1.0):
             raise ContractError("momentum must lie in [0, 1)")

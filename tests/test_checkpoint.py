@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from invgate.cli import main
 from invgate.config import RunConfig
-from invgate.data import GeneratorConfig, generate
+from invgate.data import GeneratorConfig, generate, save_dataset
 from invgate.errors import CheckpointError, ContractError
 from invgate.fusion import FusionConfig
 from invgate.harness import (
@@ -79,6 +82,55 @@ def test_mismatched_config_names_offending_array(short_run, tmp_path):
     p.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + header_len:])
     with pytest.raises(CheckpointError, match="shape mismatch for '"):
         load_checkpoint(str(p))
+
+
+def _rewrite(path, edit_header=None, edit_payload=None):
+    """Rewrite a saved checkpoint's header and payload, keeping the preamble valid."""
+    raw = path.read_bytes()
+    header_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+    header = json.loads(raw[16: 16 + header_len].decode())
+    payload = bytearray(raw[16 + header_len:])
+    if edit_header is not None:
+        edit_header(header)
+    if edit_payload is not None:
+        edit_payload(payload)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + bytes(payload))
+    return header
+
+
+def _nan_first_array(payload):
+    payload[:8] = np.array([np.nan]).tobytes()
+
+
+HEADER_EDITS = {
+    "optimizer_unknown_key": (lambda h: h["optimizer"].update(bogus=1), None, "malformed header"),
+    "optimizer_without_base_lr": (lambda h: h["optimizer"].pop("base_lr"), None,
+                                  "malformed header"),
+    "optimizer_not_an_object": (lambda h: h.update(optimizer=[1, 2]), None, "malformed header"),
+    "optimizer_nan_base_lr": (lambda h: h["optimizer"].update(base_lr=float("nan")), None,
+                              "malformed header"),
+    "config_not_an_object": (lambda h: h.update(config=3), None, "malformed header"),
+    "config_a_list_of_pairs": (lambda h: h.update(config=[["epochs", 3]]), None,
+                               "malformed header"),
+    "nan_in_first_array": (None, _nan_first_array, "non-finite values in array '{first}'"),
+}
+
+
+@pytest.mark.parametrize("case", HEADER_EDITS)
+def test_malformed_header_field_is_a_one_line_error(short_run, tmp_path, capsys, case):
+    trainer, result = short_run
+    p, data = tmp_path / "run.igck", tmp_path / "data.igds"
+    save_checkpoint(str(p), result)
+    save_dataset(trainer.dataset, str(data))
+    edit_header, edit_payload, message = HEADER_EDITS[case]
+    header = _rewrite(p, edit_header, edit_payload)
+    with pytest.raises(CheckpointError, match=message.format(first=header["arrays"][0]["name"])):
+        load_checkpoint(str(p))
+    assert main(["eval", "--checkpoint", str(p), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invgate: error: {p}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_not_a_checkpoint(tmp_path):

@@ -69,6 +69,17 @@ def test_unreadable_config_is_a_one_line_error(tmp_path, capsys, command, conten
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "train"])
+@pytest.mark.parametrize("content", ["5", '[["epochs", 3]]'], ids=["number", "pairs"])
+def test_non_object_config_is_a_one_line_error(tmp_path, capsys, command, content):
+    p = tmp_path / "cfg.json"
+    p.write_text(content)
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invgate: error: config must be a JSON object")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_eval_truncated_checkpoint_is_a_one_line_error(tmp_path, tiny_config_file, capsys):
     cfg_path, _ = tiny_config_file
     data, run_dir = tmp_path / "data.igds", tmp_path / "run"
@@ -81,6 +92,25 @@ def test_eval_truncated_checkpoint_is_a_one_line_error(tmp_path, tiny_config_fil
     err = capsys.readouterr().err
     assert err.startswith("invgate: error: ") and "truncated" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_eval_nan_phi_is_a_one_line_error(artefacts, capsys):
+    assert main(["eval", "--checkpoint", str(artefacts["checkpoint"]),
+                 "--data", str(artefacts["binary"]), "--phi", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invgate: error: phi must be positive")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_diverging_train_is_a_one_line_error(tmp_path, tiny_config_file, capsys):
+    _, cfg = tiny_config_file
+    p = tmp_path / "diverging.json"
+    p.write_text(json.dumps(cfg.replace(enable_step1=False, invariance_on_all=True,
+                                        inv_theta=1e6).to_dict()))
+    assert main(["train", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == "invgate: error: non-finite loss at epoch 0, batch 0\n"
 
 
 @pytest.fixture(scope="module")

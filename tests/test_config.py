@@ -69,6 +69,13 @@ def test_replace_revalidates():
         cfg.replace(mining_rho=0.0)
 
 
+@pytest.mark.parametrize("data", [[["epochs", 3]], "epochs", 3, {"generator": [1]}],
+                         ids=["pairs", "string", "number", "generator_list"])
+def test_non_object_config_rejected(data):
+    with pytest.raises(ContractError, match="must be a JSON object"):
+        RunConfig.from_dict(data)
+
+
 def test_replace_rejects_unknown_keys():
     with pytest.raises(ContractError, match="unknown config keys"):
         RunConfig().replace(learning_rate=0.1)
@@ -95,10 +102,18 @@ def test_replace_rejects_unknown_keys():
     {"momentum": 1.0},
     {"view_attention_delta": 2.0},
     {"fusion_mode": "product"},
+    {"align_alpha": float("nan")},
+    {"enable_step1": False, "invariance_on_all": True, "inv_theta": float("nan")},
+    {"irm_variant": "mm_rex", "rex_lambda_min": float("nan")},
+    {"align_tau": float("inf")},
+    {"generator": {"sigma_invariant": float("nan")}},
+    {"use_view_attention": True, "view_attention_hidden": -1},
+    {"encoder_init": "random", "encoder_hidden": (-2,)},
+    {"encoder_init": "random", "encoder_hidden": (0,)},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_rejected_at_construction(overrides):
     with pytest.raises(ContractError):
-        RunConfig(**overrides)
+        RunConfig.from_dict(overrides)
 
 
 def test_boundary_values_accepted():

@@ -56,6 +56,11 @@ class TestFuse:
         with pytest.raises(ContractError):
             FusionConfig(phi=0.0)
 
+    @pytest.mark.parametrize("phi", [float("nan"), -float("inf")])
+    def test_nan_phi_rejected(self, phi):
+        with pytest.raises(ContractError):
+            FusionConfig(phi=phi)
+
     @given(arrays(np.float64, (5,), elements=st.floats(-8, 8)),
            arrays(np.float64, (5,), elements=st.floats(-8, 8)),
            st.floats(-5, 5))
