@@ -9,7 +9,11 @@ different mining thresholds for the two modalities (seed 0), and of the
 ablation CSV of the invariance_on_all cells for seed 0. Then one digest per
 written artefact: the binary and the text dataset of the seed-0 generator
 config, its manifest, the checkpoint of the CE-only baseline run, seed 0,
-and every file that run writes into its run directory. Two builds whose
+and every file that run writes into its run directory. Last, the metrics
+log of the default full run and of the CE-only baseline run, seed 0, each
+trained on the binary-loaded and on the text-loaded copy of its dataset
+(these equal the generated runs' digests), and the binary and the text
+dataset of the seed-0 generator config with shots=256. Two builds whose
 lines match train bit-identically on these inputs and write the same bytes:
 
     PYTHONPATH=src python scripts/metrics_digest.py
@@ -26,7 +30,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 from run_ablation import grid_cells  # noqa: E402  (scripts/ is on sys.path)
 
 from invgate.config import RunConfig  # noqa: E402
-from invgate.data import GeneratorConfig, generate, save_dataset, write_manifest  # noqa: E402
+from invgate.data import (  # noqa: E402
+    GeneratorConfig,
+    generate,
+    load_dataset,
+    save_dataset,
+    write_manifest,
+)
 from invgate.harness import (  # noqa: E402
     Trainer,
     ablate,
@@ -47,6 +57,7 @@ RUNS = (
     ("25d_view_attention", [0], {"include_25d": True, "use_view_attention": True}),
     ("posterior_split", [0], {"posterior_p2": 0.3, "posterior_p3": 0.7}),
 )
+LOADED_RUNS = (("train_full", {}), ("train_ce", CE_ONLY))
 RUN_DIR_FILES = ("manifest.json", "metrics.jsonl", "checkpoint.igck", "per_sample.csv",
                  "confusion_2d.csv", "confusion_3d.csv", "confusion_joint.csv",
                  "aggregates.json")
@@ -54,6 +65,10 @@ RUN_DIR_FILES = ("manifest.json", "metrics.jsonl", "checkpoint.igck", "per_sampl
 
 def _config(seed: int, **overrides) -> RunConfig:
     return RunConfig(seed=seed, generator=GeneratorConfig(seed=seed), **overrides)
+
+
+def _log_digest(metrics: list[dict]) -> str:
+    return _digest("\n".join(metrics_log_lines(metrics)))
 
 
 def _digest(text: str) -> str:
@@ -77,7 +92,7 @@ def main() -> None:
     for name, seeds, overrides in RUNS:
         for seed in seeds:
             metrics = Trainer(_config(seed, **overrides)).run().metrics
-            print(f"{name} seed={seed} {_digest(chr(10).join(metrics_log_lines(metrics)))}")
+            print(f"{name} seed={seed} {_log_digest(metrics)}")
     base = _config(0)
     cells = [cell for cell in grid_cells() if cell.get("invariance_on_all")]
     rows = ablate(base, cells, dataset=generate(base.generator))
@@ -93,6 +108,17 @@ def main() -> None:
         train(_config(0, **CE_ONLY), out_dir=tmp)
         for name in RUN_DIR_FILES:
             print(f"run_dir_train_ce seed=0 {name} {_sha256(os.path.join(tmp, name))}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode in ("binary", "text"):
+            path = os.path.join(tmp, f"dataset.{mode}")
+            save_dataset(dataset, path, mode=mode)
+            for name, overrides in LOADED_RUNS:
+                metrics = Trainer(_config(0, **overrides), load_dataset(path)).run().metrics
+                print(f"{name} seed=0 loaded={mode} {_log_digest(metrics)}")
+    large = generate(GeneratorConfig(seed=0, shots=256))
+    for mode in ("binary", "text"):
+        print(f"dataset_{mode} seed=0 shots=256 "
+              f"{_file_digest(lambda path: save_dataset(large, path, mode=mode))}")
 
 
 if __name__ == "__main__":

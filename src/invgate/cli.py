@@ -78,7 +78,8 @@ def cmd_generate(args) -> int:
     dataset = generate(cfg)
     save_dataset(dataset, args.out, mode="text" if args.text else "binary")
     write_manifest(dataset, args.manifest or args.out + ".manifest")
-    print(f"wrote {args.out} ({len(dataset.train)} train / {len(dataset.test)} test)")
+    n_train, n_test = (len(dataset.arrays(name)[2]) for name in ("train", "test"))
+    print(f"wrote {args.out} ({n_train} train / {n_test} test)")
     return 0
 
 

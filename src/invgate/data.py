@@ -14,7 +14,9 @@ substreams keep it so even if classes are generated out of order.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+import os
+from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,58 +72,74 @@ class GeneratorConfig:
         return self.invariant_dim + self.confound_dim
 
 
-@dataclass
+@dataclass(eq=False)
 class Sample:
+    """One split row as views into the split's arrays; see `Dataset.train`."""
+
     label: int
     x3: np.ndarray                      # [dim]
     views: np.ndarray                   # [num_views, dim]
     planted_hard: bool = False
     hard_targets: tuple[int, int] | None = None   # (wrong 2d class, wrong 3d class)
 
-    def __post_init__(self):
-        if self.planted_hard:
-            if self.hard_targets is None:
-                raise ContractError("planted samples must carry their wrong-class targets")
-            r2, r3 = self.hard_targets
-            if r2 == r3 or self.label in (r2, r3):
-                raise ContractError("wrong-class targets must be distinct and != label")
 
-    def __eq__(self, other):
-        return (isinstance(other, Sample) and (self.label, self.planted_hard, self.hard_targets)
-                == (other.label, other.planted_hard, other.hard_targets)
-                and np.array_equal(self.x3, other.x3) and np.array_equal(self.views, other.views))
+class Split(NamedTuple):
+    """One split's rows as aligned arrays."""
+
+    x3: np.ndarray          # [n, dim]
+    views: np.ndarray       # [n, num_views, dim]
+    labels: np.ndarray      # [n]
+    planted: np.ndarray     # [n] bool: the generator planted a conflict in this row
+    targets: np.ndarray     # [n, 2] a planted row's (wrong 2d class, wrong 3d class), else -1
+
+    def rows(self) -> list[Sample]:
+        return [Sample(label, x3, views, planted, tuple(targets) if planted else None)
+                for label, x3, views, planted, targets in zip(
+                    self.labels.tolist(), self.x3, self.views, self.planted.tolist(),
+                    self.targets.tolist())]
 
 
 @dataclass
 class Dataset:
-    """Two splits of samples. The sample lists are not mutated after
-    construction: `arrays` stacks each split once and keeps the result."""
+    """Two splits, each held once as a `Split` of read-only arrays."""
 
     config: GeneratorConfig
-    train: list[Sample]
-    test: list[Sample]
-    _stacked: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    splits: dict[str, Split]
+
+    def __post_init__(self):
+        c = self.config.num_classes
+        for name, split in self.splits.items():
+            labels, (r2, r3) = split.labels, split.targets.T
+            planted_ok = ((r2 != r3) & (r2 != labels) & (r3 != labels)
+                          & (np.minimum(r2, r3) >= 0) & (np.maximum(r2, r3) < c))
+            ok = (labels >= 0) & (labels < c) & np.where(split.planted, planted_ok,
+                                                         (r2 == -1) & (r3 == -1))
+            if not ok.all():
+                raise ContractError(
+                    f"{name} row {np.argmin(ok)}: labels must lie in [0, {c}); a planted row's "
+                    f"targets must be two distinct classes other than its label, others' -1")
+            for arr in split:
+                arr.flags.writeable = False
 
     def __eq__(self, other):
         return (isinstance(other, Dataset) and self.config == other.config
-                and self.train == other.train and self.test == other.test)
-
-    def split(self, name: str) -> list[Sample]:
-        if name not in SPLITS:
-            raise ContractError(f"unknown split {name!r}")
-        return self.train if name == "train" else self.test
+                and all(np.array_equal(a, b) for name in SPLITS
+                        for a, b in zip(self.splits[name], other.splits[name])))
 
     def arrays(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x3 [n, d], views [n, N, d], labels [n]) for one split, read-only."""
-        if name not in self._stacked:
-            samples = self.split(name)
-            stacked = (np.stack([s.x3 for s in samples]),
-                       np.stack([s.views for s in samples]),
-                       np.array([s.label for s in samples], dtype=int))
-            for arr in stacked:
-                arr.flags.writeable = False
-            self._stacked[name] = stacked
-        return self._stacked[name]
+        if name not in SPLITS:
+            raise ContractError(f"unknown split {name!r}")
+        return self.splits[name][:3]
+
+    # Row views for perfbench/workloads.py, their one remaining reader: len, + and every field.
+    @property
+    def train(self) -> list[Sample]:
+        return self.splits["train"].rows()
+
+    @property
+    def test(self) -> list[Sample]:
+        return self.splits["test"].rows()
 
 
 def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -160,51 +178,36 @@ def class_means(cfg: GeneratorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return mu, nu2, nu3
 
 
-def _draw_sample(cfg, rng, label, mu, nu2, nu3) -> Sample:
-    planted = bool(rng.random() < cfg.p_conflict)
-    if planted:
-        others = [c for c in range(cfg.num_classes) if c != label]
-        r2 = int(rng.choice(others))
-        r3 = int(rng.choice([c for c in others if c != r2]))
-        t2, t3 = r2, r3
-    else:
-        r2 = r3 = None
-        t2 = t3 = label
-
-    inv3 = mu[label] + cfg.sigma_invariant * rng.normal(size=cfg.invariant_dim)
-    con3 = nu3[t3] + cfg.sigma_confound * rng.normal(size=cfg.confound_dim)
-    x3 = np.concatenate([inv3, con3])
-
-    inv2 = mu[label] + cfg.sigma_invariant * rng.normal(size=cfg.invariant_dim)
-    con2 = nu2[t2] + cfg.sigma_confound * rng.normal(size=cfg.confound_dim)
-    base2 = np.concatenate([inv2, con2])
-    view_noise = 0.5 * cfg.sigma_invariant
-    views = base2[None, :] + view_noise * rng.normal(size=(cfg.num_views, cfg.dim))
-
-    return Sample(
-        label=label,
-        x3=x3,
-        views=views,
-        planted_hard=planted,
-        hard_targets=(r2, r3) if planted else None,
-    )
-
-
 def generate(cfg: GeneratorConfig) -> Dataset:
-    """Deterministic train/test splits, `shots` samples per class each."""
+    """Deterministic train/test splits, `shots` samples per class each, drawn
+    row by row from one stream per (split, class)."""
     mu, nu2, nu3 = class_means(cfg)
-    splits: dict[str, list[Sample]] = {}
-    for split_idx, split_name in enumerate(SPLITS):
-        samples: list[Sample] = []
-        for label in range(cfg.num_classes):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, split_idx, label, 0xD5])
-            )
-            samples.extend(
-                _draw_sample(cfg, rng, label, mu, nu2, nu3) for _ in range(cfg.shots)
-            )
-        splits[split_name] = samples
-    return Dataset(config=cfg, train=splits["train"], test=splits["test"])
+    n, d = cfg.num_classes * cfg.shots, cfg.invariant_dim
+    splits = {}
+    for split_idx, name in enumerate(SPLITS):
+        rows = Split(np.empty((n, cfg.dim)), np.empty((n, cfg.num_views, cfg.dim)),
+                     np.repeat(np.arange(cfg.num_classes), cfg.shots),
+                     np.zeros(n, dtype=bool), np.full((n, 2), -1))
+        for i, label in enumerate(rows.labels.tolist()):
+            if i % cfg.shots == 0:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([cfg.seed, split_idx, label, 0xD5]))
+            t2 = t3 = label
+            if rng.random() < cfg.p_conflict:
+                others = [c for c in range(cfg.num_classes) if c != label]
+                t2 = int(rng.choice(others))
+                t3 = int(rng.choice([c for c in others if c != t2]))
+                rows.planted[i] = True
+                rows.targets[i] = (t2, t3)
+            rows.x3[i, :d] = mu[label] + cfg.sigma_invariant * rng.normal(size=d)
+            rows.x3[i, d:] = nu3[t3] + cfg.sigma_confound * rng.normal(size=cfg.confound_dim)
+            base2 = np.concatenate([
+                mu[label] + cfg.sigma_invariant * rng.normal(size=d),
+                nu2[t2] + cfg.sigma_confound * rng.normal(size=cfg.confound_dim)])
+            rows.views[i] = base2 + 0.5 * cfg.sigma_invariant * rng.normal(
+                size=(cfg.num_views, cfg.dim))
+        splits[name] = rows
+    return Dataset(cfg, splits)
 
 
 def augment_3d(
@@ -226,17 +229,15 @@ def augment_3d(
     return x3 * scale * wobble + jitter
 
 
-def bayes_oracle(dataset: Dataset, split: str = "test") -> float:
+def bayes_oracle(dataset: Dataset) -> float:
     """Accuracy of nearest-class-mean on the invariant block alone.
 
     This is the reference classifier that confounders cannot touch; it
     upper-bounds what invariant information supports.
     """
-    if dataset.config is None:
-        raise ContractError("dataset carries no generator config")
     cfg = dataset.config
     mu, _, _ = class_means(cfg)
-    x3, _, labels = dataset.arrays(split)
+    x3, _, labels = dataset.arrays("test")
     inv = x3[:, : cfg.invariant_dim]
     dists = np.linalg.norm(inv[:, None, :] - mu[None, :, :], axis=-1)
     preds = dists.argmin(axis=1)
@@ -246,48 +247,37 @@ def bayes_oracle(dataset: Dataset, split: str = "test") -> float:
 # -- persistence ---------------------------------------------------------------
 
 
-def _header(cfg: GeneratorConfig, mode: str) -> dict:
-    return {"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": mode,
-            "config": asdict(cfg), "counts": {s: cfg.num_classes * cfg.shots for s in SPLITS}}
+def _record_dtype(cfg: GeneratorConfig) -> np.dtype:
+    """One row on file in both modes, its fields named as in `Split`."""
+    return np.dtype([("labels", "<i8"), ("planted", "<i8"), ("targets", "<i8", (2,)),
+                     ("x3", "<f8", (cfg.dim,)), ("views", "<f8", (cfg.num_views, cfg.dim))])
 
 
-def _sample_ints(sample: Sample) -> tuple[int, int, int, int]:
-    r2, r3 = sample.hard_targets if sample.hard_targets else (-1, -1)
-    return sample.label, int(sample.planted_hard), r2, r3
+def _words(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A record array as 8-byte words: (the four ints [n, 4], the floats [n, k])."""
+    n = len(records)
+    return records.view("<i8").reshape(n, -1)[:, :4], records.view("<f8").reshape(n, -1)[:, 4:]
 
 
 def save_dataset(dataset: Dataset, path: str, mode: str = "binary") -> None:
-    """Write the container, one sample at a time; load->save is byte-stable
-    in both modes."""
+    """Write the container: one record array per split in binary mode, one
+    line per record in text mode; load->save is byte-stable in both."""
     if mode not in ("binary", "text"):
         raise ContractError(f"unknown mode {mode!r}")
-    samples = [*dataset.train, *dataset.test]
-    header = _header(dataset.config, mode)
+    cfg, dtype = dataset.config, _record_dtype(dataset.config)
+    records = (np.rec.fromarrays([getattr(dataset.splits[name], f) for f in dtype.names],
+                                 dtype=dtype) for name in SPLITS)
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": mode,
+              "config": asdict(cfg), "counts": {s: cfg.num_classes * cfg.shots for s in SPLITS}}
     if mode == "binary":
-        container.write(path, MAGIC, FORMAT_VERSION, header, (
-            block for s in samples for block in (np.asarray(_sample_ints(s), dtype="<i8"),
-                                                 np.ascontiguousarray(s.x3, dtype="<f8"),
-                                                 np.ascontiguousarray(s.views, dtype="<f8"))))
+        container.write(path, MAGIC, FORMAT_VERSION, header, records)
         return
     with container.atomic_open(path) as fh:
         fh.write(f"{FORMAT_NAME} v{FORMAT_VERSION} text\n{container.canonical_json(header)}\n")
-        for s in samples:
-            ints = " ".join(str(v) for v in _sample_ints(s))
-            floats = " ".join(repr(float(v)) for v in np.concatenate([s.x3, s.views.ravel()]))
-            fh.write(f"{ints} {floats}\n")
-
-
-def _sample_from_parts(cfg, ints, flat):
-    label, planted, r2, r3 = (int(v) for v in ints)
-    x3 = flat[: cfg.dim].copy()
-    views = flat[cfg.dim:].reshape(cfg.num_views, cfg.dim).copy()
-    return Sample(
-        label=label,
-        x3=x3,
-        views=views,
-        planted_hard=bool(planted),
-        hard_targets=(r2, r3) if planted else None,
-    )
+        for split_records in records:
+            ints, floats = _words(split_records)
+            for row_ints, row_floats in zip(ints.tolist(), floats):
+                fh.write(" ".join([*map(str, row_ints), *map(repr, row_floats.tolist())]) + "\n")
 
 
 def _generator_config(header: dict, path: str) -> GeneratorConfig:
@@ -295,26 +285,39 @@ def _generator_config(header: dict, path: str) -> GeneratorConfig:
         return GeneratorConfig(**header["config"])
 
 
-def _dataset(cfg: GeneratorConfig, samples: list[Sample], path: str) -> Dataset:
-    per_split = cfg.num_classes * cfg.shots
-    if len(samples) != 2 * per_split:
-        raise CheckpointError(f"{path}: expected {2 * per_split} samples, found {len(samples)}")
-    return Dataset(config=cfg, train=samples[:per_split], test=samples[per_split:])
-
-
 def load_dataset(path: str) -> Dataset:
-    """A dataset file of either mode, read one sample at a time; a truncated
-    or malformed file raises CheckpointError."""
+    """A dataset file of either mode. A truncated or malformed file, and rows
+    that break a `Dataset` check, raise CheckpointError naming `path`."""
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) == MAGIC:
-            return _load_binary(path)
+        binary = fh.read(len(MAGIC)) == MAGIC
+    if binary:      # one read per split
+        with container.read(path, MAGIC, FORMAT_VERSION, FORMAT_NAME) as (header, take):
+            cfg = _generator_config(header, path)
+            dtype, n = _record_dtype(cfg), cfg.num_classes * cfg.shots
+            records = [np.frombuffer(take(n * dtype.itemsize, f"the {name} split"), dtype)
+                       for name in SPLITS]
+    else:
+        cfg, records = _read_text(path)
+    try:
+        return Dataset(cfg, {name: Split(r["x3"].copy(), r["views"].copy(), r["labels"].copy(),
+                                         r["planted"].astype(bool), r["targets"].copy())
+                             for name, r in zip(SPLITS, records)})
+    except ContractError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+
+
+def _read_text(path: str) -> tuple[GeneratorConfig, list[np.ndarray]]:
+    """The config and each split's records, read line by line into one array."""
     with open(path, "r", errors="replace") as fh:
-        first = fh.readline().strip()
-        if first != f"{FORMAT_NAME} v{FORMAT_VERSION} text":
+        if fh.readline().strip() != f"{FORMAT_NAME} v{FORMAT_VERSION} text":
             raise CheckpointError(f"unrecognized dataset file {path!r}")
         cfg = _generator_config(container.parse_header(fh.readline(), path, FORMAT_NAME), path)
-        n_fields = 4 + cfg.dim * (1 + cfg.num_views)
-        samples = []
+        n, n_fields = cfg.num_classes * cfg.shots, 4 + cfg.dim * (1 + cfg.num_views)
+        if 4 * n * n_fields > os.fstat(fh.fileno()).st_size:   # two characters a field
+            raise CheckpointError(f"{path}: the header declares more samples than the file holds")
+        records = np.empty(2 * n, _record_dtype(cfg))
+        ints, floats = _words(records)
+        count = 0
         for i, line in enumerate(fh, start=3):
             if not line.endswith("\n"):
                 raise CheckpointError(f"{path}: dataset truncated in line {i}")
@@ -324,25 +327,17 @@ def load_dataset(path: str) -> Dataset:
             if len(parts) != n_fields:
                 raise CheckpointError(
                     f"{path}: line {i} has {len(parts)} fields, expected {n_fields}")
+            if count == 2 * n:
+                raise CheckpointError(f"{path}: line {i}: more than {2 * n} samples")
             try:
-                floats = np.array([float(v) for v in parts[4:]])
-                samples.append(_sample_from_parts(cfg, parts[:4], floats))
-            except ValueError as exc:
+                ints[count] = [int(v) for v in parts[:4]]
+                floats[count] = [float(v) for v in parts[4:]]
+            except (ValueError, OverflowError) as exc:
                 raise CheckpointError(f"{path}: line {i}: {exc}") from exc
-    return _dataset(cfg, samples, path)
-
-
-def _load_binary(path: str) -> Dataset:
-    with container.read(path, MAGIC, FORMAT_VERSION, FORMAT_NAME) as (header, take):
-        cfg = _generator_config(header, path)
-        record = 8 * (4 + cfg.dim * (1 + cfg.num_views))
-        samples = []
-        for i in range(2 * cfg.num_classes * cfg.shots):
-            raw = take(record, f"sample {i}")
-            ints = np.frombuffer(raw, dtype="<i8", count=4).tolist()
-            floats = np.frombuffer(raw, dtype="<f8", offset=32)
-            samples.append(_sample_from_parts(cfg, ints, floats))
-    return _dataset(cfg, samples, path)
+            count += 1
+    if count != 2 * n:
+        raise CheckpointError(f"{path}: expected {2 * n} samples, found {count}")
+    return cfg, [records[:n], records[n:]]
 
 
 def write_manifest(dataset: Dataset, path: str) -> None:
@@ -357,12 +352,10 @@ def write_manifest(dataset: Dataset, path: str) -> None:
         f"p_conflict: {cfg.p_conflict}",
         "",
     ]
-    for split in SPLITS:
-        samples = dataset.split(split)
-        planted = sum(s.planted_hard for s in samples)
-        lines.append(f"[{split}] total={len(samples)} planted_hard={planted}")
-        counts = np.bincount([s.label for s in samples], minlength=cfg.num_classes)
-        for c, n in enumerate(counts):
+    for name in SPLITS:
+        split = dataset.splits[name]
+        lines.append(f"[{name}] total={len(split.labels)} planted_hard={split.planted.sum()}")
+        for c, n in enumerate(np.bincount(split.labels, minlength=cfg.num_classes)):
             lines.append(f"  class {c}: {n}")
         lines.append("")
     with container.atomic_open(path) as fh:

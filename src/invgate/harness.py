@@ -163,9 +163,8 @@ def _branch_outputs(model: Model, x3: np.ndarray, views: np.ndarray):
     return logits2.data, logits3.data
 
 
-def evaluate_model(model: Model, dataset: Dataset, fusion: FusionConfig,
-                   split: str = "test") -> EvalRecord:
-    x3, views, labels = dataset.arrays(split)
+def evaluate_model(model: Model, dataset: Dataset, fusion: FusionConfig) -> EvalRecord:
+    x3, views, labels = dataset.arrays("test")
     logits2, logits3 = _branch_outputs(model, x3, views)
     scores = fuse(logits2, logits3, fusion)
     return EvalRecord(
@@ -392,6 +391,10 @@ class Trainer:
                 if val is not None:
                     sums[key] += val
                     counts[key] += 1
+        # the loss check above runs before each step, so it cannot see the last one
+        for name, param in self.model.named_params().items():
+            if not np.isfinite(param.data).all():
+                raise NumericError(f"non-finite parameter '{name}' after epoch {epoch}")
 
         rec = evaluate_model(self.model, self.dataset,
                              FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from invgate.cli import main
@@ -113,6 +114,17 @@ def test_diverging_train_is_a_one_line_error(tmp_path, tiny_config_file, capsys)
     assert err == "invgate: error: non-finite loss at epoch 0, batch 0\n"
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_parameters_are_a_one_line_error(tmp_path, tiny_config_file, capsys):
+    _, cfg = tiny_config_file
+    p = tmp_path / "huge_lr.json"
+    p.write_text(json.dumps(cfg.replace(base_lr=1e300).to_dict()))
+    assert main(["train", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invgate: error: non-finite parameter '") and "after epoch 0" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def artefacts(tmp_path_factory):
     """A binary and a text dataset, and a checkpoint trained on the binary one."""
@@ -157,6 +169,36 @@ def test_damaged_artefact_is_a_one_line_error(artefacts, tmp_path, capsys, artef
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invgate: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", ["equal_targets", "label_99"])
+@pytest.mark.parametrize("artefact", ["binary", "text"])
+def test_invalid_row_is_a_one_line_error(artefacts, tmp_path, capsys, artefact, edit):
+    """A row that breaks a dataset check: a planted row whose two wrong-class
+    targets are equal, or a label outside [0, 4)."""
+    train = load_dataset(str(artefacts["binary"])).splits["train"]
+    row = int(np.argmax(train.planted))
+    assert train.planted[row]
+    word, value = (0, 99) if edit == "label_99" else (3, int(train.targets[row, 0]))
+    blob = artefacts[artefact].read_bytes()
+    if artefact == "binary":    # magic, version, header length, header, 34 words a row
+        at = 16 + int.from_bytes(blob[8:16], "little") + 8 * (34 * row + word)
+        blob = blob[:at] + np.int64(value).tobytes() + blob[at + 8:]
+    else:                       # two header lines, one line a row
+        lines = blob.split(b"\n")
+        fields = lines[2 + row].split(b" ")
+        fields[word] = str(value).encode()
+        lines[2 + row] = b" ".join(fields)
+        blob = b"\n".join(lines)
+    bad = tmp_path / "bad"
+    bad.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=f"train row {row}: "):
+        load_dataset(str(bad))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(artefacts["checkpoint"]), "--data", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invgate: error: {bad}: train row {row}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -1,12 +1,21 @@
-import dataclasses
+import os
+import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from invgate import container
 from invgate.data import (
+    FORMAT_NAME,
+    FORMAT_VERSION,
+    MAGIC,
+    SPLITS,
     Dataset,
     GeneratorConfig,
-    Sample,
+    Split,
     augment_3d,
     bayes_oracle,
     class_means,
@@ -27,17 +36,26 @@ def small_cfg(**kw):
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    for split in ("train", "test"):
-        for sa, sb in zip(a.split(split), b.split(split)):
-            if sa.label != sb.label or sa.planted_hard != sb.planted_hard:
-                return False
-            if sa.hard_targets != sb.hard_targets:
-                return False
-            if sa.x3.tobytes() != sb.x3.tobytes():
-                return False
-            if sa.views.tobytes() != sb.views.tobytes():
-                return False
-    return True
+    return a == b and all(np.array_equal(a.splits[s].targets, b.splits[s].targets)
+                          and np.array_equal(a.splits[s].planted, b.splits[s].planted)
+                          for s in SPLITS)
+
+
+def copied_splits(ds: Dataset) -> dict[str, Split]:
+    return {name: Split(*(arr.copy() for arr in ds.splits[name])) for name in SPLITS}
+
+
+def reference_binary(ds: Dataset, path: str) -> None:
+    """The binary layout written one sample at a time: per sample, label,
+    planted and the two targets (-1 when not planted) as <i8, then x3 and
+    the views as <f8."""
+    cfg = ds.config
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": "binary",
+              "config": asdict(cfg), "counts": {s: cfg.num_classes * cfg.shots for s in SPLITS}}
+    container.write(path, MAGIC, FORMAT_VERSION, header, (
+        block for s in ds.train + ds.test
+        for block in (np.array([s.label, s.planted_hard, *(s.hard_targets or (-1, -1))], "<i8"),
+                      np.ascontiguousarray(s.x3, "<f8"), np.ascontiguousarray(s.views, "<f8"))))
 
 
 class TestGenerate:
@@ -104,19 +122,38 @@ class TestGenerate:
 class TestEquality:
     def test_equal_configs_give_equal_datasets(self):
         a, b = generate(small_cfg()), generate(small_cfg())
-        a.arrays("train")                       # a filled cache is not compared
         assert a == b and not (a != b)
-        assert a.train[0] == b.train[0]
 
     @pytest.mark.parametrize("name", ["label", "x3", "hard_targets"])
     def test_one_changed_field_gives_unequal(self, name):
-        a, b = generate(small_cfg()), generate(small_cfg())
-        i = next(i for i, s in enumerate(b.test) if s.planted_hard == (name == "hard_targets"))
-        s = b.test[i]
-        new = {"label": (s.label + 1) % 5, "x3": s.x3 + np.eye(1, s.x3.size, 2)[0],
-               "hard_targets": s.hard_targets and s.hard_targets[::-1]}[name]
-        b.test[i] = dataclasses.replace(s, **{name: new})
-        assert a != b and a.test[i] != b.test[i]
+        a = generate(small_cfg())
+        splits = copied_splits(a)
+        test = splits["test"]
+        i = int(np.argmax(test.planted == (name == "hard_targets")))
+        if name == "label":
+            test.labels[i] = (test.labels[i] + 1) % 5
+        elif name == "x3":
+            test.x3[i, 2] += 1.0
+        else:
+            test.targets[i] = test.targets[i, ::-1].copy()
+        b = Dataset(a.config, splits)
+        assert a != b and b != a
+
+    @pytest.mark.parametrize("p_conflict, field, value", [
+        (1.0, "targets", (2, 2)),       # two equal targets
+        (1.0, "targets", (0, 3)),       # a target equal to the label
+        (1.0, "targets", (3, 5)),       # a target outside [0, num_classes)
+        (1.0, "labels", 99),
+        (0.0, "targets", (1, 2)),       # targets on a row that is not planted
+    ], ids=["equal_targets", "target_is_label", "target_out_of_range", "label_99",
+            "unplanted_with_targets"])
+    def test_invalid_row_rejected_at_construction(self, p_conflict, field, value):
+        a = generate(small_cfg(p_conflict=p_conflict))
+        splits = copied_splits(a)
+        i = int(np.argmax(splits["train"].labels == 0))   # label 0, planted iff p_conflict is 1
+        getattr(splits["train"], field)[i] = value
+        with pytest.raises(ContractError, match=f"train row {i}: "):
+            Dataset(a.config, splits)
 
     def test_different_seed_unequal(self):
         assert generate(small_cfg()) != generate(small_cfg(seed=12))
@@ -198,6 +235,27 @@ class TestPersistence:
         save_dataset(load_dataset(str(p1)), str(p2), mode=mode)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @settings(max_examples=25, deadline=None)
+    @given(num_classes=st.integers(3, 5), shots=st.integers(1, 3), num_views=st.integers(1, 3),
+           invariant_dim=st.integers(1, 4), confound_dim=st.integers(1, 4),
+           p_conflict=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**16))
+    def test_files_match_a_per_sample_writer(self, **fields):
+        ds = generate(GeneratorConfig(**fields))
+        with tempfile.TemporaryDirectory() as tmp:
+            ref, path, again = (os.path.join(tmp, name) for name in ("ref", "file", "again"))
+            reference_binary(ds, ref)
+            for mode in ("binary", "text"):
+                save_dataset(ds, path, mode=mode)
+                loaded = load_dataset(path)
+                assert datasets_equal(loaded, ds)
+                save_dataset(loaded, again, mode=mode)
+                with open(path, "rb") as a, open(again, "rb") as b:
+                    blob = a.read()
+                    assert blob == b.read()
+                if mode == "binary":
+                    with open(ref, "rb") as r:
+                        assert blob == r.read()
+
     def test_truncated_binary_rejected(self, tmp_path):
         ds = generate(small_cfg())
         p = tmp_path / "data.bin"
@@ -231,20 +289,17 @@ class TestArrays:
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_values_equal_a_fresh_stack(self, split):
+        # the rows of `train`/`test` are the arrays' rows, as perfbench reads them
         ds = generate(small_cfg())
-        ds.arrays(split)
         x3, views, labels = ds.arrays(split)
-        samples = ds.split(split)
+        planted, targets = ds.splits[split].planted, ds.splits[split].targets
+        samples = getattr(ds, split)
         assert np.array_equal(x3, np.stack([s.x3 for s in samples]))
         assert np.array_equal(views, np.stack([s.views for s in samples]))
         assert np.array_equal(labels, [s.label for s in samples]) and labels.dtype == int
-
-    def test_cache_is_not_compared_or_shown(self):
-        ds = generate(small_cfg())
-        ds.arrays("train")
-        cache, = [f for f in dataclasses.fields(Dataset) if f.name == "_stacked"]
-        assert not (cache.compare or cache.repr or cache.init)
-        assert "_stacked" not in repr(ds)
+        assert [s.planted_hard for s in samples] == planted.tolist() and planted.any()
+        assert [s.hard_targets for s in samples] == [
+            tuple(t) if p else None for t, p in zip(targets.tolist(), planted)]
 
     def test_unknown_split_rejected(self):
         with pytest.raises(ContractError):

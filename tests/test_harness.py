@@ -8,6 +8,7 @@ from invgate import tensor as T
 from invgate.config import RunConfig
 from invgate.data import GeneratorConfig, generate
 from invgate.encoders import ModalityEncoder
+from invgate.errors import NumericError
 from invgate.fusion import FusionConfig
 from invgate.harness import (
     Model,
@@ -81,6 +82,18 @@ class TestTrainingLoop:
         result = trainer.run()
         assert trainer.model.gate.mask_logits.data.tobytes() == before
         assert all(m["inv_batches"] == 0 for m in result.metrics)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mining", [True, False])
+    def test_non_finite_parameters_name_the_epoch(self, mining):
+        # the last step of epoch 0 overflows the parameters; no later batch
+        # loss is computed from them before the test split is evaluated
+        gen = GeneratorConfig(num_classes=4, shots=4, invariant_dim=6, confound_dim=4,
+                              num_views=2, seed=0)
+        cfg = tiny_cfg(generator=gen, base_lr=1e300, epochs=2, enable_step1=mining,
+                       enable_step2=mining)
+        with pytest.raises(NumericError, match=r"non-finite parameter '.+' after epoch 0"):
+            Trainer(cfg).run()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_guard_names_epoch_and_batch(self):
