@@ -52,8 +52,12 @@ def _apply_overrides(cfg: RunConfig, args) -> tuple[RunConfig, dict]:
     manifest_extra = {"seed_env_override": False}
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
-        overrides["seed"] = int(env_seed)
-        manifest_extra = {"seed_env_override": True, "seed_env_value": int(env_seed)}
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ContractError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from None
+        overrides["seed"] = seed
+        manifest_extra = {"seed_env_override": True, "seed_env_value": seed}
     if overrides:
         cfg = cfg.replace(**overrides)
     manifest_extra["effective_seed"] = cfg.seed

@@ -63,10 +63,6 @@ class ModalityEncoder:
         return self.dims[0]
 
     @property
-    def output_dim(self) -> int:
-        return self.dims[-1]
-
-    @property
     def params(self) -> list[Tensor]:
         return [*self.weights, *self.biases]
 

@@ -99,6 +99,7 @@ class EvalRecord:
     pred2: np.ndarray
     pred3: np.ndarray
     pred_joint: np.ndarray
+    num_classes: int
     acc2: float = field(init=False)
     acc3: float = field(init=False)
     acc_joint: float = field(init=False)
@@ -106,12 +107,8 @@ class EvalRecord:
     confusion2: np.ndarray = field(init=False)
     confusion3: np.ndarray = field(init=False)
     confusion_joint: np.ndarray = field(init=False)
-    num_classes: int = 0
 
     def __post_init__(self):
-        if self.num_classes <= 0:
-            self.num_classes = int(max(self.labels.max(), self.pred2.max(),
-                                       self.pred3.max(), self.pred_joint.max())) + 1
         self.acc2 = float((self.pred2 == self.labels).mean())
         self.acc3 = float((self.pred3 == self.labels).mean())
         self.acc_joint = float((self.pred_joint == self.labels).mean())

@@ -2,14 +2,15 @@
 
 Each epoch: (a) a no-grad pass over the train split collects per-sample
 branch losses and probabilities; (b) on schedule, mining refreshes the
-joint hard set; (c) every batch combines the routed loss terms and takes
-one optimizer step; (d) the test split is evaluated and one metrics record
+joint hard set; (c) every batch sums the enabled loss terms and takes one
+optimizer step; (d) the test split is evaluated and one metrics record
 appended. Everything is a pure function of the run config.
 
-Gradient routing is structural: the invariance term sees only detached
-encoder outputs (so its backward can reach nothing but the gate), and the
-alignment term multiplies by a detached copy of the mask (so the gate's
-logits never learn from it).
+Gradient routing is structural, and it is the only routing mechanism: the
+invariance term sees only detached encoder outputs (so its backward can reach
+nothing but the gate), and the alignment term multiplies by a detached copy
+of the mask (so the gate's logits never learn from it). Each step then
+updates exactly the parameter groups its backward pass reached.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .fusion import EvalRecord, FusionConfig, confusion_csv, fuse, predict, soft
 from .losses import (
     ContrastiveBatch,
     IRMConfig,
-    ObjectiveTerms,
-    combine_objective,
     contrastive_report,
     cross_entropy,
     modality_irm_loss,
@@ -107,7 +106,7 @@ class Model:
             ParamGroup("gate", self.gate.params),
         ]
         if self.xattn is not None:
-            groups.append(ParamGroup("xattn", self.xattn.params))  # no routing plan names it
+            groups.append(ParamGroup("xattn", self.xattn.params))  # no term's gradient reaches it
         return groups
 
     def named_params(self) -> dict[str, T.Tensor]:
@@ -176,14 +175,21 @@ def evaluate_model(model: Model, dataset: Dataset, fusion: FusionConfig) -> Eval
     )
 
 
+def _check_fits(cfg: RunConfig, dataset: Dataset, source: str) -> None:
+    """Raise ContractError unless a model built from `cfg` fits `dataset`: the
+    same feature dim and classes, and the same views when view attention is on."""
+    views = ("num_views",) if cfg.use_view_attention else ()
+    for name in ("dim", "num_classes", *views):
+        ours, theirs = getattr(cfg.generator, name), getattr(dataset.config, name)
+        if ours != theirs:
+            raise ContractError(f"{source} {name} {ours} != dataset {name} {theirs}")
+
+
 class Trainer:
     def __init__(self, cfg: RunConfig, dataset: Dataset | None = None):
         self.cfg = cfg
         self.dataset = dataset if dataset is not None else generate(cfg.generator)
-        if self.dataset.config.dim != cfg.generator.dim:
-            raise ContractError(
-                f"dataset feature dim {self.dataset.config.dim} != config dim {cfg.generator.dim}"
-            )
+        _check_fits(cfg, self.dataset, "config")
         self.model = Model(cfg, input_dim=self.dataset.config.dim)
         self.optimizer = SGD(
             self.model.param_groups(),
@@ -282,8 +288,8 @@ class Trainer:
         n_aug = cfg.n_3d_augments * subset.size
         labels3 = np.concatenate([labels, np.tile(self.train_labels[subset], cfg.n_3d_augments)])
         anchors3 = np.concatenate([is_hard, np.zeros(n_aug, dtype=bool)])
-        labels2 = np.repeat(labels, cfg.generator.num_views)
-        anchors2 = np.repeat(is_hard, cfg.generator.num_views)
+        labels2 = np.repeat(labels, per_view.shape[1])
+        anchors2 = np.repeat(is_hard, per_view.shape[1])
         gate = self.model.gate
         envs = {
             "2d": ContrastiveBatch(gate.apply(T.constant(feats2), learn=True),
@@ -310,10 +316,10 @@ class Trainer:
 
     def total_objective(self, idx: np.ndarray, epoch: int, batch_i: int,
                         term_filter: set[str] | None = None):
-        """Compute the routed objective for one batch of train indices.
+        """Compute the objective for one batch of train indices.
 
-        Returns (total, plan, parts); `term_filter` restricts which terms are
-        built (instrumentation only; None means all config-enabled terms).
+        Returns (total, parts); `term_filter` restricts which terms are built
+        (instrumentation only; None means all config-enabled terms).
         """
         cfg = self.cfg
         enabled = {"ce"}
@@ -331,41 +337,26 @@ class Trainer:
         if "ce" in enabled:
             ce2 = cross_entropy(self.model.logits_2d(per_view), labels)
             ce3 = cross_entropy(self.model.logits_3d(feats3), labels)
-            ce = T.add(T.mean_(ce2), T.mean_(ce3))
+            total = T.add(T.mean_(ce2), T.mean_(ce3))
         else:
-            ce = T.constant(0.0)
+            total = T.constant(0.0)
+        parts = {"ce": total.item() if "ce" in enabled else None, "inv": None, "align": None}
 
-        inv = None
         if "inv" in enabled:
             inv = self._invariance_term(idx, epoch, batch_i, per_view, agg2)
+            if inv is not None:
+                total = T.add(total, inv)
+                parts["inv"] = inv.item()
 
-        align = None
         if "align" in enabled and idx.size >= 2:
             z2 = self.model.gate.apply(agg2, learn=False)
             z3 = self.model.gate.apply(feats3, learn=False)
             align = nt_xent_align(z2, z3, tau=cfg.align_tau)
-
-        total, plan = combine_objective(
-            ObjectiveTerms(ce=ce, inv=inv, align=align, alpha=cfg.align_alpha)
-        )
-        if "ce" not in enabled:
-            plan.pop("ce", None)
-        parts = {
-            "ce": ce.item() if "ce" in enabled else None,
-            "inv": inv.item() if inv is not None else None,
-            "align": align.item() if align is not None else None,
-        }
-        return total, plan, parts
+            total = T.add(total, T.mul(align, T.constant(cfg.align_alpha)))
+            parts["align"] = align.item()
+        return total, parts
 
     # -- steps ----------------------------------------------------------------
-
-    def _apply_step(self, total, plan) -> float:
-        active = set()
-        for groups in plan.values():
-            active |= set(groups)
-        self.optimizer.zero_grad()
-        T.backward(total)
-        return self.optimizer.step(active=active)
 
     def run_epoch(self, epoch: int, term_filter: set[str] | None = None) -> dict:
         cfg = self.cfg
@@ -380,13 +371,15 @@ class Trainer:
         lr = cosine_lr(self.optimizer.state)
         for batch_i in range(0, len(order), cfg.batch_size):
             idx = order[batch_i: batch_i + cfg.batch_size]
-            total, plan, parts = self.total_objective(idx, epoch, batch_i // cfg.batch_size,
-                                                      term_filter)
+            total, parts = self.total_objective(idx, epoch, batch_i // cfg.batch_size,
+                                                term_filter)
             if not np.isfinite(total.item()):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_i // cfg.batch_size}"
                 )
-            lr = self._apply_step(total, plan)
+            self.optimizer.zero_grad()
+            T.backward(total)
+            lr = self.optimizer.step()
             for key, val in parts.items():
                 if val is not None:
                     sums[key] += val
@@ -524,10 +517,7 @@ def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD, int]:
 
 def evaluate_checkpoint(path: str, dataset: Dataset, fusion: FusionConfig) -> EvalRecord:
     cfg, model, _, _ = load_checkpoint(path)
-    if cfg.generator.dim != dataset.config.dim:
-        raise ContractError(
-            f"checkpoint dim {cfg.generator.dim} != dataset dim {dataset.config.dim}"
-        )
+    _check_fits(cfg, dataset, "checkpoint")
     return evaluate_model(model, dataset, fusion)
 
 
@@ -542,6 +532,9 @@ def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = Non
     cells that differ only in inference-time fusion settings."""
     if not cells:
         raise ContractError("empty ablation grid")
+    if any("generator" in cell for cell in cells):
+        raise ContractError("an ablation cell cannot override 'generator': every cell "
+                            "shares one dataset")
     dataset = dataset if dataset is not None else generate(base_cfg.generator)
     cache: dict[str, TrainResult] = {}
     rows = []

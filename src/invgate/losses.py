@@ -1,4 +1,4 @@
-"""Training objectives and their gradient-routing contracts.
+"""Training objectives and the parameters each one's gradient reaches.
 
 Three terms make up the overall objective:
 
@@ -29,17 +29,7 @@ from . import tensor as T
 from .errors import ContractError, DegenerateBatchError
 from .tensor import Tensor
 
-GROUP_E2D = "e2d"
-GROUP_E3D = "e3d"
-GROUP_GATE = "gate"
 IRM_VARIANTS = ("irmv1", "mm_rex", "v_rex")
-
-# which parameter groups each loss term is allowed to update
-ROUTING: dict[str, tuple[str, ...]] = {
-    "ce": (GROUP_E2D, GROUP_E3D),
-    "inv": (GROUP_GATE,),
-    "align": (GROUP_E2D, GROUP_E3D),
-}
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -345,25 +335,3 @@ def _nt_direction(s: np.ndarray):
 
     return value, pullback
 
-
-@dataclass
-class ObjectiveTerms:
-    """The three computed loss terms of one training step (None = inactive)."""
-
-    ce: Tensor
-    inv: Tensor | None
-    align: Tensor | None
-    alpha: float = 1.0
-
-
-def combine_objective(terms: ObjectiveTerms) -> tuple[Tensor, dict[str, tuple[str, ...]]]:
-    """Sum the active terms and report which groups each one may update."""
-    total = T.mean_(terms.ce) if terms.ce.ndim > 0 else terms.ce
-    plan = {"ce": ROUTING["ce"]}
-    if terms.inv is not None:
-        total = T.add(total, terms.inv)
-        plan["inv"] = ROUTING["inv"]
-    if terms.align is not None:
-        total = T.add(total, T.mul(terms.align, T.constant(terms.alpha)))
-        plan["align"] = ROUTING["align"]
-    return total, plan

@@ -1,8 +1,9 @@
 """SGD with momentum, decoupled weight decay, and a cosine-annealed rate.
 
-Parameters are organized into named groups so the training loop can restrict
-a step to some of them (the other groups receive no update at all, including
-no weight decay and no momentum-buffer change).
+Parameters are organized into named groups, the unit that steps together: a
+step updates exactly the groups its backward pass reached (a group in which
+no parameter has a gradient receives no update at all, including no weight
+decay and no momentum-buffer change).
 """
 
 from __future__ import annotations
@@ -85,26 +86,21 @@ class SGD:
         for p in self.parameters():
             p.grad = None
 
-    def step(self, active: set[str] | None = None) -> float:
+    def step(self) -> float:
         """One update at the current epoch's rate; returns the rate used.
 
-        `active` (None = every group) names the groups this step updates. In
-        an active group given by name, a parameter without a gradient takes a
-        zero one (the step's terms did not use it); without `active`, a
-        missing gradient is an error.
+        A group in which no parameter has a gradient is skipped. In any other
+        group, a parameter without a gradient takes a zero one (the step's
+        terms reached its group but not it).
         """
         lr = cosine_lr(self.state)
         wd = self.state.weight_decay
         mom = self.state.momentum
         for g in self.groups:
-            if active is not None and g.name not in active:
+            if all(p.grad is None for p in g.params):
                 continue
             for p in g.params:
                 if p.grad is None:
-                    if active is None:
-                        raise ContractError(
-                            f"parameter {p.name!r} in group '{g.name}' has no gradient"
-                        )
                     p.grad = np.zeros_like(p.data)
                 v = self.velocity.get(id(p))
                 if v is None:

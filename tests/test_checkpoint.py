@@ -146,8 +146,25 @@ def test_evaluate_checkpoint_dim_guard(short_run, tmp_path):
     save_checkpoint(str(p), result)
     other = generate(GeneratorConfig(num_classes=4, shots=2, invariant_dim=4,
                                      confound_dim=4, num_views=2, seed=1))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="checkpoint dim 10 != dataset dim 8"):
         evaluate_checkpoint(str(p), other, FusionConfig())
+    five = generate(GeneratorConfig(num_classes=5, shots=2, invariant_dim=6,
+                                    confound_dim=4, num_views=2, seed=1))
+    with pytest.raises(ContractError, match="checkpoint num_classes 4 != dataset num_classes 5"):
+        evaluate_checkpoint(str(p), five, FusionConfig())
+    # without view attention the model takes any number of views
+    three_views = generate(GeneratorConfig(num_classes=4, shots=2, invariant_dim=6,
+                                           confound_dim=4, num_views=3, seed=1))
+    assert len(evaluate_checkpoint(str(p), three_views, FusionConfig()).labels) == 8
+
+
+def test_evaluate_checkpoint_view_guard_with_view_attention(tmp_path):
+    p = tmp_path / "run.igck"
+    save_checkpoint(str(p), Trainer(tiny_cfg(epochs=1, use_view_attention=True)).run())
+    three_views = generate(GeneratorConfig(num_classes=4, shots=2, invariant_dim=6,
+                                           confound_dim=4, num_views=3, seed=1))
+    with pytest.raises(ContractError, match="checkpoint num_views 2 != dataset num_views 3"):
+        evaluate_checkpoint(str(p), three_views, FusionConfig())
 
 
 def test_evaluate_checkpoint_matches_live_model(short_run, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -260,6 +261,36 @@ def test_env_seed_override_recorded(tmp_path, tiny_config_file, monkeypatch):
     assert manifest["effective_seed"] == 42
 
 
+def test_non_integer_env_seed_is_a_one_line_error(tmp_path, tiny_config_file, monkeypatch,
+                                                  capsys):
+    cfg_path, _ = tiny_config_file
+    monkeypatch.setenv("INVGATE_SEED", "abc")
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == "invgate: error: INVGATE_SEED must be an integer, got 'abc'\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dataset_that_does_not_fit_is_a_one_line_error(artefacts, tiny_config_file, tmp_path,
+                                                       capsys, command):
+    """A 5-class dataset against a 4-class config or checkpoint."""
+    cfg_path, cfg = tiny_config_file
+    five = tmp_path / "five.json"
+    five.write_text(json.dumps(dataclasses.asdict(
+        dataclasses.replace(cfg.generator, num_classes=5))))
+    data = tmp_path / "five.igds"
+    assert main(["generate", "--config", str(five), "--out", str(data)]) == 0
+    capsys.readouterr()
+    argv = (["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+            if command == "train" else ["eval", "--checkpoint", str(artefacts["checkpoint"])])
+    assert main([*argv, "--data", str(data)]) == 2
+    source = "config" if command == "train" else "checkpoint"
+    err = capsys.readouterr().err
+    assert err == f"invgate: error: {source} num_classes 4 != dataset num_classes 5\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_ablate_grid(tmp_path, tiny_config_file, capsys):
     cfg_path, _ = tiny_config_file
     grid = tmp_path / "grid.json"
@@ -281,7 +312,8 @@ def test_ablate_grid(tmp_path, tiny_config_file, capsys):
     ('{"rows": []}', "must be a list of override objects"),
     ("[1, 2]", "must be a list of override objects"),
     ('[{"fusion": "add"}]', "unknown config keys: ['fusion']"),
-], ids=["missing", "malformed", "wrong_shape", "not_objects", "unknown_key"])
+    ('[{"generator": {"seed": 3}}]', "cannot override 'generator'"),
+], ids=["missing", "malformed", "wrong_shape", "not_objects", "unknown_key", "generator"])
 def test_bad_grid_is_a_one_line_error(tmp_path, tiny_config_file, capsys, content, message):
     cfg_path, _ = tiny_config_file
     grid = tmp_path / "grid.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from invgate import tensor as T
 from invgate.config import RunConfig
 from invgate.data import GeneratorConfig, generate
 from invgate.encoders import ModalityEncoder
-from invgate.errors import NumericError
+from invgate.errors import ContractError, NumericError
 from invgate.fusion import FusionConfig
 from invgate.harness import (
     Model,
@@ -103,6 +104,29 @@ class TestTrainingLoop:
             Trainer(cfg).run()
 
 
+class TestDatasetFit:
+    @pytest.mark.parametrize("cfg_kw,data_kw,message", [
+        ({}, {"num_classes": 5}, "config num_classes 4 != dataset num_classes 5"),
+        ({"num_classes": 5}, {}, "config num_classes 5 != dataset num_classes 4"),
+        ({}, {"invariant_dim": 4}, "config dim 10 != dataset dim 8"),
+    ], ids=["more_data_classes", "fewer_data_classes", "dim"])
+    def test_mismatch_fails_at_construction(self, cfg_kw, data_kw, message):
+        gen = tiny_cfg().generator
+        cfg = tiny_cfg(generator=dataclasses.replace(gen, **cfg_kw))
+        with pytest.raises(ContractError, match=message):
+            Trainer(cfg, generate(dataclasses.replace(gen, **data_kw)))
+
+    def test_views_must_match_only_under_view_attention(self):
+        gen = tiny_cfg().generator
+        three_views = generate(dataclasses.replace(gen, num_views=3))
+        with pytest.raises(ContractError, match="config num_views 2 != dataset num_views 3"):
+            Trainer(tiny_cfg(use_view_attention=True), three_views)
+        # view-mean aggregation takes any view count, invariance term included
+        cfg = tiny_cfg(epochs=3, enable_step1=False, invariance_on_all=True)
+        metrics = Trainer(cfg, three_views).run().metrics
+        assert all(m["inv_batches"] > 0 for m in metrics)
+
+
 class TestMiningFit:
     def test_one_fit_per_mining_epoch(self, monkeypatch):
         shapes = []
@@ -170,15 +194,20 @@ class TestRoutingAudit:
         cfg = tiny_cfg(enable_step1=False, enable_step2=True, invariance_on_all=True)
         trainer = Trainer(cfg)
         idx = np.arange(8)
-        total, plan, parts = trainer.total_objective(idx, epoch=0, batch_i=0,
-                                                     term_filter={"inv"})
+        total, parts = trainer.total_objective(idx, epoch=0, batch_i=0, term_filter={"inv"})
         trainer.optimizer.zero_grad()
         T.backward(total)
         assert trainer.model.gate.mask_logits.grad is not None
         for name, p in trainer.model.named_params().items():
             if not name.startswith("gate."):
                 assert p.grad is None, name
-        assert plan == {"inv": ("gate",)}
+
+    def test_total_is_the_weighted_sum_of_parts(self):
+        cfg = tiny_cfg(enable_step1=False, enable_step2=True, invariance_on_all=True,
+                       align_alpha=3.0)
+        total, parts = Trainer(cfg).total_objective(np.arange(8), epoch=0, batch_i=0)
+        assert None not in parts.values()
+        assert total.item() == parts["ce"] + parts["inv"] + 3.0 * parts["align"]
 
     def test_invariance_step_encodes_2d_once(self, monkeypatch):
         # the invariance term reuses the batch's 2D features, 2.5D included
@@ -193,8 +222,8 @@ class TestRoutingAudit:
             return forward(enc, x)
 
         monkeypatch.setattr(ModalityEncoder, "__call__", counting)
-        _, plan, parts = trainer.total_objective(np.arange(8), epoch=0, batch_i=0)
-        assert "inv" in plan and parts["inv"] is not None
+        _, parts = trainer.total_objective(np.arange(8), epoch=0, batch_i=0)
+        assert parts["inv"] is not None
         assert calls.count("2d") == 1
 
     def test_two_epoch_inv_only_run_freezes_encoders(self):
@@ -254,7 +283,7 @@ class TestSingleBranchOracle:
                     loss = T.mean_(cross_entropy(model.logits_3d(feats3), labels))
                 opt.zero_grad()
                 T.backward(loss)
-                opt.step(active={branch})
+                opt.step()
         rec = evaluate_model(model, trainer.dataset, FusionConfig())
         return rec.acc2 if branch == "e2d" else rec.acc3
 

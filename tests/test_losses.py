@@ -11,8 +11,6 @@ from invgate.errors import ContractError, DegenerateBatchError
 from invgate.losses import (
     ContrastiveBatch,
     IRMConfig,
-    ObjectiveTerms,
-    combine_objective,
     contrastive_report,
     cross_entropy,
     irm_grad_theta,
@@ -254,21 +252,6 @@ class TestAlignment:
 
 
 class TestCombineObjective:
-    def test_degenerate_config_is_ce_alone(self):
-        ce = T.constant(np.array([1.0, 3.0]))
-        total, plan = combine_objective(ObjectiveTerms(ce=ce, inv=None, align=None))
-        assert total.item() == pytest.approx(2.0)
-        assert plan == {"ce": ("e2d", "e3d")}
-
-    def test_recomposition(self):
-        ce = T.constant(np.array([1.0, 3.0]))
-        inv = T.constant(0.7)
-        align = T.constant(0.2)
-        total, plan = combine_objective(ObjectiveTerms(ce=ce, inv=inv, align=align, alpha=5.0))
-        assert total.item() == pytest.approx(2.0 + 0.7 + 5.0 * 0.2)
-        assert set(plan) == {"ce", "inv", "align"}
-        assert plan["inv"] == ("gate",)
-
     def test_inv_backward_reaches_gate_only(self):
         rng = np.random.default_rng(4)
         gate = GateMask(4)
