@@ -60,13 +60,18 @@ def _loss_builders(seed: int):
     gate_feats_2d = rng.normal(size=(N, D))
     gate_feats_3d = rng.normal(size=(N, D))
 
-    def inv_through_gate(leaves):
+    def inv_through_gate(leaves, pools=(labels, labels_b), anchors=(None, None)):
         mask = T.sigmoid(leaves[0])
         envs = {
-            "2d": ContrastiveBatch(T.mul(mask, T.constant(gate_feats_2d)), labels),
-            "3d": ContrastiveBatch(T.mul(mask, T.constant(gate_feats_3d)), labels_b),
+            "2d": ContrastiveBatch(T.mul(mask, T.constant(gate_feats_2d)), pools[0], anchors[0]),
+            "3d": ContrastiveBatch(T.mul(mask, T.constant(gate_feats_3d)), pools[1], anchors[1]),
         }
         return modality_irm_loss(envs, IRMConfig(lam=5.0))
+
+    # labels and anchors of the trainer's pools for three samples, the second
+    # hard: two views each in 2D, the batch and 3 copies of the hard one in 3D
+    trainer_pools = (([1, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]),
+                     ([0, 0, 1, 1, 0, 0], [0, 1, 0, 0, 0, 0]))
 
     def align(leaves):
         return nt_xent_align(leaves[0], leaves[1], tau=3.0)
@@ -112,6 +117,7 @@ def _loss_builders(seed: int):
         ("irm_penalty", penalty, [feat]),
         ("invariance_irmv1", inv_irmv1, [feat, feat_b]),
         ("invariance_gate_path", inv_through_gate, [gate_logits]),
+        ("invariance_gate_anchored", lambda ls: inv_through_gate(ls, *trainer_pools), [gate_logits]),
         ("nt_xent_align", align, [feat, feat_b]),
         ("mm_rex", rex_mm, [feat, feat_b]),
         ("v_rex", rex_v, [feat, feat_b]),

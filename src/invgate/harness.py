@@ -67,8 +67,8 @@ def _component_rng(seed: int, component: str) -> np.random.Generator:
 class Model:
     """Both branch encoders, their heads, the shared gate, optional extras."""
 
-    def __init__(self, cfg: RunConfig, input_dim: int):
-        dims = [input_dim, *cfg.encoder_hidden, cfg.output_dim]
+    def __init__(self, cfg: RunConfig):
+        dims = [cfg.generator.dim, *cfg.encoder_hidden, cfg.output_dim]
         self.cfg = cfg
         self.enc2d = ModalityEncoder(
             "2d", dims, init=cfg.encoder_init,
@@ -190,7 +190,7 @@ class Trainer:
         self.cfg = cfg
         self.dataset = dataset if dataset is not None else generate(cfg.generator)
         _check_fits(cfg, self.dataset, "config")
-        self.model = Model(cfg, input_dim=self.dataset.config.dim)
+        self.model = Model(cfg)
         self.optimizer = SGD(
             self.model.param_groups(),
             OptimizerState(cfg.base_lr, cfg.weight_decay, cfg.momentum,
@@ -487,7 +487,7 @@ def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD, int]:
             opt_state = OptimizerState(**header["optimizer"])
             entries = [(str(e["name"]), tuple(e["shape"])) for e in header["arrays"]]
             epoch = header["epoch"]
-        model = Model(cfg, input_dim=cfg.generator.dim)
+        model = Model(cfg)
         opt = SGD(model.param_groups(), opt_state)
         params = model.named_params()
         velocity: dict[str, np.ndarray] = {}

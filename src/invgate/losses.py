@@ -14,7 +14,9 @@ Three terms make up the overall objective:
 The penalty's inner derivative is supplied in closed form as a
 differentiable node, so plain first-order backprop covers everything. Each
 term is one tape node whose forward pass and VJP repeat the numpy
-operations of the primitive composite it replaces, in the same order.
+operations of the primitive composite it replaces, in the same order. A
+pool node does its elementwise work on the anchor rows alone, the rows
+that the composite's positive mask keeps.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .errors import ContractError, DegenerateBatchError
 from .tensor import Tensor
 
 IRM_VARIANTS = ("irmv1", "mm_rex", "v_rex")
+# exp(theta * sim) and a sum of n of them stay finite while |theta| + log(n) is below
+_LOG_MAX = float(np.log(np.finfo(float).max)) - 1e-6
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -85,34 +89,50 @@ class ContrastiveReport:
     n_skipped_anchors: int
 
 
-def _pair_weights(batch: ContrastiveBatch) -> tuple[np.ndarray, np.ndarray, float]:
-    """(negative mask, positive mask, 1 / pairs); no pair at all raises."""
-    labels = batch.labels
-    same = labels[:, None] == labels[None, :]
-    pos = same & ~np.eye(len(labels), dtype=bool)
-    if batch.anchor_mask is not None:
-        pos = pos & batch.anchor_mask[:, None]
+def _pair_weights(batch: ContrastiveBatch, theta: float):
+    """(anchor rows, their [a, n] negative and positive masks, 1 / pairs); no pair
+    raises. An exp that may overflow takes every row, to keep the composite's NaN."""
+    labels, mask = batch.labels, batch.anchor_mask
+    index = np.arange(len(labels))
+    every_row = mask is None or mask.all() or not abs(theta) + np.log(len(labels)) < _LOG_MAX
+    rows = slice(None) if every_row else index[mask]
+    same = labels[rows, None] == labels
+    pos = same & (index[rows, None] != index)
+    if mask is not None:
+        pos &= mask[rows, None]
     n_pairs = int(pos.sum())
     if n_pairs == 0:
         raise DegenerateBatchError("no anchor has a positive")
-    return (~same).astype(float), pos.astype(float), 1.0 / n_pairs
+    return rows, (~same).astype(float), pos.astype(float), 1.0 / n_pairs
 
 
-def _pool_node(batch: ContrastiveBatch, terms) -> Tensor:
-    """One node over matmul_t(z, z), z the normalized pool. `terms(sim, negf,
-    posf, scale)` returns the value, then a pullback to sim per similarity
-    matrix its composite builds, each handing the features two contributions."""
-    weights = _pair_weights(batch)
+def _full(part: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
+    """`part` as the `rows` of an [n, n] matrix that is zero elsewhere."""
+    if isinstance(rows, slice):
+        return part
+    out = np.zeros((part.shape[1],) * 2)
+    out[rows] = part
+    return out
+
+
+def _pool_node(batch: ContrastiveBatch, terms, theta: float = 1.0) -> Tensor:
+    """One node over matmul_t(z, z), z the normalized pool, |theta| bounding
+    every exp argument. `terms(sim, rows, negf, posf, scale)` gets sim's anchor
+    rows and returns the value, then a pullback to them per similarity matrix its
+    composite builds, each handing the features two contributions. The matmuls,
+    their VJP and the value's sum stay [n, n], as rounding depends on shape."""
+    weights = _pair_weights(batch, theta)
+    rows = weights[0]
     x = batch.features.data
     z, norms = T._l2n(x, -1)
     zt = z.T.copy()
     sim = np.matmul(z, zt)
-    value, *pullbacks = terms(sim, *weights)
+    value, *pullbacks = terms(sim[rows], *weights)
 
     def vjp(g):
         grads = []
         for to_sim in pullbacks:
-            ga, gb = T._matmul_t_vjp(to_sim(g), z, zt)
+            ga, gb = T._matmul_t_vjp(_full(to_sim(g), rows), z, zt)
             grads += T._l2n_vjp(ga + gb, x, norms)
         return grads
 
@@ -132,16 +152,16 @@ def contrastive_report(batch: ContrastiveBatch) -> ContrastiveReport:
     )
 
 
-def _infonce(sim, theta, negf, posf, scale):
-    """sup_infonce over a similarity matrix: (value, pullback to it)."""
+def _infonce(sim, theta, rows, negf, posf, scale):
+    """sup_infonce over a similarity matrix's anchor rows: (value, pullback to them)."""
     s = sim * theta
     exp_s = np.exp(s)
     masked = exp_s * negf
     neg_sum = np.add.reduce(masked, axis=1, keepdims=True)
     denom = exp_s + neg_sum
-    pair_loss = np.log(denom) - s                                   # [n, n]
+    pair_loss = np.log(denom) - s                                   # [a, n]
     weighted = pair_loss * posf
-    value = np.add.reduce(weighted, axis=None) * scale
+    value = np.add.reduce(_full(weighted, rows), axis=None) * scale
 
     def pullback(g):
         g_pair = T._spread(g * scale, None, weighted.shape) * posf
@@ -153,19 +173,19 @@ def _infonce(sim, theta, negf, posf, scale):
     return value, pullback
 
 
-def _grad_theta(sim, negf, posf, scale):
-    """irm_grad_theta over a similarity matrix: (value, pullback to it)."""
+def _grad_theta(sim, rows, negf, posf, scale):
+    """irm_grad_theta over a similarity matrix's anchor rows: (value, pullback to them)."""
     exp_s = np.exp(sim)
     masked = exp_s * negf                     # also the second exp_s * negf
-    neg_exp_sum = np.add.reduce(masked, axis=1, keepdims=True)            # [n,1]
+    neg_exp_sum = np.add.reduce(masked, axis=1, keepdims=True)            # [a,1]
     masked_s = masked * sim
-    neg_weighted = np.add.reduce(masked_s, axis=1, keepdims=True)         # [n,1]
+    neg_weighted = np.add.reduce(masked_s, axis=1, keepdims=True)         # [a,1]
     exp_s_s = exp_s * sim
     num, den = exp_s_s + neg_weighted, exp_s + neg_exp_sum
-    expectation = num / den                                               # [n,n]
+    expectation = num / den                                               # [a,n]
     per_pair = expectation - sim
     weighted = per_pair * posf
-    value = np.add.reduce(weighted, axis=None) * scale
+    value = np.add.reduce(_full(weighted, rows), axis=None) * scale
 
     def pullback(g):
         g_pair = T._spread(g * scale, None, weighted.shape) * posf
@@ -186,7 +206,7 @@ def sup_infonce(batch: ContrastiveBatch, theta: float = 1.0) -> Tensor:
     averaged over all pairs. Anchors with no positive are skipped; a batch
     with no pairs at all is degenerate.
     """
-    return _pool_node(batch, lambda sim, *w: _infonce(sim, theta, *w))
+    return _pool_node(batch, lambda sim, *w: _infonce(sim, theta, *w), theta)
 
 
 def irm_grad_theta(batch: ContrastiveBatch) -> Tensor:
@@ -209,7 +229,7 @@ def _irmv1_term(batch: ContrastiveBatch, cfg: IRMConfig) -> Tensor:
         penalty = grad * grad * cfg.lam
         return risk + penalty, risk_to_sim, lambda g: grad_to_sim(g * cfg.lam * 2.0 * grad)
 
-    return _pool_node(batch, terms)
+    return _pool_node(batch, terms, cfg.dummy_theta)
 
 
 @dataclass

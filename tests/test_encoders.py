@@ -27,7 +27,7 @@ def small_model(dim, num_views, **kw):
     """A two-class model over dim-wide features; identity encoders by default."""
     gen = GeneratorConfig(num_classes=2, p_conflict=0.0, invariant_dim=dim - 1,
                           confound_dim=1, num_views=num_views)
-    return Model(RunConfig(generator=gen, **{"output_dim": dim, **kw}), input_dim=dim)
+    return Model(RunConfig(generator=gen, **{"output_dim": dim, **kw}))
 
 
 class TestEncoders:

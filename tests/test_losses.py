@@ -460,3 +460,66 @@ def test_fused_loss_equals_composite_on_overflow(name, fused, composite):
         got, want = fused(x).data, composite(x).data
     assert not np.all(np.isfinite(want)), name
     assert np.array_equal(got, want, equal_nan=True), name
+
+
+@pytest.mark.parametrize("spread,theta,finite", [(1e-3, 708.1, False), (1.0, 709.0, True)],
+                         ids=["overflow", "near_overflow"])
+def test_anchored_pool_equals_composite_at_large_theta(spread, theta, finite):
+    # with nearly parallel rows at theta = 708.1, the exps of the non-anchor
+    # row of label 2 (five negatives) overflow while every anchor row stays
+    # finite: the composite is NaN, and so must the node be, in value and
+    # gradient. With rows far apart at 709, nothing overflows.
+    x = E1 + spread * np.random.default_rng(0).normal(size=(6, 3))
+    got, want = [], []
+    for loss, out in ((sup_infonce, got), (_composite_sup_infonce, want)):
+        leaf = T.parameter(x)
+        with np.errstate(all="ignore"):
+            y = loss(_env(leaf, anchors=ANCHORS6), theta=theta)
+            T.backward(y)
+        out += [y.data, leaf.grad]
+    assert np.isfinite(want[0]) == finite
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+@st.composite
+def _anchored_pools(draw):
+    """(labels, anchor mask, feature dim, seed) of a pool with 2-12 rows."""
+    n = draw(st.integers(2, 12))
+    labels = np.array(draw(st.lists(st.integers(0, draw(st.integers(0, 3))),
+                                    min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["one", "scattered", "all", "none"]))
+    if kind == "one":
+        mask = np.arange(n) == draw(st.integers(0, n - 1))
+    elif kind == "scattered":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    else:
+        mask = np.ones(n, dtype=bool) if kind == "all" else None
+    return labels, mask, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=2000, max_examples=60)
+@given(_anchored_pools())
+def test_anchored_pools_bit_identical_to_composite(pool):
+    labels, mask, d, seed = pool
+
+    def env(x):
+        return ContrastiveBatch(x, labels, anchor_mask=mask)
+
+    cases = [
+        (lambda xs: sup_infonce(env(xs[0]), theta=1.0),
+         lambda xs: _composite_sup_infonce(env(xs[0]), theta=1.0)),
+        (lambda xs: sup_infonce(env(xs[0]), theta=5.0),
+         lambda xs: _composite_sup_infonce(env(xs[0]), theta=5.0)),
+        (lambda xs: irm_grad_theta(env(xs[0])), lambda xs: _composite_irm_grad_theta(env(xs[0]))),
+        (lambda xs: modality_irm_loss({"a": env(xs[0]), "b": env(xs[1])}, IRMConfig(lam=5.0)),
+         lambda xs: _composite_irmv1({"a": env(xs[0]), "b": env(xs[1])}, 5.0)),
+    ]
+    for fused, composite in cases:
+        try:
+            got = _run_with_consumers(fused, [(len(labels), d)] * 2, seed)
+        except DegenerateBatchError:      # no anchor has a positive, or no anchor at all
+            return
+        want = _run_with_consumers(composite, [(len(labels), d)] * 2, seed)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
