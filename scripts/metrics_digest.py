@@ -9,9 +9,9 @@ different mining thresholds for the two modalities (seed 0), and of the
 ablation CSV of the invariance_on_all cells for seed 0. Then one digest per
 written artefact: the binary and the text dataset of the seed-0 generator
 config, its manifest, the checkpoint of the CE-only baseline run, seed 0,
-and every file that run writes into its run directory. Last, the metrics
-log of the default full run and of the CE-only baseline run, seed 0, each
-trained on the binary-loaded and on the text-loaded copy of its dataset
+and every file that run and the default full run, seed 0, write into their
+run directories. Last, the metrics log of the default full run and of the
+CE-only baseline run, seed 0, each trained on the binary-loaded and on the text-loaded copy of its dataset
 (these equal the generated runs' digests), and the binary and the text
 dataset of the seed-0 generator config with shots=256. Two builds whose
 lines match train bit-identically on these inputs and write the same bytes:
@@ -104,10 +104,11 @@ def main() -> None:
     result = Trainer(_config(0, **CE_ONLY)).run()
     print(f"checkpoint_train_ce seed=0 {_file_digest(lambda path: save_checkpoint(path, result))}")
     print(f"manifest seed=0 {_file_digest(lambda path: write_manifest(dataset, path))}")
-    with tempfile.TemporaryDirectory() as tmp:
-        train(_config(0, **CE_ONLY), out_dir=tmp)
-        for name in RUN_DIR_FILES:
-            print(f"run_dir_train_ce seed=0 {name} {_sha256(os.path.join(tmp, name))}")
+    for run, overrides in (("train_ce", CE_ONLY), ("train_full", {})):
+        with tempfile.TemporaryDirectory() as tmp:
+            train(_config(0, **overrides), out_dir=tmp)
+            for name in RUN_DIR_FILES:
+                print(f"run_dir_{run} seed=0 {name} {_sha256(os.path.join(tmp, name))}")
     with tempfile.TemporaryDirectory() as tmp:
         for mode in ("binary", "text"):
             path = os.path.join(tmp, f"dataset.{mode}")

@@ -38,7 +38,8 @@ class RunConfig:
     align_tau: float = 2.0
     irm_variant: str = "v_rex"              # irmv1 | mm_rex | v_rex
     inv_theta: float = 5.0                  # similarity multiplier inside the
-                                            # invariance risk; irmv1 pins it at 1
+                                            # invariance risk, must be positive;
+                                            # irmv1 pins it at 1
     rex_lambda_min: float = 0.0
     rex_beta: float = 1.0
     include_25d: bool = False
@@ -100,7 +101,7 @@ class RunConfig:
         envs = 2 + self.include_25d
         if self.rex_lambda_min > 1.0 / envs:
             raise ContractError(f"rex_lambda_min must be <= 1/{envs} with {envs} environments")
-        for name in ("fusion_phi", "align_tau", "base_lr", "head_scale"):
+        for name in ("fusion_phi", "align_tau", "base_lr", "head_scale", "inv_theta"):
             if not getattr(self, name) > 0.0:
                 raise ContractError(f"{name} must be positive")
         for name in ("rex_beta", "irm_lambda", "weight_decay"):

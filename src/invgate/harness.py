@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -146,19 +146,17 @@ class TrainResult:
     model: Model
     optimizer: SGD
     metrics: list[dict]
-    reports: list[SelectionReport] = field(default_factory=list)
 
     def final(self, key: str):
         return self.metrics[-1][key]
 
 
 def _branch_outputs(model: Model, x3: np.ndarray, views: np.ndarray):
-    """No-grad logits for both branches (numpy)."""
+    """No-grad logits for both branches (numpy). The 2D logits average the
+    per-view logits, so no view aggregate is built."""
     with T.no_grad():
-        feats3 = model.features_3d(x3)
-        per_view, _ = model.features_2d(views)
-        logits3 = model.logits_3d(feats3)
-        logits2 = model.logits_2d(per_view)
+        logits3 = model.logits_3d(model.features_3d(x3))
+        logits2 = model.logits_2d(model.enc2d(T.constant(views)))
     return logits2.data, logits3.data
 
 
@@ -203,7 +201,7 @@ class Trainer:
         else:
             self.d_joint = np.empty(0, dtype=int)
         self.metrics: list[dict] = []
-        self.reports: list[SelectionReport] = []
+        self.last_eval: EvalRecord | None = None   # the latest epoch's test-split record
 
     # -- mining ---------------------------------------------------------------
 
@@ -244,7 +242,6 @@ class Trainer:
                 d2=d2, d3=d3, p2=cfg.posterior_p2, p3=cfg.posterior_p3, epoch=epoch,
             )
         self.d_joint = report.d_joint
-        self.reports.append(report)
         return report
 
     # -- loss terms -----------------------------------------------------------
@@ -314,41 +311,26 @@ class Trainer:
                             beta=cfg.rex_beta)
         return modality_irm_loss(envs, irm_cfg)
 
-    def total_objective(self, idx: np.ndarray, epoch: int, batch_i: int,
-                        term_filter: set[str] | None = None):
-        """Compute the objective for one batch of train indices.
-
-        Returns (total, parts); `term_filter` restricts which terms are built
-        (instrumentation only; None means all config-enabled terms).
-        """
+    def total_objective(self, idx: np.ndarray, epoch: int, batch_i: int):
+        """Compute the objective for one batch of train indices: cross-entropy
+        plus the terms the config enables. Returns (total, parts)."""
         cfg = self.cfg
-        enabled = {"ce"}
-        if cfg.enable_step2:
-            enabled.add("inv")
-        if cfg.enable_align:
-            enabled.add("align")
-        if term_filter is not None:
-            enabled &= set(term_filter)
-
         labels = self.train_labels[idx]
         feats3 = self.model.features_3d(self.train_x3[idx])
         per_view, agg2 = self.model.features_2d(self.train_views[idx])
 
-        if "ce" in enabled:
-            ce2 = cross_entropy(self.model.logits_2d(per_view), labels)
-            ce3 = cross_entropy(self.model.logits_3d(feats3), labels)
-            total = T.add(T.mean_(ce2), T.mean_(ce3))
-        else:
-            total = T.constant(0.0)
-        parts = {"ce": total.item() if "ce" in enabled else None, "inv": None, "align": None}
+        ce2 = cross_entropy(self.model.logits_2d(per_view), labels)
+        ce3 = cross_entropy(self.model.logits_3d(feats3), labels)
+        total = T.add(T.mean_(ce2), T.mean_(ce3))
+        parts = {"ce": total.item(), "inv": None, "align": None}
 
-        if "inv" in enabled:
+        if cfg.enable_step2:
             inv = self._invariance_term(idx, epoch, batch_i, per_view, agg2)
             if inv is not None:
                 total = T.add(total, inv)
                 parts["inv"] = inv.item()
 
-        if "align" in enabled and idx.size >= 2:
+        if cfg.enable_align and idx.size >= 2:
             z2 = self.model.gate.apply(agg2, learn=False)
             z3 = self.model.gate.apply(feats3, learn=False)
             align = nt_xent_align(z2, z3, tau=cfg.align_tau)
@@ -358,7 +340,7 @@ class Trainer:
 
     # -- steps ----------------------------------------------------------------
 
-    def run_epoch(self, epoch: int, term_filter: set[str] | None = None) -> dict:
+    def run_epoch(self, epoch: int) -> dict:
         cfg = self.cfg
         self.optimizer.state.epoch = epoch
         mining = self._mine(epoch)
@@ -371,8 +353,7 @@ class Trainer:
         lr = cosine_lr(self.optimizer.state)
         for batch_i in range(0, len(order), cfg.batch_size):
             idx = order[batch_i: batch_i + cfg.batch_size]
-            total, parts = self.total_objective(idx, epoch, batch_i // cfg.batch_size,
-                                                term_filter)
+            total, parts = self.total_objective(idx, epoch, batch_i // cfg.batch_size)
             if not np.isfinite(total.item()):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batch_i // cfg.batch_size}"
@@ -389,8 +370,8 @@ class Trainer:
             if not np.isfinite(param.data).all():
                 raise NumericError(f"non-finite parameter '{name}' after epoch {epoch}")
 
-        rec = evaluate_model(self.model, self.dataset,
-                             FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode))
+        rec = self.last_eval = evaluate_model(
+            self.model, self.dataset, FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode))
         record = {
             "epoch": epoch,
             "lr": lr,
@@ -405,11 +386,11 @@ class Trainer:
         self.metrics.append(record)
         return record
 
-    def run(self, term_filter: set[str] | None = None) -> TrainResult:
+    def run(self) -> TrainResult:
         for epoch in range(self.cfg.epochs):
-            self.run_epoch(epoch, term_filter)
+            self.run_epoch(epoch)
         return TrainResult(cfg=self.cfg, model=self.model, optimizer=self.optimizer,
-                           metrics=self.metrics, reports=self.reports)
+                           metrics=self.metrics)
 
 
 # -- top-level entry points -----------------------------------------------------
@@ -434,9 +415,7 @@ def train(cfg: RunConfig, dataset: Dataset | None = None,
         with container.atomic_open(os.path.join(out_dir, "metrics.jsonl")) as fh:
             fh.write("\n".join(metrics_log_lines(result.metrics)) + "\n")
         save_checkpoint(os.path.join(out_dir, "checkpoint.igck"), result)
-        rec = evaluate_model(result.model, trainer.dataset,
-                             FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode))
-        write_eval_artifacts(rec, out_dir)
+        write_eval_artifacts(trainer.last_eval, out_dir)
     return result
 
 
@@ -524,12 +503,16 @@ def evaluate_checkpoint(path: str, dataset: Dataset, fusion: FusionConfig) -> Ev
 # -- ablation grid ----------------------------------------------------------------
 
 _TRAINING_IRRELEVANT = {"fusion_phi", "fusion_mode"}
+# without step 2 nothing reads the mined set, and mining changes no parameter
+# and draws no random numbers: these fields cannot change what such a run trains
+_MINING_ONLY = ("enable_step1", "mining_", "posterior_")
 
 
 def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = None,
            progress=None) -> list[dict]:
     """Run every override cell, sharing seeds and reusing training runs for
-    cells that differ only in inference-time fusion settings."""
+    cells that differ only in inference-time fusion settings or, with step 2
+    off, in mining settings."""
     if not cells:
         raise ContractError("empty ablation grid")
     if any("generator" in cell for cell in cells):
@@ -541,7 +524,8 @@ def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = Non
     for cell in cells:
         cfg = base_cfg.replace(**cell)
         train_key = canonical_json({k: v for k, v in cfg.to_dict().items()
-                                    if k not in _TRAINING_IRRELEVANT})
+                                    if k not in _TRAINING_IRRELEVANT
+                                    and (cfg.enable_step2 or not k.startswith(_MINING_ONLY))})
         if train_key not in cache:
             cache[train_key] = Trainer(cfg, dataset).run()
         result = cache[train_key]

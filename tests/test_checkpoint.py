@@ -50,8 +50,7 @@ def test_save_load_save_byte_stable(short_run, tmp_path):
     p1, p2 = tmp_path / "a.igck", tmp_path / "b.igck"
     save_checkpoint(str(p1), result)
     cfg, model, opt, epoch = load_checkpoint(str(p1))
-    save_checkpoint(str(p2), TrainResult(cfg=cfg, model=model, optimizer=opt,
-                                         metrics=[], reports=[]))
+    save_checkpoint(str(p2), TrainResult(cfg=cfg, model=model, optimizer=opt, metrics=[]))
     # epoch lives in optimizer state, which load restores
     assert p1.read_bytes() == p2.read_bytes()
 

@@ -87,6 +87,8 @@ def test_replace_rejects_unknown_keys():
     {"include_25d": True, "rex_lambda_min": 0.4},
     {"fusion_phi": 0.0},
     {"align_tau": 0.0},
+    {"inv_theta": -5.0},
+    {"inv_theta": 0.0},
     {"rex_beta": -0.5},
     {"irm_lambda": -1.0},
     {"mining_warmup": 0},
