@@ -55,6 +55,9 @@ class GeneratorConfig:
 
     def __post_init__(self):
         require_finite(self)
+        for name in ("sigma_invariant", "sigma_confound"):
+            if getattr(self, name) < 0.0:
+                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (0.0 <= self.p_conflict <= 1.0):
             raise ContractError("p_conflict must lie in [0, 1]")
         if not (0.0 <= self.confound_shared_frac <= 1.0):
@@ -218,15 +221,33 @@ def augment_3d(
     coord_jitter: float = 0.05,
 ) -> np.ndarray:
     """Label-preserving 3D-style augmentation: global scale, per-coordinate
-    sign-preserving wobble, additive jitter. Deterministic given the seed."""
-    if coord_jitter >= 1.0 or coord_jitter < 0.0:
+    sign-preserving wobble, additive jitter. Deterministic given the seed.
+
+    `x3` is one row `[d]` or a block `[k, d]`. Each row's scale, wobble and
+    jitter are drawn in that order, row after row, so a block takes the
+    stream and gives the values of k one-row calls on the same generator.
+    """
+    if not 0.0 <= coord_jitter < 1.0:
         raise ContractError("coord_jitter must lie in [0, 1)")
+    if not 0.0 <= jitter_sigma < math.inf:
+        raise ContractError(f"jitter_sigma must be finite and >= 0, got {jitter_sigma}")
+    low, high = scale_range
+    if not 0.0 < low <= high < math.inf:
+        raise ContractError(f"scale_range must satisfy 0 < low <= high, got {scale_range}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     x3 = np.asarray(x3, dtype=np.float64)
-    scale = rng.uniform(*scale_range)
-    wobble = 1.0 + coord_jitter * rng.uniform(-1.0, 1.0, size=x3.shape)
-    jitter = jitter_sigma * rng.normal(size=x3.shape) if jitter_sigma > 0 else 0.0
-    return x3 * scale * wobble + jitter
+    if x3.ndim not in (1, 2):
+        raise ContractError(f"augment_3d takes a row [d] or a block [k, d], got shape {x3.shape}")
+    block = np.atleast_2d(x3)
+    k, d = block.shape
+    scale, wobble, jitter = np.empty((k, 1)), np.empty((k, d)), np.zeros((k, d))
+    for i in range(k):
+        scale[i] = rng.uniform(low, high)
+        wobble[i] = rng.uniform(-1.0, 1.0, size=d)
+        if jitter_sigma > 0:
+            jitter[i] = rng.normal(size=d)
+    out = block * scale * (1.0 + coord_jitter * wobble) + jitter_sigma * jitter
+    return out.reshape(x3.shape)
 
 
 def bayes_oracle(dataset: Dataset) -> float:

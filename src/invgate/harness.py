@@ -15,6 +15,8 @@ updates exactly the parameter groups its backward pass reached.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -183,8 +185,39 @@ def _check_fits(cfg: RunConfig, dataset: Dataset, source: str) -> None:
             raise ContractError(f"{source} {name} {ours} != dataset {name} {theirs}")
 
 
+# mallopt (parameter, value) pairs: glibc's M_MMAP_THRESHOLD (-3) and
+# M_TRIM_THRESHOLD (-1) at the ceiling of its own dynamic rule, 32 MiB and twice that
+_MALLOC_PINS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def pin_malloc_thresholds(libc) -> bool:
+    """Keep freed heap memory for reuse: set glibc's mmap and trim thresholds
+    through `libc.mallopt`. True if both were set; a library without
+    `mallopt`, or one that refuses the first setting, is left unchanged.
+
+    With glibc's defaults, an invariance pool's `[128, 128]` float64
+    temporaries (exactly 128 KiB) are trimmed from the heap after each call
+    and page-faulted back in on the next.
+    """
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all(mallopt(param, value) == 1 for param, value in _MALLOC_PINS)
+
+
+@functools.cache
+def _retain_heap() -> bool:
+    """`pin_malloc_thresholds` on this process's C library, once per process."""
+    try:
+        return pin_malloc_thresholds(ctypes.CDLL(None))
+    except (OSError, TypeError):    # no C library to load by that name
+        return False
+
+
 class Trainer:
     def __init__(self, cfg: RunConfig, dataset: Dataset | None = None):
+        _retain_heap()
         self.cfg = cfg
         self.dataset = dataset if dataset is not None else generate(cfg.generator)
         _check_fits(cfg, self.dataset, "config")
@@ -272,10 +305,7 @@ class Trainer:
             np.random.SeedSequence([cfg.seed, _SEED_TAGS["augment"], epoch, batch_i])
         )
         jitter = 0.5 * cfg.generator.sigma_invariant
-        aug = [
-            np.stack([augment_3d(row, rng, jitter_sigma=jitter) for row in x3_hard])
-            for _ in range(cfg.n_3d_augments)
-        ]
+        aug = [augment_3d(x3_hard, rng, jitter_sigma=jitter) for _ in range(cfg.n_3d_augments)]
         with T.no_grad():
             feats3 = self.model.features_3d(
                 np.concatenate([self.train_x3[idx], *aug], axis=0)

@@ -61,6 +61,10 @@ def test_generator_knobs_validated():
         GeneratorConfig(p_conflict=1.5)
     with pytest.raises(ContractError):
         GeneratorConfig(confound_shared_frac=-0.1)
+    for name in ("sigma_invariant", "sigma_confound"):
+        with pytest.raises(ContractError, match=f"{name} must be >= 0"):
+            GeneratorConfig(**{name: -0.01})
+    GeneratorConfig(sigma_invariant=0.0, sigma_confound=0.0)
 
 
 def test_replace_revalidates():
@@ -109,6 +113,8 @@ def test_replace_rejects_unknown_keys():
     {"irm_variant": "mm_rex", "rex_lambda_min": float("nan")},
     {"align_tau": float("inf")},
     {"generator": {"sigma_invariant": float("nan")}},
+    {"generator": {"sigma_invariant": -0.3}},
+    {"generator": {"sigma_confound": -0.05}},
     {"use_view_attention": True, "view_attention_hidden": -1},
     {"encoder_init": "random", "encoder_hidden": (-2,)},
     {"encoder_init": "random", "encoder_hidden": (0,)},

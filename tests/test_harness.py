@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import platform
+import resource
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from invgate.harness import (
     metrics_log_lines,
     train,
 )
-from invgate.losses import IRM_VARIANTS, cross_entropy
+from invgate.losses import IRM_VARIANTS, ContrastiveBatch, cross_entropy, sup_infonce
 from invgate.mining import fit_gmm2, mining_schedule, select_modality_hard
 from invgate.optim import cosine_lr
 
@@ -447,3 +450,45 @@ class TestTrainArtifacts:
         header = json.loads(lines[0])
         assert header["format"] == "invgate-metrics"
         assert len(lines) == 1 + cfg.epochs
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+class TestHeapRetention:
+    def test_warm_pool_calls_fault_in_no_pages(self):
+        Trainer(tiny_cfg())
+        rng = np.random.default_rng(0)
+        z, labels = rng.normal(size=(128, 16)), rng.integers(0, 10, size=128)
+
+        def pool_step():
+            T.backward(sup_infonce(ContrastiveBatch(T.l2_normalize(T.parameter(z)), labels), 5.0))
+
+        for _ in range(5):
+            pool_step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            pool_step()
+        # about 8,000 under glibc 2.36's default thresholds: the [128, 128]
+        # temporaries are trimmed after each call and faulted back in on the next
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+    def test_library_without_mallopt_is_left_alone(self, monkeypatch):
+        calls = []
+
+        def refuse(param, value):
+            calls.append(param)
+            return 0
+
+        assert harness.pin_malloc_thresholds(object()) is False
+        assert harness.pin_malloc_thresholds(SimpleNamespace(mallopt=refuse)) is False
+        assert calls == [-3]        # the trim threshold is not tried after a refusal
+
+        def no_library(name):
+            raise OSError(name)
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", no_library)
+        harness._retain_heap.cache_clear()
+        try:
+            assert Trainer(tiny_cfg(epochs=1)).run().metrics
+            assert harness._retain_heap() is False
+        finally:
+            harness._retain_heap.cache_clear()

@@ -11,7 +11,7 @@ import json
 import math
 import os
 
-from invgate import harness, losses
+from invgate import data, harness, losses
 from invgate.config import RunConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -31,6 +31,8 @@ def test_traced_run_reports_every_per_layer_metric():
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
+        # the invariance term augments through this wrapped name, one call per copy
+        assert harness.augment_3d is not data.augment_3d
         tracer.run = "rep-0"
         # past the 5-epoch warm-up, so mining, invariance and alignment all run
         harness.Trainer(RunConfig(epochs=7)).run()
@@ -38,8 +40,10 @@ def test_traced_run_reports_every_per_layer_metric():
     finally:
         tracer.uninstall()
     assert harness.cross_entropy is losses.cross_entropy    # originals are back
+    assert harness.augment_3d is data.augment_3d
     assert sorted(names) == sorted(metrics)
     assert all(math.isfinite(metrics[name]) for name in names)
     for name in ("mining.gmm_iters", "losses.inv_calls", "losses.align_ms", "losses.ce_ms",
-                 "tensor.nodes_per_step", "data.arrays_calls", "harness.eval_ms"):
+                 "tensor.nodes_per_step", "data.arrays_calls", "data.augment_calls",
+                 "harness.eval_ms"):
         assert metrics[name] > 0, name
