@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .container import canonical_json  # noqa: F401  (re-exported)
-from .data import GeneratorConfig, require_finite
+from .data import GeneratorConfig, check_fields
 from .errors import ContractError
 from .fusion import MODE_ALIASES
 from .losses import IRM_VARIANTS
@@ -73,8 +73,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         self.encoder_hidden = tuple(self.encoder_hidden)
-        require_finite(self)
         if self.encoder_init not in ("identity", "random"):
             raise ContractError(f"unknown encoder init {self.encoder_init!r}")
         if self.encoder_init == "identity":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -29,12 +30,33 @@ MAGIC = b"IGDS"
 SPLITS = ("train", "test")
 
 
-def require_finite(config) -> None:
-    """Reject a config dataclass with a NaN or infinite float field."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# field annotation -> (what the field must be, test); a float field keeps an
+# int as given, so a config written back out keeps its bytes
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number",   # exact comparison: NaN, inf and huge ints fail
+              lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[int, ...]": ("a list of integers",
+                        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+}
+
+
+def check_fields(config) -> None:
+    """Reject a config dataclass with a field of the wrong type, a NaN or
+    infinite float, or a negative seed. A nested config checks its own."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ContractError(f"{f.name} must be finite, got {value}")
+        what, ok = _FIELD_KINDS.get(f.type, (None, None))
+        if ok is not None and not ok(value):
+            raise ContractError(f"{f.name} must be {what}, got {value!r}")
+        if f.name == "seed" and value < 0:
+            raise ContractError(f"seed must be >= 0, got {value}")
 
 
 @dataclass
@@ -54,7 +76,7 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         for name in ("sigma_invariant", "sigma_confound"):
             if getattr(self, name) < 0.0:
                 raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -213,41 +235,25 @@ def generate(cfg: GeneratorConfig) -> Dataset:
     return Dataset(cfg, splits)
 
 
-def augment_3d(
-    x3: np.ndarray,
-    seed,
-    scale_range: tuple[float, float] = (0.8, 1.25),
-    jitter_sigma: float = 0.15,
-    coord_jitter: float = 0.05,
-) -> np.ndarray:
-    """Label-preserving 3D-style augmentation: global scale, per-coordinate
-    sign-preserving wobble, additive jitter. Deterministic given the seed.
+def augment_3d(x3: np.ndarray, rng: np.random.Generator, jitter_sigma: float) -> np.ndarray:
+    """Label-preserving 3D-style augmentation of a block `[k, d]`: a global
+    scale from U(0.8, 1.25), a per-coordinate sign-preserving wobble of up
+    to 5%, and additive N(0, jitter_sigma^2) jitter.
 
-    `x3` is one row `[d]` or a block `[k, d]`. Each row's scale, wobble and
-    jitter are drawn in that order, row after row, so a block takes the
-    stream and gives the values of k one-row calls on the same generator.
+    Each row's scale, wobble and jitter are drawn in that order, row after
+    row, so a block takes the stream and gives the values of k one-row
+    draws on the same generator.
     """
-    if not 0.0 <= coord_jitter < 1.0:
-        raise ContractError("coord_jitter must lie in [0, 1)")
     if not 0.0 <= jitter_sigma < math.inf:
         raise ContractError(f"jitter_sigma must be finite and >= 0, got {jitter_sigma}")
-    low, high = scale_range
-    if not 0.0 < low <= high < math.inf:
-        raise ContractError(f"scale_range must satisfy 0 < low <= high, got {scale_range}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    x3 = np.asarray(x3, dtype=np.float64)
-    if x3.ndim not in (1, 2):
-        raise ContractError(f"augment_3d takes a row [d] or a block [k, d], got shape {x3.shape}")
-    block = np.atleast_2d(x3)
-    k, d = block.shape
+    k, d = x3.shape
     scale, wobble, jitter = np.empty((k, 1)), np.empty((k, d)), np.zeros((k, d))
     for i in range(k):
-        scale[i] = rng.uniform(low, high)
+        scale[i] = rng.uniform(0.8, 1.25)
         wobble[i] = rng.uniform(-1.0, 1.0, size=d)
         if jitter_sigma > 0:
             jitter[i] = rng.normal(size=d)
-    out = block * scale * (1.0 + coord_jitter * wobble) + jitter_sigma * jitter
-    return out.reshape(x3.shape)
+    return x3 * scale * (1.0 + 0.05 * wobble) + jitter_sigma * jitter
 
 
 def bayes_oracle(dataset: Dataset) -> float:

@@ -15,8 +15,6 @@ from . import tensor as T
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
-MODALITIES = ("2d", "3d", "2.5d")
-
 
 def _affine_params(dims, init, rng, prefix):
     if init not in ("identity", "random"):
@@ -39,28 +37,14 @@ def _affine_params(dims, init, rng, prefix):
 class ModalityEncoder:
     """Affine(+ReLU) stack for one modality; shared across that branch."""
 
-    def __init__(
-        self,
-        modality: str,
-        dims: list[int],
-        init: str = "random",
-        rng: np.random.Generator | None = None,
-        name: str | None = None,
-    ):
-        if modality not in MODALITIES:
-            raise ContractError(f"modality must be one of {MODALITIES}")
+    def __init__(self, name: str, dims: list[int], init: str,
+                 rng: np.random.Generator | None):
+        """`name` prefixes the parameter names; `rng` draws a random init."""
         if len(dims) < 2:
             raise ContractError("dims must list input and output sizes")
-        if init == "random" and rng is None:
-            raise ContractError("random init requires an rng")
-        self.modality = modality
+        self.name = name
         self.dims = list(dims)
-        name = name or f"enc{modality.replace('.', '')}"
         self.weights, self.biases = _affine_params(dims, init, rng, name)
-
-    @property
-    def input_dim(self) -> int:
-        return self.dims[0]
 
     @property
     def params(self) -> list[Tensor]:
@@ -68,10 +52,8 @@ class ModalityEncoder:
 
     def __call__(self, x: Tensor | np.ndarray) -> Tensor:
         x = T.as_tensor(x)
-        if x.shape[-1] != self.input_dim:
-            raise ShapeError(
-                f"{self.modality} encoder expects last dim {self.input_dim}, got {x.shape}"
-            )
+        if x.shape[-1] != self.dims[0]:
+            raise ShapeError(f"encoder {self.name} expects last dim {self.dims[0]}, got {x.shape}")
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -84,9 +66,9 @@ class ModalityEncoder:
 class GateMask:
     """Learnable per-dimension soft mask shared by both modalities."""
 
-    def __init__(self, dim: int, name: str = "gate"):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.mask_logits = T.parameter(np.zeros(dim), name=f"{name}.mask_logits")
+        self.mask_logits = T.parameter(np.zeros(dim), name="gate.mask_logits")
 
     @property
     def params(self) -> list[Tensor]:
@@ -153,23 +135,16 @@ class MultiViewAggregator:
     the delta-blend of the two paths.
     """
 
-    def __init__(
-        self,
-        num_views: int,
-        dim: int,
-        hidden: int,
-        rng: np.random.Generator,
-        name: str = "mva",
-    ):
+    def __init__(self, num_views: int, dim: int, hidden: int, rng: np.random.Generator):
         self.num_views = num_views
         self.dim = dim
         cat = num_views * dim
-        self.f1_w = T.parameter(rng.normal(0, 1 / np.sqrt(cat), (cat, hidden)), name=f"{name}.f1.w")
-        self.f1_b = T.parameter(np.zeros(hidden), name=f"{name}.f1.b")
-        self.f2_w = T.parameter(rng.normal(0, 1 / np.sqrt(hidden), (hidden, dim)), name=f"{name}.f2.w")
-        self.f2_b = T.parameter(np.zeros(dim), name=f"{name}.f2.b")
-        self.proj_w = T.parameter(np.eye(dim), name=f"{name}.proj.w")
-        self.proj_b = T.parameter(np.zeros(dim), name=f"{name}.proj.b")
+        self.f1_w = T.parameter(rng.normal(0, 1 / np.sqrt(cat), (cat, hidden)), name="mva.f1.w")
+        self.f1_b = T.parameter(np.zeros(hidden), name="mva.f1.b")
+        self.f2_w = T.parameter(rng.normal(0, 1 / np.sqrt(hidden), (hidden, dim)), name="mva.f2.w")
+        self.f2_b = T.parameter(np.zeros(dim), name="mva.f2.b")
+        self.proj_w = T.parameter(np.eye(dim), name="mva.proj.w")
+        self.proj_b = T.parameter(np.zeros(dim), name="mva.proj.b")
 
     @property
     def params(self) -> list[Tensor]:
@@ -211,13 +186,13 @@ class CrossAttention:
     3D value projection, and the blend is 0.5 * (x2 @ wv + x3 @ wv2).
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator, name: str = "xattn"):
+    def __init__(self, dim: int, rng: np.random.Generator):
         # draw all six projections (wq, wk, wv, wq2, wk2, wv2) so the two kept
         # values stay those of the attention written out in full
         draws = [rng.normal(0, 1 / np.sqrt(dim), (dim, dim)) for _ in range(6)]
         self.dim = dim
-        self.wv = T.parameter(draws[2], name=f"{name}.wv")
-        self.wv2 = T.parameter(draws[5], name=f"{name}.wv2")
+        self.wv = T.parameter(draws[2], name="xattn.wv")
+        self.wv2 = T.parameter(draws[5], name="xattn.wv2")
 
     @property
     def params(self) -> list[Tensor]:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_fields
 from .errors import ContractError, NumericError
 
 MODE_ALIASES = {
@@ -29,6 +30,7 @@ class FusionConfig:
     def __post_init__(self):
         if not self.phi > 0:
             raise ContractError(f"phi must be positive, got {self.phi}")
+        check_fields(self)
         if self.mode not in MODE_ALIASES:
             raise ContractError(f"unknown fusion mode {self.mode!r}")
         self.mode = MODE_ALIASES[self.mode]

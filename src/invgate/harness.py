@@ -39,13 +39,7 @@ from .losses import (
     modality_irm_loss,
     nt_xent_align,
 )
-from .mining import (
-    SelectionReport,
-    fit_gmm2,
-    mining_schedule,
-    select_joint_hard,
-    select_modality_hard,
-)
+from .mining import fit_gmm2, mining_schedule, select_joint_hard, select_modality_hard
 from .optim import SGD, OptimizerState, ParamGroup, cosine_lr
 
 METRICS_FORMAT = "invgate-metrics"
@@ -72,14 +66,10 @@ class Model:
     def __init__(self, cfg: RunConfig):
         dims = [cfg.generator.dim, *cfg.encoder_hidden, cfg.output_dim]
         self.cfg = cfg
-        self.enc2d = ModalityEncoder(
-            "2d", dims, init=cfg.encoder_init,
-            rng=_component_rng(cfg.seed, "enc2d"), name="enc2d",
-        )
-        self.enc3d = ModalityEncoder(
-            "3d", dims, init=cfg.encoder_init,
-            rng=_component_rng(cfg.seed, "enc3d"), name="enc3d",
-        )
+        self.enc2d = ModalityEncoder("enc2d", dims, cfg.encoder_init,
+                                     _component_rng(cfg.seed, "enc2d"))
+        self.enc3d = ModalityEncoder("enc3d", dims, cfg.encoder_init,
+                                     _component_rng(cfg.seed, "enc3d"))
         c = cfg.generator.num_classes
         self.head2d = ClassHead(c, cfg.output_dim, mode=cfg.head2d_mode,
                                 rng=_component_rng(cfg.seed, "head2d"),
@@ -120,9 +110,6 @@ class Model:
 
     # -- forward paths --------------------------------------------------------
 
-    def features_3d(self, x3: np.ndarray) -> T.Tensor:
-        return self.enc3d(T.constant(x3))
-
     def features_2d(self, views: np.ndarray) -> tuple[T.Tensor, T.Tensor]:
         """[B, N, d_in] -> (per-view features [B, N, d], aggregated [B, d])."""
         per_view = self.enc2d(T.constant(views))
@@ -131,9 +118,6 @@ class Model:
         else:
             agg = T.mean_(per_view, axis=1)
         return per_view, agg
-
-    def logits_3d(self, feats3: T.Tensor) -> T.Tensor:
-        return self.head3d.logits(feats3)
 
     def logits_2d(self, per_view: T.Tensor) -> T.Tensor:
         b, n, d = per_view.shape
@@ -157,7 +141,7 @@ def _branch_outputs(model: Model, x3: np.ndarray, views: np.ndarray):
     """No-grad logits for both branches (numpy). The 2D logits average the
     per-view logits, so no view aggregate is built."""
     with T.no_grad():
-        logits3 = model.logits_3d(model.features_3d(x3))
+        logits3 = model.head3d.logits(model.enc3d(x3))
         logits2 = model.logits_2d(model.enc2d(T.constant(views)))
     return logits2.data, logits3.data
 
@@ -246,7 +230,9 @@ class Trainer:
             ce3 = cross_entropy(T.constant(logits3), self.train_labels).data
         return ce2, ce3, softmax_np(logits2), softmax_np(logits3)
 
-    def _mine(self, epoch: int) -> SelectionReport | None:
+    def _mine(self, epoch: int) -> dict | None:
+        """On a mining epoch, refresh `d_joint` and return the epoch's `mining`
+        record; otherwise None."""
         cfg = self.cfg
         if not (cfg.enable_step1 and mining_schedule(epoch, cfg.mining_warmup, cfg.mining_period)):
             return None
@@ -264,18 +250,13 @@ class Trainer:
             hard[i] = select_modality_hard(ces[i], ps[i], fit=fit)
         d2, d3 = hard
         candidates = np.union1d(d2, d3)
-        if candidates.size == 0:
-            report = SelectionReport(d2=d2, d3=d3, d_joint=np.empty(0, dtype=int),
-                                     r1=float("nan"), r2=0,
-                                     p2=cfg.posterior_p2, p3=cfg.posterior_p3, epoch=epoch)
-        else:
-            report = select_joint_hard(
-                candidates, probs2, probs3, self.train_labels,
-                rho=cfg.mining_rho, k=cfg.mining_topk,
-                d2=d2, d3=d3, p2=cfg.posterior_p2, p3=cfg.posterior_p3, epoch=epoch,
-            )
-        self.d_joint = report.d_joint
-        return report
+        self.d_joint, r1, r2 = (
+            select_joint_hard(candidates, probs2, probs3, self.train_labels,
+                              rho=cfg.mining_rho, k=cfg.mining_topk)
+            if candidates.size else (np.empty(0, dtype=int), float("nan"), 0))
+        return {"d2": d2.tolist(), "d3": d3.tolist(), "d_joint": self.d_joint.tolist(),
+                "r1": float(r1), "r2": int(r2), "p2": float(cfg.posterior_p2),
+                "p3": float(cfg.posterior_p3), "epoch": int(epoch)}
 
     # -- loss terms -----------------------------------------------------------
 
@@ -307,9 +288,7 @@ class Trainer:
         jitter = 0.5 * cfg.generator.sigma_invariant
         aug = [augment_3d(x3_hard, rng, jitter_sigma=jitter) for _ in range(cfg.n_3d_augments)]
         with T.no_grad():
-            feats3 = self.model.features_3d(
-                np.concatenate([self.train_x3[idx], *aug], axis=0)
-            ).data
+            feats3 = self.model.enc3d(np.concatenate([self.train_x3[idx], *aug], axis=0)).data
         feats2 = per_view.data.reshape(-1, cfg.output_dim)
 
         n_aug = cfg.n_3d_augments * subset.size
@@ -346,11 +325,11 @@ class Trainer:
         plus the terms the config enables. Returns (total, parts)."""
         cfg = self.cfg
         labels = self.train_labels[idx]
-        feats3 = self.model.features_3d(self.train_x3[idx])
+        feats3 = self.model.enc3d(self.train_x3[idx])
         per_view, agg2 = self.model.features_2d(self.train_views[idx])
 
         ce2 = cross_entropy(self.model.logits_2d(per_view), labels)
-        ce3 = cross_entropy(self.model.logits_3d(feats3), labels)
+        ce3 = cross_entropy(self.model.head3d.logits(feats3), labels)
         total = T.add(T.mean_(ce2), T.mean_(ce3))
         parts = {"ce": total.item(), "inv": None, "align": None}
 
@@ -410,7 +389,7 @@ class Trainer:
             "loss_align": sums["align"] / counts["align"] if counts["align"] else None,
             "inv_batches": counts["inv"],
             "n_joint_hard": int(self.d_joint.size),
-            "mining": mining.to_record() if mining is not None else None,
+            "mining": mining,
             **rec.aggregates(),
         }
         self.metrics.append(record)
@@ -487,8 +466,9 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
 
 def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD, int]:
     """(config, model, optimizer, epoch), one array per read. A damaged file,
-    a malformed header field, an array the model has no place for, a missing
-    parameter and a non-finite array each raise CheckpointError."""
+    a malformed header field, an array the model has no place for or that
+    the header lists twice, a missing parameter and a non-finite array each
+    raise CheckpointError."""
     with container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                         CHECKPOINT_FORMAT) as (header, take):
         with container.malformed(path):
@@ -500,11 +480,14 @@ def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD, int]:
         opt = SGD(model.param_groups(), opt_state)
         params = model.named_params()
         velocity: dict[str, np.ndarray] = {}
-        loaded: set[str] = set()
+        seen: set[str] = set()
         for name, shape in entries:
             param = params.get(name.removeprefix(_VELOCITY))
             if param is None:
                 raise CheckpointError(f"{path}: unexpected array '{name}'")
+            if name in seen:
+                raise CheckpointError(f"{path}: array '{name}' listed twice")
+            seen.add(name)
             if shape != param.data.shape:
                 raise CheckpointError(f"{path}: shape mismatch for '{name}': "
                                       f"file {shape} vs model {param.data.shape}")
@@ -516,8 +499,7 @@ def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD, int]:
                 velocity[param.name] = arr
             else:
                 param.data = arr
-                loaded.add(name)
-    missing = sorted(set(params) - loaded)
+    missing = sorted(set(params) - seen)
     if missing:
         raise CheckpointError(f"{path}: missing parameter array '{missing[0]}'")
     opt.load_velocity(velocity)

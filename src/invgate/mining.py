@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,30 +180,12 @@ def _topk_overlaps(f2: np.ndarray, f3: np.ndarray, k: int) -> np.ndarray:
     return (member[0] & member[1]).sum(axis=1)
 
 
-@dataclass
-class SelectionReport:
-    """One mining epoch: per-modality hard sets, the joint set, thresholds."""
+class JointSelection(NamedTuple):
+    """One selection: the joint hard set and the two thresholds that chose it."""
 
-    d2: np.ndarray
-    d3: np.ndarray
     d_joint: np.ndarray
     r1: float
     r2: int
-    p2: float
-    p3: float
-    epoch: int
-
-    def to_record(self) -> dict:
-        return {
-            "d2": [int(i) for i in self.d2],
-            "d3": [int(i) for i in self.d3],
-            "d_joint": [int(i) for i in self.d_joint],
-            "r1": float(self.r1),
-            "r2": int(self.r2),
-            "p2": float(self.p2),
-            "p3": float(self.p3),
-            "epoch": int(self.epoch),
-        }
 
 
 def wrong_class_confidence(probs2: np.ndarray, probs3: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -220,12 +203,7 @@ def select_joint_hard(
     labels: np.ndarray,
     rho: float,
     k: int,
-    d2: np.ndarray | None = None,
-    d3: np.ndarray | None = None,
-    p2: float = float("nan"),
-    p3: float = float("nan"),
-    epoch: int = -1,
-) -> SelectionReport:
+) -> JointSelection:
     """Joint hard samples among candidates, with quantile-derived thresholds.
 
     probs2/probs3 are softmax-normalized branch outputs indexed like labels
@@ -252,17 +230,7 @@ def select_joint_hard(
     r2 = int(cutoffs[np.argmin(np.abs(fractions - rho))])
 
     keep = (s1 > r1) & (overlaps < r2)
-    d_joint = np.sort(candidates[keep])
-    return SelectionReport(
-        d2=np.sort(np.asarray(d2 if d2 is not None else [], dtype=int)),
-        d3=np.sort(np.asarray(d3 if d3 is not None else [], dtype=int)),
-        d_joint=d_joint,
-        r1=r1,
-        r2=r2,
-        p2=p2,
-        p3=p3,
-        epoch=epoch,
-    )
+    return JointSelection(np.sort(candidates[keep]), r1, r2)
 
 
 def mining_schedule(epoch: int, warmup: int, period: int) -> bool:

@@ -132,6 +132,18 @@ def test_malformed_header_field_is_a_one_line_error(short_run, tmp_path, capsys,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_array_listed_twice_names_it(short_run, tmp_path):
+    trainer, result = short_run
+    p = tmp_path / "run.igck"
+    save_checkpoint(str(p), result)
+    header = _rewrite(p, lambda h: h["arrays"].append(h["arrays"][-1]))
+    last = header["arrays"][-1]
+    # the payload repeats the last block, so the file is whole and only the listing is wrong
+    _rewrite(p, edit_payload=lambda b: b.extend(b[-8 * int(np.prod(last["shape"])):]))
+    with pytest.raises(CheckpointError, match=f"array '{last['name']}' listed twice"):
+        load_checkpoint(str(p))
+
+
 def test_not_a_checkpoint(tmp_path):
     p = tmp_path / "junk"
     p.write_bytes(b"hello world, definitely not a checkpoint")

@@ -271,6 +271,31 @@ def test_non_integer_env_seed_is_a_one_line_error(tmp_path, tiny_config_file, mo
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("edit,argv,env,message", [
+    ({"epochs": "5"}, [], None, "epochs must be an integer, got '5'"),
+    ({"epochs": True}, [], None, "epochs must be an integer, got True"),
+    ({"batch_size": 2.5}, [], None, "batch_size must be an integer, got 2.5"),
+    ({"encoder_hidden": 5}, [], None, "encoder_hidden must be a list of integers, got 5"),
+    ({"enable_step1": "no"}, [], None, "enable_step1 must be true or false, got 'no'"),
+    ({"irm_lambda": "5"}, [], None, "irm_lambda must be a finite number, got '5'"),
+    ({"base_lr": 10**400}, [], None, f"base_lr must be a finite number, got {10**400}"),
+    ({}, ["--seed", "-1"], None, "seed must be >= 0, got -1"),
+    ({}, [], "-3", "seed must be >= 0, got -3"),
+], ids=["epochs_string", "epochs_bool", "batch_size_float", "encoder_hidden_int",
+        "enable_step1_string", "irm_lambda_string", "base_lr_beyond_float",
+        "negative_seed_flag", "negative_env_seed"])
+def test_wrongly_typed_config_is_a_one_line_error(tmp_path, tiny_config_file, monkeypatch,
+                                                  capsys, edit, argv, env, message):
+    cfg_path, cfg = tiny_config_file
+    cfg_path.write_text(json.dumps({**cfg.to_dict(), **edit}))
+    if env is not None:
+        monkeypatch.setenv("INVGATE_SEED", env)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir), *argv]) == 2
+    assert capsys.readouterr().err == f"invgate: error: {message}\n"
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_dataset_that_does_not_fit_is_a_one_line_error(artefacts, tiny_config_file, tmp_path,
                                                        capsys, command):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -118,10 +119,29 @@ def test_replace_rejects_unknown_keys():
     {"use_view_attention": True, "view_attention_hidden": -1},
     {"encoder_init": "random", "encoder_hidden": (-2,)},
     {"encoder_init": "random", "encoder_hidden": (0,)},
+    {"epochs": True},
+    {"encoder_hidden": 5},
+    {"encoder_init": "random", "encoder_hidden": [4.0]},
+    {"seed": -1},
+    {"generator": {"seed": -1}},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_rejected_at_construction(overrides):
     with pytest.raises(ContractError):
         RunConfig.from_dict(overrides)
+
+
+# a value of another type than each field's, chosen by the field's annotation
+_WRONG_TYPE = {"int": 2.5, "float": "0.5", "bool": "no", "str": 5, "tuple[int, ...]": ["a"]}
+
+
+@pytest.mark.parametrize("cls,name,value", [
+    pytest.param(cls, f.name, _WRONG_TYPE[f.type], id=f"{cls.__name__}-{f.name}")
+    for cls in (RunConfig, GeneratorConfig)
+    for f in dataclasses.fields(cls) if f.type in _WRONG_TYPE
+])
+def test_wrongly_typed_field_rejected(cls, name, value):
+    with pytest.raises(ContractError, match=f"^{name} must be "):
+        cls(**{name: value})
 
 
 def test_boundary_values_accepted():
@@ -130,3 +150,6 @@ def test_boundary_values_accepted():
     RunConfig(include_25d=True, rex_lambda_min=1.0 / 3.0)
     RunConfig(weight_decay=0.0, momentum=0.0, view_attention_delta=0.0)
     RunConfig(view_attention_delta=1.0, fusion_mode="add")
+    # a float field keeps an int as given, so a manifest keeps its bytes
+    cfg = RunConfig.from_dict({"base_lr": 1, "generator": {"p_conflict": 0}})
+    assert type(cfg.to_dict()["base_lr"]) is int and type(cfg.generator.p_conflict) is int

@@ -175,43 +175,30 @@ def augment_row_oracle(x3, rng, scale_range=(0.8, 1.25), jitter_sigma=0.15, coor
 class TestAugment:
     @settings(max_examples=60, deadline=2000)
     @given(k=st.integers(1, 40), d=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
-           jitter_sigma=st.sampled_from([0.0, 0.075, 0.15]),
-           coord_jitter=st.sampled_from([0.0, 0.05, 0.5]))
-    def test_block_equals_row_by_row(self, k, d, seed, jitter_sigma, coord_jitter):
+           jitter_sigma=st.sampled_from([0.0, 0.075, 0.15]))
+    def test_block_equals_row_by_row(self, k, d, seed, jitter_sigma):
         x = np.random.default_rng(seed).normal(size=(k, d))
-        kw = dict(jitter_sigma=jitter_sigma, coord_jitter=coord_jitter)
+        kw = dict(jitter_sigma=jitter_sigma)
         block_rng, row_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         block = augment_3d(x, block_rng, **kw)
         rows = np.stack([augment_row_oracle(row, row_rng, **kw) for row in x])
         assert block.shape == x.shape and block.tobytes() == rows.tobytes()
         assert block_rng.random() == row_rng.random()      # the stream is left where rows leave it
         one_rng = np.random.default_rng(seed + 1)
-        assert augment_3d(x[0], one_rng, **kw).tobytes() == augment_row_oracle(
+        assert augment_3d(x[:1], one_rng, **kw).tobytes() == augment_row_oracle(
             x[0], np.random.default_rng(seed + 1), **kw).tobytes()
 
     @pytest.mark.parametrize("kw", [
         {"jitter_sigma": -0.1}, {"jitter_sigma": float("nan")}, {"jitter_sigma": float("inf")},
-        {"scale_range": (0.0, 1.0)}, {"scale_range": (-1.0, 1.0)}, {"scale_range": (1.2, 0.8)},
-        {"scale_range": (0.8, float("inf"))}, {"scale_range": (float("nan"), 1.0)},
-        {"coord_jitter": 1.0}, {"coord_jitter": -0.1},
     ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_bad_knobs_rejected(self, kw):
         with pytest.raises(ContractError):
-            augment_3d(np.ones(3), seed=0, **kw)
-
-    @pytest.mark.parametrize("shape", [(), (2, 3, 4)])
-    def test_only_rows_and_blocks(self, shape):
-        with pytest.raises(ContractError, match="a row"):
-            augment_3d(np.ones(shape), seed=0)
-
-    def test_identity_at_zero_knobs(self):
-        x = np.array([1.0, -2.0, 3.0])
-        out = augment_3d(x, seed=0, scale_range=(1.0, 1.0), jitter_sigma=0.0, coord_jitter=0.0)
-        np.testing.assert_array_equal(out, x)
+            augment_3d(np.ones((1, 3)), np.random.default_rng(0), **kw)
 
     def test_seeded_determinism(self):
-        x = np.random.default_rng(0).normal(size=6)
-        np.testing.assert_array_equal(augment_3d(x, seed=42), augment_3d(x, seed=42))
+        x = np.random.default_rng(0).normal(size=(1, 6))
+        np.testing.assert_array_equal(augment_3d(x, np.random.default_rng(42), 0.15),
+                                      augment_3d(x, np.random.default_rng(42), 0.15))
 
     def test_augmented_stays_in_class(self):
         cfg = small_cfg(sigma_invariant=0.05, p_conflict=0.0)
@@ -221,8 +208,8 @@ class TestAugment:
         trials = 0
         for s in ds.train[:50]:
             for t in range(20):
-                aug = augment_3d(s.x3, seed=(trials + 1), jitter_sigma=0.025)
-                inv = aug[: cfg.invariant_dim]
+                aug = augment_3d(s.x3[None], np.random.default_rng(trials + 1), jitter_sigma=0.025)
+                inv = aug[0, : cfg.invariant_dim]
                 hits += np.linalg.norm(inv - mu, axis=1).argmin() == s.label
                 trials += 1
         assert hits / trials >= 0.99

@@ -19,8 +19,8 @@ from invgate.errors import ContractError, NumericError, ShapeError
 from invgate.harness import Model, _component_rng
 
 
-def identity_encoder(modality, dim):
-    return ModalityEncoder(modality, [dim, dim], init="identity")
+def identity_encoder(name, dim):
+    return ModalityEncoder(name, [dim, dim], "identity", None)
 
 
 def small_model(dim, num_views, **kw):
@@ -63,7 +63,7 @@ class TestEncoders:
 
     def test_identity_init_requires_square(self):
         with pytest.raises(ContractError):
-            ModalityEncoder("3d", [4, 8], init="identity")
+            ModalityEncoder("3d", [4, 8], "identity", None)
 
 
 class TestEncode2d:

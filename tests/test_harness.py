@@ -176,7 +176,7 @@ class TestMiningFit:
         ces[constant] = np.full_like(ces[constant], 0.5)
         trainer._train_split_stats = lambda: (*ces, probs2, probs3)
         report = trainer._mine(1)
-        hard = [report.d2, report.d3]
+        hard = [np.array(report["d2"], dtype=int), np.array(report["d3"], dtype=int)]
         other, p = 1 - constant, (cfg.posterior_p2, cfg.posterior_p3)[1 - constant]
         assert hard[constant].size == 0
         expected = select_modality_hard(ces[other], p, fit=fit_gmm2(ces[other]))
@@ -250,13 +250,13 @@ class TestRoutingAudit:
         forward = ModalityEncoder.__call__
 
         def counting(enc, x):
-            calls.append(enc.modality)
+            calls.append(enc.name)
             return forward(enc, x)
 
         monkeypatch.setattr(ModalityEncoder, "__call__", counting)
         _, parts = trainer.total_objective(np.arange(8), epoch=0, batch_i=0)
         assert parts["inv"] is not None
-        assert calls.count("2d") == 1
+        assert calls.count("enc2d") == 1
 
     def test_two_epoch_inv_only_run_freezes_encoders(self, monkeypatch):
         monkeypatch.setattr(harness, "cross_entropy", zero_cross_entropy)
@@ -313,8 +313,8 @@ class TestSingleBranchOracle:
                     per_view, _ = model.features_2d(trainer.train_views[idx])
                     loss = T.mean_(cross_entropy(model.logits_2d(per_view), labels))
                 else:
-                    feats3 = model.features_3d(trainer.train_x3[idx])
-                    loss = T.mean_(cross_entropy(model.logits_3d(feats3), labels))
+                    feats3 = model.enc3d(trainer.train_x3[idx])
+                    loss = T.mean_(cross_entropy(model.head3d.logits(feats3), labels))
                 opt.zero_grad()
                 T.backward(loss)
                 opt.step()

@@ -162,7 +162,7 @@ class TestSelectModalityHard:
         losses, probs = np.full(n, 1.0), np.full((n, 4), 0.25)
         monkeypatch.setattr(trainer, "_train_split_stats", lambda: (losses, losses, probs, probs))
         report = trainer._mine(1)
-        assert report.d2.size == report.d3.size == report.d_joint.size == 0
+        assert len(report["d2"]) == len(report["d3"]) == len(report["d_joint"]) == 0
 
 
 class TestTopk:
