@@ -12,20 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
 
 def _affine_params(dims, init, rng, prefix):
-    if init not in ("identity", "random"):
-        raise ContractError(f"unknown init {init!r}")
+    """One weight and bias per stage. RunConfig admits "identity" only for square stages."""
     weights, biases = [], []
     for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
         if init == "identity":
-            if din != dout:
-                raise ContractError(
-                    f"identity init needs square stages, got {din}x{dout}"
-                )
             w = np.eye(din)
         else:
             w = rng.normal(0.0, 1.0 / np.sqrt(din), size=(din, dout))
@@ -40,10 +34,7 @@ class ModalityEncoder:
     def __init__(self, name: str, dims: list[int], init: str,
                  rng: np.random.Generator | None):
         """`name` prefixes the parameter names; `rng` draws a random init."""
-        if len(dims) < 2:
-            raise ContractError("dims must list input and output sizes")
         self.name = name
-        self.dims = list(dims)
         self.weights, self.biases = _affine_params(dims, init, rng, name)
 
     @property
@@ -51,10 +42,7 @@ class ModalityEncoder:
         return [*self.weights, *self.biases]
 
     def __call__(self, x: Tensor | np.ndarray) -> Tensor:
-        x = T.as_tensor(x)
-        if x.shape[-1] != self.dims[0]:
-            raise ShapeError(f"encoder {self.name} expects last dim {self.dims[0]}, got {x.shape}")
-        h = x
+        h = T.as_tensor(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = T.add(T.matmul(h, w), b)
@@ -67,7 +55,6 @@ class GateMask:
     """Learnable per-dimension soft mask shared by both modalities."""
 
     def __init__(self, dim: int):
-        self.dim = dim
         self.mask_logits = T.parameter(np.zeros(dim), name="gate.mask_logits")
 
     @property
@@ -81,10 +68,7 @@ class GateMask:
         return m if learn else m.detach()
 
     def apply(self, x: Tensor | np.ndarray, learn: bool = True) -> Tensor:
-        x = T.as_tensor(x)
-        if x.shape[-1] != self.dim:
-            raise ShapeError(f"gate of dim {self.dim} applied to {x.shape}")
-        return T.mul(self.mask(learn=learn), x)
+        return T.mul(self.mask(learn=learn), T.as_tensor(x))
 
     def values(self) -> np.ndarray:
         with T.no_grad():
@@ -94,22 +78,10 @@ class GateMask:
 class ClassHead:
     """Class-prototype head; cosine mode mirrors similarity-based logits."""
 
-    def __init__(
-        self,
-        num_classes: int,
-        dim: int,
-        mode: str = "cosine",
-        rng: np.random.Generator | None = None,
-        scale: float = 1.0,
-        name: str = "head",
-    ):
-        if mode not in ("cosine", "affine"):
-            raise ContractError(f"head mode must be cosine or affine, got {mode!r}")
-        if rng is None:
-            raise ContractError("ClassHead requires an rng for prototype init")
+    def __init__(self, num_classes: int, dim: int, rng: np.random.Generator,
+                 mode: str = "cosine", scale: float = 1.0, name: str = "head"):
         self.mode = mode
         self.num_classes = num_classes
-        self.dim = dim
         protos = rng.normal(0.0, scale / np.sqrt(dim), size=(num_classes, dim))
         self.prototypes = T.parameter(protos, name=f"{name}.prototypes")
 
@@ -119,8 +91,6 @@ class ClassHead:
 
     def logits(self, features: Tensor | np.ndarray) -> Tensor:
         features = T.as_tensor(features)
-        if features.shape[-1] != self.dim:
-            raise ShapeError(f"head of dim {self.dim} got features {features.shape}")
         if self.mode == "cosine":   # raises on a zero-norm feature
             return T.cosine_matmul_t(features, self.prototypes)
         return T.matmul_t(features, self.prototypes)
@@ -136,8 +106,6 @@ class MultiViewAggregator:
     """
 
     def __init__(self, num_views: int, dim: int, hidden: int, rng: np.random.Generator):
-        self.num_views = num_views
-        self.dim = dim
         cat = num_views * dim
         self.f1_w = T.parameter(rng.normal(0, 1 / np.sqrt(cat), (cat, hidden)), name="mva.f1.w")
         self.f1_b = T.parameter(np.zeros(hidden), name="mva.f1.b")
@@ -152,11 +120,7 @@ class MultiViewAggregator:
 
     def __call__(self, per_view: Tensor, delta: float) -> Tensor:
         """[B, N, d] per-view features -> [B, d] blended feature."""
-        if not (0.0 <= delta <= 1.0):
-            raise ContractError(f"delta must lie in [0, 1], got {delta}")
         b, n, d = per_view.shape
-        if n != self.num_views or d != self.dim:
-            raise ShapeError(f"aggregator built for {self.num_views}x{self.dim}, got {per_view.shape}")
 
         flat = T.reshape(per_view, (b, n * d))
         f_global = T.add(
@@ -190,7 +154,6 @@ class CrossAttention:
         # draw all six projections (wq, wk, wv, wq2, wk2, wv2) so the two kept
         # values stay those of the attention written out in full
         draws = [rng.normal(0, 1 / np.sqrt(dim), (dim, dim)) for _ in range(6)]
-        self.dim = dim
         self.wv = T.parameter(draws[2], name="xattn.wv")
         self.wv2 = T.parameter(draws[5], name="xattn.wv2")
 
@@ -199,6 +162,4 @@ class CrossAttention:
         return [self.wv, self.wv2]
 
     def __call__(self, x2: Tensor, x3: Tensor) -> Tensor:
-        if x2.shape != x3.shape or x2.shape[-1] != self.dim:
-            raise ShapeError(f"cross-attention dim {self.dim}, got {x2.shape} / {x3.shape}")
         return T.mul(T.add(T.matmul(x2, self.wv), T.matmul(x3, self.wv2)), T.constant(0.5))

@@ -16,7 +16,6 @@ from . import tensor as T
 from .gradcheck import check_gradients
 from .losses import (
     ContrastiveBatch,
-    IRMConfig,
     cross_entropy,
     irm_grad_theta,
     mm_rex,
@@ -27,6 +26,7 @@ from .losses import (
 )
 
 N, D, C = 6, 4, 3  # pool size, feature dim, classes
+N_CONFIGS, TOL, THETA_TOL = 20, 1e-4, 1e-6  # seeds per check; worst relative error bounds
 
 
 def _labels(rng, n=N, c=C):
@@ -55,7 +55,7 @@ def _loss_builders(seed: int):
             "2d": ContrastiveBatch(leaves[0], labels),
             "3d": ContrastiveBatch(leaves[1], labels_b),
         }
-        return modality_irm_loss(envs, IRMConfig(lam=5.0))
+        return modality_irm_loss(envs, "irmv1", 5.0, 1.0, 0.0, 1.0)
 
     gate_feats_2d = rng.normal(size=(N, D))
     gate_feats_3d = rng.normal(size=(N, D))
@@ -66,7 +66,7 @@ def _loss_builders(seed: int):
             "2d": ContrastiveBatch(T.mul(mask, T.constant(gate_feats_2d)), pools[0], anchors[0]),
             "3d": ContrastiveBatch(T.mul(mask, T.constant(gate_feats_3d)), pools[1], anchors[1]),
         }
-        return modality_irm_loss(envs, IRMConfig(lam=5.0))
+        return modality_irm_loss(envs, "irmv1", 5.0, 1.0, 0.0, 1.0)
 
     # labels and anchors of the trainer's pools for three samples, the second
     # hard: two views each in 2D, the batch and 3 copies of the hard one in 3D
@@ -165,10 +165,10 @@ def theta_check(seed: int) -> float:
     return abs(analytic - fd) / max(abs(fd), 1e-3)
 
 
-def run_suite(n_configs: int = 20, tol: float = 1e-4, theta_tol: float = 1e-6):
-    """Returns [(check name, passed, worst relative error)]."""
+def run_suite():
+    """Returns [(check name, passed, worst relative error)] over N_CONFIGS seeds."""
     worst: dict[str, float] = {}
-    for seed in range(n_configs):
+    for seed in range(N_CONFIGS):
         for name, build, arrays in _loss_builders(seed):
             err, _, _ = check_gradients(build, arrays)
             worst[name] = max(worst.get(name, 0.0), err)
@@ -179,6 +179,6 @@ def run_suite(n_configs: int = 20, tol: float = 1e-4, theta_tol: float = 1e-6):
                                         theta_check(seed))
     results = []
     for name, err in worst.items():
-        bound = theta_tol if name == "theta_derivative" else tol
+        bound = THETA_TOL if name == "theta_derivative" else TOL
         results.append((name, err < bound, err))
     return results

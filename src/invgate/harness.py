@@ -33,7 +33,6 @@ from .errors import CheckpointError, ContractError, NumericError
 from .fusion import EvalRecord, FusionConfig, confusion_csv, fuse, predict, softmax_np
 from .losses import (
     ContrastiveBatch,
-    IRMConfig,
     contrastive_report,
     cross_entropy,
     modality_irm_loss,
@@ -71,12 +70,10 @@ class Model:
         self.enc3d = ModalityEncoder("enc3d", dims, cfg.encoder_init,
                                      _component_rng(cfg.seed, "enc3d"))
         c = cfg.generator.num_classes
-        self.head2d = ClassHead(c, cfg.output_dim, mode=cfg.head2d_mode,
-                                rng=_component_rng(cfg.seed, "head2d"),
-                                scale=cfg.head_scale, name="head2d")
-        self.head3d = ClassHead(c, cfg.output_dim, mode=cfg.head3d_mode,
-                                rng=_component_rng(cfg.seed, "head3d"),
-                                scale=cfg.head_scale, name="head3d")
+        self.head2d = ClassHead(c, cfg.output_dim, _component_rng(cfg.seed, "head2d"),
+                                mode=cfg.head2d_mode, scale=cfg.head_scale, name="head2d")
+        self.head3d = ClassHead(c, cfg.output_dim, _component_rng(cfg.seed, "head3d"),
+                                mode=cfg.head3d_mode, scale=cfg.head_scale, name="head3d")
         self.gate = GateMask(cfg.output_dim)
         self.mva = None
         if cfg.use_view_attention:
@@ -217,6 +214,7 @@ class Trainer:
             self.d_joint = np.arange(n)
         else:
             self.d_joint = np.empty(0, dtype=int)
+        self.fusion = FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode)
         self.metrics: list[dict] = []
         self.last_eval: EvalRecord | None = None   # the latest epoch's test-split record
 
@@ -314,11 +312,8 @@ class Trainer:
                 if contrastive_report(batch).n_pairs > 0}
         if len(envs) < 2:
             return None
-        theta = 1.0 if cfg.irm_variant == "irmv1" else cfg.inv_theta
-        irm_cfg = IRMConfig(lam=cfg.irm_lambda, dummy_theta=theta,
-                            variant=cfg.irm_variant, lambda_min=cfg.rex_lambda_min,
-                            beta=cfg.rex_beta)
-        return modality_irm_loss(envs, irm_cfg)
+        return modality_irm_loss(envs, cfg.irm_variant, cfg.irm_lambda, cfg.inv_theta,
+                                 cfg.rex_lambda_min, cfg.rex_beta)
 
     def total_objective(self, idx: np.ndarray, epoch: int, batch_i: int):
         """Compute the objective for one batch of train indices: cross-entropy
@@ -379,8 +374,7 @@ class Trainer:
             if not np.isfinite(param.data).all():
                 raise NumericError(f"non-finite parameter '{name}' after epoch {epoch}")
 
-        rec = self.last_eval = evaluate_model(
-            self.model, self.dataset, FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode))
+        rec = self.last_eval = evaluate_model(self.model, self.dataset, self.fusion)
         record = {
             "epoch": epoch,
             "lr": lr,
@@ -464,11 +458,11 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
                     (np.ascontiguousarray(arrays[n], dtype="<f8") for n in names))
 
 
-def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD, int]:
-    """(config, model, optimizer, epoch), one array per read. A damaged file,
-    a malformed header field, an array the model has no place for or that
-    the header lists twice, a missing parameter and a non-finite array each
-    raise CheckpointError."""
+def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD]:
+    """(config, model, optimizer), one array per read. A damaged file, a
+    malformed header field, a top-level epoch other than the optimizer's, an
+    array the model has no place for or that the header lists twice, a
+    missing parameter and a non-finite array each raise CheckpointError."""
     with container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                         CHECKPOINT_FORMAT) as (header, take):
         with container.malformed(path):
@@ -476,6 +470,9 @@ def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD, int]:
             opt_state = OptimizerState(**header["optimizer"])
             entries = [(str(e["name"]), tuple(e["shape"])) for e in header["arrays"]]
             epoch = header["epoch"]
+        if type(epoch) is not int or epoch != opt_state.epoch:
+            raise CheckpointError(f"{path}: header epoch {epoch!r} is not the optimizer's "
+                                  f"epoch {opt_state.epoch}")
         model = Model(cfg)
         opt = SGD(model.param_groups(), opt_state)
         params = model.named_params()
@@ -503,11 +500,11 @@ def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD, int]:
     if missing:
         raise CheckpointError(f"{path}: missing parameter array '{missing[0]}'")
     opt.load_velocity(velocity)
-    return cfg, model, opt, epoch
+    return cfg, model, opt
 
 
 def evaluate_checkpoint(path: str, dataset: Dataset, fusion: FusionConfig) -> EvalRecord:
-    cfg, model, _, _ = load_checkpoint(path)
+    cfg, model, _ = load_checkpoint(path)
     _check_fits(cfg, dataset, "checkpoint")
     return evaluate_model(model, dataset, fusion)
 

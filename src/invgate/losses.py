@@ -220,46 +220,27 @@ def irm_grad_theta(batch: ContrastiveBatch) -> Tensor:
     return _pool_node(batch, _grad_theta)
 
 
-def _irmv1_term(batch: ContrastiveBatch, cfg: IRMConfig) -> Tensor:
-    """sup_infonce + lam * irm_grad_theta^2 of one environment, one node over one
-    similarity matrix: the risk's contributions come first, then the penalty's."""
+def _irmv1_term(batch: ContrastiveBatch, lam: float) -> Tensor:
+    """sup_infonce + lam * irm_grad_theta^2 of one environment at theta = 1, one
+    node over one similarity matrix: the risk's contributions come first, then
+    the penalty's."""
     def terms(sim, *weights):
-        risk, risk_to_sim = _infonce(sim, cfg.dummy_theta, *weights)
+        risk, risk_to_sim = _infonce(sim, 1.0, *weights)
         grad, grad_to_sim = _grad_theta(sim, *weights)
-        penalty = grad * grad * cfg.lam
-        return risk + penalty, risk_to_sim, lambda g: grad_to_sim(g * cfg.lam * 2.0 * grad)
+        penalty = grad * grad * lam
+        return risk + penalty, risk_to_sim, lambda g: grad_to_sim(g * lam * 2.0 * grad)
 
-    return _pool_node(batch, terms, cfg.dummy_theta)
-
-
-@dataclass
-class IRMConfig:
-    lam: float = 5.0
-    dummy_theta: float = 1.0
-    variant: str = "irmv1"          # irmv1 | mm_rex | v_rex
-    lambda_min: float = 0.0         # mm_rex knob
-    beta: float = 1.0               # v_rex knob
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ContractError("penalty weight must be non-negative")
-        if self.variant not in IRM_VARIANTS:
-            raise ContractError(f"unknown variant {self.variant!r}")
-        if self.variant == "irmv1" and self.dummy_theta != 1.0:
-            raise ContractError("irmv1 evaluates the dummy classifier at 1")
+    return _pool_node(batch, terms)
 
 
 def mm_rex(env_losses: Sequence[Tensor], lambda_min: float) -> Tensor:
-    """(1 - m*lambda_min) * max_e L_e + lambda_min * sum_e L_e over scalar risks.
+    """(1 - m*lambda_min) * max_e L_e + lambda_min * sum_e L_e over scalar risks,
+    for lambda_min <= 1/m.
 
     The max picks the largest realized risk (first on ties), which is the
     correct subgradient.
     """
     m = len(env_losses)
-    if m < 2:
-        raise ContractError("mm_rex needs at least two environments")
-    if lambda_min > 1.0 / m:
-        raise ContractError(f"lambda_min must be <= 1/{m}")
     values = [x.item() for x in env_losses]
     worst = env_losses[int(np.argmax(values))]
     total = functools.reduce(T.add, env_losses)
@@ -269,11 +250,6 @@ def mm_rex(env_losses: Sequence[Tensor], lambda_min: float) -> Tensor:
 
 def v_rex(env_losses: Sequence[Tensor], beta: float) -> Tensor:
     """beta * Var({L_e}) + sum_e L_e over scalar risks, with population variance."""
-    m = len(env_losses)
-    if m < 2:
-        raise ContractError("v_rex needs at least two environments")
-    if beta < 0:
-        raise ContractError("beta must be non-negative")
     # one node: stack, mean, sub, square, mean, mul by beta, plus the sum
     stacked = np.concatenate([x.data.reshape((1,) + x.shape) for x in env_losses])
     scale = 1.0 / stacked.size
@@ -293,21 +269,21 @@ def v_rex(env_losses: Sequence[Tensor], beta: float) -> Tensor:
     return T._node(value, tuple(env_losses), vjp)
 
 
-def modality_irm_loss(envs: Mapping[str, ContrastiveBatch], cfg: IRMConfig) -> Tensor:
-    """Invariance loss over per-modality environments of gated features.
+def modality_irm_loss(envs: Mapping[str, ContrastiveBatch], variant: str, lam: float,
+                      theta: float, lambda_min: float, beta: float) -> Tensor:
+    """Invariance loss over two or more per-modality environments of gated features.
 
-    irmv1: sum_e [ L_e + lam * (dL_e/dtheta|_{theta=1})^2 ].  The REx
-    variants replace the gradient penalty with min-max or variance terms
-    over the realized risks.
+    irmv1: sum_e [ L_e + lam * (dL_e/dtheta|_{theta=1})^2 ], its risks at
+    theta = 1 whatever `theta` is. The REx variants replace the gradient
+    penalty with min-max (`lambda_min`) or variance (`beta`) terms over the
+    risks at `theta`; they read no `lam`.
     """
-    if len(envs) < 2:
-        raise ContractError("modality-wise invariance needs >= 2 environments")
-    if cfg.variant == "irmv1":
-        return functools.reduce(T.add, [_irmv1_term(batch, cfg) for batch in envs.values()])
-    risks = [sup_infonce(batch, theta=cfg.dummy_theta) for batch in envs.values()]
-    if cfg.variant == "mm_rex":
-        return mm_rex(risks, cfg.lambda_min)
-    return v_rex(risks, cfg.beta)
+    if variant == "irmv1":
+        return functools.reduce(T.add, [_irmv1_term(batch, lam) for batch in envs.values()])
+    risks = [sup_infonce(batch, theta=theta) for batch in envs.values()]
+    if variant == "mm_rex":
+        return mm_rex(risks, lambda_min)
+    return v_rex(risks, beta)
 
 
 def nt_xent_align(z2: Tensor, z3: Tensor, tau: float) -> Tensor:

@@ -212,8 +212,6 @@ def select_joint_hard(
     the overlap cutoff whose selected fraction is closest to rho (smallest
     such cutoff on ties). A candidate must pass both tests.
     """
-    if not (0.0 < rho <= 1.0):
-        raise ContractError(f"rho must lie in (0, 1], got {rho}")
     candidates = np.asarray(candidates, dtype=int)
     if candidates.size == 0:
         raise ContractError("candidate set is empty")
@@ -235,6 +233,4 @@ def select_joint_hard(
 
 def mining_schedule(epoch: int, warmup: int, period: int) -> bool:
     """Mine at epochs warmup, warmup+period, warmup+2*period, ..."""
-    if warmup < 1 or period < 1:
-        raise ContractError("warmup and period must be >= 1")
     return epoch >= warmup and (epoch - warmup) % period == 0

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_fields
 from .errors import ContractError
 from .tensor import Tensor
 
@@ -42,6 +43,7 @@ class OptimizerState:
     lr_min: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         if not self.base_lr > 0:
             raise ContractError("base_lr must be positive")
         if not self.weight_decay >= 0:
@@ -50,6 +52,8 @@ class OptimizerState:
             raise ContractError("momentum must lie in [0, 1)")
         if self.total_epochs <= 0:
             raise ContractError("total_epochs must be positive")
+        if self.epoch < 0:
+            raise ContractError("epoch must be >= 0")
 
 
 def cosine_lr(state: OptimizerState) -> float:

@@ -14,7 +14,7 @@ from invgate import tensor as T
 from invgate.config import RunConfig
 from invgate.data import GeneratorConfig, generate
 from invgate.fusion import FusionConfig, fuse, predict, softmax_np
-from invgate.gradcheck_suite import run_suite
+from invgate.gradcheck_suite import N_CONFIGS, THETA_TOL, TOL, run_suite
 from invgate.harness import (
     Trainer,
     evaluate_model,
@@ -54,8 +54,9 @@ def efficacy_runs():
 
 
 def test_criterion_1_gradient_correctness():
+    assert (N_CONFIGS, TOL, THETA_TOL) == (20, 1e-4, 1e-6)   # the criterion's bounds
     t0 = time.time()
-    results = run_suite(n_configs=20, tol=1e-4, theta_tol=1e-6)
+    results = run_suite()
     elapsed = time.time() - t0
     failed = [(n, e) for n, ok, e in results if not ok]
     worst = max(e for _, _, e in results)
@@ -267,7 +268,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
 
     p1, p2 = tmp_path / "a.igck", tmp_path / "b.igck"
     save_checkpoint(str(p1), r1)
-    cfg_loaded, model, opt, _ = load_checkpoint(str(p1))
+    cfg_loaded, model, opt = load_checkpoint(str(p1))
     from invgate.harness import TrainResult
 
     save_checkpoint(str(p2), TrainResult(cfg=cfg_loaded, model=model, optimizer=opt, metrics=[]))

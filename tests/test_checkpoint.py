@@ -37,10 +37,10 @@ def test_save_load_bit_identical_params(short_run, tmp_path):
     trainer, result = short_run
     p = tmp_path / "run.igck"
     save_checkpoint(str(p), result)
-    _, model, opt, epoch = load_checkpoint(str(p))
+    _, model, opt = load_checkpoint(str(p))
     for name, param in result.model.named_params().items():
         assert model.named_params()[name].data.tobytes() == param.data.tobytes()
-    assert epoch == result.cfg.epochs - 1
+    assert opt.state.epoch == result.cfg.epochs - 1
     for name, vel in result.optimizer.named_velocity().items():
         assert opt.named_velocity()[name].tobytes() == vel.tobytes()
 
@@ -49,7 +49,7 @@ def test_save_load_save_byte_stable(short_run, tmp_path):
     trainer, result = short_run
     p1, p2 = tmp_path / "a.igck", tmp_path / "b.igck"
     save_checkpoint(str(p1), result)
-    cfg, model, opt, epoch = load_checkpoint(str(p1))
+    cfg, model, opt = load_checkpoint(str(p1))
     save_checkpoint(str(p2), TrainResult(cfg=cfg, model=model, optimizer=opt, metrics=[]))
     # epoch lives in optimizer state, which load restores
     assert p1.read_bytes() == p2.read_bytes()
@@ -109,6 +109,17 @@ HEADER_EDITS = {
     "optimizer_not_an_object": (lambda h: h.update(optimizer=[1, 2]), None, "malformed header"),
     "optimizer_nan_base_lr": (lambda h: h["optimizer"].update(base_lr=float("nan")), None,
                               "malformed header"),
+    "optimizer_epoch_a_string": (lambda h: h["optimizer"].update(epoch="x"), None,
+                                 "malformed header"),
+    "optimizer_negative_epoch": (lambda h: h["optimizer"].update(epoch=-7), None,
+                                 "malformed header"),
+    "optimizer_lr_min_a_string": (lambda h: h["optimizer"].update(lr_min="x"), None,
+                                  "malformed header"),
+    "optimizer_fractional_total_epochs": (lambda h: h["optimizer"].update(total_epochs=2.5),
+                                          None, "malformed header"),
+    "epoch_null": (lambda h: h.update(epoch=None), None, "header epoch None is not"),
+    "epoch_not_the_optimizers": (lambda h: h.update(epoch=0), None,
+                                 "header epoch 0 is not the optimizer's epoch 2"),
     "config_not_an_object": (lambda h: h.update(config=3), None, "malformed header"),
     "config_a_list_of_pairs": (lambda h: h.update(config=[["epochs", 3]]), None,
                                "malformed header"),

@@ -106,6 +106,9 @@ def test_replace_rejects_unknown_keys():
     {"head_scale": -1.0},
     {"weight_decay": -1.0},
     {"encoder_init": "random", "output_dim": 0},
+    {"encoder_init": "xavier"},
+    {"head2d_mode": "linear"},
+    {"head3d_mode": "linear"},
     {"momentum": 1.0},
     {"view_attention_delta": 2.0},
     {"fusion_mode": "product"},

@@ -61,10 +61,6 @@ class TestEncoders:
         T.backward(T.sum_(enc(np.ones((1, 3)))))
         assert enc.weights[0].grad is not None
 
-    def test_identity_init_requires_square(self):
-        with pytest.raises(ContractError):
-            ModalityEncoder("3d", [4, 8], "identity", None)
-
 
 class TestEncode2d:
     def test_identical_views_mean_is_adapter_output(self):
@@ -188,7 +184,7 @@ class TestMultiViewAggregator:
         return MultiViewAggregator(n, d, hidden, rng=np.random.default_rng(seed))
 
     def identity_proj(self, agg):
-        agg.proj_w.data[:] = np.eye(agg.dim)
+        agg.proj_w.data[:] = np.eye(agg.proj_w.shape[0])
         agg.proj_b.data[:] = 0.0
 
     def test_delta_one_identical_views(self):
@@ -216,11 +212,6 @@ class TestMultiViewAggregator:
         per_view = T.constant(np.stack([v1, v2])[None])
         out = agg(per_view, delta=1.0)       # the view path alone
         np.testing.assert_allclose(out.data[0], [0.5, 0.5], atol=1e-12)
-
-    def test_delta_out_of_range(self):
-        agg = self.make()
-        with pytest.raises(ContractError):
-            agg(T.constant(np.zeros((1, 3, 4))), delta=1.5)
 
     @settings(deadline=None, max_examples=25)
     @given(st.permutations(range(3)), st.integers(0, 10_000))

@@ -11,7 +11,6 @@ from invgate.errors import ContractError, NumericError, ShapeError
 from invgate.gradcheck import check_gradients
 from invgate.losses import (
     ContrastiveBatch,
-    IRMConfig,
     cross_entropy,
     irm_grad_theta,
     modality_irm_loss,
@@ -151,7 +150,7 @@ OP_CASES = [
     ("sup_infonce", lambda ls: sup_infonce(ContrastiveBatch(ls[0], POOL), theta=2.0), 1, (6, 3)),
     ("irm_grad_theta", lambda ls: T.square(irm_grad_theta(ContrastiveBatch(ls[0], POOL))), 1, (6, 3)),
     ("irmv1", lambda ls: modality_irm_loss({e: ContrastiveBatch(x, POOL) for e, x in zip("ab", ls)},
-                                           IRMConfig(lam=5.0)), 2, (6, 3)),
+                                           "irmv1", 5.0, 1.0, 0.0, 1.0), 2, (6, 3)),
     ("v_rex", lambda ls: v_rex([T.sum_(T.square(ls[0])), T.sum_(ls[1]), T.mean_(ls[0])], 2.0), 2, (3,)),
     ("nt_xent_align", lambda ls: nt_xent_align(ls[0], ls[1], tau=3.0), 2, (4, 3)),
 ]

@@ -43,9 +43,10 @@ def test_traced_run_reports_every_per_layer_metric():
     assert harness.augment_3d is data.augment_3d
     assert sorted(names) == sorted(metrics)
     assert all(math.isfinite(metrics[name]) for name in names)
-    # mining.* read select_joint_hard's first argument and the `d_joint` of its result
+    # mining.* read select_joint_hard's first argument and the `d_joint` of its result;
+    # losses.inv_pairs reads the environments, modality_irm_loss's first argument
     for name in ("mining.gmm_iters", "mining.candidates", "mining.select_ms",
-                 "losses.inv_calls", "losses.align_ms", "losses.ce_ms",
+                 "losses.inv_calls", "losses.inv_pairs", "losses.align_ms", "losses.ce_ms",
                  "tensor.nodes_per_step", "data.arrays_calls", "data.augment_calls",
                  "harness.eval_ms"):
         assert metrics[name] > 0, name
