@@ -5,15 +5,17 @@ Prints a digest of the metrics log of each default full run (config seeds
 0-5), each CE-only baseline run (seeds 0-1), an IRMv1 and an MM-REx run
 over the 2D and 3D environments (seed 0 each), three runs with the 2.5D
 environment (V-REx seed 0, IRMv1 seed 1, view attention seed 0), a run with
-different mining thresholds for the two modalities (seed 0), and of the
-ablation CSV of the invariance_on_all cells for seed 0. Then one digest per
-written artefact: the binary and the text dataset of the seed-0 generator
-config, its manifest, the checkpoint of the CE-only baseline run, seed 0,
-and every file that run and the default full run, seed 0, write into their
-run directories. Last, the metrics log of the default full run and of the
-CE-only baseline run, seed 0, each trained on the binary-loaded and on the text-loaded copy of its dataset
-(these equal the generated runs' digests), and the binary and the text
-dataset of the seed-0 generator config with shots=256. Two builds whose
+different mining thresholds for the two modalities (seed 0), the step-2-only
+invariance_on_all run (seed 0, and seed 1 with two augmented copies per hard
+row), and of the ablation CSV of the invariance_on_all cells for seed 0.
+Then one digest per written artefact: the binary and the text dataset of
+the seed-0 generator config, its manifest, the checkpoint of the CE-only
+baseline run, seed 0, and every file that run and the default full run,
+seed 0, write into their run directories. Last, the metrics log of the
+default full run and of the CE-only baseline run, seed 0, each trained on
+the binary-loaded and on the text-loaded copy of its dataset (these equal
+the generated runs' digests), and the binary and the text dataset of the
+seed-0 generator config with shots=256. Two builds whose
 lines match train bit-identically on these inputs and write the same bytes:
 
     PYTHONPATH=src python scripts/metrics_digest.py
@@ -47,6 +49,9 @@ from invgate.harness import (  # noqa: E402
 )
 
 CE_ONLY = {"enable_step1": False, "enable_step2": False, "enable_align": False}
+# the ablation grid's step-2-only cell: every row an invariance anchor, no mining
+INV_ALL = {"enable_step1": False, "enable_step2": True, "enable_align": False,
+           "invariance_on_all": True}
 RUNS = (
     ("train_full", range(6), {}),
     ("train_ce", range(2), CE_ONLY),
@@ -56,6 +61,8 @@ RUNS = (
     ("25d_irmv1", [1], {"include_25d": True, "irm_variant": "irmv1"}),
     ("25d_view_attention", [0], {"include_25d": True, "use_view_attention": True}),
     ("posterior_split", [0], {"posterior_p2": 0.3, "posterior_p3": 0.7}),
+    ("inv_all", [0], INV_ALL),
+    ("inv_all_augments2", [1], {**INV_ALL, "n_3d_augments": 2}),
 )
 LOADED_RUNS = (("train_full", {}), ("train_ce", CE_ONLY))
 RUN_DIR_FILES = ("manifest.json", "metrics.jsonl", "checkpoint.igck", "per_sample.csv",

@@ -242,17 +242,22 @@ def augment_3d(x3: np.ndarray, rng: np.random.Generator, jitter_sigma: float) ->
 
     Each row's scale, wobble and jitter are drawn in that order, row after
     row, so a block takes the stream and gives the values of k one-row
-    draws on the same generator.
+    draws on the same generator. A row takes two generator calls: its
+    scale and wobbles as `d + 1` standard uniforms, then its standard
+    normals. The block arithmetic is what `uniform` and `normal` compute
+    per value, `low + (high - low) * u` and `loc + scale * z`.
     """
     if not 0.0 <= jitter_sigma < math.inf:
         raise ContractError(f"jitter_sigma must be finite and >= 0, got {jitter_sigma}")
     k, d = x3.shape
-    scale, wobble, jitter = np.empty((k, 1)), np.empty((k, d)), np.zeros((k, d))
+    u, z = np.empty((k, d + 1)), np.zeros((k, d))
     for i in range(k):
-        scale[i] = rng.uniform(0.8, 1.25)
-        wobble[i] = rng.uniform(-1.0, 1.0, size=d)
+        rng.random(out=u[i])
         if jitter_sigma > 0:
-            jitter[i] = rng.normal(size=d)
+            rng.standard_normal(out=z[i])
+    scale = 0.8 + (1.25 - 0.8) * u[:, :1]
+    wobble = -1.0 + 2.0 * u[:, 1:]
+    jitter = 0.0 + z        # `normal`'s loc + 1.0 * z, which turns -0.0 into +0.0
     return x3 * scale * (1.0 + 0.05 * wobble) + jitter_sigma * jitter
 
 

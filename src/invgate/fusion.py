@@ -88,9 +88,8 @@ def confusion_matrix(preds: np.ndarray, labels: np.ndarray, num_classes: int) ->
     for name, a in (("preds", preds), ("labels", labels)):
         if a.size and (a.min() < 0 or a.max() >= num_classes):
             raise ContractError(f"{name} out of range [0, {num_classes})")
-    out = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(out, (labels, preds), 1)
-    return out
+    counts = np.bincount(labels * num_classes + preds, minlength=num_classes * num_classes)
+    return counts.reshape(num_classes, num_classes).astype(np.int64, copy=False)
 
 
 @dataclass

@@ -93,17 +93,20 @@ def _pair_weights(batch: ContrastiveBatch, theta: float):
     """(anchor rows, their [a, n] negative and positive masks, 1 / pairs); no pair
     raises. An exp that may overflow takes every row, to keep the composite's NaN."""
     labels, mask = batch.labels, batch.anchor_mask
-    index = np.arange(len(labels))
-    every_row = mask is None or mask.all() or not abs(theta) + np.log(len(labels)) < _LOG_MAX
-    rows = slice(None) if every_row else index[mask]
-    same = labels[rows, None] == labels
-    pos = same & (index[rows, None] != index)
-    if mask is not None:
-        pos &= mask[rows, None]
-    n_pairs = int(pos.sum())
+    n = len(labels)
+    partial = mask is not None and not mask.all()
+    every_row = not partial or not abs(theta) + np.log(n) < _LOG_MAX
+    rows = slice(None) if every_row else np.flatnonzero(mask)
+    pos = labels[rows, None] == labels
+    negf = (~pos).astype(float)
+    own = np.arange(n)[rows]
+    pos[np.arange(own.size), own] = False       # an anchor is not its own positive
+    if partial and every_row:
+        pos[~mask] = False
+    n_pairs = np.count_nonzero(pos)
     if n_pairs == 0:
         raise DegenerateBatchError("no anchor has a positive")
-    return rows, (~same).astype(float), pos.astype(float), 1.0 / n_pairs
+    return rows, negf, pos.astype(float), 1.0 / n_pairs
 
 
 def _full(part: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
@@ -141,10 +144,9 @@ def _pool_node(batch: ContrastiveBatch, terms, theta: float = 1.0) -> Tensor:
 
 def contrastive_report(batch: ContrastiveBatch) -> ContrastiveReport:
     # an anchor's positives are the other pool rows with its label
-    pool = np.sort(batch.labels)
-    anchors = batch.labels if batch.anchor_mask is None else batch.labels[batch.anchor_mask]
-    per_anchor = (np.searchsorted(pool, anchors, side="right")
-                  - np.searchsorted(pool, anchors, side="left") - 1)
+    labels = batch.labels - batch.labels.min()
+    anchors = labels if batch.anchor_mask is None else labels[batch.anchor_mask]
+    per_anchor = np.bincount(labels)[anchors] - 1
     return ContrastiveReport(
         n_anchors=int(per_anchor.size),
         n_pairs=int(per_anchor.sum()),

@@ -46,6 +46,9 @@ class OptimizerState:
         check_fields(self)
         if not self.base_lr > 0:
             raise ContractError("base_lr must be positive")
+        if not 0.0 <= self.lr_min <= self.base_lr:
+            raise ContractError(f"lr_min must lie in [0, base_lr {self.base_lr}], "
+                                f"got {self.lr_min}")
         if not self.weight_decay >= 0:
             raise ContractError("weight_decay must be non-negative")
         if not (0.0 <= self.momentum < 1.0):

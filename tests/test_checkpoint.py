@@ -117,6 +117,10 @@ HEADER_EDITS = {
                                   "malformed header"),
     "optimizer_fractional_total_epochs": (lambda h: h["optimizer"].update(total_epochs=2.5),
                                           None, "malformed header"),
+    "optimizer_lr_min_above_base": (lambda h: h["optimizer"].update(lr_min=5.0), None,
+                                    "malformed header.*lr_min must lie in"),
+    "optimizer_negative_lr_min": (lambda h: h["optimizer"].update(lr_min=-0.001), None,
+                                  "malformed header.*lr_min must lie in"),
     "epoch_null": (lambda h: h.update(epoch=None), None, "header epoch None is not"),
     "epoch_not_the_optimizers": (lambda h: h.update(epoch=0), None,
                                  "header epoch 0 is not the optimizer's epoch 2"),

@@ -188,6 +188,33 @@ class TestAugment:
         assert augment_3d(x[:1], one_rng, **kw).tobytes() == augment_row_oracle(
             x[0], np.random.default_rng(seed + 1), **kw).tobytes()
 
+    @settings(max_examples=40, deadline=2000)
+    @given(k=st.integers(1, 12), d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+           jitter_sigma=st.sampled_from([0.0, 0.15]), blocks=st.integers(2, 3))
+    def test_consecutive_blocks_equal_rows(self, k, d, seed, jitter_sigma, blocks):
+        # the trainer draws n_3d_augments blocks from one generator per batch
+        x = np.random.default_rng(seed).normal(size=(k, d))
+        block_rng, row_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(blocks):
+            block = augment_3d(x, block_rng, jitter_sigma)
+            rows = np.stack([augment_row_oracle(row, row_rng, jitter_sigma=jitter_sigma)
+                             for row in x])
+            assert block.tobytes() == rows.tobytes()
+        assert block_rng.bit_generator.state == row_rng.bit_generator.state
+
+    def test_negative_zero_normal_adds_as_positive_zero(self):
+        # Generator.normal returns 0.0 + 1.0 * z, so a drawn -0.0 enters as +0.0,
+        # and a -0.0 coordinate plus it is +0.0
+        class Draws:
+            def random(self, out):
+                out[...] = 0.5
+
+            def standard_normal(self, out):
+                out[...] = -0.0
+
+        out = augment_3d(np.full((2, 3), -0.0), Draws(), 0.15)
+        assert not np.signbit(out).any()
+
     @pytest.mark.parametrize("kw", [
         {"jitter_sigma": -0.1}, {"jitter_sigma": float("nan")}, {"jitter_sigma": float("inf")},
     ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))

@@ -176,6 +176,16 @@ class TestConfusion:
         with pytest.raises(ContractError):
             confusion_matrix(np.array([3]), np.array([0]), 3)
 
+    @pytest.mark.parametrize("n,c,seed", [(0, 1, 0), (0, 4, 1), (1, 1, 2), (30, 4, 3),
+                                          (160, 10, 4), (7, 12, 5)])
+    def test_equals_add_at_oracle(self, n, c, seed):
+        rng = np.random.default_rng(seed)
+        labels, preds = rng.integers(0, c, n), rng.integers(0, c, n)
+        want = np.zeros((c, c), dtype=np.int64)
+        np.add.at(want, (labels, preds), 1)
+        got = confusion_matrix(preds, labels, c)
+        assert got.dtype == np.int64 and got.shape == (c, c) and np.array_equal(got, want)
+
 
 class TestEvalRecord:
     def test_aggregates_and_csv(self):

@@ -9,7 +9,9 @@ from invgate import tensor as T
 from invgate.encoders import GateMask
 from invgate.errors import ContractError, DegenerateBatchError
 from invgate.losses import (
+    _LOG_MAX,
     ContrastiveBatch,
+    _pair_weights,
     contrastive_report,
     cross_entropy,
     irm_grad_theta,
@@ -518,3 +520,62 @@ def test_anchored_pools_bit_identical_to_composite(pool):
         want = _run_with_consumers(composite, [(len(labels), d)] * 2, seed)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def _pair_weights_oracle(batch, theta):
+    """`_pair_weights` from the mask definitions, one [a, n] pass per step:
+    positives are the other rows with the anchor's label, kept on anchor rows."""
+    labels, mask = batch.labels, batch.anchor_mask
+    index = np.arange(len(labels))
+    every_row = mask is None or mask.all() or not abs(theta) + np.log(len(labels)) < _LOG_MAX
+    rows = slice(None) if every_row else index[mask]
+    same = labels[rows, None] == labels
+    pos = same & (index[rows, None] != index)
+    if mask is not None:
+        pos &= mask[rows, None]
+    n_pairs = int(pos.sum())
+    if n_pairs == 0:
+        raise DegenerateBatchError("no anchor has a positive")
+    return rows, (~same).astype(float), pos.astype(float), 1.0 / n_pairs
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=2000, max_examples=150)
+@given(n=st.integers(2, 130), n_labels=st.integers(1, 6),
+       kind=st.sampled_from(["none", "all", "partial"]),
+       theta=st.sampled_from([1.0, 5.0, _LOG_MAX + 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_pair_weights_equal_oracle(n, n_labels, kind, theta, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n_labels, n)
+    mask = None if kind == "none" else np.ones(n, dtype=bool)
+    if kind == "partial":       # at least one anchor and one context row
+        mask = rng.random(n) < rng.uniform(0.05, 0.95)
+        mask[rng.choice(n, 2, replace=False)] = [True, False]
+    pool = ContrastiveBatch(T.constant(np.ones((n, 2))), labels, anchor_mask=mask)
+    n_pairs = contrastive_report(pool).n_pairs      # the trainer's environment filter
+    try:
+        want = _pair_weights_oracle(pool, theta)
+    except DegenerateBatchError:
+        assert n_pairs == 0
+        with pytest.raises(DegenerateBatchError):
+            _pair_weights(pool, theta)
+        return
+    rows, negf, posf, scale = _pair_weights(pool, theta)
+    if isinstance(want[0], slice):
+        assert rows == want[0]
+    else:
+        assert _same_array(rows, want[0])
+    assert _same_array(negf, want[1]) and _same_array(posf, want[2]) and scale == want[3]
+    assert 1.0 / n_pairs == want[3]
+
+
+def test_pool_without_pairs_raises():
+    pool = ContrastiveBatch(T.constant(np.ones((4, 2))), [0, 1, 2, 2],
+                            anchor_mask=[True, True, False, False])
+    assert contrastive_report(pool).n_pairs == 0
+    for theta in (1.0, _LOG_MAX + 1.0):
+        with pytest.raises(DegenerateBatchError):
+            _pair_weights(pool, theta)
