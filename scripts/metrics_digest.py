@@ -19,18 +19,29 @@ seed-0 generator config with shots=256. Two builds whose
 lines match train bit-identically on these inputs and write the same bytes:
 
     PYTHONPATH=src python scripts/metrics_digest.py
+
+`--write DIGESTS.txt` also writes the lines under a header naming the
+environment (`environment()`); tests/test_digests.py recomputes a subset of
+them and compares it with that file.
 """
 
+import argparse
 import hashlib
 import os
+import platform
+import sys
 import tempfile
 
-# one BLAS thread, as the benchmark runs; set before numpy is imported
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+if __name__ == "__main__":
+    # one BLAS thread, as the benchmark runs; set before numpy is imported
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 from run_ablation import grid_cells  # noqa: E402  (scripts/ is on sys.path)
 
+from invgate.container import atomic_open  # noqa: E402
 from invgate.config import RunConfig  # noqa: E402
 from invgate.data import (  # noqa: E402
     GeneratorConfig,
@@ -95,38 +106,73 @@ def _file_digest(write) -> str:
         return _sha256(path)
 
 
-def main() -> None:
-    for name, seeds, overrides in RUNS:
+def environment() -> str:
+    """What the digests depend on beyond the source: Python, numpy, the
+    platform and the BLAS numpy was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    libc = "".join(platform.libc_ver())
+    return (f"python {platform.python_version()} | numpy {np.__version__} | "
+            f"{platform.system()}-{platform.machine()}-{libc} | "
+            f"blas {blas.get('name')} {blas.get('version')}")
+
+
+def run_lines(runs=RUNS):
+    """One metrics-log digest line per (name, seeds, overrides) run."""
+    for name, seeds, overrides in runs:
         for seed in seeds:
             metrics = Trainer(_config(seed, **overrides)).run().metrics
-            print(f"{name} seed={seed} {_log_digest(metrics)}")
+            yield f"{name} seed={seed} {_log_digest(metrics)}"
+
+
+def dataset_lines(dataset, suffix: str = ""):
+    for mode in ("binary", "text"):
+        yield (f"dataset_{mode} seed=0{suffix} "
+               f"{_file_digest(lambda path: save_dataset(dataset, path, mode=mode))}")
+
+
+def checkpoint_line(result) -> str:
+    return f"checkpoint_train_ce seed=0 {_file_digest(lambda path: save_checkpoint(path, result))}"
+
+
+def digest_lines():
+    yield from run_lines()
     base = _config(0)
     cells = [cell for cell in grid_cells() if cell.get("invariance_on_all")]
     rows = ablate(base, cells, dataset=generate(base.generator))
-    print(f"ablation_inv_all seed=0 {_digest(ablation_csv(rows))}")
+    yield f"ablation_inv_all seed=0 {_digest(ablation_csv(rows))}"
     dataset = generate(GeneratorConfig(seed=0))
-    for mode in ("binary", "text"):
-        print(f"dataset_{mode} seed=0 "
-              f"{_file_digest(lambda path: save_dataset(dataset, path, mode=mode))}")
-    result = Trainer(_config(0, **CE_ONLY)).run()
-    print(f"checkpoint_train_ce seed=0 {_file_digest(lambda path: save_checkpoint(path, result))}")
-    print(f"manifest seed=0 {_file_digest(lambda path: write_manifest(dataset, path))}")
+    yield from dataset_lines(dataset)
+    yield checkpoint_line(Trainer(_config(0, **CE_ONLY)).run())
+    yield f"manifest seed=0 {_file_digest(lambda path: write_manifest(dataset, path))}"
     for run, overrides in (("train_ce", CE_ONLY), ("train_full", {})):
         with tempfile.TemporaryDirectory() as tmp:
             train(_config(0, **overrides), out_dir=tmp)
             for name in RUN_DIR_FILES:
-                print(f"run_dir_{run} seed=0 {name} {_sha256(os.path.join(tmp, name))}")
+                yield f"run_dir_{run} seed=0 {name} {_sha256(os.path.join(tmp, name))}"
     with tempfile.TemporaryDirectory() as tmp:
         for mode in ("binary", "text"):
             path = os.path.join(tmp, f"dataset.{mode}")
             save_dataset(dataset, path, mode=mode)
             for name, overrides in LOADED_RUNS:
                 metrics = Trainer(_config(0, **overrides), load_dataset(path)).run().metrics
-                print(f"{name} seed=0 loaded={mode} {_log_digest(metrics)}")
-    large = generate(GeneratorConfig(seed=0, shots=256))
-    for mode in ("binary", "text"):
-        print(f"dataset_{mode} seed=0 shots=256 "
-              f"{_file_digest(lambda path: save_dataset(large, path, mode=mode))}")
+                yield f"{name} seed=0 loaded={mode} {_log_digest(metrics)}"
+    yield from dataset_lines(generate(GeneratorConfig(seed=0, shots=256)), " shots=256")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--write", default=None,
+                    help="also write the lines under an environment header to this file")
+    args = ap.parse_args()
+    lines = []
+    for line in digest_lines():
+        print(line, flush=True)
+        lines.append(line)
+    if args.write:
+        with atomic_open(args.write) as fh:
+            fh.write(f"# {environment()}\n" + "".join(line + "\n" for line in lines))
+        print(f"wrote {args.write}", file=sys.stderr)
 
 
 if __name__ == "__main__":

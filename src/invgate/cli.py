@@ -28,27 +28,14 @@ def _load_generator_config(path: str) -> GeneratorConfig:
     return RunConfig.from_dict(data).generator
 
 
-def _apply_overrides(cfg: RunConfig, args) -> tuple[RunConfig, dict]:
-    overrides = {}
-    if args.lam is not None:
-        overrides["irm_lambda"] = args.lam
-    if args.alpha is not None:
-        overrides["align_alpha"] = args.alpha
-    if args.phi is not None:
-        overrides["fusion_phi"] = args.phi
-    if args.rho is not None:
-        overrides["mining_rho"] = args.rho
-    if args.no_step1:
-        overrides["enable_step1"] = False
-    if args.no_step2:
-        overrides["enable_step2"] = False
-    if args.no_align:
-        overrides["enable_align"] = False
-    if args.fusion is not None:
-        overrides["fusion_mode"] = args.fusion
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+# the dest of each train flag, which is the RunConfig field it sets
+_OVERRIDES = ("irm_lambda", "align_alpha", "fusion_phi", "mining_rho", "enable_step1",
+              "enable_step2", "enable_align", "fusion_mode", "seed")
 
+
+def _apply_overrides(cfg: RunConfig, args) -> tuple[RunConfig, dict]:
+    overrides = {name: getattr(args, name) for name in _OVERRIDES
+                 if getattr(args, name) is not None}
     manifest_extra = {"seed_env_override": False}
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
@@ -65,16 +52,16 @@ def _apply_overrides(cfg: RunConfig, args) -> tuple[RunConfig, dict]:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="invariance penalty weight")
-    p.add_argument("--alpha", type=float, default=None, help="alignment loss weight")
-    p.add_argument("--phi", type=float, default=None, help="2D fusion temperature")
-    p.add_argument("--rho", type=float, default=None, help="mining target fraction")
-    p.add_argument("--no-step1", action="store_true", help="disable hard-sample mining")
-    p.add_argument("--no-step2", action="store_true", help="disable invariance learning")
-    p.add_argument("--no-align", action="store_true", help="disable cross-modality alignment")
-    p.add_argument("--fusion", choices=["mul", "add"], default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--lambda", dest="irm_lambda", type=float, help="invariance penalty weight")
+    p.add_argument("--alpha", dest="align_alpha", type=float, help="alignment loss weight")
+    p.add_argument("--phi", dest="fusion_phi", type=float, help="2D fusion temperature")
+    p.add_argument("--rho", dest="mining_rho", type=float, help="mining target fraction")
+    for step, what in (("step1", "hard-sample mining"), ("step2", "invariance learning"),
+                       ("align", "cross-modality alignment")):
+        p.add_argument(f"--no-{step}", dest=f"enable_{step}", action="store_false",
+                       default=None, help=f"disable {what}")
+    p.add_argument("--fusion", dest="fusion_mode", choices=["mul", "add"])
+    p.add_argument("--seed", type=int)
 
 
 def cmd_generate(args) -> int:

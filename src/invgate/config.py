@@ -14,7 +14,7 @@ from .container import canonical_json  # noqa: F401  (re-exported)
 from .data import GeneratorConfig, check_fields
 from .errors import ContractError
 from .fusion import MODE_ALIASES
-from .losses import IRM_VARIANTS
+from .losses import IRM_VARIANTS, exp_sums_finite
 
 
 @dataclass
@@ -126,6 +126,16 @@ class RunConfig:
             raise ContractError("epochs and batch_size must be positive")
         if self.n_3d_augments < 1:
             raise ContractError("need at least one augmented 3D copy")
+        # the exponentials of the largest invariance pool and alignment batch a
+        # run can build must sum to finite values, whatever the data
+        b = min(self.batch_size, self.generator.num_classes * self.generator.shots)
+        bounds = {"align_tau": b}
+        if self.irm_variant != "irmv1":     # irmv1 pins theta at 1
+            bounds["inv_theta"] = b * max(self.generator.num_views, 1 + self.n_3d_augments)
+        for name, rows in bounds.items():
+            if not exp_sums_finite(getattr(self, name), rows):
+                raise ContractError(f"{name} {getattr(self, name)} overflows: exp({name}) "
+                                    f"summed over {rows} rows is not finite")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -135,11 +145,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         kwargs = dict(_known_keys(data, cls, "config"))
-        gen = kwargs.pop("generator", None)
-        if gen is not None and not isinstance(gen, GeneratorConfig):
-            gen = GeneratorConfig(**_known_keys(gen, GeneratorConfig, "generator"))
-        if gen is not None:
-            kwargs["generator"] = gen
+        if "generator" in kwargs:
+            kwargs["generator"] = GeneratorConfig(
+                **_known_keys(kwargs["generator"], GeneratorConfig, "generator"))
         return cls(**kwargs)
 
     def replace(self, **overrides) -> "RunConfig":

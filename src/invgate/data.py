@@ -44,6 +44,7 @@ _FIELD_KINDS = {
     "str": ("a string", lambda v: isinstance(v, str)),
     "tuple[int, ...]": ("a list of integers",
                         lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+    "GeneratorConfig": ("a GeneratorConfig", lambda v: isinstance(v, GeneratorConfig)),
 }
 
 

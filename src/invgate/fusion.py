@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .data import check_fields
 from .errors import ContractError, NumericError
 
@@ -37,9 +38,8 @@ class FusionConfig:
 
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    _, e, s = T._log_softmax(x, axis)
+    return e / s
 
 
 def fuse(f2: np.ndarray, f3: np.ndarray, cfg: FusionConfig) -> np.ndarray:

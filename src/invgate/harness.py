@@ -30,7 +30,7 @@ from .container import canonical_json
 from .data import Dataset, augment_3d, generate
 from .encoders import ClassHead, CrossAttention, GateMask, ModalityEncoder, MultiViewAggregator
 from .errors import CheckpointError, ContractError, NumericError
-from .fusion import EvalRecord, FusionConfig, confusion_csv, fuse, predict, softmax_np
+from .fusion import EvalRecord, FusionConfig, confusion_csv, fuse, predict
 from .losses import (
     ContrastiveBatch,
     contrastive_report,
@@ -99,11 +99,7 @@ class Model:
         return groups
 
     def named_params(self) -> dict[str, T.Tensor]:
-        out = {}
-        for g in self.param_groups():
-            for p in g.params:
-                out[p.name] = p
-        return out
+        return {p.name: p for g in self.param_groups() for p in g.params}
 
     # -- forward paths --------------------------------------------------------
 
@@ -221,12 +217,13 @@ class Trainer:
     # -- mining ---------------------------------------------------------------
 
     def _train_split_stats(self):
-        """Per-sample CE losses and softmax probabilities, both branches."""
-        logits2, logits3 = _branch_outputs(self.model, self.train_x3, self.train_views)
-        with T.no_grad():
-            ce2 = cross_entropy(T.constant(logits2), self.train_labels).data
-            ce3 = cross_entropy(T.constant(logits3), self.train_labels).data
-        return ce2, ce3, softmax_np(logits2), softmax_np(logits3)
+        """(ce2, ce3, probs2, probs3): per-sample CE losses and softmax
+        probabilities of both branches, each branch's pair from one log-softmax."""
+        rows = np.arange(len(self.train_labels))
+        stats = [T._log_softmax(logits, 1)
+                 for logits in _branch_outputs(self.model, self.train_x3, self.train_views)]
+        return (*(-log_probs[rows, self.train_labels] for log_probs, _, _ in stats),
+                *(e / s for _, e, s in stats))
 
     def _mine(self, epoch: int) -> dict | None:
         """On a mining epoch, refresh `d_joint` and return the epoch's `mining`
@@ -458,9 +455,9 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
                     (np.ascontiguousarray(arrays[n], dtype="<f8") for n in names))
 
 
-def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD]:
-    """(config, model, optimizer), one array per read. A damaged file, a
-    malformed header field, a top-level epoch other than the optimizer's, an
+def load_checkpoint(path: str) -> TrainResult:
+    """The TrainResult that `save_checkpoint` took, with no metrics; one array
+    per read. A damaged file, a malformed header field, a top-level epoch other than the optimizer's, an
     array the model has no place for or that the header lists twice, a
     missing parameter and a non-finite array each raise CheckpointError."""
     with container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
@@ -500,13 +497,13 @@ def load_checkpoint(path: str) -> tuple[RunConfig, Model, SGD]:
     if missing:
         raise CheckpointError(f"{path}: missing parameter array '{missing[0]}'")
     opt.load_velocity(velocity)
-    return cfg, model, opt
+    return TrainResult(cfg=cfg, model=model, optimizer=opt, metrics=[])
 
 
 def evaluate_checkpoint(path: str, dataset: Dataset, fusion: FusionConfig) -> EvalRecord:
-    cfg, model, _ = load_checkpoint(path)
-    _check_fits(cfg, dataset, "checkpoint")
-    return evaluate_model(model, dataset, fusion)
+    result = load_checkpoint(path)
+    _check_fits(result.cfg, dataset, "checkpoint")
+    return evaluate_model(result.model, dataset, fusion)
 
 
 # -- ablation grid ----------------------------------------------------------------
@@ -515,6 +512,9 @@ _TRAINING_IRRELEVANT = {"fusion_phi", "fusion_mode"}
 # without step 2 nothing reads the mined set, and mining changes no parameter
 # and draws no random numbers: these fields cannot change what such a run trains
 _MINING_ONLY = ("enable_step1", "mining_", "posterior_")
+# an ablation row's columns: the cell's RunConfig fields, then its EvalRecord aggregates
+ABLATION_COLUMNS = ("enable_step1", "enable_step2", "enable_align", "fusion_mode", "seed",
+                    "acc2", "acc3", "acc_joint", "c_err")
 
 
 def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = None,
@@ -540,17 +540,8 @@ def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = Non
         result = cache[train_key]
         rec = evaluate_model(result.model, dataset,
                              FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode))
-        row = {
-            "enable_step1": cfg.enable_step1,
-            "enable_step2": cfg.enable_step2,
-            "enable_align": cfg.enable_align,
-            "fusion_mode": cfg.fusion_mode,
-            "seed": cfg.seed,
-            "acc2": rec.acc2,
-            "acc3": rec.acc3,
-            "acc_joint": rec.acc_joint,
-            "c_err": rec.c_err,
-        }
+        values = {**cfg.to_dict(), **rec.aggregates()}
+        row = {name: values[name] for name in ABLATION_COLUMNS}
         rows.append(row)
         if progress is not None:
             progress(row)
@@ -558,9 +549,5 @@ def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = Non
 
 
 def ablation_csv(rows: list[dict]) -> str:
-    cols = ["enable_step1", "enable_step2", "enable_align", "fusion_mode",
-            "seed", "acc2", "acc3", "acc_joint", "c_err"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+    lines = [ABLATION_COLUMNS, *([row[c] for c in ABLATION_COLUMNS] for row in rows)]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)

@@ -36,6 +36,11 @@ IRM_VARIANTS = ("irmv1", "mm_rex", "v_rex")
 _LOG_MAX = float(np.log(np.finfo(float).max)) - 1e-6
 
 
+def exp_sums_finite(scale: float, n: int) -> bool:
+    """True if sums of n terms exp(scale * s), |s| <= 1, stay finite."""
+    return abs(scale) + np.log(n) < _LOG_MAX
+
+
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Per-sample cross-entropy, shape [batch]; callers take the mean."""
     labels = np.asarray(labels)
@@ -84,9 +89,7 @@ class ContrastiveBatch:
 
 @dataclass
 class ContrastiveReport:
-    n_anchors: int
     n_pairs: int
-    n_skipped_anchors: int
 
 
 def _pair_weights(batch: ContrastiveBatch, theta: float):
@@ -95,7 +98,7 @@ def _pair_weights(batch: ContrastiveBatch, theta: float):
     labels, mask = batch.labels, batch.anchor_mask
     n = len(labels)
     partial = mask is not None and not mask.all()
-    every_row = not partial or not abs(theta) + np.log(n) < _LOG_MAX
+    every_row = not partial or not exp_sums_finite(theta, n)
     rows = slice(None) if every_row else np.flatnonzero(mask)
     pos = labels[rows, None] == labels
     negf = (~pos).astype(float)
@@ -147,11 +150,7 @@ def contrastive_report(batch: ContrastiveBatch) -> ContrastiveReport:
     labels = batch.labels - batch.labels.min()
     anchors = labels if batch.anchor_mask is None else labels[batch.anchor_mask]
     per_anchor = np.bincount(labels)[anchors] - 1
-    return ContrastiveReport(
-        n_anchors=int(per_anchor.size),
-        n_pairs=int(per_anchor.sum()),
-        n_skipped_anchors=int((per_anchor == 0).sum()),
-    )
+    return ContrastiveReport(n_pairs=int(per_anchor.sum()))
 
 
 def _infonce(sim, theta, rows, negf, posf, scale):

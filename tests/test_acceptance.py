@@ -268,10 +268,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
 
     p1, p2 = tmp_path / "a.igck", tmp_path / "b.igck"
     save_checkpoint(str(p1), r1)
-    cfg_loaded, model, opt = load_checkpoint(str(p1))
-    from invgate.harness import TrainResult
-
-    save_checkpoint(str(p2), TrainResult(cfg=cfg_loaded, model=model, optimizer=opt, metrics=[]))
+    save_checkpoint(str(p2), load_checkpoint(str(p1)))
     bytes_equal = p1.read_bytes() == p2.read_bytes()
     elapsed = time.time() - t0
     report("9 determinism-persistence", logs_equal and bytes_equal and elapsed < 60.0,

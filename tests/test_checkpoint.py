@@ -10,7 +10,6 @@ from invgate.errors import CheckpointError, ContractError
 from invgate.fusion import FusionConfig
 from invgate.harness import (
     Trainer,
-    TrainResult,
     evaluate_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -37,7 +36,8 @@ def test_save_load_bit_identical_params(short_run, tmp_path):
     trainer, result = short_run
     p = tmp_path / "run.igck"
     save_checkpoint(str(p), result)
-    _, model, opt = load_checkpoint(str(p))
+    loaded = load_checkpoint(str(p))
+    model, opt = loaded.model, loaded.optimizer
     for name, param in result.model.named_params().items():
         assert model.named_params()[name].data.tobytes() == param.data.tobytes()
     assert opt.state.epoch == result.cfg.epochs - 1
@@ -49,8 +49,7 @@ def test_save_load_save_byte_stable(short_run, tmp_path):
     trainer, result = short_run
     p1, p2 = tmp_path / "a.igck", tmp_path / "b.igck"
     save_checkpoint(str(p1), result)
-    cfg, model, opt = load_checkpoint(str(p1))
-    save_checkpoint(str(p2), TrainResult(cfg=cfg, model=model, optimizer=opt, metrics=[]))
+    save_checkpoint(str(p2), load_checkpoint(str(p1)))
     # epoch lives in optimizer state, which load restores
     assert p1.read_bytes() == p2.read_bytes()
 

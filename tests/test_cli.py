@@ -1,9 +1,12 @@
+import argparse
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from invgate import cli
 from invgate.cli import main
 from invgate.config import RunConfig
 from invgate.data import GeneratorConfig, load_dataset
@@ -82,6 +85,52 @@ def test_non_object_config_is_a_one_line_error(tmp_path, capsys, command, conten
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_null_generator_is_a_one_line_error(tmp_path, capsys, command):
+    p = tmp_path / "cfg.json"
+    p.write_text('{"generator": null, "epochs": 1}')
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "invgate: error: generator must be a JSON object, got NoneType\n"
+    assert not (tmp_path / "out").exists()
+
+
+TRAIN_FLAGS = [
+    (["--lambda", "2.5"], "irm_lambda", 2.5),
+    (["--alpha", "0.5"], "align_alpha", 0.5),
+    (["--phi", "2.0"], "fusion_phi", 2.0),
+    (["--rho", "0.5"], "mining_rho", 0.5),
+    (["--no-step1"], "enable_step1", False),
+    (["--no-step2"], "enable_step2", False),
+    (["--no-align"], "enable_align", False),
+    (["--fusion", "add"], "fusion_mode", "add"),
+    (["--seed", "3"], "seed", 3),
+]
+
+
+def test_every_train_flag_sets_the_field_named_by_its_dest():
+    p = argparse.ArgumentParser()
+    cli._add_train_flags(p)
+    dests = tuple(a.dest for a in p._actions if a.dest != "help")
+    assert dests == cli._OVERRIDES == tuple(field for _, field, _ in TRAIN_FLAGS)
+    assert set(dests) <= {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("flag,field,value", TRAIN_FLAGS, ids=[f for _, f, _ in TRAIN_FLAGS])
+def test_train_flag_lands_in_manifest_config(tmp_path, monkeypatch, flag, field, value):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    gen = GeneratorConfig(num_classes=4, shots=2, invariant_dim=6, confound_dim=4,
+                          num_views=2, seed=0)
+    # invariance_on_all keeps the config valid with step 1 off
+    cfg = RunConfig(generator=gen, output_dim=10, epochs=1, batch_size=8, invariance_on_all=True)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg.to_dict()))
+    assert getattr(cfg, field) != value
+    assert main(["train", "--config", str(p), "--out", str(tmp_path / "run"), *flag]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["config"] == cfg.replace(**{field: value}).to_dict()
+
+
 def test_eval_truncated_checkpoint_is_a_one_line_error(tmp_path, tiny_config_file, capsys):
     cfg_path, _ = tiny_config_file
     data, run_dir = tmp_path / "data.igds", tmp_path / "run"
@@ -108,8 +157,9 @@ def test_eval_nan_phi_is_a_one_line_error(artefacts, capsys):
 def test_diverging_train_is_a_one_line_error(tmp_path, tiny_config_file, capsys):
     _, cfg = tiny_config_file
     p = tmp_path / "diverging.json"
-    p.write_text(json.dumps(cfg.replace(enable_step1=False, invariance_on_all=True,
-                                        inv_theta=1e6).to_dict()))
+    # an inv_theta whose exponentials overflow is rejected at construction; an
+    # alignment weight of the largest float passes it and diverges at the first step
+    p.write_text(json.dumps(cfg.replace(align_alpha=sys.float_info.max).to_dict()))
     assert main(["train", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err == "invgate: error: non-finite loss at epoch 0, batch 0\n"

@@ -156,3 +156,31 @@ def test_boundary_values_accepted():
     # a float field keeps an int as given, so a manifest keeps its bytes
     cfg = RunConfig.from_dict({"base_lr": 1, "generator": {"p_conflict": 0}})
     assert type(cfg.to_dict()["base_lr"]) is int and type(cfg.generator.p_conflict) is int
+
+
+def test_generator_must_be_a_generator_config():
+    with pytest.raises(ContractError, match="^generator must be a GeneratorConfig, got "):
+        RunConfig(generator={"seed": 1})
+
+
+def test_null_generator_rejected():
+    with pytest.raises(ContractError, match="^generator must be a JSON object, got NoneType$"):
+        RunConfig.from_dict({"generator": None, "epochs": 1})
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"inv_theta": 720}, "inv_theta 720 overflows: exp(inv_theta) summed over 128 rows"),
+    ({"align_tau": 1000}, "align_tau 1000 overflows: exp(align_tau) summed over 32 rows"),
+    ({"inv_theta": 1e6, "irm_variant": "mm_rex"}, "inv_theta 1000000.0 overflows"),
+], ids=["inv_theta", "align_tau", "mm_rex"])
+def test_overflowing_exponentials_rejected(overrides, message):
+    with pytest.raises(ContractError) as err:
+        RunConfig(**overrides)
+    assert str(err.value).startswith(message)
+
+
+def test_irmv1_theta_has_no_bound():
+    # irmv1 scores its risks at theta = 1 whatever inv_theta is
+    RunConfig(irm_variant="irmv1", inv_theta=1e6)
+    with pytest.raises(ContractError, match="^inv_theta "):
+        RunConfig(irm_variant="v_rex", inv_theta=1e6)

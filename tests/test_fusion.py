@@ -21,6 +21,22 @@ from invgate.fusion import (
 MUL = FusionConfig(phi=1.0, mode="multiplicative")
 
 
+def softmax_oracle(x, axis=-1):
+    """Max-shift, exp, divide by the sum: the formula softmax_np must equal."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 40).flatmap(lambda c: st.one_of(
+    arrays(np.float64, (c,), elements=st.floats(-1e3, 1e3)),
+    st.integers(1, 64).flatmap(
+        lambda n: arrays(np.float64, (n, c), elements=st.floats(-1e3, 1e3))))))
+def test_softmax_np_equals_oracle_bit_for_bit(x):
+    assert softmax_np(x).tobytes() == softmax_oracle(x).tobytes()
+
+
 class TestFuse:
     def test_uniform_case(self):
         out = fuse(np.array([0.0, 0.0]), np.array([0.0, 0.0]), MUL)

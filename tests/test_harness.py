@@ -3,13 +3,15 @@ import json
 import platform
 import resource
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from invgate import harness
+from invgate import harness, losses
 from invgate import tensor as T
 from invgate.config import RunConfig
 from invgate.data import GeneratorConfig, generate
@@ -181,6 +183,41 @@ class TestMiningFit:
         assert hard[constant].size == 0
         expected = select_modality_hard(ces[other], p, fit=fit_gmm2(ces[other]))
         assert expected.size > 0 and np.array_equal(hard[other], expected)
+
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.data())
+    def test_stats_equal_cross_entropy_and_softmax_bit_for_bit(self, data):
+        trainer = Trainer(tiny_cfg(epochs=1))
+        labels = trainer.train_labels
+        shape = (labels.size, trainer.cfg.generator.num_classes)
+        logits = [data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+                  for _ in range(2)]
+        with mock.patch.object(harness, "_branch_outputs", lambda *_: tuple(logits)):
+            stats = trainer._train_split_stats()
+        with T.no_grad():
+            ces = [cross_entropy(T.constant(x), labels).data for x in logits]
+        probs = []
+        for x in logits:    # max-shift, exp, divide by the sum
+            e = np.exp(x - x.max(axis=-1, keepdims=True))
+            probs.append(e / e.sum(axis=-1, keepdims=True))
+        assert [a.tobytes() for a in stats] == [a.tobytes() for a in (*ces, *probs)]
+
+
+class TestOverflowBound:
+    @pytest.mark.parametrize("name,rows,overrides,term", [
+        # every row an anchor from epoch 0: each 2D pool holds 32 rows x 4 views
+        ("inv_theta", 128, {"enable_step1": False, "invariance_on_all": True}, "loss_inv"),
+        ("align_tau", 32, {}, "loss_align"),
+    ])
+    def test_config_just_under_the_bound_trains(self, name, rows, overrides, term):
+        bound = losses._LOG_MAX - np.log(rows)
+        with pytest.raises(ContractError, match=f"^{name} "):
+            RunConfig(**overrides, **{name: bound + 0.01})
+        metrics = Trainer(RunConfig(epochs=2, **overrides, **{name: bound - 0.01})).run().metrics
+        for m in metrics:
+            assert m[term] is not None
+            assert all(np.isfinite(m[k]) for k in ("loss_ce", term, "acc2", "acc3", "acc_joint"))
 
 
 class TestSingleView:
