@@ -18,30 +18,28 @@ the generated runs' digests), and the binary and the text dataset of the
 seed-0 generator config with shots=256. Two builds whose
 lines match train bit-identically on these inputs and write the same bytes:
 
-    PYTHONPATH=src python scripts/metrics_digest.py
+    PYTHONPATH=src python scripts/metrics_digest.py > DIGESTS.txt
 
-`--write DIGESTS.txt` also writes the lines under a header naming the
-environment (`environment()`); tests/test_digests.py recomputes a subset of
-them and compares it with that file.
+The first line is a `# ` header naming the environment (`environment()`);
+tests/test_digests.py recomputes a subset of the lines and compares it with
+DIGESTS.txt.
 """
 
-import argparse
 import hashlib
 import os
 import platform
-import sys
 import tempfile
 
+# one BLAS thread, as the benchmark runs; numpy reads these when it is imported
+ONE_BLAS_THREAD = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
 if __name__ == "__main__":
-    # one BLAS thread, as the benchmark runs; set before numpy is imported
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+    os.environ.update(ONE_BLAS_THREAD)
 
 import numpy as np  # noqa: E402
 
 from run_ablation import grid_cells  # noqa: E402  (scripts/ is on sys.path)
 
-from invgate.container import atomic_open  # noqa: E402
 from invgate.config import RunConfig  # noqa: E402
 from invgate.data import (  # noqa: E402
     GeneratorConfig,
@@ -160,19 +158,9 @@ def digest_lines():
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--write", default=None,
-                    help="also write the lines under an environment header to this file")
-    args = ap.parse_args()
-    lines = []
+    print(f"# {environment()}", flush=True)
     for line in digest_lines():
         print(line, flush=True)
-        lines.append(line)
-    if args.write:
-        with atomic_open(args.write) as fh:
-            fh.write(f"# {environment()}\n" + "".join(line + "\n" for line in lines))
-        print(f"wrote {args.write}", file=sys.stderr)
 
 
 if __name__ == "__main__":

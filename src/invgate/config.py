@@ -113,11 +113,9 @@ class RunConfig:
                 raise ContractError(f"{name} must be >= 1")
         if min(self.encoder_hidden, default=1) < 1:
             raise ContractError("encoder_hidden widths must be >= 1")
-        for name in ("posterior_p2", "posterior_p3"):
+        for name in ("posterior_p2", "posterior_p3", "mining_rho"):
             if not (0.0 < getattr(self, name) <= 1.0):
                 raise ContractError(f"{name} must lie in (0, 1]")
-        if not (0.0 < self.mining_rho <= 1.0):
-            raise ContractError("mining_rho must lie in (0, 1]")
         if not (0.0 <= self.momentum < 1.0):
             raise ContractError("momentum must lie in [0, 1)")
         if not (0.0 <= self.view_attention_delta <= 1.0):
@@ -126,12 +124,16 @@ class RunConfig:
             raise ContractError("epochs and batch_size must be positive")
         if self.n_3d_augments < 1:
             raise ContractError("need at least one augmented 3D copy")
-        # the exponentials of the largest invariance pool and alignment batch a
-        # run can build must sum to finite values, whatever the data
-        b = min(self.batch_size, self.generator.num_classes * self.generator.shots)
-        bounds = {"align_tau": b}
-        if self.irm_variant != "irmv1":     # irmv1 pins theta at 1
-            bounds["inv_theta"] = b * max(self.generator.num_views, 1 + self.n_3d_augments)
+        self.check_exponents(self.generator.num_views)
+
+    def check_exponents(self, num_views: int) -> None:
+        """Raise ContractError if an enabled term's exponentials can sum to inf:
+        alignment's over a batch, a REx risk's over a pool of `num_views` views."""
+        bounds = {}
+        if self.enable_align:
+            bounds["align_tau"] = self.batch_size
+        if self.enable_step2 and self.irm_variant != "irmv1":
+            bounds["inv_theta"] = self.batch_size * max(num_views, 1 + self.n_3d_augments)
         for name, rows in bounds.items():
             if not exp_sums_finite(getattr(self, name), rows):
                 raise ContractError(f"{name} {getattr(self, name)} overflows: exp({name}) "

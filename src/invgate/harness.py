@@ -198,6 +198,7 @@ class Trainer:
         self.cfg = cfg
         self.dataset = dataset if dataset is not None else generate(cfg.generator)
         _check_fits(cfg, self.dataset, "config")
+        cfg.check_exponents(self.dataset.config.num_views)
         self.model = Model(cfg)
         self.optimizer = SGD(
             self.model.param_groups(),
@@ -457,9 +458,9 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
 
 def load_checkpoint(path: str) -> TrainResult:
     """The TrainResult that `save_checkpoint` took, with no metrics; one array
-    per read. A damaged file, a malformed header field, a top-level epoch other than the optimizer's, an
-    array the model has no place for or that the header lists twice, a
-    missing parameter and a non-finite array each raise CheckpointError."""
+    per read. A damaged file, a malformed header field, a header epoch that is
+    not the optimizer's, an array the model has no place for or that the header
+    lists twice, a missing parameter and a non-finite array raise CheckpointError."""
     with container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                         CHECKPOINT_FORMAT) as (header, take):
         with container.malformed(path):
@@ -537,11 +538,9 @@ def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = Non
                                     and (cfg.enable_step2 or not k.startswith(_MINING_ONLY))})
         if train_key not in cache:
             cache[train_key] = Trainer(cfg, dataset).run()
-        result = cache[train_key]
-        rec = evaluate_model(result.model, dataset,
+        rec = evaluate_model(cache[train_key].model, dataset,
                              FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode))
-        values = {**cfg.to_dict(), **rec.aggregates()}
-        row = {name: values[name] for name in ABLATION_COLUMNS}
+        row = {c: getattr(cfg if hasattr(cfg, c) else rec, c) for c in ABLATION_COLUMNS}
         rows.append(row)
         if progress is not None:
             progress(row)

@@ -168,15 +168,20 @@ def test_generator_must_be_a_generator_config():
     ({"inv_theta": 720}, "inv_theta 720 overflows: exp(inv_theta) summed over 128 rows"),
     ({"align_tau": 1000}, "align_tau 1000 overflows: exp(align_tau) summed over 32 rows"),
     ({"inv_theta": 1e6, "irm_variant": "mm_rex"}, "inv_theta 1000000.0 overflows"),
-], ids=["inv_theta", "align_tau", "mm_rex"])
+    # 4 classes x 2 shots make 8 rows, but a loaded dataset can fill 32-row batches
+    ({"align_tau": 707, "generator": GeneratorConfig(num_classes=4, shots=2)},
+     "align_tau 707 overflows: exp(align_tau) summed over 32 rows"),
+], ids=["inv_theta", "align_tau", "mm_rex", "small_generator"])
 def test_overflowing_exponentials_rejected(overrides, message):
     with pytest.raises(ContractError) as err:
         RunConfig(**overrides)
     assert str(err.value).startswith(message)
 
 
-def test_irmv1_theta_has_no_bound():
-    # irmv1 scores its risks at theta = 1 whatever inv_theta is
-    RunConfig(irm_variant="irmv1", inv_theta=1e6)
-    with pytest.raises(ContractError, match="^inv_theta "):
-        RunConfig(irm_variant="v_rex", inv_theta=1e6)
+@pytest.mark.parametrize("overrides", [
+    {"irm_variant": "irmv1", "inv_theta": 1e6},     # irmv1 scores its risks at theta = 1
+    {"enable_step2": False, "inv_theta": 1e6},
+    {"enable_align": False, "align_tau": 1000},
+], ids=["irmv1", "step2_off", "align_off"])
+def test_unused_exponent_has_no_bound(overrides):
+    RunConfig(**overrides)

@@ -219,6 +219,16 @@ class TestOverflowBound:
             assert m[term] is not None
             assert all(np.isfinite(m[k]) for k in ("loss_ce", term, "acc2", "acc3", "acc_joint"))
 
+    def test_loaded_dataset_is_bounded_by_its_views(self):
+        # the config's generator has 2 shots; the datasets have 16, then twice the views
+        gen = GeneratorConfig(num_classes=4, shots=2, seed=0)
+        cfg = RunConfig(generator=gen, epochs=2, enable_step1=False, invariance_on_all=True,
+                        inv_theta=losses._LOG_MAX - np.log(32 * 4) - 0.01)
+        metrics = Trainer(cfg, generate(dataclasses.replace(gen, shots=16))).run().metrics
+        assert all(np.isfinite(m["loss_inv"]) for m in metrics)
+        with pytest.raises(ContractError, match="^inv_theta .* over 256 rows"):
+            Trainer(cfg, generate(dataclasses.replace(gen, shots=16, num_views=8)))
+
 
 class TestSingleView:
     @pytest.mark.parametrize("seed", [0, 1])
