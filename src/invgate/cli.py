@@ -28,11 +28,6 @@ def _load_generator_config(path: str) -> GeneratorConfig:
     return RunConfig.from_dict(data).generator
 
 
-# the dest of each train flag, which is the RunConfig field it sets
-_OVERRIDES = ("irm_lambda", "align_alpha", "fusion_phi", "mining_rho", "enable_step1",
-              "enable_step2", "enable_align", "fusion_mode", "seed")
-
-
 def _apply_overrides(cfg: RunConfig, args) -> tuple[RunConfig, dict]:
     overrides = {name: getattr(args, name) for name in _OVERRIDES
                  if getattr(args, name) is not None}
@@ -51,7 +46,7 @@ def _apply_overrides(cfg: RunConfig, args) -> tuple[RunConfig, dict]:
     return cfg, manifest_extra
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_train_flags(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="irm_lambda", type=float, help="invariance penalty weight")
     p.add_argument("--alpha", dest="align_alpha", type=float, help="alignment loss weight")
     p.add_argument("--phi", dest="fusion_phi", type=float, help="2D fusion temperature")
@@ -62,6 +57,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                        default=None, help=f"disable {what}")
     p.add_argument("--fusion", dest="fusion_mode", choices=["mul", "add"])
     p.add_argument("--seed", type=int)
+    return p
+
+
+# the dest of each train flag, which is the RunConfig field it sets
+_OVERRIDES = tuple(action.dest for action in
+                   _add_train_flags(argparse.ArgumentParser(add_help=False))._actions)
 
 
 def cmd_generate(args) -> int:

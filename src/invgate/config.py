@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .container import canonical_json  # noqa: F401  (re-exported)
@@ -127,17 +128,28 @@ class RunConfig:
         self.check_exponents(self.generator.num_views)
 
     def check_exponents(self, num_views: int) -> None:
-        """Raise ContractError if an enabled term's exponentials can sum to inf:
-        alignment's over a batch, a REx risk's over a pool of `num_views` views."""
-        bounds = {}
+        """Raise ContractError if an enabled term can reach inf: its exponentials
+        summed (alignment's over a batch, a REx risk's over a pool of `num_views`
+        views), or its weight times the term's worst case. Alignment is at most
+        log(batch_size) + 2 * align_tau, so align_alpha times that must be
+        finite; each IRMv1 penalty is at most 4 * irm_lambda, summed over
+        2 + include_25d environments."""
+        bounds, worst = {}, {}
         if self.enable_align:
             bounds["align_tau"] = self.batch_size
-        if self.enable_step2 and self.irm_variant != "irmv1":
+            worst["align_alpha"] = math.log(self.batch_size) + 2 * self.align_tau
+        if self.enable_step2 and self.irm_variant == "irmv1":
+            worst["irm_lambda"] = 4 * (2 + self.include_25d)
+        elif self.enable_step2:
             bounds["inv_theta"] = self.batch_size * max(num_views, 1 + self.n_3d_augments)
         for name, rows in bounds.items():
             if not exp_sums_finite(getattr(self, name), rows):
                 raise ContractError(f"{name} {getattr(self, name)} overflows: exp({name}) "
                                     f"summed over {rows} rows is not finite")
+        for name, term in worst.items():
+            if not math.isfinite(getattr(self, name) * term):
+                raise ContractError(f"{name} {getattr(self, name)} overflows: {name} times "
+                                    f"its term's worst case {term} is not finite")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)

@@ -67,10 +67,11 @@ def parse_header(raw, path: str, fmt: str) -> dict:
 
 
 @contextlib.contextmanager
-def read(path: str, magic: bytes, version: int, fmt: str):
-    """Yield (header, take) for the container file at `path`. `take(nbytes,
-    what)` returns the next payload bytes; a file that ends first raises
-    CheckpointError naming `what`, and so do bytes left after the block."""
+def read(path: str, magic: bytes, versions: tuple[int, ...], fmt: str):
+    """Yield (version, header, take) for the file at `path`, of one of
+    `versions`. `take(nbytes, what)` returns the next payload bytes; a file
+    that ends first raises CheckpointError naming `what`, and so do bytes
+    left after the block."""
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
 
@@ -84,9 +85,9 @@ def read(path: str, magic: bytes, version: int, fmt: str):
         if take(len(magic), "magic") != magic:
             raise CheckpointError(f"{path}: not a {fmt} file")
         found = int(np.frombuffer(take(4, "version"), dtype="<u4")[0])
-        if found != version:
+        if found not in versions:
             raise CheckpointError(f"{path}: unsupported {fmt} version {found}")
         header_len = int(np.frombuffer(take(8, "header length"), dtype="<u8")[0])
-        yield parse_header(take(header_len, "header"), path, fmt), take
+        yield found, parse_header(take(header_len, "header"), path, fmt), take
         if left:
             raise CheckpointError(f"{path}: {left} bytes after the last block")

@@ -324,7 +324,7 @@ def load_dataset(path: str) -> Dataset:
     with open(path, "rb") as fh:
         binary = fh.read(len(MAGIC)) == MAGIC
     if binary:      # one read per split
-        with container.read(path, MAGIC, FORMAT_VERSION, FORMAT_NAME) as (header, take):
+        with container.read(path, MAGIC, (FORMAT_VERSION,), FORMAT_NAME) as (_, header, take):
             cfg = _generator_config(header, path)
             dtype, n = _record_dtype(cfg), cfg.num_classes * cfg.shots
             records = [np.frombuffer(take(n * dtype.itemsize, f"the {name} split"), dtype)

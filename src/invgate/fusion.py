@@ -29,9 +29,9 @@ class FusionConfig:
     mode: str = "multiplicative"
 
     def __post_init__(self):
+        check_fields(self)
         if not self.phi > 0:
             raise ContractError(f"phi must be positive, got {self.phi}")
-        check_fields(self)
         if self.mode not in MODE_ALIASES:
             raise ContractError(f"unknown fusion mode {self.mode!r}")
         self.mode = MODE_ALIASES[self.mode]

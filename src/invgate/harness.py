@@ -19,7 +19,7 @@ import ctypes
 import functools
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .losses import (
     nt_xent_align,
 )
 from .mining import fit_gmm2, mining_schedule, select_joint_hard, select_modality_hard
-from .optim import SGD, OptimizerState, ParamGroup, cosine_lr
+from .optim import SGD, ParamGroup
 
 METRICS_FORMAT = "invgate-metrics"
 METRICS_VERSION = 1
@@ -117,6 +117,12 @@ class Model:
         flat = T.reshape(per_view, (b * n, d))
         per_view_logits = T.reshape(self.head2d.logits(flat), (b, n, self.head2d.num_classes))
         return T.mean_(per_view_logits, axis=1)
+
+
+def _build(cfg: RunConfig) -> tuple[Model, SGD]:
+    """A fresh model for `cfg` and the optimizer over its parameter groups."""
+    model = Model(cfg)
+    return model, SGD(model.param_groups(), cfg)
 
 
 @dataclass
@@ -199,12 +205,7 @@ class Trainer:
         self.dataset = dataset if dataset is not None else generate(cfg.generator)
         _check_fits(cfg, self.dataset, "config")
         cfg.check_exponents(self.dataset.config.num_views)
-        self.model = Model(cfg)
-        self.optimizer = SGD(
-            self.model.param_groups(),
-            OptimizerState(cfg.base_lr, cfg.weight_decay, cfg.momentum,
-                           epoch=0, total_epochs=cfg.epochs),
-        )
+        self.model, self.optimizer = _build(cfg)
         self.train_x3, self.train_views, self.train_labels = self.dataset.arrays("train")
         n = len(self.train_labels)
         if cfg.enable_step2 and not cfg.enable_step1 and cfg.invariance_on_all:
@@ -344,7 +345,7 @@ class Trainer:
 
     def run_epoch(self, epoch: int) -> dict:
         cfg = self.cfg
-        self.optimizer.state.epoch = epoch
+        self.optimizer.epoch = epoch
         mining = self._mine(epoch)
         order = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _SEED_TAGS["batches"], epoch])
@@ -352,7 +353,6 @@ class Trainer:
 
         sums = {"ce": 0.0, "inv": 0.0, "align": 0.0}
         counts = {"ce": 0, "inv": 0, "align": 0}
-        lr = cosine_lr(self.optimizer.state)
         for batch_i in range(0, len(order), cfg.batch_size):
             idx = order[batch_i: batch_i + cfg.batch_size]
             total, parts = self.total_objective(idx, epoch, batch_i // cfg.batch_size)
@@ -362,7 +362,7 @@ class Trainer:
                 )
             self.optimizer.zero_grad()
             T.backward(total)
-            lr = self.optimizer.step()
+            self.optimizer.step()
             for key, val in parts.items():
                 if val is not None:
                     sums[key] += val
@@ -375,7 +375,7 @@ class Trainer:
         rec = self.last_eval = evaluate_model(self.model, self.dataset, self.fusion)
         record = {
             "epoch": epoch,
-            "lr": lr,
+            "lr": self.optimizer.lr(),
             "loss_ce": sums["ce"] / counts["ce"] if counts["ce"] else None,
             "loss_inv": sums["inv"] / counts["inv"] if counts["inv"] else None,
             "loss_align": sums["align"] / counts["align"] if counts["align"] else None,
@@ -437,20 +437,20 @@ def write_eval_artifacts(rec: EvalRecord, out_dir: str) -> None:
 
 CHECKPOINT_MAGIC = b"IGCK"
 CHECKPOINT_FORMAT = "invgate-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _VELOCITY = "opt.velocity."
 
 
 def save_checkpoint(path: str, result: TrainResult) -> None:
     """Parameters and optimizer velocities as float64 arrays sorted by name,
-    so save -> load -> save is byte-identical."""
+    so save -> load -> save is byte-identical; the header adds the config and
+    the optimizer's epoch."""
     opt = result.optimizer
     arrays = {name: p.data for name, p in result.model.named_params().items()}
     arrays.update({_VELOCITY + name: v for name, v in opt.named_velocity().items()})
     names = sorted(arrays)
     header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-              "config": result.cfg.to_dict(), "epoch": int(opt.state.epoch),
-              "optimizer": asdict(opt.state),
+              "config": result.cfg.to_dict(), "epoch": opt.epoch,
               "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names]}
     container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
                     (np.ascontiguousarray(arrays[n], dtype="<f8") for n in names))
@@ -458,21 +458,29 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
 
 def load_checkpoint(path: str) -> TrainResult:
     """The TrainResult that `save_checkpoint` took, with no metrics; one array
-    per read. A damaged file, a malformed header field, a header epoch that is
-    not the optimizer's, an array the model has no place for or that the header
-    lists twice, a missing parameter and a non-finite array raise CheckpointError."""
-    with container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                        CHECKPOINT_FORMAT) as (header, take):
+    per read. A damaged file, a malformed header field, an epoch outside
+    [0, epochs), a v1 optimizer block other than the one its config and epoch
+    give, an array the model has no place for or that the header lists twice,
+    a missing parameter and a non-finite array raise CheckpointError."""
+    with container.read(path, CHECKPOINT_MAGIC, (1, CHECKPOINT_VERSION),
+                        CHECKPOINT_FORMAT) as (version, header, take):
         with container.malformed(path):
             cfg = RunConfig.from_dict(header["config"])
-            opt_state = OptimizerState(**header["optimizer"])
             entries = [(str(e["name"]), tuple(e["shape"])) for e in header["arrays"]]
             epoch = header["epoch"]
-        if type(epoch) is not int or epoch != opt_state.epoch:
-            raise CheckpointError(f"{path}: header epoch {epoch!r} is not the optimizer's "
-                                  f"epoch {opt_state.epoch}")
-        model = Model(cfg)
-        opt = SGD(model.param_groups(), opt_state)
+        if type(epoch) is not int or not 0 <= epoch < cfg.epochs:
+            raise CheckpointError(f"{path}: header epoch {epoch!r} is not an int "
+                                  f"in [0, epochs {cfg.epochs})")
+        if version == 1:    # its optimizer block repeats four config values and the epoch
+            block = canonical_json(header.get("optimizer"))
+            derived = canonical_json({"base_lr": cfg.base_lr, "weight_decay": cfg.weight_decay,
+                                      "momentum": cfg.momentum, "epoch": epoch,
+                                      "total_epochs": cfg.epochs, "lr_min": 0.0})
+            if block != derived:
+                raise CheckpointError(f"{path}: optimizer block {block} is not {derived}, "
+                                      "the one its config and epoch give")
+        model, opt = _build(cfg)
+        opt.epoch = epoch
         params = model.named_params()
         velocity: dict[str, np.ndarray] = {}
         seen: set[str] = set()

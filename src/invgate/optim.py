@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_fields
+from .config import RunConfig
 from .errors import ContractError
 from .tensor import Tensor
 
@@ -33,42 +33,11 @@ class ParamGroup:
                 )
 
 
-@dataclass
-class OptimizerState:
-    base_lr: float
-    weight_decay: float = 0.0
-    momentum: float = 0.9
-    epoch: int = 0
-    total_epochs: int = 1
-    lr_min: float = 0.0
-
-    def __post_init__(self):
-        check_fields(self)
-        if not self.base_lr > 0:
-            raise ContractError("base_lr must be positive")
-        if not 0.0 <= self.lr_min <= self.base_lr:
-            raise ContractError(f"lr_min must lie in [0, base_lr {self.base_lr}], "
-                                f"got {self.lr_min}")
-        if not self.weight_decay >= 0:
-            raise ContractError("weight_decay must be non-negative")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ContractError("momentum must lie in [0, 1)")
-        if self.total_epochs <= 0:
-            raise ContractError("total_epochs must be positive")
-        if self.epoch < 0:
-            raise ContractError("epoch must be >= 0")
-
-
-def cosine_lr(state: OptimizerState) -> float:
-    """lr(t) = lr_min + 0.5*(base - lr_min)*(1 + cos(pi * epoch / total))."""
-    frac = state.epoch / state.total_epochs
-    return state.lr_min + 0.5 * (state.base_lr - state.lr_min) * (1.0 + math.cos(math.pi * frac))
-
-
 class SGD:
-    """Momentum SGD over param groups; decay is applied to weights directly."""
+    """Momentum SGD over param groups; decay is applied to weights directly.
+    `cfg` gives the rate, decay, momentum and epoch count; the rate anneals with `epoch`."""
 
-    def __init__(self, groups: list[ParamGroup], state: OptimizerState):
+    def __init__(self, groups: list[ParamGroup], cfg: RunConfig):
         names = [g.name for g in groups]
         if len(set(names)) != len(names):
             raise ContractError(f"duplicate group names: {names}")
@@ -82,12 +51,16 @@ class SGD:
                     )
                 seen[id(p)] = g.name
         self.groups = groups
-        self.state = state
+        self.cfg, self.epoch = cfg, 0
         self.velocity: dict[int, np.ndarray] = {}
 
     def parameters(self):
         for g in self.groups:
             yield from g.params
+
+    def lr(self) -> float:
+        """lr(t) = 0.5 * base_lr * (1 + cos(pi * epoch / epochs))."""
+        return 0.5 * self.cfg.base_lr * (1.0 + math.cos(math.pi * (self.epoch / self.cfg.epochs)))
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -100,31 +73,20 @@ class SGD:
         group, a parameter without a gradient takes a zero one (the step's
         terms reached its group but not it).
         """
-        lr = cosine_lr(self.state)
-        wd = self.state.weight_decay
-        mom = self.state.momentum
+        lr, wd, mom = self.lr(), self.cfg.weight_decay, self.cfg.momentum
         for g in self.groups:
             if all(p.grad is None for p in g.params):
                 continue
             for p in g.params:
                 if p.grad is None:
                     p.grad = np.zeros_like(p.data)
-                v = self.velocity.get(id(p))
-                if v is None:
-                    v = np.zeros_like(p.data)
-                v = mom * v + p.grad
-                self.velocity[id(p)] = v
+                v = self.velocity[id(p)] = mom * self.velocity.get(id(p), 0.0) + p.grad
                 p.data -= lr * v + lr * wd * p.data
         return lr
 
-    # velocity buffers keyed by parameter name, for checkpointing
     def named_velocity(self) -> dict[str, np.ndarray]:
-        out = {}
-        for p in self.parameters():
-            v = self.velocity.get(id(p))
-            if v is not None:
-                out[p.name] = v
-        return out
+        """Velocity buffers keyed by parameter name, for checkpointing."""
+        return {p.name: self.velocity[id(p)] for p in self.parameters() if id(p) in self.velocity}
 
     def load_velocity(self, named: dict[str, np.ndarray]) -> None:
         by_name = {p.name: p for p in self.parameters()}

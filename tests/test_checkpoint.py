@@ -40,7 +40,7 @@ def test_save_load_bit_identical_params(short_run, tmp_path):
     model, opt = loaded.model, loaded.optimizer
     for name, param in result.model.named_params().items():
         assert model.named_params()[name].data.tobytes() == param.data.tobytes()
-    assert opt.state.epoch == result.cfg.epochs - 1
+    assert opt.epoch == result.cfg.epochs - 1
     for name, vel in result.optimizer.named_velocity().items():
         assert opt.named_velocity()[name].tobytes() == vel.tobytes()
 
@@ -50,8 +50,35 @@ def test_save_load_save_byte_stable(short_run, tmp_path):
     p1, p2 = tmp_path / "a.igck", tmp_path / "b.igck"
     save_checkpoint(str(p1), result)
     save_checkpoint(str(p2), load_checkpoint(str(p1)))
-    # epoch lives in optimizer state, which load restores
+    # load restores the optimizer's epoch
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_header_holds_each_value_once(short_run, tmp_path):
+    trainer, result = short_run
+    p = tmp_path / "run.igck"
+    save_checkpoint(str(p), result)
+    header = _rewrite(p)
+    assert set(header) == {"format", "version", "config", "epoch", "arrays"}
+    assert header["version"] == 2 and header["epoch"] == result.cfg.epochs - 1
+
+
+def test_v1_file_loads_bit_identically(short_run, tmp_path):
+    trainer, result = short_run
+    p, v1 = tmp_path / "run.igck", tmp_path / "v1.igck"
+    save_checkpoint(str(p), result)
+    v1.write_bytes(p.read_bytes())
+    _rewrite(v1, _v1(lambda h: None))
+    assert v1.read_bytes()[4:8] == np.uint32(1).tobytes()
+    loaded = load_checkpoint(str(v1))
+    assert loaded.optimizer.epoch == result.optimizer.epoch
+    for name, param in result.model.named_params().items():
+        assert loaded.model.named_params()[name].data.tobytes() == param.data.tobytes()
+    for name, vel in result.optimizer.named_velocity().items():
+        assert loaded.optimizer.named_velocity()[name].tobytes() == vel.tobytes()
+    # saving it writes the version 2 file it came from
+    save_checkpoint(str(v1), loaded)
+    assert v1.read_bytes() == p.read_bytes()
 
 
 def test_truncated_file_names_missing_array(short_run, tmp_path):
@@ -83,7 +110,8 @@ def test_mismatched_config_names_offending_array(short_run, tmp_path):
 
 
 def _rewrite(path, edit_header=None, edit_payload=None):
-    """Rewrite a saved checkpoint's header and payload, keeping the preamble valid."""
+    """Rewrite a saved checkpoint's header and payload, keeping the preamble
+    valid: its version is the header's."""
     raw = path.read_bytes()
     header_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
     header = json.loads(raw[16: 16 + header_len].decode())
@@ -93,36 +121,54 @@ def _rewrite(path, edit_header=None, edit_payload=None):
     if edit_payload is not None:
         edit_payload(payload)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + bytes(payload))
+    path.write_bytes(raw[:4] + np.uint32(header["version"]).tobytes()
+                     + np.uint64(len(blob)).tobytes() + blob + bytes(payload))
     return header
+
+
+def _v1(edit):
+    """A header edit: rewrite the header as version 1, whose `optimizer` block
+    repeats four config values and the epoch and adds lr_min 0.0, then apply `edit`."""
+    def edit_v1(header):
+        cfg = header["config"]
+        header.update(version=1, optimizer={
+            "base_lr": cfg["base_lr"], "weight_decay": cfg["weight_decay"],
+            "momentum": cfg["momentum"], "epoch": header["epoch"],
+            "total_epochs": cfg["epochs"], "lr_min": 0.0})
+        edit(header)
+    return edit_v1
 
 
 def _nan_first_array(payload):
     payload[:8] = np.array([np.nan]).tobytes()
 
 
+_V1_BLOCK = "optimizer block .* is not .*, the one its config and epoch give"
 HEADER_EDITS = {
-    "optimizer_unknown_key": (lambda h: h["optimizer"].update(bogus=1), None, "malformed header"),
-    "optimizer_without_base_lr": (lambda h: h["optimizer"].pop("base_lr"), None,
-                                  "malformed header"),
-    "optimizer_not_an_object": (lambda h: h.update(optimizer=[1, 2]), None, "malformed header"),
-    "optimizer_nan_base_lr": (lambda h: h["optimizer"].update(base_lr=float("nan")), None,
-                              "malformed header"),
-    "optimizer_epoch_a_string": (lambda h: h["optimizer"].update(epoch="x"), None,
-                                 "malformed header"),
-    "optimizer_negative_epoch": (lambda h: h["optimizer"].update(epoch=-7), None,
-                                 "malformed header"),
-    "optimizer_lr_min_a_string": (lambda h: h["optimizer"].update(lr_min="x"), None,
-                                  "malformed header"),
-    "optimizer_fractional_total_epochs": (lambda h: h["optimizer"].update(total_epochs=2.5),
-                                          None, "malformed header"),
-    "optimizer_lr_min_above_base": (lambda h: h["optimizer"].update(lr_min=5.0), None,
-                                    "malformed header.*lr_min must lie in"),
-    "optimizer_negative_lr_min": (lambda h: h["optimizer"].update(lr_min=-0.001), None,
-                                  "malformed header.*lr_min must lie in"),
+    "optimizer_unknown_key": (_v1(lambda h: h["optimizer"].update(bogus=1)), None, _V1_BLOCK),
+    "optimizer_without_base_lr": (_v1(lambda h: h["optimizer"].pop("base_lr")), None,
+                                  _V1_BLOCK),
+    "optimizer_not_an_object": (_v1(lambda h: h.update(optimizer=[1, 2])), None, _V1_BLOCK),
+    "optimizer_nan_base_lr": (_v1(lambda h: h["optimizer"].update(base_lr=float("nan"))), None,
+                              _V1_BLOCK),
+    "optimizer_epoch_a_string": (_v1(lambda h: h["optimizer"].update(epoch="x")), None,
+                                 _V1_BLOCK),
+    "optimizer_negative_epoch": (_v1(lambda h: h["optimizer"].update(epoch=-7)), None,
+                                 _V1_BLOCK),
+    "optimizer_lr_min_a_string": (_v1(lambda h: h["optimizer"].update(lr_min="x")), None,
+                                  _V1_BLOCK),
+    "optimizer_fractional_total_epochs": (
+        _v1(lambda h: h["optimizer"].update(total_epochs=2.5)), None, _V1_BLOCK),
+    "optimizer_lr_min_above_base": (_v1(lambda h: h["optimizer"].update(lr_min=5.0)), None,
+                                    _V1_BLOCK),
+    "optimizer_negative_lr_min": (_v1(lambda h: h["optimizer"].update(lr_min=-0.001)), None,
+                                  _V1_BLOCK),
     "epoch_null": (lambda h: h.update(epoch=None), None, "header epoch None is not"),
-    "epoch_not_the_optimizers": (lambda h: h.update(epoch=0), None,
-                                 "header epoch 0 is not the optimizer's epoch 2"),
+    "epoch_equal_to_epochs": (lambda h: h.update(epoch=3), None,
+                              r"header epoch 3 is not an int in \[0, epochs 3\)"),
+    "epoch_negative": (lambda h: h.update(epoch=-1), None, "header epoch -1 is not an int"),
+    "epoch_a_string": (lambda h: h.update(epoch="2"), None, "header epoch '2' is not an int"),
+    "epoch_true": (lambda h: h.update(epoch=True), None, "header epoch True is not an int"),
     "config_not_an_object": (lambda h: h.update(config=3), None, "malformed header"),
     "config_a_list_of_pairs": (lambda h: h.update(config=[["epochs", 3]]), None,
                                "malformed header"),

@@ -149,7 +149,7 @@ def test_eval_nan_phi_is_a_one_line_error(artefacts, capsys):
     assert main(["eval", "--checkpoint", str(artefacts["checkpoint"]),
                  "--data", str(artefacts["binary"]), "--phi", "nan"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invgate: error: phi must be positive")
+    assert err.startswith("invgate: error: phi must be a finite number, got nan")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

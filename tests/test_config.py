@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -104,6 +105,8 @@ def test_replace_rejects_unknown_keys():
     {"posterior_p3": 1.5},
     {"base_lr": 0.0},
     {"base_lr": float("nan")},
+    {"weight_decay": float("nan")},
+    {"momentum": float("nan")},
     {"head_scale": -1.0},
     {"weight_decay": -1.0},
     {"encoder_init": "random", "output_dim": 0},
@@ -171,7 +174,18 @@ def test_generator_must_be_a_generator_config():
     # 4 classes x 2 shots make 8 rows, but a loaded dataset can fill 32-row batches
     ({"align_tau": 707, "generator": GeneratorConfig(num_classes=4, shots=2)},
      "align_tau 707 overflows: exp(align_tau) summed over 32 rows"),
-], ids=["inv_theta", "align_tau", "mm_rex", "small_generator"])
+    # alignment is at most log(32) + 2 * 2.0
+    ({"align_alpha": sys.float_info.max},
+     "align_alpha 1.7976931348623157e+308 overflows: align_alpha times its term's worst case "
+     "7.46"),
+    # two environments' IRMv1 penalties, each at most 4 * irm_lambda
+    ({"irm_variant": "irmv1", "irm_lambda": sys.float_info.max},
+     "irm_lambda 1.7976931348623157e+308 overflows: irm_lambda times its term's worst case 8 "),
+    # a third environment: 12 * irm_lambda overflows where 8 * irm_lambda would not
+    ({"irm_variant": "irmv1", "include_25d": True, "irm_lambda": sys.float_info.max / 11},
+     "irm_lambda 1.6342664862384688e+307 overflows: irm_lambda times its term's worst case 12 "),
+], ids=["inv_theta", "align_tau", "mm_rex", "small_generator", "align_alpha", "irm_lambda",
+        "irm_lambda_25d"])
 def test_overflowing_exponentials_rejected(overrides, message):
     with pytest.raises(ContractError) as err:
         RunConfig(**overrides)
@@ -182,6 +196,10 @@ def test_overflowing_exponentials_rejected(overrides, message):
     {"irm_variant": "irmv1", "inv_theta": 1e6},     # irmv1 scores its risks at theta = 1
     {"enable_step2": False, "inv_theta": 1e6},
     {"enable_align": False, "align_tau": 1000},
-], ids=["irmv1", "step2_off", "align_off"])
+    {"enable_align": False, "align_alpha": sys.float_info.max},
+    {"irm_variant": "v_rex", "irm_lambda": sys.float_info.max},    # REx reads no lambda
+    {"enable_step2": False, "irm_variant": "irmv1", "irm_lambda": sys.float_info.max},
+], ids=["irmv1", "step2_off", "align_off", "alpha_align_off", "lambda_v_rex",
+        "lambda_step2_off"])
 def test_unused_exponent_has_no_bound(overrides):
     RunConfig(**overrides)

@@ -17,15 +17,15 @@ def _write(path, blocks=(b"abcd", b"efgh"), version=3, header=None):
     container.write(str(path), MAGIC, version, header or {"format": FMT, "n": 2}, blocks)
 
 
-def _read_all(path, sizes=(4, 4)):
-    with container.read(str(path), MAGIC, 3, FMT) as (header, take):
-        return header, [take(n, f"block {i}") for i, n in enumerate(sizes)]
+def _read_all(path, sizes=(4, 4), versions=(3,)):
+    with container.read(str(path), MAGIC, versions, FMT) as (version, header, take):
+        return version, header, [take(n, f"block {i}") for i, n in enumerate(sizes)]
 
 
 def test_round_trip_streams_blocks_in_order(tmp_path):
     p = tmp_path / "c"
     _write(p, blocks=iter([b"abcd", b"efgh"]))
-    assert _read_all(p) == ({"format": FMT, "n": 2}, [b"abcd", b"efgh"])
+    assert _read_all(p) == (3, {"format": FMT, "n": 2}, [b"abcd", b"efgh"])
     blob = canonical_json({"format": FMT, "n": 2}).encode()
     assert p.read_bytes()[:16] == MAGIC + np.uint32(3).tobytes() + np.uint64(len(blob)).tobytes()
 
@@ -53,6 +53,16 @@ def test_reader_rejects_damage(tmp_path, damage, message):
     p.write_bytes(damage(p.read_bytes()))
     with pytest.raises(CheckpointError, match=message):
         _read_all(p)
+
+
+def test_reader_yields_whichever_accepted_version_it_found(tmp_path):
+    p = tmp_path / "c"
+    for version in (1, 3):
+        _write(p, version=version)
+        assert _read_all(p, versions=(1, 3))[0] == version
+    _write(p, version=2)
+    with pytest.raises(CheckpointError, match="unsupported test-container version 2"):
+        _read_all(p, versions=(1, 3))
 
 
 def test_header_must_name_the_format(tmp_path):

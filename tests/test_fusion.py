@@ -72,7 +72,7 @@ class TestFuse:
         with pytest.raises(ContractError):
             FusionConfig(phi=0.0)
 
-    @pytest.mark.parametrize("phi", [float("nan"), -float("inf"), float("inf")])
+    @pytest.mark.parametrize("phi", [float("nan"), -float("inf"), float("inf"), "x"])
     def test_nan_phi_rejected(self, phi):
         with pytest.raises(ContractError):
             FusionConfig(phi=phi)

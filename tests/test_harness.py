@@ -2,6 +2,7 @@ import dataclasses
 import json
 import platform
 import resource
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
@@ -29,7 +30,6 @@ from invgate.harness import (
 )
 from invgate.losses import IRM_VARIANTS, ContrastiveBatch, cross_entropy, sup_infonce
 from invgate.mining import fit_gmm2, mining_schedule, select_modality_hard
-from invgate.optim import cosine_lr
 
 
 def tiny_cfg(seed=0, **kw):
@@ -204,17 +204,38 @@ class TestMiningFit:
         assert [a.tobytes() for a in stats] == [a.tobytes() for a in (*ces, *probs)]
 
 
+def _just_under_and_over(name, n):
+    """Values just under and just over the largest `name` a config accepts.
+    `n` is the rows an exponential sums over, alignment's batch size, or
+    IRMv1's number of environments."""
+    if name == "align_alpha":       # alignment is at most log(n) + 2 * align_tau
+        bound = sys.float_info.max / (np.log(n) + 2 * RunConfig().align_tau)
+    elif name == "irm_lambda":      # each environment's penalty is at most 4 * irm_lambda
+        bound = sys.float_info.max / (4 * n)
+    else:
+        bound = losses._LOG_MAX - np.log(n)
+        return bound - 0.01, bound + 0.01
+    return 0.99 * bound, 1.01 * bound
+
+
+# every row an anchor from epoch 0
+_INV_ALL = {"enable_step1": False, "invariance_on_all": True}
+
+
 class TestOverflowBound:
-    @pytest.mark.parametrize("name,rows,overrides,term", [
-        # every row an anchor from epoch 0: each 2D pool holds 32 rows x 4 views
-        ("inv_theta", 128, {"enable_step1": False, "invariance_on_all": True}, "loss_inv"),
+    @pytest.mark.parametrize("name,n,overrides,term", [
+        # each 2D pool holds 32 rows x 4 views
+        ("inv_theta", 128, _INV_ALL, "loss_inv"),
         ("align_tau", 32, {}, "loss_align"),
+        ("align_alpha", 32, {}, "loss_align"),
+        ("irm_lambda", 2, {**_INV_ALL, "irm_variant": "irmv1"}, "loss_inv"),
     ])
-    def test_config_just_under_the_bound_trains(self, name, rows, overrides, term):
-        bound = losses._LOG_MAX - np.log(rows)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_config_just_under_the_bound_trains(self, name, n, overrides, term):
+        under, over = _just_under_and_over(name, n)
         with pytest.raises(ContractError, match=f"^{name} "):
-            RunConfig(**overrides, **{name: bound + 0.01})
-        metrics = Trainer(RunConfig(epochs=2, **overrides, **{name: bound - 0.01})).run().metrics
+            RunConfig(**overrides, **{name: over})
+        metrics = Trainer(RunConfig(epochs=2, **overrides, **{name: under})).run().metrics
         for m in metrics:
             assert m[term] is not None
             assert all(np.isfinite(m[k]) for k in ("loss_ce", term, "acc2", "acc3", "acc_joint"))
@@ -349,7 +370,7 @@ class TestSingleBranchOracle:
         trainer = Trainer(cfg)
         model, opt = trainer.model, trainer.optimizer
         for epoch in range(cfg.epochs):
-            opt.state.epoch = epoch
+            opt.epoch = epoch
             order = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, 21, epoch])
             ).permutation(len(trainer.train_labels))

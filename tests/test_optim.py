@@ -2,35 +2,42 @@ import numpy as np
 import pytest
 
 from invgate import tensor as T
+from invgate.config import RunConfig
 from invgate.errors import ContractError
-from invgate.optim import SGD, OptimizerState, ParamGroup, cosine_lr
+from invgate.optim import SGD, ParamGroup
 
 
-def make_state(**kw):
-    defaults = dict(base_lr=0.01, weight_decay=0.0, momentum=0.0, epoch=0, total_epochs=10)
+def make_cfg(**kw):
+    defaults = dict(base_lr=0.01, weight_decay=0.0, momentum=0.0, epochs=10)
     defaults.update(kw)
-    return OptimizerState(**defaults)
+    return RunConfig(**defaults)
+
+
+def lr_at(epoch, epochs=10):
+    opt = SGD([], make_cfg(epochs=epochs))
+    opt.epoch = epoch
+    return opt.lr()
 
 
 def test_cosine_endpoints():
-    assert cosine_lr(make_state(epoch=0)) == pytest.approx(0.01)
-    assert cosine_lr(make_state(epoch=10)) == pytest.approx(0.0, abs=1e-18)
+    assert lr_at(0) == pytest.approx(0.01)
+    assert lr_at(10) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_cosine_midpoint():
     # 0.01 * 0.5 * (1 + cos(pi/2)) = 0.005
-    assert cosine_lr(make_state(epoch=5)) == pytest.approx(0.005)
+    assert lr_at(5) == pytest.approx(0.005)
 
 
 def test_cosine_monotone_decreasing():
-    lrs = [cosine_lr(make_state(epoch=e, total_epochs=50)) for e in range(50)]
+    lrs = [lr_at(e, epochs=50) for e in range(50)]
     assert all(a > b for a, b in zip(lrs, lrs[1:]))
 
 
 def test_step_plain_sgd():
     p = T.parameter([1.0, -2.0], name="p")
     p.grad = np.array([0.5, 0.5])
-    opt = SGD([ParamGroup("g", [p])], make_state())
+    opt = SGD([ParamGroup("g", [p])], make_cfg())
     opt.step()
     np.testing.assert_allclose(p.data, [1.0 - 0.01 * 0.5, -2.0 - 0.01 * 0.5])
 
@@ -38,7 +45,7 @@ def test_step_plain_sgd():
 def test_decoupled_weight_decay_hits_weights_not_grads():
     p = T.parameter([2.0], name="p")
     p.grad = np.array([0.0])
-    opt = SGD([ParamGroup("g", [p])], make_state(weight_decay=0.1))
+    opt = SGD([ParamGroup("g", [p])], make_cfg(weight_decay=0.1))
     opt.step()
     # zero gradient still decays the weight by lr*wd*w
     np.testing.assert_allclose(p.data, [2.0 - 0.01 * 0.1 * 2.0])
@@ -46,7 +53,7 @@ def test_decoupled_weight_decay_hits_weights_not_grads():
 
 def test_momentum_accumulates():
     p = T.parameter([0.0], name="p")
-    opt = SGD([ParamGroup("g", [p])], make_state(momentum=0.9))
+    opt = SGD([ParamGroup("g", [p])], make_cfg(momentum=0.9))
     for _ in range(2):
         p.grad = np.array([1.0])
         opt.step()
@@ -59,7 +66,7 @@ def test_frozen_group_bit_identical():
     p = T.parameter([1.2345678901234567, -7.0], name="p")
     q = T.parameter([1.0], name="q")
     opt = SGD([ParamGroup("g", [p]), ParamGroup("h", [q])],
-              make_state(weight_decay=0.5, momentum=0.9))
+              make_cfg(weight_decay=0.5, momentum=0.9))
     p.grad = np.array([1.0, 1.0])
     opt.step()
     before, velocity = p.data.tobytes(), opt.velocity[id(p)].tobytes()
@@ -73,19 +80,19 @@ def test_frozen_group_bit_identical():
 def test_param_in_two_groups_rejected():
     p = T.parameter([1.0], name="p")
     with pytest.raises(ContractError):
-        SGD([ParamGroup("a", [p]), ParamGroup("b", [p])], make_state())
+        SGD([ParamGroup("a", [p]), ParamGroup("b", [p])], make_cfg())
 
 
 def test_velocity_roundtrip_by_name():
     p = T.parameter([1.0], name="w")
-    opt = SGD([ParamGroup("g", [p])], make_state(momentum=0.9))
+    opt = SGD([ParamGroup("g", [p])], make_cfg(momentum=0.9))
     p.grad = np.array([2.0])
     opt.step()
     named = opt.named_velocity()
     assert set(named) == {"w"}
 
     q = T.parameter([1.0], name="w")
-    opt2 = SGD([ParamGroup("g", [q])], make_state(momentum=0.9))
+    opt2 = SGD([ParamGroup("g", [q])], make_cfg(momentum=0.9))
     opt2.load_velocity(named)
     np.testing.assert_array_equal(opt2.velocity[id(q)], named["w"])
 
@@ -94,7 +101,7 @@ def test_step_updates_only_active_groups():
     a = T.parameter([1.0, 2.0], name="a")
     b = T.parameter([3.0], name="b")
     opt = SGD([ParamGroup("a", [a]), ParamGroup("b", [b])],
-              make_state(weight_decay=0.5, momentum=0.9))
+              make_cfg(weight_decay=0.5, momentum=0.9))
     a.grad = np.array([1.0, 1.0])
     before_b = b.data.tobytes()
     opt.step()
@@ -105,15 +112,9 @@ def test_step_updates_only_active_groups():
 def test_active_param_without_grad_takes_zero_gradient():
     p = T.parameter([2.0], name="p")
     q = T.parameter([1.0], name="q")
-    opt = SGD([ParamGroup("g", [p, q])], make_state(weight_decay=0.5, momentum=0.9))
+    opt = SGD([ParamGroup("g", [p, q])], make_cfg(weight_decay=0.5, momentum=0.9))
     q.grad = np.array([1.0])
     lr = opt.step()
     np.testing.assert_array_equal(p.grad, [0.0])
     np.testing.assert_array_equal(opt.velocity[id(p)], [0.0])
     np.testing.assert_array_equal(p.data, [2.0 - lr * 0.5 * 2.0])
-
-
-@pytest.mark.parametrize("field", ["base_lr", "weight_decay", "momentum"])
-def test_nan_state_rejected(field):
-    with pytest.raises(ContractError):
-        make_state(**{field: float("nan")})
