@@ -105,8 +105,6 @@ def test_replace_rejects_unknown_keys():
     {"posterior_p3": 1.5},
     {"base_lr": 0.0},
     {"base_lr": float("nan")},
-    {"weight_decay": float("nan")},
-    {"momentum": float("nan")},
     {"head_scale": -1.0},
     {"weight_decay": -1.0},
     {"encoder_init": "random", "output_dim": 0},

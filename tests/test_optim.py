@@ -118,3 +118,10 @@ def test_active_param_without_grad_takes_zero_gradient():
     np.testing.assert_array_equal(p.grad, [0.0])
     np.testing.assert_array_equal(opt.velocity[id(p)], [0.0])
     np.testing.assert_array_equal(p.data, [2.0 - lr * 0.5 * 2.0])
+
+
+@pytest.mark.parametrize("field", ["base_lr", "weight_decay", "momentum"])
+def test_nan_state_rejected(field):
+    # the optimizer's rate, decay and momentum come from a RunConfig, which refuses NaN
+    with pytest.raises(ContractError):
+        make_cfg(**{field: float("nan")})
