@@ -300,8 +300,7 @@ def save_dataset(dataset: Dataset, path: str, mode: str = "binary") -> None:
     cfg, dtype = dataset.config, _record_dtype(dataset.config)
     records = (np.rec.fromarrays([getattr(dataset.splits[name], f) for f in dtype.names],
                                  dtype=dtype) for name in SPLITS)
-    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": mode,
-              "config": asdict(cfg), "counts": {s: cfg.num_classes * cfg.shots for s in SPLITS}}
+    header = _header(cfg, mode)
     if mode == "binary":
         container.write(path, MAGIC, FORMAT_VERSION, header, records)
         return
@@ -313,19 +312,32 @@ def save_dataset(dataset: Dataset, path: str, mode: str = "binary") -> None:
                 fh.write(" ".join([*map(str, row_ints), *map(repr, row_floats.tolist())]) + "\n")
 
 
-def _generator_config(header: dict, path: str) -> GeneratorConfig:
+def _header(cfg: GeneratorConfig, mode: str) -> dict:
+    return {"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": mode,
+            "config": asdict(cfg), "counts": {s: cfg.num_classes * cfg.shots for s in SPLITS}}
+
+
+def _generator_config(header: dict, path: str, mode: str) -> GeneratorConfig:
+    """The header's config; the header must be, as canonical JSON, the one
+    that config and `mode` give."""
     with container.malformed(path):
-        return GeneratorConfig(**header["config"])
+        cfg = GeneratorConfig(**header["config"])
+    said, derived = container.canonical_json(header), container.canonical_json(_header(cfg, mode))
+    if said != derived:
+        raise CheckpointError(f"{path}: header {said} is not {derived}, "
+                              f"the one its config and mode give")
+    return cfg
 
 
 def load_dataset(path: str) -> Dataset:
-    """A dataset file of either mode. A truncated or malformed file, and rows
-    that break a `Dataset` check, raise CheckpointError naming `path`."""
+    """A dataset file of either mode. A truncated or malformed file, a header
+    other than the one its config and mode give, and rows that break a
+    `Dataset` check raise CheckpointError naming `path`."""
     with open(path, "rb") as fh:
         binary = fh.read(len(MAGIC)) == MAGIC
     if binary:      # one read per split
         with container.read(path, MAGIC, (FORMAT_VERSION,), FORMAT_NAME) as (_, header, take):
-            cfg = _generator_config(header, path)
+            cfg = _generator_config(header, path, "binary")
             dtype, n = _record_dtype(cfg), cfg.num_classes * cfg.shots
             records = [np.frombuffer(take(n * dtype.itemsize, f"the {name} split"), dtype)
                        for name in SPLITS]
@@ -344,7 +356,8 @@ def _read_text(path: str) -> tuple[GeneratorConfig, list[np.ndarray]]:
     with open(path, "r", errors="replace") as fh:
         if fh.readline().strip() != f"{FORMAT_NAME} v{FORMAT_VERSION} text":
             raise CheckpointError(f"unrecognized dataset file {path!r}")
-        cfg = _generator_config(container.parse_header(fh.readline(), path, FORMAT_NAME), path)
+        header = container.parse_header(fh.readline(), path, FORMAT_NAME)
+        cfg = _generator_config(header, path, "text")
         n, n_fields = cfg.num_classes * cfg.shots, 4 + cfg.dim * (1 + cfg.num_views)
         if 4 * n * n_fields > os.fstat(fh.fileno()).st_size:   # two characters a field
             raise CheckpointError(f"{path}: the header declares more samples than the file holds")

@@ -170,11 +170,10 @@ def run_suite():
     worst: dict[str, float] = {}
     for seed in range(N_CONFIGS):
         for name, build, arrays in _loss_builders(seed):
-            err, _, _ = check_gradients(build, arrays)
-            worst[name] = max(worst.get(name, 0.0), err)
+            worst[name] = max(worst.get(name, 0.0), check_gradients(build, arrays))
         pipeline, arrays = _pipeline_builder(seed)
-        err, _, _ = check_gradients(pipeline, arrays)
-        worst["full_pipeline"] = max(worst.get("full_pipeline", 0.0), err)
+        worst["full_pipeline"] = max(worst.get("full_pipeline", 0.0),
+                                     check_gradients(pipeline, arrays))
         worst["theta_derivative"] = max(worst.get("theta_derivative", 0.0),
                                         theta_check(seed))
     results = []

@@ -9,8 +9,8 @@ appended. Everything is a pure function of the run config.
 Gradient routing is structural, and it is the only routing mechanism: the
 invariance term sees only detached encoder outputs (so its backward can reach
 nothing but the gate), and the alignment term multiplies by a detached copy
-of the mask (so the gate's logits never learn from it). Each step then
-updates exactly the parameter groups its backward pass reached.
+of the mask (so the gate's logits never learn from it). Each optimizer step
+then updates exactly the parameters its backward pass reached.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .losses import (
     nt_xent_align,
 )
 from .mining import fit_gmm2, mining_schedule, select_joint_hard, select_modality_hard
-from .optim import SGD, ParamGroup
+from .optim import SGD
 
 METRICS_FORMAT = "invgate-metrics"
 METRICS_VERSION = 1
@@ -85,21 +85,10 @@ class Model:
             self.xattn = CrossAttention(cfg.output_dim,
                                         rng=_component_rng(cfg.seed, "xattn"))
 
-    def param_groups(self) -> list[ParamGroup]:
-        e2d = [*self.enc2d.params, *self.head2d.params]
-        if self.mva is not None:
-            e2d += self.mva.params
-        groups = [
-            ParamGroup("e2d", e2d),
-            ParamGroup("e3d", [*self.enc3d.params, *self.head3d.params]),
-            ParamGroup("gate", self.gate.params),
-        ]
-        if self.xattn is not None:
-            groups.append(ParamGroup("xattn", self.xattn.params))  # no term's gradient reaches it
-        return groups
-
     def named_params(self) -> dict[str, T.Tensor]:
-        return {p.name: p for g in self.param_groups() for p in g.params}
+        parts = (self.enc2d, self.head2d, self.mva, self.enc3d, self.head3d, self.gate,
+                 self.xattn)
+        return {p.name: p for part in parts if part is not None for p in part.params}
 
     # -- forward paths --------------------------------------------------------
 
@@ -120,9 +109,9 @@ class Model:
 
 
 def _build(cfg: RunConfig) -> tuple[Model, SGD]:
-    """A fresh model for `cfg` and the optimizer over its parameter groups."""
+    """A fresh model for `cfg` and the optimizer over its parameters."""
     model = Model(cfg)
-    return model, SGD(model.param_groups(), cfg)
+    return model, SGD(model.named_params(), cfg)
 
 
 @dataclass
@@ -234,15 +223,12 @@ class Trainer:
         if not (cfg.enable_step1 and mining_schedule(epoch, cfg.mining_warmup, cfg.mining_period)):
             return None
         ce2, ce3, probs2, probs3 = self._train_split_stats()
-        # one EM loop fits the modalities with spread; the rest (all, below 4
-        # samples) have no mixture, so no hard samples this epoch
+        # one EM loop fits the modalities with 4 or more samples and spread;
+        # the rest have no mixture, so no hard samples this epoch
         ces, ps = (ce2, ce3), (cfg.posterior_p2, cfg.posterior_p3)
-        spread = [i for i in (0, 1) if np.ptp(ces[i]) > 0]
+        spread = [i for i in (0, 1) if ces[i].size >= 4 and np.ptp(ces[i]) > 0]
         hard = [np.empty(0, dtype=int)] * 2
-        try:
-            fits = fit_gmm2(np.stack([ces[i] for i in spread])).fits if spread else []
-        except ContractError:
-            fits = []
+        fits = fit_gmm2(np.stack([ces[i] for i in spread])).fits if spread else []
         for i, fit in zip(spread, fits):
             hard[i] = select_modality_hard(ces[i], ps[i], fit=fit)
         d2, d3 = hard
@@ -447,7 +433,7 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
     the optimizer's epoch."""
     opt = result.optimizer
     arrays = {name: p.data for name, p in result.model.named_params().items()}
-    arrays.update({_VELOCITY + name: v for name, v in opt.named_velocity().items()})
+    arrays.update({_VELOCITY + name: v for name, v in opt.velocity.items()})
     names = sorted(arrays)
     header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
               "config": result.cfg.to_dict(), "epoch": opt.epoch,
@@ -458,16 +444,21 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
 
 def load_checkpoint(path: str) -> TrainResult:
     """The TrainResult that `save_checkpoint` took, with no metrics; one array
-    per read. A damaged file, a malformed header field, an epoch outside
-    [0, epochs), a v1 optimizer block other than the one its config and epoch
-    give, an array the model has no place for or that the header lists twice,
-    a missing parameter and a non-finite array raise CheckpointError."""
+    per read. A damaged file, a malformed header field, a header version
+    other than the preamble's, an epoch outside [0, epochs), a v1 optimizer
+    block other than the one its config and epoch give, an array the model
+    has no place for or that the header lists twice, a missing parameter and
+    a non-finite array raise CheckpointError."""
     with container.read(path, CHECKPOINT_MAGIC, (1, CHECKPOINT_VERSION),
                         CHECKPOINT_FORMAT) as (version, header, take):
         with container.malformed(path):
             cfg = RunConfig.from_dict(header["config"])
             entries = [(str(e["name"]), tuple(e["shape"])) for e in header["arrays"]]
             epoch = header["epoch"]
+        said = canonical_json(header.get("version"))
+        if said != str(version):
+            raise CheckpointError(f"{path}: header version {said} is not the file's "
+                                  f"version {version}")
         if type(epoch) is not int or not 0 <= epoch < cfg.epochs:
             raise CheckpointError(f"{path}: header epoch {epoch!r} is not an int "
                                   f"in [0, epochs {cfg.epochs})")
@@ -482,7 +473,6 @@ def load_checkpoint(path: str) -> TrainResult:
         model, opt = _build(cfg)
         opt.epoch = epoch
         params = model.named_params()
-        velocity: dict[str, np.ndarray] = {}
         seen: set[str] = set()
         for name, shape in entries:
             param = params.get(name.removeprefix(_VELOCITY))
@@ -499,13 +489,12 @@ def load_checkpoint(path: str) -> TrainResult:
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"{path}: non-finite values in array '{name}'")
             if name.startswith(_VELOCITY):
-                velocity[param.name] = arr
+                opt.velocity[param.name] = arr
             else:
                 param.data = arr
     missing = sorted(set(params) - seen)
     if missing:
         raise CheckpointError(f"{path}: missing parameter array '{missing[0]}'")
-    opt.load_velocity(velocity)
     return TrainResult(cfg=cfg, model=model, optimizer=opt, metrics=[])
 
 

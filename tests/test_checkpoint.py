@@ -41,8 +41,9 @@ def test_save_load_bit_identical_params(short_run, tmp_path):
     for name, param in result.model.named_params().items():
         assert model.named_params()[name].data.tobytes() == param.data.tobytes()
     assert opt.epoch == result.cfg.epochs - 1
-    for name, vel in result.optimizer.named_velocity().items():
-        assert opt.named_velocity()[name].tobytes() == vel.tobytes()
+    assert opt.velocity.keys() == result.optimizer.velocity.keys()
+    for name, vel in result.optimizer.velocity.items():
+        assert opt.velocity[name].tobytes() == vel.tobytes()
 
 
 def test_save_load_save_byte_stable(short_run, tmp_path):
@@ -74,8 +75,9 @@ def test_v1_file_loads_bit_identically(short_run, tmp_path):
     assert loaded.optimizer.epoch == result.optimizer.epoch
     for name, param in result.model.named_params().items():
         assert loaded.model.named_params()[name].data.tobytes() == param.data.tobytes()
-    for name, vel in result.optimizer.named_velocity().items():
-        assert loaded.optimizer.named_velocity()[name].tobytes() == vel.tobytes()
+    assert loaded.optimizer.velocity.keys() == result.optimizer.velocity.keys()
+    for name, vel in result.optimizer.velocity.items():
+        assert loaded.optimizer.velocity[name].tobytes() == vel.tobytes()
     # saving it writes the version 2 file it came from
     save_checkpoint(str(v1), loaded)
     assert v1.read_bytes() == p.read_bytes()
@@ -111,17 +113,19 @@ def test_mismatched_config_names_offending_array(short_run, tmp_path):
 
 def _rewrite(path, edit_header=None, edit_payload=None):
     """Rewrite a saved checkpoint's header and payload, keeping the preamble
-    valid: its version is the header's."""
+    valid: its version is the one `edit_header` returns, or else the header's."""
     raw = path.read_bytes()
     header_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
     header = json.loads(raw[16: 16 + header_len].decode())
     payload = bytearray(raw[16 + header_len:])
+    preamble = None
     if edit_header is not None:
-        edit_header(header)
+        preamble = edit_header(header)
     if edit_payload is not None:
         edit_payload(payload)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(raw[:4] + np.uint32(header["version"]).tobytes()
+    version = header["version"] if preamble is None else preamble
+    path.write_bytes(raw[:4] + np.uint32(version).tobytes()
                      + np.uint64(len(blob)).tobytes() + blob + bytes(payload))
     return header
 
@@ -137,6 +141,15 @@ def _v1(edit):
             "total_epochs": cfg["epochs"], "lr_min": 0.0})
         edit(header)
     return edit_v1
+
+
+def _preamble(version, edit):
+    """A header edit: apply `edit`, and keep `version` in the preamble whatever
+    the header then says."""
+    def edit_keeping(header):
+        edit(header)
+        return version
+    return edit_keeping
 
 
 def _nan_first_array(payload):
@@ -169,6 +182,14 @@ HEADER_EDITS = {
     "epoch_negative": (lambda h: h.update(epoch=-1), None, "header epoch -1 is not an int"),
     "epoch_a_string": (lambda h: h.update(epoch="2"), None, "header epoch '2' is not an int"),
     "epoch_true": (lambda h: h.update(epoch=True), None, "header epoch True is not an int"),
+    "version_7_in_a_v2_file": (_preamble(2, lambda h: h.update(version=7)), None,
+                               "header version 7 is not the file's version 2"),
+    "version_missing": (_preamble(2, lambda h: h.pop("version")), None,
+                        "header version null is not the file's version 2"),
+    "version_a_string": (_preamble(2, lambda h: h.update(version="2")), None,
+                         "header version \"2\" is not the file's version 2"),
+    "version_2_in_a_v1_file": (_preamble(1, _v1(lambda h: h.update(version=2))), None,
+                               "header version 2 is not the file's version 1"),
     "config_not_an_object": (lambda h: h.update(config=3), None, "malformed header"),
     "config_a_list_of_pairs": (lambda h: h.update(config=[["epochs", 3]]), None,
                                "malformed header"),

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from invgate import cli, harness
 from invgate import tensor as T
 from invgate.cli import main
 from invgate.config import RunConfig
-from invgate.data import GeneratorConfig, load_dataset
+from invgate.container import canonical_json
+from invgate.data import MAGIC, GeneratorConfig, load_dataset
 from invgate.errors import CheckpointError
 from invgate.harness import load_checkpoint
 
@@ -202,6 +204,7 @@ DAMAGE = {
     "8_trailing_bytes": lambda b: b + bytes(8),
     "corrupt_header": lambda b: b.replace(b'"config"', b'"konfig"', 1),
     "wrong_magic": lambda b: b"IGXX" + b[4:],
+    "header_version_7": lambda b: re.sub(rb'"version":\d', b'"version":7', b, count=1),
 }
 
 
@@ -218,6 +221,47 @@ def test_damaged_artefact_is_a_one_line_error(artefacts, tmp_path, capsys, artef
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invgate: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _edit_dataset_header(blob, edit):
+    """`blob`, a dataset file of either mode, with `edit` applied to its header."""
+    if blob.startswith(MAGIC):      # magic, version, header length, header
+        end = 16 + int.from_bytes(blob[8:16], "little")
+        head, raw, rest = blob[:8], blob[16:end], blob[end:]
+    else:                           # the format line, then the header line
+        first, raw, rest = blob.split(b"\n", 2)
+        head, rest = first + b"\n", b"\n" + rest
+    header = json.loads(raw)
+    edit(header)
+    new = canonical_json(header).encode()
+    if blob.startswith(MAGIC):
+        head += len(new).to_bytes(8, "little")
+    return head + new + rest
+
+
+HEADER_EDITS = {
+    "version_2": lambda h: h.update(version=2),
+    "version_missing": lambda h: h.pop("version"),
+    "mode_swapped": lambda h: h.update(mode={"binary": "text", "text": "binary"}[h["mode"]]),
+    "train_count_doubled": lambda h: h["counts"].update(train=2 * h["counts"]["train"]),
+    "counts_missing": lambda h: h.pop("counts"),
+    "unknown_key": lambda h: h.update(extra=1),
+}
+
+
+@pytest.mark.parametrize("case", HEADER_EDITS)
+@pytest.mark.parametrize("artefact", ["binary", "text"])
+def test_dataset_header_is_the_one_its_config_gives(artefacts, tmp_path, capsys, artefact,
+                                                     case):
+    bad = tmp_path / "bad"
+    bad.write_bytes(_edit_dataset_header(artefacts[artefact].read_bytes(), HEADER_EDITS[case]))
+    with pytest.raises(CheckpointError, match="the one its config and mode give"):
+        load_dataset(str(bad))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(artefacts["checkpoint"]), "--data", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invgate: error: {bad}: header ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
