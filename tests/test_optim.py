@@ -107,6 +107,20 @@ def test_step_updates_only_active_groups():
     assert "a" in opt.velocity
 
 
+def test_active_param_without_grad_takes_zero_gradient():
+    # inverted: the parameter without a gradient no longer takes a zero one, so
+    # it neither decays nor gains velocity, while its neighbour steps as usual
+    p = T.parameter([2.0], name="p")
+    q = T.parameter([1.0], name="q")
+    opt = SGD({"p": p, "q": q}, make_cfg(weight_decay=0.5, momentum=0.9))
+    q.grad = np.array([1.0])
+    lr = opt.step()
+    assert p.grad is None and "p" not in opt.velocity
+    np.testing.assert_array_equal(p.data, [2.0])
+    np.testing.assert_array_equal(opt.velocity["q"], [1.0])
+    np.testing.assert_array_equal(q.data, [1.0 - (lr * 1.0 + lr * 0.5 * 1.0)])
+
+
 @pytest.mark.parametrize("field", ["base_lr", "weight_decay", "momentum"])
 def test_nan_state_rejected(field):
     # the optimizer's rate, decay and momentum come from a RunConfig, which refuses NaN
