@@ -61,6 +61,23 @@ MUTATIONS = (
      "        if said != str(version):\n", "        if False:\n"),
     ("load_dataset skips the header comparison", "data.py",
      "    if said != derived:\n", "    if False:\n"),
+    ("generate drops the `0.0 +` that turns a drawn -0.0 into +0.0", "data.py",
+     "            noise = 0.0 + z ", "            noise = z "),
+    ("generate draws a row's normals before its conflict draw", "data.py",
+     "                if rng.random() < cfg.p_conflict:\n"
+     "                    i2 = int(rng.integers(len(others)))\n"
+     "                    rest = others[:i2] + others[i2 + 1:]\n"
+     "                    wrong[i] = others[i2], rest[int(rng.integers(len(rest)))]\n"
+     "                rng.standard_normal(out=z_row)\n",
+     "                rng.standard_normal(out=z_row)\n"
+     "                if rng.random() < cfg.p_conflict:\n"
+     "                    i2 = int(rng.integers(len(others)))\n"
+     "                    rest = others[:i2] + others[i2 + 1:]\n"
+     "                    wrong[i] = others[i2], rest[int(rng.integers(len(rest)))]\n"),
+    ("generate draws the 3D target from every other class, not the remaining ones", "data.py",
+     "rest = others[:i2] + others[i2 + 1:]", "rest = others"),
+    ("load_dataset skips the planted range check", "data.py",
+     "        if bad.size:\n", "        if False:\n"),
     ("SGD steps a parameter without a gradient as if its gradient were zero", "optim.py",
      "            if p.grad is not None:\n",
      "            p.grad = np.zeros_like(p.data) if p.grad is None else p.grad\n"

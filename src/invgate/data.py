@@ -206,33 +206,48 @@ def class_means(cfg: GeneratorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def generate(cfg: GeneratorConfig) -> Dataset:
     """Deterministic train/test splits, `shots` samples per class each, drawn
-    row by row from one stream per (split, class)."""
+    from one stream per (split, class).
+
+    Each row takes, in this order: one standard uniform, which plants a
+    conflict when it is below `p_conflict`; on a planted row, the index of
+    its wrong 2D class among the other classes, then the index of its wrong
+    3D class among the classes left; then its `(2 + num_views) * dim`
+    standard normals, the noise of its 3D sample, its 2D base and its views.
+    The normals are what five `normal` calls would draw, and the block
+    arithmetic is what `normal` computes per value, `loc + scale * z`.
+    """
     mu, nu2, nu3 = class_means(cfg)
-    n, d = cfg.num_classes * cfg.shots, cfg.invariant_dim
+    k, d, dim = cfg.shots, cfg.invariant_dim, cfg.dim
+    n = cfg.num_classes * k
+    z = np.empty((k, (2 + cfg.num_views) * dim))     # one class block, reused
+    z_rows = list(z)
     splits = {}
     for split_idx, name in enumerate(SPLITS):
-        rows = Split(np.empty((n, cfg.dim)), np.empty((n, cfg.num_views, cfg.dim)),
-                     np.repeat(np.arange(cfg.num_classes), cfg.shots),
-                     np.zeros(n, dtype=bool), np.full((n, 2), -1))
-        for i, label in enumerate(rows.labels.tolist()):
-            if i % cfg.shots == 0:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([cfg.seed, split_idx, label, 0xD5]))
-            t2 = t3 = label
-            if rng.random() < cfg.p_conflict:
-                others = [c for c in range(cfg.num_classes) if c != label]
-                t2 = int(rng.choice(others))
-                t3 = int(rng.choice([c for c in others if c != t2]))
-                rows.planted[i] = True
-                rows.targets[i] = (t2, t3)
-            rows.x3[i, :d] = mu[label] + cfg.sigma_invariant * rng.normal(size=d)
-            rows.x3[i, d:] = nu3[t3] + cfg.sigma_confound * rng.normal(size=cfg.confound_dim)
+        x3, views = np.empty((n, dim)), np.empty((n, cfg.num_views, dim))
+        targets = np.full((n, 2), -1)
+        for label in range(cfg.num_classes):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, split_idx, label, 0xD5]))
+            block = slice(label * k, (label + 1) * k)
+            wrong = targets[block]
+            others = [c for c in range(cfg.num_classes) if c != label]
+            for i, z_row in enumerate(z_rows):
+                if rng.random() < cfg.p_conflict:
+                    i2 = int(rng.integers(len(others)))
+                    rest = others[:i2] + others[i2 + 1:]
+                    wrong[i] = others[i2], rest[int(rng.integers(len(rest)))]
+                rng.standard_normal(out=z_row)
+            noise = 0.0 + z     # `normal`'s loc + 1.0 * z, which turns -0.0 into +0.0
+            t2, t3 = np.where(wrong < 0, label, wrong).T
+            x3[block, :d] = mu[label] + cfg.sigma_invariant * noise[:, :d]
+            x3[block, d:] = nu3[t3] + cfg.sigma_confound * noise[:, d:dim]
             base2 = np.concatenate([
-                mu[label] + cfg.sigma_invariant * rng.normal(size=d),
-                nu2[t2] + cfg.sigma_confound * rng.normal(size=cfg.confound_dim)])
-            rows.views[i] = base2 + 0.5 * cfg.sigma_invariant * rng.normal(
-                size=(cfg.num_views, cfg.dim))
-        splits[name] = rows
+                mu[label] + cfg.sigma_invariant * noise[:, dim:dim + d],
+                nu2[t2] + cfg.sigma_confound * noise[:, dim + d:2 * dim]], axis=1)
+            spread = noise[:, 2 * dim:].reshape(k, cfg.num_views, dim)
+            views[block] = base2[:, None] + 0.5 * cfg.sigma_invariant * spread
+        splits[name] = Split(x3, views, np.repeat(np.arange(cfg.num_classes), k),
+                             targets[:, 0] >= 0, targets)
     return Dataset(cfg, splits)
 
 
@@ -331,8 +346,9 @@ def _generator_config(header: dict, path: str, mode: str) -> GeneratorConfig:
 
 def load_dataset(path: str) -> Dataset:
     """A dataset file of either mode. A truncated or malformed file, a header
-    other than the one its config and mode give, and rows that break a
-    `Dataset` check raise CheckpointError naming `path`."""
+    other than the one its config and mode give, a `planted` word other than
+    0 or 1, and rows that break a `Dataset` check raise CheckpointError
+    naming `path`."""
     with open(path, "rb") as fh:
         binary = fh.read(len(MAGIC)) == MAGIC
     if binary:      # one read per split
@@ -343,6 +359,11 @@ def load_dataset(path: str) -> Dataset:
                        for name in SPLITS]
     else:
         cfg, records = _read_text(path)
+    for name, r in zip(SPLITS, records):
+        bad = np.flatnonzero((r["planted"] != 0) & (r["planted"] != 1))
+        if bad.size:
+            raise CheckpointError(f"{path}: {name} row {bad[0]}: planted must be 0 or 1, "
+                                  f"got {r['planted'][bad[0]]}")
     try:
         return Dataset(cfg, {name: Split(r["x3"].copy(), r["views"].copy(), r["labels"].copy(),
                                          r["planted"].astype(bool), r["targets"].copy())

@@ -265,15 +265,17 @@ def test_dataset_header_is_the_one_its_config_gives(artefacts, tmp_path, capsys,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("edit", ["equal_targets", "label_99"])
+@pytest.mark.parametrize("edit", ["equal_targets", "label_99", "planted_7"])
 @pytest.mark.parametrize("artefact", ["binary", "text"])
 def test_invalid_row_is_a_one_line_error(artefacts, tmp_path, capsys, artefact, edit):
     """A row that breaks a dataset check: a planted row whose two wrong-class
-    targets are equal, or a label outside [0, 4)."""
+    targets are equal, a label outside [0, 4), or a planted row whose
+    `planted` word is 7 rather than 1."""
     train = load_dataset(str(artefacts["binary"])).splits["train"]
     row = int(np.argmax(train.planted))
     assert train.planted[row]
-    word, value = (0, 99) if edit == "label_99" else (3, int(train.targets[row, 0]))
+    word, value = {"equal_targets": (3, int(train.targets[row, 0])), "label_99": (0, 99),
+                   "planted_7": (1, 7)}[edit]
     blob = artefacts[artefact].read_bytes()
     if artefact == "binary":    # magic, version, header length, header, 34 words a row
         at = 16 + int.from_bytes(blob[8:16], "little") + 8 * (34 * row + word)

@@ -58,7 +58,76 @@ def reference_binary(ds: Dataset, path: str) -> None:
                       np.ascontiguousarray(s.x3, "<f8"), np.ascontiguousarray(s.views, "<f8"))))
 
 
+def generate_row_oracle(cfg: GeneratorConfig) -> Dataset:
+    """`generate` as it was before it drew class blocks: row by row, five
+    `normal` calls a row and `choice` for the wrong classes."""
+    mu, nu2, nu3 = class_means(cfg)
+    n, d = cfg.num_classes * cfg.shots, cfg.invariant_dim
+    splits = {}
+    for split_idx, name in enumerate(SPLITS):
+        rows = Split(np.empty((n, cfg.dim)), np.empty((n, cfg.num_views, cfg.dim)),
+                     np.repeat(np.arange(cfg.num_classes), cfg.shots),
+                     np.zeros(n, dtype=bool), np.full((n, 2), -1))
+        for i, label in enumerate(rows.labels.tolist()):
+            if i % cfg.shots == 0:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([cfg.seed, split_idx, label, 0xD5]))
+            t2 = t3 = label
+            if rng.random() < cfg.p_conflict:
+                others = [c for c in range(cfg.num_classes) if c != label]
+                t2 = int(rng.choice(others))
+                t3 = int(rng.choice([c for c in others if c != t2]))
+                rows.planted[i] = True
+                rows.targets[i] = (t2, t3)
+            rows.x3[i, :d] = mu[label] + cfg.sigma_invariant * rng.normal(size=d)
+            rows.x3[i, d:] = nu3[t3] + cfg.sigma_confound * rng.normal(size=cfg.confound_dim)
+            base2 = np.concatenate([
+                mu[label] + cfg.sigma_invariant * rng.normal(size=d),
+                nu2[t2] + cfg.sigma_confound * rng.normal(size=cfg.confound_dim)])
+            rows.views[i] = base2 + 0.5 * cfg.sigma_invariant * rng.normal(
+                size=(cfg.num_views, cfg.dim))
+        splits[name] = rows
+    return Dataset(cfg, splits)
+
+
 class TestGenerate:
+    @settings(max_examples=60, deadline=None)
+    @given(num_classes=st.integers(3, 12), shots=st.integers(1, 20),
+           num_views=st.integers(1, 4), invariant_dim=st.integers(1, 12),
+           confound_dim=st.integers(1, 8), p_conflict=st.sampled_from([0.0, 0.25, 1.0]),
+           sigma_invariant=st.sampled_from([0.0, 0, 0.3, 2.5]),
+           sigma_confound=st.sampled_from([0.0, 0.05, 1]),
+           confound_shared_frac=st.sampled_from([0.0, 0.4, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_equal_row_by_row(self, **fields):
+        cfg = GeneratorConfig(**fields)
+        got, want = generate(cfg), generate_row_oracle(cfg)
+        for name in SPLITS:
+            for a, b in zip(got.splits[name], want.splits[name], strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_negative_zero_normal_enters_as_positive_zero(self, monkeypatch):
+        # Generator.normal returns 0.0 + 1.0 * z, so a drawn -0.0 enters as +0.0,
+        # and a -0.0 class mean plus it is +0.0
+        class Draws:
+            def __init__(self, seed):
+                pass
+
+            def random(self):
+                return 0.5
+
+            def standard_normal(self, out):
+                out[...] = -0.0
+
+        cfg = small_cfg(p_conflict=0.0)
+        means = [np.full((cfg.num_classes, w), -0.0)
+                 for w in (cfg.invariant_dim, cfg.confound_dim, cfg.confound_dim)]
+        monkeypatch.setattr("invgate.data.class_means", lambda cfg: means)
+        monkeypatch.setattr(np.random, "default_rng", Draws)
+        ds = generate(cfg)
+        assert not any(np.signbit(a).any() for s in SPLITS for a in ds.splits[s][:2])
+
     def test_same_seed_identical(self):
         cfg = small_cfg()
         assert datasets_equal(generate(cfg), generate(cfg))
