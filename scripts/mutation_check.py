@@ -82,6 +82,15 @@ MUTATIONS = (
      "            if p.grad is not None:\n",
      "            p.grad = np.zeros_like(p.data) if p.grad is None else p.grad\n"
      "            if p.grad is not None:\n"),
+    ("RunConfig accepts view attention without alignment", "config.py",
+     "        if self.use_view_attention and not self.enable_align:\n", "        if False:\n"),
+    ("RunConfig accepts view_attention_delta 0 and 1", "config.py",
+     "0.0 < self.view_attention_delta < 1.0", "0.0 <= self.view_attention_delta <= 1.0"),
+    ("load_checkpoint skips the xattn equality check", "harness.py",
+     '                if raw != np.ascontiguousarray(want, dtype="<f8").tobytes():\n',
+     "                if False:\n"),
+    ("CrossAttention keeps draws 1 and 4 (the key projections) as its values", "encoders.py",
+     "self.wv, self.wv2 = draws[2], draws[5]", "self.wv, self.wv2 = draws[1], draws[4]"),
 )
 
 

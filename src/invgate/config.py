@@ -96,6 +96,9 @@ class RunConfig:
                 "invariance learning operates on mined samples; enable step 1 "
                 "or set invariance_on_all"
             )
+        if self.use_view_attention and not self.enable_align:
+            raise ContractError("use_view_attention needs enable_align: no other term "
+                                "trains the view attention")
         if self.irm_variant not in IRM_VARIANTS:
             raise ContractError(f"unknown irm_variant {self.irm_variant!r}; "
                                 f"expected one of {IRM_VARIANTS}")
@@ -119,8 +122,8 @@ class RunConfig:
                 raise ContractError(f"{name} must lie in (0, 1]")
         if not (0.0 <= self.momentum < 1.0):
             raise ContractError("momentum must lie in [0, 1)")
-        if not (0.0 <= self.view_attention_delta <= 1.0):
-            raise ContractError("view_attention_delta must lie in [0, 1]")
+        if not (0.0 < self.view_attention_delta < 1.0):
+            raise ContractError("view_attention_delta must lie in (0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be positive")
         if self.n_3d_augments < 1:

@@ -142,7 +142,7 @@ class MultiViewAggregator:
 
 class CrossAttention:
     """The 2.5D environment's feature: bidirectional cross-attention between
-    the 2D and 3D features of a sample, with frozen weights.
+    the 2D and 3D features of a sample, with fixed plain-array weights.
 
     Each direction attends over a single key, so its softmax weight is
     exactly 1 and the query/key projections never reach the output: the
@@ -154,12 +154,7 @@ class CrossAttention:
         # draw all six projections (wq, wk, wv, wq2, wk2, wv2) so the two kept
         # values stay those of the attention written out in full
         draws = [rng.normal(0, 1 / np.sqrt(dim), (dim, dim)) for _ in range(6)]
-        self.wv = T.parameter(draws[2], name="xattn.wv")
-        self.wv2 = T.parameter(draws[5], name="xattn.wv2")
+        self.wv, self.wv2 = draws[2], draws[5]
 
-    @property
-    def params(self) -> list[Tensor]:
-        return [self.wv, self.wv2]
-
-    def __call__(self, x2: Tensor, x3: Tensor) -> Tensor:
-        return T.mul(T.add(T.matmul(x2, self.wv), T.matmul(x3, self.wv2)), T.constant(0.5))
+    def __call__(self, x2: np.ndarray, x3: np.ndarray) -> np.ndarray:
+        return (x2 @ self.wv + x3 @ self.wv2) * 0.5

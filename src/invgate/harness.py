@@ -86,8 +86,7 @@ class Model:
                                         rng=_component_rng(cfg.seed, "xattn"))
 
     def named_params(self) -> dict[str, T.Tensor]:
-        parts = (self.enc2d, self.head2d, self.mva, self.enc3d, self.head3d, self.gate,
-                 self.xattn)
+        parts = (self.enc2d, self.head2d, self.mva, self.enc3d, self.head3d, self.gate)
         return {p.name: p for part in parts if part is not None for p in part.params}
 
     # -- forward paths --------------------------------------------------------
@@ -279,18 +278,11 @@ class Trainer:
         anchors3 = np.concatenate([is_hard, np.zeros(n_aug, dtype=bool)])
         labels2 = np.repeat(labels, per_view.shape[1])
         anchors2 = np.repeat(is_hard, per_view.shape[1])
-        gate = self.model.gate
-        envs = {
-            "2d": ContrastiveBatch(gate.apply(T.constant(feats2), learn=True),
-                                   labels2, anchor_mask=anchors2),
-            "3d": ContrastiveBatch(gate.apply(T.constant(feats3), learn=True),
-                                   labels3, anchor_mask=anchors3),
-        }
+        pools = {"2d": (feats2, labels2, anchors2), "3d": (feats3, labels3, anchors3)}
         if self.model.xattn is not None:
-            with T.no_grad():
-                fused = self.model.xattn(T.constant(agg2.data), T.constant(feats3[: idx.size])).data
-            envs["2.5d"] = ContrastiveBatch(gate.apply(T.constant(fused), learn=True),
-                                            labels, anchor_mask=is_hard)
+            pools["2.5d"] = (self.model.xattn(agg2.data, feats3[: idx.size]), labels, is_hard)
+        envs = {name: ContrastiveBatch(self.model.gate.apply(f), y, anchor_mask=a)
+                for name, (f, y, a) in pools.items()}
         # an environment scores only if some anchor has a same-class partner in
         # its pool; with one view per sample the 2D pool can lack one
         envs = {name: batch for name, batch in envs.items()
@@ -447,8 +439,9 @@ def load_checkpoint(path: str) -> TrainResult:
     per read. A damaged file, a malformed header field, a header version
     other than the preamble's, an epoch outside [0, epochs), a v1 optimizer
     block other than the one its config and epoch give, an array the model
-    has no place for or that the header lists twice, a missing parameter and
-    a non-finite array raise CheckpointError."""
+    has no place for or that the header lists twice, a missing parameter, a
+    non-finite array and an `xattn.*` array other than the one the config
+    derives raise CheckpointError."""
     with container.read(path, CHECKPOINT_MAGIC, (1, CHECKPOINT_VERSION),
                         CHECKPOINT_FORMAT) as (version, header, take):
         with container.malformed(path):
@@ -473,18 +466,26 @@ def load_checkpoint(path: str) -> TrainResult:
         model, opt = _build(cfg)
         opt.epoch = epoch
         params = model.named_params()
+        # files written while the 2.5D weights were parameters list them too
+        fixed = {"xattn.wv": model.xattn.wv, "xattn.wv2": model.xattn.wv2} if model.xattn else {}
         seen: set[str] = set()
         for name, shape in entries:
             param = params.get(name.removeprefix(_VELOCITY))
-            if param is None:
+            want = fixed.get(name) if param is None else param.data
+            if want is None:
                 raise CheckpointError(f"{path}: unexpected array '{name}'")
             if name in seen:
                 raise CheckpointError(f"{path}: array '{name}' listed twice")
             seen.add(name)
-            if shape != param.data.shape:
+            if shape != want.shape:
                 raise CheckpointError(f"{path}: shape mismatch for '{name}': "
-                                      f"file {shape} vs model {param.data.shape}")
-            raw = take(8 * param.data.size, f"array '{name}'")
+                                      f"file {shape} vs model {want.shape}")
+            raw = take(8 * want.size, f"array '{name}'")
+            if param is None:
+                if raw != np.ascontiguousarray(want, dtype="<f8").tobytes():
+                    raise CheckpointError(f"{path}: array '{name}' is not the one "
+                                          "its config derives")
+                continue
             arr = np.frombuffer(raw, dtype="<f8").reshape(param.data.shape).copy()
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"{path}: non-finite values in array '{name}'")

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from invgate import container
 from invgate.cli import main
 from invgate.config import RunConfig
 from invgate.data import GeneratorConfig, generate, save_dataset
@@ -81,6 +83,62 @@ def test_v1_file_loads_bit_identically(short_run, tmp_path):
     # saving it writes the version 2 file it came from
     save_checkpoint(str(v1), loaded)
     assert v1.read_bytes() == p.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def run_25d():
+    return Trainer(tiny_cfg(include_25d=True, enable_step1=False, invariance_on_all=True)).run()
+
+
+def _write_with_xattn(path, result, edit=lambda arrays: None):
+    """Write `result` as a version 2 file in the layout of files written while
+    the 2.5D weights were parameters: `xattn.wv` and `xattn.wv2` listed beside
+    the parameters. `edit` may change the arrays first."""
+    arrays = {name: p.data for name, p in result.model.named_params().items()}
+    arrays.update({"opt.velocity." + name: v for name, v in result.optimizer.velocity.items()})
+    arrays.update({"xattn.wv": result.model.xattn.wv, "xattn.wv2": result.model.xattn.wv2})
+    edit(arrays)
+    names = sorted(arrays)
+    header = {"format": "invgate-checkpoint", "version": 2, "config": result.cfg.to_dict(),
+              "epoch": result.optimizer.epoch,
+              "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names]}
+    container.write(str(path), b"IGCK", 2, header,
+                    (np.ascontiguousarray(arrays[n], dtype="<f8") for n in names))
+
+
+def test_file_listing_the_derived_xattn_arrays_loads(run_25d, tmp_path):
+    old, new, fresh = tmp_path / "old.igck", tmp_path / "new.igck", tmp_path / "fresh.igck"
+    _write_with_xattn(old, run_25d)
+    loaded = load_checkpoint(str(old))
+    for name, param in run_25d.model.named_params().items():
+        assert loaded.model.named_params()[name].data.tobytes() == param.data.tobytes()
+    assert loaded.optimizer.velocity.keys() == run_25d.optimizer.velocity.keys()
+    for name, vel in run_25d.optimizer.velocity.items():
+        assert loaded.optimizer.velocity[name].tobytes() == vel.tobytes()
+    assert loaded.model.xattn.wv.tobytes() == run_25d.model.xattn.wv.tobytes()
+    assert loaded.model.xattn.wv2.tobytes() == run_25d.model.xattn.wv2.tobytes()
+    # saving it writes the file a fresh save writes, which lists no xattn array
+    save_checkpoint(str(new), loaded)
+    save_checkpoint(str(fresh), run_25d)
+    assert new.read_bytes() == fresh.read_bytes()
+    assert not [e for e in _rewrite(fresh)["arrays"] if "xattn" in e["name"]]
+
+
+def _one_ulp_up(arrays):
+    wv = arrays["xattn.wv"] = arrays["xattn.wv"].copy()
+    wv.flat[0] = np.nextafter(wv.flat[0], np.inf)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_one_ulp_up, "array 'xattn.wv' is not the one its config derives"),
+    (lambda arrays: arrays.update({"opt.velocity.xattn.wv": np.zeros_like(arrays["xattn.wv"])}),
+     "unexpected array 'opt.velocity.xattn.wv'"),
+], ids=["xattn_wv_one_ulp_up", "xattn_wv_velocity"])
+def test_file_listing_other_xattn_arrays_is_rejected(run_25d, tmp_path, edit, message):
+    p = tmp_path / "old.igck"
+    _write_with_xattn(p, run_25d, edit)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(p))}: {message}$"):
+        load_checkpoint(str(p))
 
 
 def test_truncated_file_names_missing_array(short_run, tmp_path):

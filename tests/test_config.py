@@ -113,6 +113,9 @@ def test_replace_rejects_unknown_keys():
     {"head3d_mode": "linear"},
     {"momentum": 1.0},
     {"view_attention_delta": 2.0},
+    # at 0 or 1 one path of the blend, and so some of its parameters, never trains
+    {"view_attention_delta": 0.0},
+    {"view_attention_delta": 1.0},
     {"fusion_mode": "product"},
     {"align_alpha": float("nan")},
     {"enable_step1": False, "invariance_on_all": True, "inv_theta": float("nan")},
@@ -153,11 +156,19 @@ def test_boundary_values_accepted():
     RunConfig(rex_lambda_min=0.5, rex_beta=0.0, irm_lambda=0.0, posterior_p2=1.0,
               posterior_p3=1.0, mining_warmup=1, mining_period=1, mining_topk=1)
     RunConfig(include_25d=True, rex_lambda_min=1.0 / 3.0)
-    RunConfig(weight_decay=0.0, momentum=0.0, view_attention_delta=0.0)
-    RunConfig(view_attention_delta=1.0, fusion_mode="add")
+    RunConfig(weight_decay=0.0, momentum=0.0)
+    RunConfig(fusion_mode="add")
     # a float field keeps an int as given, so a manifest keeps its bytes
     cfg = RunConfig.from_dict({"base_lr": 1, "generator": {"p_conflict": 0}})
     assert type(cfg.to_dict()["base_lr"]) is int and type(cfg.generator.p_conflict) is int
+
+
+def test_view_attention_needs_alignment():
+    # no other term's gradient reaches the view attention
+    with pytest.raises(ContractError, match="^use_view_attention needs enable_align: "):
+        RunConfig(use_view_attention=True, enable_align=False, enable_step2=False)
+    RunConfig(use_view_attention=True, enable_align=True, enable_step1=False,
+              enable_step2=False)
 
 
 def test_generator_must_be_a_generator_config():

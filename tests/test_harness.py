@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import platform
 import resource
@@ -371,23 +372,48 @@ class TestRoutingAudit:
     @pytest.mark.parametrize("include_25d", [False, True])
     def test_unreached_parameters_keep_their_values_and_gain_no_velocity(self, tmp_path,
                                                                           include_25d):
-        # without alignment no term reaches the view attention: CE averages the
-        # per-view logits, and the invariance term reads detached features
-        cfg = tiny_cfg(use_view_attention=True, enable_align=False, include_25d=include_25d,
-                       enable_step1=False, invariance_on_all=True)
+        # with step 2 off no term reaches the gate: alignment multiplies by a
+        # detached mask, so a gate at 0.5 is the no-gate baseline
+        cfg = tiny_cfg(use_view_attention=True, include_25d=include_25d, enable_step2=False)
         trainer = Trainer(cfg)
-        before = param_bytes(trainer.model, "mva.")
+        before = param_bytes(trainer.model, "gate.")
         result = trainer.run()
-        assert any(m["inv_batches"] for m in result.metrics)
-        assert before and param_bytes(trainer.model, "mva.") == before
+        assert not any(m["inv_batches"] for m in result.metrics)
+        assert param_bytes(trainer.model, "gate.") == before
         p = tmp_path / "run.igck"
         save_checkpoint(str(p), result)
         raw = p.read_bytes()
         header = json.loads(raw[16: 16 + int.from_bytes(raw[8:16], "little")])
         names = [e["name"] for e in header["arrays"]]
-        assert "opt.velocity.enc2d.w0" in names
-        assert not [n for n in names if n.startswith(("opt.velocity.mva.",
-                                                      "opt.velocity.xattn."))]
+        assert {"gate.mask_logits", "opt.velocity.enc2d.w0", "opt.velocity.mva.f1.w"} <= set(names)
+        assert "opt.velocity.gate.mask_logits" not in names
+        # the 2.5D environment's fixed weights are no parameters
+        assert not [n for n in names if "xattn." in n]
+
+    FLAGS = ("enable_step1", "enable_step2", "enable_align", "invariance_on_all",
+             "include_25d", "use_view_attention")
+
+    def test_flag_lattice_fails_at_construction_or_moves_every_parameter(self):
+        # the gate is the one parameter allowed to stay put, and exactly when no
+        # invariance batch ran: then it is the no-gate baseline
+        counts, stuck = {"trained": 0, "rejected": 0}, []
+        for values in itertools.product((False, True), repeat=len(self.FLAGS)):
+            flags = dict(zip(self.FLAGS, values))
+            for variant in IRM_VARIANTS if flags["enable_step2"] else ("v_rex",):
+                try:
+                    trainer = Trainer(tiny_cfg(epochs=3, irm_variant=variant, **flags))
+                except ContractError:
+                    counts["rejected"] += 1
+                    continue
+                counts["trained"] += 1
+                before = param_bytes(trainer.model, "")
+                inv_batches = sum(m["inv_batches"] for m in trainer.run().metrics)
+                after = param_bytes(trainer.model, "")
+                unmoved = sorted(n for n in before if after[n] == before[n])
+                if unmoved != ([] if inv_batches else ["gate.mask_logits"]):
+                    stuck.append((variant, flags, inv_batches, unmoved))
+        assert not stuck
+        assert counts == {"trained": 78, "rejected": 50}
 
     def test_named_params_holds_each_components_params_once(self):
         model = Model(tiny_cfg(encoder_hidden=(7,), encoder_init="random",
@@ -395,7 +421,7 @@ class TestRoutingAudit:
         parts = [v for v in vars(model).values() if hasattr(v, "params")]
         every = [p for part in parts for p in part.params]
         named = model.named_params()
-        assert len(parts) == 7 and len(named) == len(every)
+        assert len(parts) == 6 and len(named) == len(every)
         assert all(named[p.name] is p for p in every)
 
 
