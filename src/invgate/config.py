@@ -68,7 +68,7 @@ class RunConfig:
     enable_step1: bool = True
     enable_step2: bool = True
     enable_align: bool = True
-    invariance_on_all: bool = False
+    invariance_on_all: bool = False         # must be enable_step2 and not enable_step1
 
     n_3d_augments: int = 1
     seed: int = 0
@@ -91,11 +91,13 @@ class RunConfig:
                 raise ContractError(f"unknown head mode {mode!r}")
         if self.fusion_mode not in MODE_ALIASES:
             raise ContractError(f"unknown fusion mode {self.fusion_mode!r}")
-        if self.enable_step2 and not self.enable_step1 and not self.invariance_on_all:
-            raise ContractError(
-                "invariance learning operates on mined samples; enable step 1 "
-                "or set invariance_on_all"
-            )
+        if self.invariance_on_all != (self.enable_step2 and not self.enable_step1):
+            raise ContractError("invariance_on_all must be (enable_step2 and not enable_step1): "
+                                "with step 1, step 2 anchors on the mined set; without "
+                                "step 2, nothing anchors")
+        if self.include_25d and not self.enable_step2:
+            raise ContractError("include_25d needs enable_step2: the 2.5D environment "
+                                "exists only in the invariance term")
         if self.use_view_attention and not self.enable_align:
             raise ContractError("use_view_attention needs enable_align: no other term "
                                 "trains the view attention")

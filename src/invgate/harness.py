@@ -195,11 +195,8 @@ class Trainer:
         cfg.check_exponents(self.dataset.config.num_views)
         self.model, self.optimizer = _build(cfg)
         self.train_x3, self.train_views, self.train_labels = self.dataset.arrays("train")
-        n = len(self.train_labels)
-        if cfg.enable_step2 and not cfg.enable_step1 and cfg.invariance_on_all:
-            self.d_joint = np.arange(n)
-        else:
-            self.d_joint = np.empty(0, dtype=int)
+        self.d_joint = (np.arange(len(self.train_labels)) if cfg.invariance_on_all
+                        else np.empty(0, dtype=int))
         self.fusion = FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode)
         self.metrics: list[dict] = []
         self.last_eval: EvalRecord | None = None   # the latest epoch's test-split record
@@ -436,18 +433,22 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
 
 def load_checkpoint(path: str) -> TrainResult:
     """The TrainResult that `save_checkpoint` took, with no metrics; one array
-    per read. A damaged file, a malformed header field, a header version
-    other than the preamble's, an epoch outside [0, epochs), a v1 optimizer
-    block other than the one its config and epoch give, an array the model
-    has no place for or that the header lists twice, a missing parameter, a
-    non-finite array and an `xattn.*` array other than the one the config
-    derives raise CheckpointError."""
+    per read. A damaged file, a malformed header field, a header key it does
+    not read, a header version other than the preamble's, an epoch outside
+    [0, epochs), a v1 optimizer block other than the one its config and
+    epoch give, an array the model has no place for or that the header lists
+    twice, a missing parameter, a non-finite array and an `xattn.*` array
+    other than the one the config derives raise CheckpointError."""
     with container.read(path, CHECKPOINT_MAGIC, (1, CHECKPOINT_VERSION),
                         CHECKPOINT_FORMAT) as (version, header, take):
         with container.malformed(path):
             cfg = RunConfig.from_dict(header["config"])
             entries = [(str(e["name"]), tuple(e["shape"])) for e in header["arrays"]]
             epoch = header["epoch"]
+        unknown = sorted(set(header) - {"format", "version", "config", "epoch", "arrays"}
+                         - ({"optimizer"} if version == 1 else set()))
+        if unknown:
+            raise CheckpointError(f"{path}: unexpected header key {unknown[0]!r}")
         said = canonical_json(header.get("version"))
         if said != str(version):
             raise CheckpointError(f"{path}: header version {said} is not the file's "
@@ -526,11 +527,11 @@ def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = Non
     if any("generator" in cell for cell in cells):
         raise ContractError("an ablation cell cannot override 'generator': every cell "
                             "shares one dataset")
+    cfgs = [base_cfg.replace(**cell) for cell in cells]    # a rejected cell stops all training
     dataset = dataset if dataset is not None else generate(base_cfg.generator)
     cache: dict[str, TrainResult] = {}
     rows = []
-    for cell in cells:
-        cfg = base_cfg.replace(**cell)
+    for cfg in cfgs:
         train_key = canonical_json({k: v for k, v in cfg.to_dict().items()
                                     if k not in _TRAINING_IRRELEVANT
                                     and (cfg.enable_step2 or not k.startswith(_MINING_ONLY))})

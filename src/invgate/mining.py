@@ -58,7 +58,7 @@ def fit_gmm2(
     """EM fit initialized by a median split; log-likelihood is tracked per
     iteration (it is monotone up to the variance floor). A 1-d input gives its
     MixtureFit; an [m, n] input gives a MixtureStack from one loop, where each
-    row leaves at the sweep it converges, its fit bit for bit its 1-d fit."""
+    row's fit is taken at the sweep it converges, bit for bit its 1-d fit."""
     x = np.asarray(losses, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] < 4 or x.size == 0:
         raise ContractError(f"need one or more rows of >= 4 losses, got shape {x.shape}")
@@ -82,17 +82,17 @@ def fit_gmm2(
     sq_dev = (xx - means) ** 2
     sums = np.empty((5, m, n))          # log_total, resp (2), resp * x (2)
 
-    # per-row bookkeeping in lists: cheaper than numpy calls on m-element arrays
-    live = list(range(m))               # input row of each working row
+    # per-row bookkeeping in lists: cheaper than numpy calls on m-element arrays;
+    # rows share no arithmetic, so a row keeps sweeping after its fit is recorded
     fits: list = [None] * m
     paths: list[list[float]] = [[] for _ in range(m)]
     prev_ll = [-math.inf] * m
 
-    def record(j, sweep, converged):
-        """Store working row j's fit from the parameters as they stand now."""
-        order = np.argsort(means[:, j, 0])
-        fits[live[j]] = MixtureFit(*(a[:, j, 0][order] for a in (means, variances, weights)),
-                                   sweep, converged, np.asarray(paths[live[j]]))
+    def record(r, sweep, converged):
+        """Store row r's fit from the parameters as they stand now."""
+        order = np.argsort(means[:, r, 0])
+        fits[r] = MixtureFit(*(a[:, r, 0][order] for a in (means, variances, weights)),
+                             sweep, converged, np.asarray(paths[r]))
 
     sweep = 0
     for sweep in range(1, max_iter + 1):
@@ -105,8 +105,9 @@ def fit_gmm2(
         np.multiply(resp, xx, out=sums[3:])
         totals = np.add.reduce(sums, axis=2, keepdims=True)
         lls = totals[0, :, 0].tolist()
-        for r, ll in zip(live, lls):
-            paths[r].append(ll)
+        open_rows = [r for r in range(m) if fits[r] is None]
+        for r in open_rows:
+            paths[r].append(lls[r])
 
         # M-step
         nk = np.maximum(totals[1:3], 1e-12)
@@ -116,24 +117,16 @@ def fit_gmm2(
                                var_floor)
         weights = nk / n
 
-        done = [j for j, (ll, prev) in enumerate(zip(lls, prev_ll))
-                if ll - prev < tol and math.isfinite(prev)]
+        for r in open_rows:
+            if lls[r] - prev_ll[r] < tol and math.isfinite(prev_ll[r]):
+                record(r, sweep, True)
+        if None not in fits:
+            break
         prev_ll = lls
-        if done:
-            for j in done:
-                record(j, sweep, True)
-            keep = [j for j in range(len(live)) if j not in done]
-            if not keep:
-                break
-            live, prev_ll = [live[j] for j in keep], [prev_ll[j] for j in keep]
-            # take keeps the working arrays contiguous, components first
-            xx, sq_dev, means, variances, weights = (
-                np.take(a, keep, axis=1) for a in (xx, sq_dev, means, variances, weights))
-            sums = np.empty((5, len(keep), n))
 
-    for j, r in enumerate(live):
+    for r in range(m):
         if fits[r] is None:
-            record(j, sweep, False)
+            record(r, sweep, False)
     return fits[0] if x.ndim == 1 else MixtureStack(fits=fits, iterations=sweep)
 
 

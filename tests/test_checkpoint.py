@@ -252,6 +252,9 @@ HEADER_EDITS = {
     "config_a_list_of_pairs": (lambda h: h.update(config=[["epochs", 3]]), None,
                                "malformed header"),
     "nan_in_first_array": (None, _nan_first_array, "non-finite values in array '{first}'"),
+    "unknown_key": (lambda h: h.update(bogus=1), None, "unexpected header key 'bogus'"),
+    "optimizer_block_in_a_v2_file": (lambda h: h.update(optimizer={"base_lr": 99}), None,
+                                     "unexpected header key 'optimizer'"),
 }
 
 

@@ -123,8 +123,10 @@ def test_train_flag_lands_in_manifest_config(tmp_path, monkeypatch, flag, field,
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     gen = GeneratorConfig(num_classes=4, shots=2, invariant_dim=6, confound_dim=4,
                           num_views=2, seed=0)
-    # invariance_on_all keeps the config valid with step 1 off
-    cfg = RunConfig(generator=gen, output_dim=10, epochs=1, batch_size=8, invariance_on_all=True)
+    # --no-step1 on a base with step 2 on would also need invariance_on_all, so that
+    # case starts from step 2 off
+    cfg = RunConfig(generator=gen, output_dim=10, epochs=1, batch_size=8,
+                    enable_step2=field != "enable_step1")
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg.to_dict()))
     assert getattr(cfg, field) != value

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -44,10 +45,19 @@ def test_unknown_keys_rejected():
 
 
 def test_step2_requires_step1_or_override():
-    with pytest.raises(ContractError):
-        RunConfig(enable_step1=False, enable_step2=True)
-    cfg = RunConfig(enable_step1=False, enable_step2=True, invariance_on_all=True)
-    assert cfg.invariance_on_all
+    # invariance_on_all is legal exactly where it acts: step 2 without step 1
+    for step1, step2 in itertools.product((False, True), repeat=2):
+        acts = step2 and not step1
+        RunConfig(enable_step1=step1, enable_step2=step2, invariance_on_all=acts)
+        with pytest.raises(ContractError, match=r"^invariance_on_all must be \(enable_step2 "
+                                                r"and not enable_step1\): "):
+            RunConfig(enable_step1=step1, enable_step2=step2, invariance_on_all=not acts)
+        # the 2.5D environment exists only in step 2's invariance term
+        if step2:
+            RunConfig(enable_step1=step1, invariance_on_all=acts, include_25d=True)
+        else:
+            with pytest.raises(ContractError, match="^include_25d needs enable_step2: "):
+                RunConfig(enable_step1=step1, enable_step2=False, include_25d=True)
 
 
 def test_identity_init_needs_matching_dims():

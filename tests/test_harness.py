@@ -373,20 +373,23 @@ class TestRoutingAudit:
     def test_unreached_parameters_keep_their_values_and_gain_no_velocity(self, tmp_path,
                                                                           include_25d):
         # with step 2 off no term reaches the gate: alignment multiplies by a
-        # detached mask, so a gate at 0.5 is the no-gate baseline
-        cfg = tiny_cfg(use_view_attention=True, include_25d=include_25d, enable_step2=False)
+        # detached mask, so a gate at 0.5 is the no-gate baseline. 2.5D needs
+        # step 2, here anchored on every row, so its invariance batches reach the gate.
+        steps = (dict(enable_step1=False, invariance_on_all=True) if include_25d
+                 else dict(enable_step2=False))
+        cfg = tiny_cfg(use_view_attention=True, include_25d=include_25d, **steps)
         trainer = Trainer(cfg)
         before = param_bytes(trainer.model, "gate.")
         result = trainer.run()
-        assert not any(m["inv_batches"] for m in result.metrics)
-        assert param_bytes(trainer.model, "gate.") == before
+        assert any(m["inv_batches"] for m in result.metrics) == include_25d
+        assert (param_bytes(trainer.model, "gate.") == before) != include_25d
         p = tmp_path / "run.igck"
         save_checkpoint(str(p), result)
         raw = p.read_bytes()
         header = json.loads(raw[16: 16 + int.from_bytes(raw[8:16], "little")])
         names = [e["name"] for e in header["arrays"]]
         assert {"gate.mask_logits", "opt.velocity.enc2d.w0", "opt.velocity.mva.f1.w"} <= set(names)
-        assert "opt.velocity.gate.mask_logits" not in names
+        assert ("opt.velocity.gate.mask_logits" in names) == include_25d
         # the 2.5D environment's fixed weights are no parameters
         assert not [n for n in names if "xattn." in n]
 
@@ -395,25 +398,37 @@ class TestRoutingAudit:
 
     def test_flag_lattice_fails_at_construction_or_moves_every_parameter(self):
         # the gate is the one parameter allowed to stay put, and exactly when no
-        # invariance batch ran: then it is the no-gate baseline
-        counts, stuck = {"trained": 0, "rejected": 0}, []
+        # invariance batch ran: then it is the no-gate baseline. At these
+        # settings every mined run finds joint-hard rows, and MM-REx's
+        # rex_lambda_min > 0 lets the 2.5D environment's risk count.
+        counts, stuck, unmined, runs = {"trained": 0, "rejected": 0}, [], [], set()
         for values in itertools.product((False, True), repeat=len(self.FLAGS)):
             flags = dict(zip(self.FLAGS, values))
             for variant in IRM_VARIANTS if flags["enable_step2"] else ("v_rex",):
                 try:
-                    trainer = Trainer(tiny_cfg(epochs=3, irm_variant=variant, **flags))
+                    trainer = Trainer(RunConfig(
+                        generator=GeneratorConfig(num_classes=6, shots=6), epochs=2,
+                        mining_warmup=1, mining_rho=0.5, irm_variant=variant,
+                        rex_lambda_min=0.2 if variant == "mm_rex" else 0.0, **flags))
                 except ContractError:
                     counts["rejected"] += 1
                     continue
                 counts["trained"] += 1
                 before = param_bytes(trainer.model, "")
-                inv_batches = sum(m["inv_batches"] for m in trainer.run().metrics)
+                metrics = trainer.run().metrics
+                inv_batches = sum(m["inv_batches"] for m in metrics)
                 after = param_bytes(trainer.model, "")
                 unmoved = sorted(n for n in before if after[n] == before[n])
                 if unmoved != ([] if inv_batches else ["gate.mask_logits"]):
                     stuck.append((variant, flags, inv_batches, unmoved))
-        assert not stuck
-        assert counts == {"trained": 78, "rejected": 50}
+                if flags["enable_step1"] and flags["enable_step2"] and not inv_batches:
+                    unmined.append((variant, flags))
+                runs.add(("\n".join(metrics_log_lines(metrics)),
+                          b"".join(after[n] for n in sorted(after))))
+        assert not stuck and not unmined
+        assert counts == {"trained": 42, "rejected": 86}
+        # no flag is ignored: every config that constructs trains a run of its own
+        assert len(runs) == 42
 
     def test_named_params_holds_each_components_params_once(self):
         model = Model(tiny_cfg(encoder_hidden=(7,), encoder_init="random",
@@ -546,6 +561,13 @@ class TestAblate:
         rows = ablate(cfg, cells)
         assert sum(calls) == 1
         assert rows == separate
+
+    def test_rejected_cell_fails_before_any_cell_trains(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness.Trainer, "run", lambda self: calls.append(1))
+        with pytest.raises(ContractError, match="^invariance_on_all must be "):
+            ablate(tiny_cfg(epochs=2), [{}, {"fusion_mode": "additive"}, {"enable_step1": False}])
+        assert not calls
 
     def test_table_shaped_grid(self):
         cfg = tiny_cfg(epochs=2)
