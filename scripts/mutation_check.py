@@ -101,6 +101,12 @@ MUTATIONS = (
     ("ablate builds each cell's config only when it reaches the cell", "harness.py",
      "cfgs = [base_cfg.replace(**cell) for cell in cells]",
      "cfgs = (base_cfg.replace(**cell) for cell in cells)"),
+    ("RunConfig.from_dict accepts a retired key at any value", "config.py",
+     "            if name in data and canonical_json(data[name]) != canonical_json(want):\n",
+     "            if False:\n"),
+    ("RunConfig accepts step 1 in a run that ends before mining_warmup", "config.py",
+     "        if self.enable_step1 and self.mining_warmup >= self.epochs:\n",
+     "        if False:\n"),
 )
 
 

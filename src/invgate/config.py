@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .container import canonical_json  # noqa: F401  (re-exported)
+from .container import canonical_json
 from .data import GeneratorConfig, check_fields
 from .errors import ContractError
 from .fusion import MODE_ALIASES
@@ -23,11 +23,6 @@ class RunConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
 
     # model
-    encoder_hidden: tuple[int, ...] = ()
-    output_dim: int = 20
-    encoder_init: str = "identity"          # identity | random
-    head2d_mode: str = "cosine"
-    head3d_mode: str = "cosine"
     head_scale: float = 0.25
     use_view_attention: bool = False
     view_attention_delta: float = 0.5
@@ -75,26 +70,15 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
-        self.encoder_hidden = tuple(self.encoder_hidden)
-        if self.encoder_init not in ("identity", "random"):
-            raise ContractError(f"unknown encoder init {self.encoder_init!r}")
-        if self.encoder_init == "identity":
-            if self.encoder_hidden:
-                raise ContractError("identity init implies a single affine stage")
-            if self.output_dim != self.generator.dim:
-                raise ContractError(
-                    f"identity init needs output_dim == feature dim "
-                    f"({self.generator.dim}), got {self.output_dim}"
-                )
-        for mode in (self.head2d_mode, self.head3d_mode):
-            if mode not in ("cosine", "affine"):
-                raise ContractError(f"unknown head mode {mode!r}")
         if self.fusion_mode not in MODE_ALIASES:
             raise ContractError(f"unknown fusion mode {self.fusion_mode!r}")
         if self.invariance_on_all != (self.enable_step2 and not self.enable_step1):
             raise ContractError("invariance_on_all must be (enable_step2 and not enable_step1): "
                                 "with step 1, step 2 anchors on the mined set; without "
                                 "step 2, nothing anchors")
+        if self.enable_step1 and self.mining_warmup >= self.epochs:
+            raise ContractError("enable_step1 needs mining_warmup < epochs: mining first "
+                                "runs at epoch mining_warmup")
         if self.include_25d and not self.enable_step2:
             raise ContractError("include_25d needs enable_step2: the 2.5D environment "
                                 "exists only in the invariance term")
@@ -113,12 +97,9 @@ class RunConfig:
         for name in ("rex_beta", "irm_lambda", "weight_decay"):
             if not getattr(self, name) >= 0.0:
                 raise ContractError(f"{name} must be non-negative")
-        for name in ("mining_warmup", "mining_period", "mining_topk", "output_dim",
-                     "view_attention_hidden"):
+        for name in ("mining_warmup", "mining_period", "mining_topk", "view_attention_hidden"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1")
-        if min(self.encoder_hidden, default=1) < 1:
-            raise ContractError("encoder_hidden widths must be >= 1")
         for name in ("posterior_p2", "posterior_p3", "mining_rho"):
             if not (0.0 < getattr(self, name) <= 1.0):
                 raise ContractError(f"{name} must lie in (0, 1]")
@@ -157,27 +138,41 @@ class RunConfig:
                                     f"its term's worst case {term} is not finite")
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["encoder_hidden"] = list(self.encoder_hidden)
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        kwargs = dict(_known_keys(data, cls, "config"))
+        """The config a file names; every file an earlier version wrote loads."""
+        kwargs = {k: v for k, v in _known_keys(data, cls, "config", RETIRED).items()
+                  if k not in RETIRED}
         if "generator" in kwargs:
             kwargs["generator"] = GeneratorConfig(
                 **_known_keys(kwargs["generator"], GeneratorConfig, "generator"))
-        return cls(**kwargs)
+        cfg = cls(**kwargs)
+        for name, want in RETIRED.items():
+            want = cfg.generator.dim if want is None else want
+            if name in data and canonical_json(data[name]) != canonical_json(want):
+                raise ContractError(f"{name} must be {canonical_json(want)}, got "
+                                    f"{canonical_json(data[name])}: a retired field, fixed "
+                                    "at the one model's value")
+        return cfg
 
     def replace(self, **overrides) -> "RunConfig":
         return dataclasses.replace(self, **_known_keys(overrides, RunConfig, "config"))
 
 
-def _known_keys(data, cls, what: str) -> dict:
-    """`data`, which must be a dict naming only fields of dataclass `cls`."""
+# retired model-shape fields, which a file may name only at the one model's
+# value (None: the generator's dim)
+RETIRED = {"encoder_hidden": [], "encoder_init": "identity", "output_dim": None,
+           "head2d_mode": "cosine", "head3d_mode": "cosine"}
+
+
+def _known_keys(data, cls, what: str, retired=()) -> dict:
+    """`data`, which must be a dict naming only fields of dataclass `cls` and
+    `retired` keys."""
     if not isinstance(data, dict):
         raise ContractError(f"{what} must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)} - set(retired)
     if unknown:
         raise ContractError(f"unknown {what} keys: {sorted(unknown)}")
     return data

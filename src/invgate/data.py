@@ -42,8 +42,6 @@ _FIELD_KINDS = {
               lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
-    "tuple[int, ...]": ("a list of integers",
-                        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
     "GeneratorConfig": ("a GeneratorConfig", lambda v: isinstance(v, GeneratorConfig)),
 }
 

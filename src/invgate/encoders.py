@@ -1,10 +1,9 @@
 """Toy modality encoders, the shared soft gate, and classification heads.
 
-Each branch is a stack of affine layers with ReLU between stages (no
-activation after the last), standing in for a real backbone plus the
-trainable projection/adapter. Both branches project to the same output
-dimension so their features live in one space; a single sigmoid-squashed
-mask gates that space for both modalities.
+Each branch is one affine map, initialised to the identity, standing in for
+a real backbone plus the trainable projection/adapter. Both branches keep
+the input dimension, so their features live in one space; a single
+sigmoid-squashed mask gates that space for both modalities.
 """
 
 from __future__ import annotations
@@ -15,40 +14,20 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def _affine_params(dims, init, rng, prefix):
-    """One weight and bias per stage. RunConfig admits "identity" only for square stages."""
-    weights, biases = [], []
-    for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-        if init == "identity":
-            w = np.eye(din)
-        else:
-            w = rng.normal(0.0, 1.0 / np.sqrt(din), size=(din, dout))
-        weights.append(T.parameter(w, name=f"{prefix}.w{i}"))
-        biases.append(T.parameter(np.zeros(dout), name=f"{prefix}.b{i}"))
-    return weights, biases
-
-
 class ModalityEncoder:
-    """Affine(+ReLU) stack for one modality; shared across that branch."""
+    """Identity-initialised affine map for one modality; shared across that branch."""
 
-    def __init__(self, name: str, dims: list[int], init: str,
-                 rng: np.random.Generator | None):
-        """`name` prefixes the parameter names; `rng` draws a random init."""
-        self.name = name
-        self.weights, self.biases = _affine_params(dims, init, rng, name)
+    def __init__(self, name: str, dim: int):
+        """Parameters `<name>.w0` and `<name>.b0`, the names every checkpoint uses."""
+        self.w = T.parameter(np.eye(dim), name=f"{name}.w0")
+        self.b = T.parameter(np.zeros(dim), name=f"{name}.b0")
 
     @property
     def params(self) -> list[Tensor]:
-        return [*self.weights, *self.biases]
+        return [self.w, self.b]
 
     def __call__(self, x: Tensor | np.ndarray) -> Tensor:
-        h = T.as_tensor(x)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = T.add(T.matmul(h, w), b)
-            if i != last:
-                h = T.relu(h)
-        return h
+        return T.add(T.matmul(T.as_tensor(x), self.w), self.b)
 
 
 class GateMask:
@@ -76,11 +55,10 @@ class GateMask:
 
 
 class ClassHead:
-    """Class-prototype head; cosine mode mirrors similarity-based logits."""
+    """Class-prototype head with cosine-similarity logits."""
 
     def __init__(self, num_classes: int, dim: int, rng: np.random.Generator,
-                 mode: str = "cosine", scale: float = 1.0, name: str = "head"):
-        self.mode = mode
+                 scale: float = 1.0, name: str = "head"):
         self.num_classes = num_classes
         protos = rng.normal(0.0, scale / np.sqrt(dim), size=(num_classes, dim))
         self.prototypes = T.parameter(protos, name=f"{name}.prototypes")
@@ -90,10 +68,8 @@ class ClassHead:
         return [self.prototypes]
 
     def logits(self, features: Tensor | np.ndarray) -> Tensor:
-        features = T.as_tensor(features)
-        if self.mode == "cosine":   # raises on a zero-norm feature
-            return T.cosine_matmul_t(features, self.prototypes)
-        return T.matmul_t(features, self.prototypes)
+        # raises on a zero-norm feature
+        return T.cosine_matmul_t(T.as_tensor(features), self.prototypes)
 
 
 class MultiViewAggregator:

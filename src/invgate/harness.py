@@ -51,8 +51,7 @@ METRIC_FIELDS = [
 
 # stable per-component seed tags: a branch initializes identically whether
 # or not the other branch exists
-_SEED_TAGS = {"enc2d": 11, "enc3d": 12, "head2d": 13, "head3d": 14,
-              "mva": 15, "xattn": 16, "batches": 21, "augment": 22}
+_SEED_TAGS = {"head2d": 13, "head3d": 14, "mva": 15, "xattn": 16, "batches": 21, "augment": 22}
 
 
 def _component_rng(seed: int, component: str) -> np.random.Generator:
@@ -63,27 +62,23 @@ class Model:
     """Both branch encoders, their heads, the shared gate, optional extras."""
 
     def __init__(self, cfg: RunConfig):
-        dims = [cfg.generator.dim, *cfg.encoder_hidden, cfg.output_dim]
+        d, c = cfg.generator.dim, cfg.generator.num_classes
         self.cfg = cfg
-        self.enc2d = ModalityEncoder("enc2d", dims, cfg.encoder_init,
-                                     _component_rng(cfg.seed, "enc2d"))
-        self.enc3d = ModalityEncoder("enc3d", dims, cfg.encoder_init,
-                                     _component_rng(cfg.seed, "enc3d"))
-        c = cfg.generator.num_classes
-        self.head2d = ClassHead(c, cfg.output_dim, _component_rng(cfg.seed, "head2d"),
-                                mode=cfg.head2d_mode, scale=cfg.head_scale, name="head2d")
-        self.head3d = ClassHead(c, cfg.output_dim, _component_rng(cfg.seed, "head3d"),
-                                mode=cfg.head3d_mode, scale=cfg.head_scale, name="head3d")
-        self.gate = GateMask(cfg.output_dim)
+        self.enc2d = ModalityEncoder("enc2d", d)
+        self.enc3d = ModalityEncoder("enc3d", d)
+        self.head2d = ClassHead(c, d, _component_rng(cfg.seed, "head2d"),
+                                scale=cfg.head_scale, name="head2d")
+        self.head3d = ClassHead(c, d, _component_rng(cfg.seed, "head3d"),
+                                scale=cfg.head_scale, name="head3d")
+        self.gate = GateMask(d)
         self.mva = None
         if cfg.use_view_attention:
-            self.mva = MultiViewAggregator(cfg.generator.num_views, cfg.output_dim,
+            self.mva = MultiViewAggregator(cfg.generator.num_views, d,
                                            cfg.view_attention_hidden,
                                            rng=_component_rng(cfg.seed, "mva"))
         self.xattn = None
         if cfg.include_25d:
-            self.xattn = CrossAttention(cfg.output_dim,
-                                        rng=_component_rng(cfg.seed, "xattn"))
+            self.xattn = CrossAttention(d, rng=_component_rng(cfg.seed, "xattn"))
 
     def named_params(self) -> dict[str, T.Tensor]:
         parts = (self.enc2d, self.head2d, self.mva, self.enc3d, self.head3d, self.gate)
@@ -268,7 +263,7 @@ class Trainer:
         aug = [augment_3d(x3_hard, rng, jitter_sigma=jitter) for _ in range(cfg.n_3d_augments)]
         with T.no_grad():
             feats3 = self.model.enc3d(np.concatenate([self.train_x3[idx], *aug], axis=0)).data
-        feats2 = per_view.data.reshape(-1, cfg.output_dim)
+        feats2 = per_view.data.reshape(-1, cfg.generator.dim)
 
         n_aug = cfg.n_3d_augments * subset.size
         labels3 = np.concatenate([labels, np.tile(self.train_labels[subset], cfg.n_3d_augments)])

@@ -239,7 +239,9 @@ def mm_rex(env_losses: Sequence[Tensor], lambda_min: float) -> Tensor:
     for lambda_min <= 1/m.
 
     The max picks the largest realized risk (first on ties), which is the
-    correct subgradient.
+    correct subgradient. At lambda_min = 0 only that environment gets a
+    gradient, so one whose risk is never the largest changes nothing: a 2.5D
+    environment that never leads trains as if it were absent.
     """
     m = len(env_losses)
     values = [x.item() for x in env_losses]

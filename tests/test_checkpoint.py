@@ -21,7 +21,7 @@ from invgate.harness import (
 def tiny_cfg(seed=0, **kw):
     gen = GeneratorConfig(num_classes=4, shots=4, invariant_dim=6, confound_dim=4,
                           num_views=2, seed=seed)
-    defaults = dict(generator=gen, output_dim=10, epochs=3, batch_size=8,
+    defaults = dict(generator=gen, epochs=3, batch_size=8,
                     mining_warmup=1, seed=seed)
     defaults.update(kw)
     return RunConfig(**defaults)
@@ -90,20 +90,54 @@ def run_25d():
     return Trainer(tiny_cfg(include_25d=True, enable_step1=False, invariance_on_all=True)).run()
 
 
-def _write_with_xattn(path, result, edit=lambda arrays: None):
-    """Write `result` as a version 2 file in the layout of files written while
-    the 2.5D weights were parameters: `xattn.wv` and `xattn.wv2` listed beside
-    the parameters. `edit` may change the arrays first."""
+def _write_v2(path, result, extra_arrays=None, extra_config=None, edit=lambda arrays: None):
+    """Write `result` as a version 2 file whose arrays and header config also
+    hold `extra_arrays` and `extra_config`, in the layout of an earlier
+    version's files. `edit` may change the arrays first."""
     arrays = {name: p.data for name, p in result.model.named_params().items()}
     arrays.update({"opt.velocity." + name: v for name, v in result.optimizer.velocity.items()})
-    arrays.update({"xattn.wv": result.model.xattn.wv, "xattn.wv2": result.model.xattn.wv2})
+    arrays.update(extra_arrays or {})
     edit(arrays)
     names = sorted(arrays)
-    header = {"format": "invgate-checkpoint", "version": 2, "config": result.cfg.to_dict(),
+    header = {"format": "invgate-checkpoint", "version": 2,
+              "config": {**result.cfg.to_dict(), **(extra_config or {})},
               "epoch": result.optimizer.epoch,
               "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names]}
     container.write(str(path), b"IGCK", 2, header,
                     (np.ascontiguousarray(arrays[n], dtype="<f8") for n in names))
+
+
+def _write_with_xattn(path, result, edit=lambda arrays: None):
+    """Write `result` in the layout of files written while the 2.5D weights
+    were parameters: `xattn.wv` and `xattn.wv2` listed beside the parameters."""
+    _write_v2(path, result, {"xattn.wv": result.model.xattn.wv,
+                             "xattn.wv2": result.model.xattn.wv2}, edit=edit)
+
+
+# the header config of files written while the model-shape fields existed
+# lists them, at the one value each has now (tiny_cfg's dim is 10)
+RETIRED_KEYS = {"encoder_hidden": [], "encoder_init": "identity", "output_dim": 10,
+                "head2d_mode": "cosine", "head3d_mode": "cosine"}
+
+
+def test_file_listing_the_retired_keys_loads(short_run, tmp_path):
+    _, result = short_run
+    old, new, fresh = tmp_path / "old.igck", tmp_path / "new.igck", tmp_path / "fresh.igck"
+    _write_v2(old, result, extra_config=RETIRED_KEYS)
+    config = _rewrite(old)["config"]
+    assert {name: config[name] for name in RETIRED_KEYS} == RETIRED_KEYS
+    loaded = load_checkpoint(str(old))
+    assert loaded.cfg == result.cfg
+    for name, param in result.model.named_params().items():
+        assert loaded.model.named_params()[name].data.tobytes() == param.data.tobytes()
+    assert loaded.optimizer.velocity.keys() == result.optimizer.velocity.keys()
+    for name, vel in result.optimizer.velocity.items():
+        assert loaded.optimizer.velocity[name].tobytes() == vel.tobytes()
+    # saving it writes the file a fresh save writes, whose config lists none of them
+    save_checkpoint(str(new), loaded)
+    save_checkpoint(str(fresh), result)
+    assert new.read_bytes() == fresh.read_bytes()
+    assert not set(RETIRED_KEYS) & set(_rewrite(fresh)["config"])
 
 
 def test_file_listing_the_derived_xattn_arrays_loads(run_25d, tmp_path):
@@ -161,7 +195,6 @@ def test_mismatched_config_names_offending_array(short_run, tmp_path):
     raw = p.read_bytes()
     header_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
     header = json.loads(raw[16: 16 + header_len].decode())
-    header["config"]["output_dim"] = 12
     header["config"]["generator"]["invariant_dim"] = 8
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     p.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + header_len:])
@@ -313,7 +346,7 @@ def test_evaluate_checkpoint_dim_guard(short_run, tmp_path):
 
 def test_evaluate_checkpoint_view_guard_with_view_attention(tmp_path):
     p = tmp_path / "run.igck"
-    save_checkpoint(str(p), Trainer(tiny_cfg(epochs=1, use_view_attention=True)).run())
+    save_checkpoint(str(p), Trainer(tiny_cfg(epochs=2, use_view_attention=True)).run())
     three_views = generate(GeneratorConfig(num_classes=4, shots=2, invariant_dim=6,
                                            confound_dim=4, num_views=3, seed=1))
     with pytest.raises(ContractError, match="checkpoint num_views 2 != dataset num_views 3"):

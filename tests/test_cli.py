@@ -20,7 +20,7 @@ from invgate.harness import load_checkpoint
 def tiny_config_file(tmp_path):
     gen = GeneratorConfig(num_classes=4, shots=4, invariant_dim=6, confound_dim=4,
                           num_views=2, seed=0)
-    cfg = RunConfig(generator=gen, output_dim=10, epochs=2, batch_size=8,
+    cfg = RunConfig(generator=gen, epochs=2, batch_size=8,
                     mining_warmup=1, seed=0)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg.to_dict()))
@@ -125,7 +125,7 @@ def test_train_flag_lands_in_manifest_config(tmp_path, monkeypatch, flag, field,
                           num_views=2, seed=0)
     # --no-step1 on a base with step 2 on would also need invariance_on_all, so that
     # case starts from step 2 off
-    cfg = RunConfig(generator=gen, output_dim=10, epochs=1, batch_size=8,
+    cfg = RunConfig(generator=gen, epochs=2, batch_size=8, mining_warmup=1,
                     enable_step2=field != "enable_step1")
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg.to_dict()))
@@ -185,7 +185,7 @@ def artefacts(tmp_path_factory):
     gen = GeneratorConfig(num_classes=4, shots=4, invariant_dim=6, confound_dim=4,
                           num_views=2, seed=0)
     cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps(RunConfig(generator=gen, output_dim=10, epochs=2,
+    cfg.write_text(json.dumps(RunConfig(generator=gen, epochs=2,
                                         batch_size=8, mining_warmup=1).to_dict()))
     paths = {"binary": tmp / "data.igds", "text": tmp / "data.txt",
              "checkpoint": tmp / "run" / "checkpoint.igck"}
@@ -371,7 +371,8 @@ def test_non_integer_env_seed_is_a_one_line_error(tmp_path, tiny_config_file, mo
     ({"epochs": "5"}, [], None, "epochs must be an integer, got '5'"),
     ({"epochs": True}, [], None, "epochs must be an integer, got True"),
     ({"batch_size": 2.5}, [], None, "batch_size must be an integer, got 2.5"),
-    ({"encoder_hidden": 5}, [], None, "encoder_hidden must be a list of integers, got 5"),
+    ({"encoder_hidden": 5}, [], None,
+     "encoder_hidden must be [], got 5: a retired field, fixed at the one model's value"),
     ({"enable_step1": "no"}, [], None, "enable_step1 must be true or false, got 'no'"),
     ({"irm_lambda": "5"}, [], None, "irm_lambda must be a finite number, got '5'"),
     ({"base_lr": 10**400}, [], None, f"base_lr must be a finite number, got {10**400}"),
@@ -390,6 +391,39 @@ def test_wrongly_typed_config_is_a_one_line_error(tmp_path, tiny_config_file, mo
     assert main(["train", "--config", str(cfg_path), "--out", str(run_dir), *argv]) == 2
     assert capsys.readouterr().err == f"invgate: error: {message}\n"
     assert not run_dir.exists()
+
+
+# a value each retired model-shape key took in some earlier file, other than
+# its one value (tiny_config_file's dim is 10)
+RETIRED_OTHER = {"encoder_hidden": ([7], "[]"), "encoder_init": ("random", '"identity"'),
+                 "output_dim": (12, "10"), "head2d_mode": ("affine", '"cosine"'),
+                 "head3d_mode": ("affine", '"cosine"')}
+
+
+@pytest.mark.parametrize("name", RETIRED_OTHER)
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_retired_key_at_another_value_is_a_one_line_error(artefacts, tiny_config_file, tmp_path,
+                                                          capsys, command, name):
+    value, one = RETIRED_OTHER[name]
+    if command == "train":
+        cfg_path, cfg = tiny_config_file
+        cfg_path.write_text(json.dumps({**cfg.to_dict(), name: value}))
+        argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    else:   # the trained checkpoint with the key in its header config
+        blob = artefacts["checkpoint"].read_bytes()
+        end = 16 + int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:end])
+        header["config"][name] = value
+        raw = canonical_json(header).encode()
+        ckpt = tmp_path / "old.igck"
+        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[end:])
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(artefacts["binary"])]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invgate: error: ") and err.count("\n") == 1
+    assert f"{name} must be {one}, got {json.dumps(value)}: a retired field" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

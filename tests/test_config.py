@@ -2,17 +2,21 @@ import dataclasses
 import itertools
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from invgate.config import RunConfig, load_config
+from invgate.config import RETIRED, RunConfig, load_config
 from invgate.data import GeneratorConfig
 from invgate.errors import ContractError
 
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+
 
 def test_defaults_are_consistent():
+    # the retired output_dim's one value is the default generator's dim
     cfg = RunConfig()
-    assert cfg.output_dim == cfg.generator.dim
+    assert RunConfig.from_dict({"output_dim": cfg.generator.dim}) == cfg
 
 
 def test_dict_roundtrip():
@@ -60,12 +64,58 @@ def test_step2_requires_step1_or_override():
                 RunConfig(enable_step1=step1, enable_step2=False, include_25d=True)
 
 
+def test_step1_needs_a_mining_epoch():
+    # mining first runs at epoch mining_warmup; a run that ends before it
+    # would train as if step 1 were off
+    RunConfig(epochs=6, mining_warmup=5)
+    for epochs in (4, 5):
+        with pytest.raises(ContractError, match=r"^enable_step1 needs mining_warmup < epochs: "):
+            RunConfig(epochs=epochs, mining_warmup=5)
+    RunConfig(epochs=5, mining_warmup=5, enable_step1=False, invariance_on_all=True)
+
+
 def test_identity_init_needs_matching_dims():
-    with pytest.raises(ContractError):
-        RunConfig(output_dim=12)
-    with pytest.raises(ContractError):
-        RunConfig(encoder_hidden=(32,))
-    RunConfig(encoder_hidden=(32,), encoder_init="random", output_dim=12)
+    # the one encoder is a square identity-initialised map, so a file's
+    # output_dim must be its generator's dim and its encoder_hidden empty
+    with pytest.raises(ContractError, match=r"^output_dim must be 20, got 12: "):
+        RunConfig.from_dict({"output_dim": 12})
+    with pytest.raises(ContractError, match=r"^encoder_hidden must be \[\], got \[32\]: "):
+        RunConfig.from_dict({"encoder_hidden": [32]})
+    cfg = RunConfig.from_dict({"output_dim": 12, "encoder_hidden": [],
+                               "generator": {"invariant_dim": 4, "confound_dim": 8}})
+    assert cfg.generator.dim == 12
+
+
+# a value each retired key had in some earlier file, other than its one value
+RETIRED_OTHER = {"encoder_hidden": [7], "encoder_init": "random", "output_dim": 12,
+                 "head2d_mode": "affine", "head3d_mode": "affine"}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_key_loads_only_at_its_one_value(name):
+    gen = GeneratorConfig(invariant_dim=5, confound_dim=3)
+    one = gen.dim if RETIRED[name] is None else RETIRED[name]
+    cfg = RunConfig.from_dict({"generator": dataclasses.asdict(gen), name: one})
+    assert cfg == RunConfig(generator=gen) and name not in cfg.to_dict()
+    with pytest.raises(ContractError) as err:
+        RunConfig.from_dict({"generator": dataclasses.asdict(gen), name: RETIRED_OTHER[name]})
+    assert str(err.value) == (f"{name} must be {json.dumps(one)}, got "
+                              f"{json.dumps(RETIRED_OTHER[name])}: a retired field, fixed at "
+                              "the one model's value")
+    # only a file may name it: keyword construction and replace never do
+    with pytest.raises(TypeError):
+        RunConfig(**{name: one})
+    with pytest.raises(ContractError, match=rf"^unknown config keys: \['{name}'\]"):
+        RunConfig().replace(**{name: one})
+
+
+def test_earlier_default_config_loads_to_the_same_config():
+    # the file as written before the retirement: today's keys and the five
+    parent = json.loads(DEFAULT_CONFIG.read_text())
+    parent.update({"encoder_hidden": [], "encoder_init": "identity", "output_dim": 20,
+                   "head2d_mode": "cosine", "head3d_mode": "cosine"})
+    assert RunConfig.from_dict(parent) == load_config(str(DEFAULT_CONFIG)) == RunConfig()
+    assert sorted(parent) == sorted([*RunConfig().to_dict(), *RETIRED])
 
 
 def test_generator_knobs_validated():
@@ -149,17 +199,25 @@ def test_rejected_at_construction(overrides):
 
 
 # a value of another type than each field's, chosen by the field's annotation
-_WRONG_TYPE = {"int": 2.5, "float": "0.5", "bool": "no", "str": 5, "tuple[int, ...]": ["a"]}
+_WRONG_TYPE = {"int": 2.5, "float": "0.5", "bool": "no", "str": 5}
+# the same for the retired keys, which only a file names
+_RETIRED_WRONG_TYPE = {"encoder_hidden": ["a"], "encoder_init": 5, "output_dim": 2.5,
+                       "head2d_mode": 5, "head3d_mode": 5}
 
 
 @pytest.mark.parametrize("cls,name,value", [
-    pytest.param(cls, f.name, _WRONG_TYPE[f.type], id=f"{cls.__name__}-{f.name}")
-    for cls in (RunConfig, GeneratorConfig)
-    for f in dataclasses.fields(cls) if f.type in _WRONG_TYPE
+    *(pytest.param(cls, f.name, _WRONG_TYPE[f.type], id=f"{cls.__name__}-{f.name}")
+      for cls in (RunConfig, GeneratorConfig)
+      for f in dataclasses.fields(cls) if f.type in _WRONG_TYPE),
+    *(pytest.param(RunConfig, name, value, id=f"RunConfig-{name}")
+      for name, value in _RETIRED_WRONG_TYPE.items()),
 ])
 def test_wrongly_typed_field_rejected(cls, name, value):
     with pytest.raises(ContractError, match=f"^{name} must be "):
-        cls(**{name: value})
+        if name in RETIRED:
+            RunConfig.from_dict({name: value})
+        else:
+            cls(**{name: value})
 
 
 def test_boundary_values_accepted():

@@ -79,7 +79,7 @@ def test_header_must_name_the_format(tmp_path):
 def run():
     gen = GeneratorConfig(num_classes=4, shots=4, invariant_dim=6, confound_dim=4,
                           num_views=2, seed=0)
-    cfg = RunConfig(generator=gen, output_dim=10, epochs=2, batch_size=8, mining_warmup=1)
+    cfg = RunConfig(generator=gen, epochs=2, batch_size=8, mining_warmup=1)
     trainer = Trainer(cfg)
     return trainer.dataset, trainer.run()
 

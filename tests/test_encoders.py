@@ -19,47 +19,49 @@ from invgate.errors import ContractError, NumericError, ShapeError
 from invgate.harness import Model, _component_rng
 
 
-def identity_encoder(name, dim):
-    return ModalityEncoder(name, [dim, dim], "identity", None)
-
-
 def small_model(dim, num_views, **kw):
-    """A two-class model over dim-wide features; identity encoders by default."""
+    """A two-class model over dim-wide features, with identity encoders."""
     gen = GeneratorConfig(num_classes=2, p_conflict=0.0, invariant_dim=dim - 1,
                           confound_dim=1, num_views=num_views)
-    return Model(RunConfig(generator=gen, **{"output_dim": dim, **kw}))
+    return Model(RunConfig(generator=gen, **kw))
+
+
+def randomize(enc, rng):
+    """Draw the encoder's weight and bias, so a test sees more than the identity."""
+    enc.w.data = rng.normal(size=enc.w.shape)
+    enc.b.data = rng.normal(size=enc.b.shape)
 
 
 class TestEncoders:
     def test_identity_single_affine_passthrough(self):
-        enc = identity_encoder("3d", 4)
+        enc = ModalityEncoder("3d", 4)
         v = np.array([[1.0, -2.0, 0.5, 3.0]])
         np.testing.assert_array_equal(enc(v).data, v)
 
     def test_zero_input_zero_output(self):
-        rng = np.random.default_rng(0)
-        enc = ModalityEncoder("3d", [4, 8, 4], init="random", rng=rng)
+        enc = ModalityEncoder("3d", 4)
+        enc.w.data = np.random.default_rng(0).normal(size=(4, 4))
         out = enc(np.zeros((2, 4)))
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
     def test_matches_handrolled_matmul(self):
         rng = np.random.default_rng(1)
-        enc = ModalityEncoder("3d", [3, 5], init="random", rng=rng)
+        enc = ModalityEncoder("3d", 3)
+        randomize(enc, rng)
         x = rng.normal(size=(2, 3))
         # independent oracle: plain numpy product
-        expected = x @ enc.weights[0].data + enc.biases[0].data
+        expected = x @ enc.w.data + enc.b.data
         np.testing.assert_allclose(enc(x).data, expected, atol=1e-12)
 
     def test_dim_mismatch(self):
-        enc = identity_encoder("3d", 4)
+        enc = ModalityEncoder("3d", 4)
         with pytest.raises(ShapeError):
             enc(np.zeros(5))
 
     def test_grad_reaches_encoder_params(self):
-        rng = np.random.default_rng(2)
-        enc = ModalityEncoder("3d", [3, 3], init="random", rng=rng)
+        enc = ModalityEncoder("3d", 3)
         T.backward(T.sum_(enc(np.ones((1, 3)))))
-        assert enc.weights[0].grad is not None
+        assert enc.w.grad is not None and enc.b.grad is not None
 
 
 class TestEncode2d:
@@ -82,10 +84,11 @@ class TestEncode2d:
 
     def test_batched_matches_sample_level(self):
         rng = np.random.default_rng(3)
-        model = small_model(3, 3, encoder_init="random", output_dim=4)
+        model = small_model(3, 3)
+        randomize(model.enc2d, rng)
         views = rng.normal(size=(2, 3, 3))
         per_view, mean = model.features_2d(views)
-        w, b = model.enc2d.weights[0].data, model.enc2d.biases[0].data
+        w, b = model.enc2d.w.data, model.enc2d.b.data
         for i in range(2):
             # independent oracle: each view through the affine map, then the mean
             expected = np.mean([v @ w + b for v in views[i]], axis=0)
@@ -139,8 +142,8 @@ class TestGate:
 
 
 class TestClassHead:
-    def make(self, mode="cosine", C=3, d=4, seed=0):
-        return ClassHead(C, d, mode=mode, rng=np.random.default_rng(seed))
+    def make(self, C=3, d=4, seed=0):
+        return ClassHead(C, d, rng=np.random.default_rng(seed))
 
     def test_feature_equal_to_prototype_maxes_at_one(self):
         head = self.make()
@@ -156,19 +159,14 @@ class TestClassHead:
         np.testing.assert_allclose(logits, [0.0, 0.0], atol=1e-12)
 
     def test_view_logit_average(self):
-        model = small_model(2, 2, head2d_mode="affine")
-        model.head2d.prototypes.data[:] = np.eye(2)      # per-view logits = features
+        model = small_model(2, 2)
+        model.head2d.prototypes.data[:] = np.eye(2)      # per-view logits = unit features
         per_view = T.constant(np.array([[[1.0, 0.0], [0.0, 1.0]]]))  # [1, 2, 2]
         np.testing.assert_allclose(model.logits_2d(per_view).data, [[0.5, 0.5]])
 
     def test_zero_norm_cosine_rejected(self):
         with pytest.raises(NumericError):
             self.make().logits(np.zeros((1, 4)))
-
-    def test_affine_is_plain_product(self):
-        head = self.make(mode="affine")
-        x = np.random.default_rng(5).normal(size=(2, 4))
-        np.testing.assert_allclose(head.logits(x).data, x @ head.prototypes.data.T)
 
     @given(st.floats(0.1, 100.0))
     def test_cosine_scale_invariant(self, alpha):

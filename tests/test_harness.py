@@ -37,7 +37,7 @@ from invgate.mining import fit_gmm2, mining_schedule, select_modality_hard
 def tiny_cfg(seed=0, **kw):
     gen = GeneratorConfig(num_classes=4, shots=6, invariant_dim=6, confound_dim=4,
                           num_views=2, seed=seed)
-    defaults = dict(generator=gen, output_dim=10, epochs=4, batch_size=8,
+    defaults = dict(generator=gen, epochs=4, batch_size=8,
                     mining_warmup=1, seed=seed)
     defaults.update(kw)
     return RunConfig(**defaults)
@@ -85,8 +85,9 @@ class TestTrainingLoop:
         assert mined_epochs == [e for e in range(6) if mining_schedule(e, 3, 2)]
 
     def test_empty_joint_hard_leaves_gate_untouched(self):
-        # warmup beyond the horizon: step 2 is on but never receives samples
-        cfg = tiny_cfg(epochs=3, mining_warmup=10)
+        # mining runs at epoch 2 but finds no joint-hard row in this 24-row
+        # split: step 2 is on but never receives samples
+        cfg = tiny_cfg(epochs=3, mining_warmup=2)
         trainer = Trainer(cfg)
         before = trainer.model.gate.mask_logits.data.tobytes()
         result = trainer.run()
@@ -125,7 +126,7 @@ class TestTrainingLoop:
         gen = GeneratorConfig(num_classes=num_classes, shots=shots, invariant_dim=3,
                               confound_dim=2, num_views=num_views, seed=seed)
         try:
-            trainer = Trainer(RunConfig(generator=gen, output_dim=gen.dim, epochs=epochs,
+            trainer = Trainer(RunConfig(generator=gen, epochs=epochs,
                                         batch_size=batch_size, mining_warmup=1,
                                         seed=seed, **flags))
         except ContractError:
@@ -194,7 +195,7 @@ class TestMiningFit:
     @settings(deadline=None, max_examples=50)
     @given(st.data())
     def test_stats_equal_cross_entropy_and_softmax_bit_for_bit(self, data):
-        trainer = Trainer(tiny_cfg(epochs=1))
+        trainer = Trainer(tiny_cfg(epochs=2))
         labels = trainer.train_labels
         shape = (labels.size, trainer.cfg.generator.num_classes)
         logits = [data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
@@ -241,7 +242,8 @@ class TestOverflowBound:
         under, over = _just_under_and_over(name, n)
         with pytest.raises(ContractError, match=f"^{name} "):
             RunConfig(**overrides, **{name: over})
-        metrics = Trainer(RunConfig(epochs=2, **overrides, **{name: under})).run().metrics
+        metrics = Trainer(RunConfig(epochs=2, mining_warmup=1, **overrides,
+                                    **{name: under})).run().metrics
         for m in metrics:
             assert m[term] is not None
             assert all(np.isfinite(m[k]) for k in ("loss_ce", term, "acc2", "acc3", "acc_joint"))
@@ -269,7 +271,7 @@ class TestSingleView:
     def test_environment_without_pairs_is_dropped(self, include_25d):
         gen = GeneratorConfig(num_classes=4, shots=6, invariant_dim=6, confound_dim=4,
                               num_views=1, seed=0)
-        trainer = Trainer(RunConfig(generator=gen, output_dim=10, include_25d=include_25d))
+        trainer = Trainer(RunConfig(generator=gen, include_25d=include_25d))
         labels = trainer.train_labels
         lone = np.flatnonzero(labels == 0)[0]
         others = np.flatnonzero(labels != 0)[:5]
@@ -324,13 +326,13 @@ class TestRoutingAudit:
         forward = ModalityEncoder.__call__
 
         def counting(enc, x):
-            calls.append(enc.name)
+            calls.append(enc)
             return forward(enc, x)
 
         monkeypatch.setattr(ModalityEncoder, "__call__", counting)
         _, parts = trainer.total_objective(np.arange(8), epoch=0, batch_i=0)
         assert parts["inv"] is not None
-        assert calls.count("enc2d") == 1
+        assert calls.count(trainer.model.enc2d) == 1
 
     def test_two_epoch_inv_only_run_freezes_encoders(self, monkeypatch):
         monkeypatch.setattr(harness, "cross_entropy", zero_cross_entropy)
@@ -431,8 +433,7 @@ class TestRoutingAudit:
         assert len(runs) == 42
 
     def test_named_params_holds_each_components_params_once(self):
-        model = Model(tiny_cfg(encoder_hidden=(7,), encoder_init="random",
-                               use_view_attention=True, include_25d=True))
+        model = Model(tiny_cfg(use_view_attention=True, include_25d=True))
         parts = [v for v in vars(model).values() if hasattr(v, "params")]
         every = [p for part in parts for p in part.params]
         named = model.named_params()
@@ -639,7 +640,7 @@ class TestHeapRetention:
         monkeypatch.setattr(harness.ctypes, "CDLL", no_library)
         harness._retain_heap.cache_clear()
         try:
-            assert Trainer(tiny_cfg(epochs=1)).run().metrics
+            assert Trainer(tiny_cfg(epochs=2)).run().metrics
             assert harness._retain_heap() is False
         finally:
             harness._retain_heap.cache_clear()
