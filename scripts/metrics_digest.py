@@ -59,8 +59,7 @@ from invgate.harness import (  # noqa: E402
 
 CE_ONLY = {"enable_step1": False, "enable_step2": False, "enable_align": False}
 # the ablation grid's step-2-only cell: every row an invariance anchor, no mining
-INV_ALL = {"enable_step1": False, "enable_step2": True, "enable_align": False,
-           "invariance_on_all": True}
+INV_ALL = {"enable_step1": False, "enable_step2": True, "enable_align": False}
 RUNS = (
     ("train_full", range(6), {}),
     ("train_ce", range(2), CE_ONLY),

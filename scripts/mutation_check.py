@@ -91,18 +91,20 @@ MUTATIONS = (
      "                if False:\n"),
     ("CrossAttention keeps draws 1 and 4 (the key projections) as its values", "encoders.py",
      "self.wv, self.wv2 = draws[2], draws[5]", "self.wv, self.wv2 = draws[1], draws[4]"),
-    ("RunConfig accepts invariance_on_all with step 1 on or step 2 off", "config.py",
-     "        if self.invariance_on_all != (self.enable_step2 and not self.enable_step1):\n",
-     "        if self.enable_step2 and not self.enable_step1 and not self.invariance_on_all:\n"),
+    ("RunConfig.from_dict accepts the derived invariance_on_all at either value", "config.py",
+     "            if name in data and canonical_json(data[name]) != (want := ",
+     "            if name in data and name != \"invariance_on_all\" and "
+     "canonical_json(data[name]) != (want := "),
     ("RunConfig accepts include_25d without step 2", "config.py",
      "        if self.include_25d and not self.enable_step2:\n", "        if False:\n"),
     ("load_checkpoint skips the header key check", "harness.py",
      "        if unknown:\n", "        if False:\n"),
     ("ablate builds each cell's config only when it reaches the cell", "harness.py",
-     "cfgs = [base_cfg.replace(**cell) for cell in cells]",
-     "cfgs = (base_cfg.replace(**cell) for cell in cells)"),
+     "cfgs = [RunConfig.from_dict({**base_cfg.to_dict(), **cell}) for cell in cells]",
+     "cfgs = (RunConfig.from_dict({**base_cfg.to_dict(), **cell}) for cell in cells)"),
     ("RunConfig.from_dict accepts a retired key at any value", "config.py",
-     "            if name in data and canonical_json(data[name]) != canonical_json(want):\n",
+     "            if name in data and canonical_json(data[name]) != (want := "
+     "canonical_json(derive(cfg))):\n",
      "            if False:\n"),
     ("RunConfig accepts step 1 in a run that ends before mining_warmup", "config.py",
      "        if self.enable_step1 and self.mining_warmup >= self.epochs:\n",

@@ -101,7 +101,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg, _ = _apply_overrides(load_config(args.config), args)
     grid = read_json_file(args.grid, "grid")
-    cells = grid.get("cells") if isinstance(grid, dict) else grid
+    cells = grid.get("cells") if isinstance(grid, dict) and set(grid) == {"cells"} else grid
     if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
         raise ContractError(f"grid {args.grid} must be a list of override objects "
                             f'or {{"cells": [...]}}')

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .container import canonical_json
 from .data import GeneratorConfig, check_fields
+from .encoders import HEAD_SCALE, VIEW_ATTENTION_HIDDEN
 from .errors import ContractError
 from .fusion import MODE_ALIASES
 from .losses import IRM_VARIANTS, exp_sums_finite
@@ -23,10 +24,8 @@ class RunConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
 
     # model
-    head_scale: float = 0.25
     use_view_attention: bool = False
     view_attention_delta: float = 0.5
-    view_attention_hidden: int = 32
 
     # losses
     irm_lambda: float = 5.0
@@ -48,8 +47,7 @@ class RunConfig:
     mining_rho: float = 0.25
     posterior_p2: float = 0.5
     posterior_p3: float = 0.5
-    mining_warmup: int = 5
-    mining_period: int = 1
+    mining_warmup: int = 5                  # mining runs at every epoch from this one on
     mining_topk: int = 5
 
     # optimizer
@@ -63,7 +61,6 @@ class RunConfig:
     enable_step1: bool = True
     enable_step2: bool = True
     enable_align: bool = True
-    invariance_on_all: bool = False         # must be enable_step2 and not enable_step1
 
     n_3d_augments: int = 1
     seed: int = 0
@@ -72,10 +69,6 @@ class RunConfig:
         check_fields(self)
         if self.fusion_mode not in MODE_ALIASES:
             raise ContractError(f"unknown fusion mode {self.fusion_mode!r}")
-        if self.invariance_on_all != (self.enable_step2 and not self.enable_step1):
-            raise ContractError("invariance_on_all must be (enable_step2 and not enable_step1): "
-                                "with step 1, step 2 anchors on the mined set; without "
-                                "step 2, nothing anchors")
         if self.enable_step1 and self.mining_warmup >= self.epochs:
             raise ContractError("enable_step1 needs mining_warmup < epochs: mining first "
                                 "runs at epoch mining_warmup")
@@ -91,13 +84,13 @@ class RunConfig:
         envs = 2 + self.include_25d
         if self.rex_lambda_min > 1.0 / envs:
             raise ContractError(f"rex_lambda_min must be <= 1/{envs} with {envs} environments")
-        for name in ("fusion_phi", "align_tau", "base_lr", "head_scale", "inv_theta"):
+        for name in ("fusion_phi", "align_tau", "base_lr", "inv_theta"):
             if not getattr(self, name) > 0.0:
                 raise ContractError(f"{name} must be positive")
         for name in ("rex_beta", "irm_lambda", "weight_decay"):
             if not getattr(self, name) >= 0.0:
                 raise ContractError(f"{name} must be non-negative")
-        for name in ("mining_warmup", "mining_period", "mining_topk", "view_attention_hidden"):
+        for name in ("mining_warmup", "mining_topk"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1")
         for name in ("posterior_p2", "posterior_p3", "mining_rho"):
@@ -149,22 +142,30 @@ class RunConfig:
             kwargs["generator"] = GeneratorConfig(
                 **_known_keys(kwargs["generator"], GeneratorConfig, "generator"))
         cfg = cls(**kwargs)
-        for name, want in RETIRED.items():
-            want = cfg.generator.dim if want is None else want
-            if name in data and canonical_json(data[name]) != canonical_json(want):
-                raise ContractError(f"{name} must be {canonical_json(want)}, got "
+        for name, derive in RETIRED.items():
+            if name in data and canonical_json(data[name]) != (want := canonical_json(derive(cfg))):
+                raise ContractError(f"{name} must be {want}, got "
                                     f"{canonical_json(data[name])}: a retired field, fixed "
-                                    "at the one model's value")
+                                    "at the value the rest of the config gives")
         return cfg
 
     def replace(self, **overrides) -> "RunConfig":
         return dataclasses.replace(self, **_known_keys(overrides, RunConfig, "config"))
 
 
-# retired model-shape fields, which a file may name only at the one model's
-# value (None: the generator's dim)
-RETIRED = {"encoder_hidden": [], "encoder_init": "identity", "output_dim": None,
-           "head2d_mode": "cosine", "head3d_mode": "cosine"}
+# retired fields, each with the value the rest of a config gives it: a file
+# may name one only at that value
+RETIRED = {
+    "encoder_hidden": lambda cfg: [],
+    "encoder_init": lambda cfg: "identity",
+    "output_dim": lambda cfg: cfg.generator.dim,
+    "head2d_mode": lambda cfg: "cosine",
+    "head3d_mode": lambda cfg: "cosine",
+    "head_scale": lambda cfg: HEAD_SCALE,
+    "view_attention_hidden": lambda cfg: VIEW_ATTENTION_HIDDEN,
+    "mining_period": lambda cfg: 1,
+    "invariance_on_all": lambda cfg: cfg.enable_step2 and not cfg.enable_step1,
+}
 
 
 def _known_keys(data, cls, what: str, retired=()) -> dict:

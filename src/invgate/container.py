@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ContractError
 
 
 def canonical_json(data) -> str:
@@ -54,7 +54,8 @@ def malformed(path: str):
     try:
         yield
     except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
+        why = exc if isinstance(exc, ContractError) else repr(exc)
+        raise CheckpointError(f"{path}: malformed header: {why}") from exc
 
 
 def parse_header(raw, path: str, fmt: str) -> dict:

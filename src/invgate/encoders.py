@@ -13,6 +13,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
+# the head prototypes' initial scale and the view attention's hidden width
+HEAD_SCALE, VIEW_ATTENTION_HIDDEN = 0.25, 32
+
 
 class ModalityEncoder:
     """Identity-initialised affine map for one modality; shared across that branch."""
@@ -57,10 +60,9 @@ class GateMask:
 class ClassHead:
     """Class-prototype head with cosine-similarity logits."""
 
-    def __init__(self, num_classes: int, dim: int, rng: np.random.Generator,
-                 scale: float = 1.0, name: str = "head"):
+    def __init__(self, num_classes: int, dim: int, rng: np.random.Generator, name: str = "head"):
         self.num_classes = num_classes
-        protos = rng.normal(0.0, scale / np.sqrt(dim), size=(num_classes, dim))
+        protos = rng.normal(0.0, HEAD_SCALE / np.sqrt(dim), size=(num_classes, dim))
         self.prototypes = T.parameter(protos, name=f"{name}.prototypes")
 
     @property
@@ -81,7 +83,8 @@ class MultiViewAggregator:
     the delta-blend of the two paths.
     """
 
-    def __init__(self, num_views: int, dim: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, num_views: int, dim: int, hidden: int = VIEW_ATTENTION_HIDDEN, *,
+                 rng: np.random.Generator):
         cat = num_views * dim
         self.f1_w = T.parameter(rng.normal(0, 1 / np.sqrt(cat), (cat, hidden)), name="mva.f1.w")
         self.f1_b = T.parameter(np.zeros(hidden), name="mva.f1.b")

@@ -1,10 +1,10 @@
 """End-to-end training loop with the iterative mine/train pattern.
 
 Each epoch: (a) a no-grad pass over the train split collects per-sample
-branch losses and probabilities; (b) on schedule, mining refreshes the
-joint hard set; (c) every batch sums the enabled loss terms and takes one
-optimizer step; (d) the test split is evaluated and one metrics record
-appended. Everything is a pure function of the run config.
+branch losses and probabilities; (b) from the warm-up epoch on, mining
+refreshes the joint hard set; (c) every batch sums the enabled loss terms
+and takes one optimizer step; (d) the test split is evaluated and one
+metrics record appended. Everything is a pure function of the run config.
 
 Gradient routing is structural, and it is the only routing mechanism: the
 invariance term sees only detached encoder outputs (so its backward can reach
@@ -38,7 +38,7 @@ from .losses import (
     modality_irm_loss,
     nt_xent_align,
 )
-from .mining import fit_gmm2, mining_schedule, select_joint_hard, select_modality_hard
+from .mining import fit_gmm2, select_joint_hard, select_modality_hard
 from .optim import SGD
 
 METRICS_FORMAT = "invgate-metrics"
@@ -66,15 +66,12 @@ class Model:
         self.cfg = cfg
         self.enc2d = ModalityEncoder("enc2d", d)
         self.enc3d = ModalityEncoder("enc3d", d)
-        self.head2d = ClassHead(c, d, _component_rng(cfg.seed, "head2d"),
-                                scale=cfg.head_scale, name="head2d")
-        self.head3d = ClassHead(c, d, _component_rng(cfg.seed, "head3d"),
-                                scale=cfg.head_scale, name="head3d")
+        self.head2d = ClassHead(c, d, _component_rng(cfg.seed, "head2d"), name="head2d")
+        self.head3d = ClassHead(c, d, _component_rng(cfg.seed, "head3d"), name="head3d")
         self.gate = GateMask(d)
         self.mva = None
         if cfg.use_view_attention:
             self.mva = MultiViewAggregator(cfg.generator.num_views, d,
-                                           cfg.view_attention_hidden,
                                            rng=_component_rng(cfg.seed, "mva"))
         self.xattn = None
         if cfg.include_25d:
@@ -190,8 +187,9 @@ class Trainer:
         cfg.check_exponents(self.dataset.config.num_views)
         self.model, self.optimizer = _build(cfg)
         self.train_x3, self.train_views, self.train_labels = self.dataset.arrays("train")
-        self.d_joint = (np.arange(len(self.train_labels)) if cfg.invariance_on_all
-                        else np.empty(0, dtype=int))
+        # without step 1 no mining picks step 2's anchors, so every row is one
+        every_row = cfg.enable_step2 and not cfg.enable_step1
+        self.d_joint = np.arange(len(self.train_labels) if every_row else 0)
         self.fusion = FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode)
         self.metrics: list[dict] = []
         self.last_eval: EvalRecord | None = None   # the latest epoch's test-split record
@@ -208,10 +206,10 @@ class Trainer:
                 *(e / s for _, e, s in stats))
 
     def _mine(self, epoch: int) -> dict | None:
-        """On a mining epoch, refresh `d_joint` and return the epoch's `mining`
-        record; otherwise None."""
+        """With step 1, from epoch `mining_warmup` on, refresh `d_joint` and
+        return the epoch's `mining` record; otherwise None."""
         cfg = self.cfg
-        if not (cfg.enable_step1 and mining_schedule(epoch, cfg.mining_warmup, cfg.mining_period)):
+        if not (cfg.enable_step1 and epoch >= cfg.mining_warmup):
             return None
         ce2, ce3, probs2, probs3 = self._train_split_stats()
         # one EM loop fits the modalities with 4 or more samples and spread;
@@ -514,15 +512,15 @@ ABLATION_COLUMNS = ("enable_step1", "enable_step2", "enable_align", "fusion_mode
 
 def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = None,
            progress=None) -> list[dict]:
-    """Run every override cell, sharing seeds and reusing training runs for
-    cells that differ only in inference-time fusion settings or, with step 2
-    off, in mining settings."""
+    """Run every override cell, each read as a config file is (a rejected
+    cell stops all training), sharing seeds and reusing training runs for
+    cells that differ only in fusion settings or, with step 2 off, in mining."""
     if not cells:
         raise ContractError("empty ablation grid")
     if any("generator" in cell for cell in cells):
         raise ContractError("an ablation cell cannot override 'generator': every cell "
                             "shares one dataset")
-    cfgs = [base_cfg.replace(**cell) for cell in cells]    # a rejected cell stops all training
+    cfgs = [RunConfig.from_dict({**base_cfg.to_dict(), **cell}) for cell in cells]
     dataset = dataset if dataset is not None else generate(base_cfg.generator)
     cache: dict[str, TrainResult] = {}
     rows = []

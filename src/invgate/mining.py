@@ -222,8 +222,3 @@ def select_joint_hard(
 
     keep = (s1 > r1) & (overlaps < r2)
     return JointSelection(np.sort(candidates[keep]), r1, r2)
-
-
-def mining_schedule(epoch: int, warmup: int, period: int) -> bool:
-    """Mine at epochs warmup, warmup+period, warmup+2*period, ..."""
-    return epoch >= warmup and (epoch - warmup) % period == 0

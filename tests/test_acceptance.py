@@ -153,7 +153,7 @@ def test_criterion_5_routing_audit(monkeypatch):
     monkeypatch.setattr(harness, "cross_entropy",
                         lambda logits, labels: T.constant(np.zeros(len(labels))))
     cfg = full_config(0).replace(epochs=2, enable_step1=False, enable_step2=True,
-                                 invariance_on_all=True, enable_align=False)
+                                 enable_align=False)
     trainer = Trainer(cfg)
     frozen_before = {n: p.data.tobytes() for n, p in trainer.model.named_params().items()
                      if not n.startswith("gate.")}
@@ -214,8 +214,7 @@ def test_criterion_7_ablation_ordering(efficacy_runs):
             # drop it along with the removed step (the reference ablation
             # reads "without step 1 & 2" as cross-entropy alone)
             "step1_only": fc.replace(enable_step2=False, enable_align=False),
-            "step2_only": fc.replace(enable_step1=False, enable_align=False,
-                                     invariance_on_all=True),
+            "step2_only": fc.replace(enable_step1=False, enable_align=False),
         }
         for tag, cfg in configs.items():
             trainer = Trainer(cfg, dataset)

@@ -87,7 +87,7 @@ def test_v1_file_loads_bit_identically(short_run, tmp_path):
 
 @pytest.fixture(scope="module")
 def run_25d():
-    return Trainer(tiny_cfg(include_25d=True, enable_step1=False, invariance_on_all=True)).run()
+    return Trainer(tiny_cfg(include_25d=True, enable_step1=False)).run()
 
 
 def _write_v2(path, result, extra_arrays=None, extra_config=None, edit=lambda arrays: None):
@@ -120,12 +120,17 @@ RETIRED_KEYS = {"encoder_hidden": [], "encoder_init": "identity", "output_dim": 
                 "head2d_mode": "cosine", "head3d_mode": "cosine"}
 
 
-def test_file_listing_the_retired_keys_loads(short_run, tmp_path):
-    _, result = short_run
+# and so does that of files written while four run fields existed, which a
+# step-2-only run wrote with invariance_on_all true
+RUN_KEYS = {"head_scale": 0.25, "view_attention_hidden": 32, "mining_period": 1,
+            "invariance_on_all": True}
+
+
+def _check_file_listing_keys_loads(result, keys, tmp_path):
     old, new, fresh = tmp_path / "old.igck", tmp_path / "new.igck", tmp_path / "fresh.igck"
-    _write_v2(old, result, extra_config=RETIRED_KEYS)
+    _write_v2(old, result, extra_config=keys)
     config = _rewrite(old)["config"]
-    assert {name: config[name] for name in RETIRED_KEYS} == RETIRED_KEYS
+    assert {name: config[name] for name in keys} == keys
     loaded = load_checkpoint(str(old))
     assert loaded.cfg == result.cfg
     for name, param in result.model.named_params().items():
@@ -133,11 +138,21 @@ def test_file_listing_the_retired_keys_loads(short_run, tmp_path):
     assert loaded.optimizer.velocity.keys() == result.optimizer.velocity.keys()
     for name, vel in result.optimizer.velocity.items():
         assert loaded.optimizer.velocity[name].tobytes() == vel.tobytes()
+    assert loaded.optimizer.epoch == result.optimizer.epoch
     # saving it writes the file a fresh save writes, whose config lists none of them
     save_checkpoint(str(new), loaded)
     save_checkpoint(str(fresh), result)
     assert new.read_bytes() == fresh.read_bytes()
-    assert not set(RETIRED_KEYS) & set(_rewrite(fresh)["config"])
+    assert not set(keys) & set(_rewrite(fresh)["config"])
+
+
+def test_file_listing_the_retired_keys_loads(short_run, tmp_path):
+    _check_file_listing_keys_loads(short_run[1], RETIRED_KEYS, tmp_path)
+
+
+def test_step2_only_25d_file_listing_the_retired_run_keys_loads(run_25d, tmp_path):
+    assert not run_25d.cfg.enable_step1 and run_25d.cfg.include_25d
+    _check_file_listing_keys_loads(run_25d, RUN_KEYS, tmp_path)
 
 
 def test_file_listing_the_derived_xattn_arrays_loads(run_25d, tmp_path):

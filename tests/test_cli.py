@@ -123,10 +123,7 @@ def test_train_flag_lands_in_manifest_config(tmp_path, monkeypatch, flag, field,
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     gen = GeneratorConfig(num_classes=4, shots=2, invariant_dim=6, confound_dim=4,
                           num_views=2, seed=0)
-    # --no-step1 on a base with step 2 on would also need invariance_on_all, so that
-    # case starts from step 2 off
-    cfg = RunConfig(generator=gen, epochs=2, batch_size=8, mining_warmup=1,
-                    enable_step2=field != "enable_step1")
+    cfg = RunConfig(generator=gen, epochs=2, batch_size=8, mining_warmup=1)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg.to_dict()))
     assert getattr(cfg, field) != value
@@ -371,8 +368,8 @@ def test_non_integer_env_seed_is_a_one_line_error(tmp_path, tiny_config_file, mo
     ({"epochs": "5"}, [], None, "epochs must be an integer, got '5'"),
     ({"epochs": True}, [], None, "epochs must be an integer, got True"),
     ({"batch_size": 2.5}, [], None, "batch_size must be an integer, got 2.5"),
-    ({"encoder_hidden": 5}, [], None,
-     "encoder_hidden must be [], got 5: a retired field, fixed at the one model's value"),
+    ({"encoder_hidden": 5}, [], None, "encoder_hidden must be [], got 5: a retired field, "
+     "fixed at the value the rest of the config gives"),
     ({"enable_step1": "no"}, [], None, "enable_step1 must be true or false, got 'no'"),
     ({"irm_lambda": "5"}, [], None, "irm_lambda must be a finite number, got '5'"),
     ({"base_lr": 10**400}, [], None, f"base_lr must be a finite number, got {10**400}"),
@@ -393,30 +390,41 @@ def test_wrongly_typed_config_is_a_one_line_error(tmp_path, tiny_config_file, mo
     assert not run_dir.exists()
 
 
-# a value each retired model-shape key took in some earlier file, other than
-# its one value (tiny_config_file's dim is 10)
+def _with_header_config(checkpoint, path, edits: dict):
+    """Write `checkpoint` to `path` with `edits` in its header config."""
+    blob = checkpoint.read_bytes()
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:end])
+    header["config"].update(edits)
+    raw = canonical_json(header).encode()
+    path.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[end:])
+    return path
+
+
+# a value each retired key took in some earlier file, other than its one value
+# (tiny_config_file's dim is 10), and the steps it is read with: the last two
+# are invariance_on_all at each value, on steps that give it the other one
 RETIRED_OTHER = {"encoder_hidden": ([7], "[]"), "encoder_init": ("random", '"identity"'),
                  "output_dim": (12, "10"), "head2d_mode": ("affine", '"cosine"'),
-                 "head3d_mode": ("affine", '"cosine"')}
+                 "head3d_mode": ("affine", '"cosine"'), "head_scale": (0.5, "0.25"),
+                 "view_attention_hidden": (64, "32"), "mining_period": (2, "1"),
+                 "invariance_on_all": (True, "false"),
+                 "invariance_on_all-step2_only": (False, "true", {"enable_step1": False})}
 
 
-@pytest.mark.parametrize("name", RETIRED_OTHER)
+@pytest.mark.parametrize("case", RETIRED_OTHER)
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_retired_key_at_another_value_is_a_one_line_error(artefacts, tiny_config_file, tmp_path,
-                                                          capsys, command, name):
-    value, one = RETIRED_OTHER[name]
+                                                          capsys, command, case):
+    name = case.split("-")[0]
+    value, one, *steps = RETIRED_OTHER[case]
+    edits = {**(steps[0] if steps else {}), name: value}
     if command == "train":
         cfg_path, cfg = tiny_config_file
-        cfg_path.write_text(json.dumps({**cfg.to_dict(), name: value}))
+        cfg_path.write_text(json.dumps({**cfg.to_dict(), **edits}))
         argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
     else:   # the trained checkpoint with the key in its header config
-        blob = artefacts["checkpoint"].read_bytes()
-        end = 16 + int.from_bytes(blob[8:16], "little")
-        header = json.loads(blob[16:end])
-        header["config"][name] = value
-        raw = canonical_json(header).encode()
-        ckpt = tmp_path / "old.igck"
-        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[end:])
+        ckpt = _with_header_config(artefacts["checkpoint"], tmp_path / "old.igck", edits)
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(artefacts["binary"])]
     capsys.readouterr()
     assert main(argv) == 2
@@ -424,6 +432,16 @@ def test_retired_key_at_another_value_is_a_one_line_error(artefacts, tiny_config
     assert err.startswith("invgate: error: ") and err.count("\n") == 1
     assert f"{name} must be {one}, got {json.dumps(value)}: a retired field" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_rejected_header_config_prints_its_own_message(artefacts, tmp_path, capsys):
+    ckpt = _with_header_config(artefacts["checkpoint"], tmp_path / "old.igck",
+                               {"head_scale": 0.5})
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(artefacts["binary"])]) == 2
+    assert capsys.readouterr().err == (
+        f"invgate: error: {ckpt}: malformed header: head_scale must be 0.25, got 0.5: "
+        "a retired field, fixed at the value the rest of the config gives\n")
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -468,7 +486,9 @@ def test_ablate_grid(tmp_path, tiny_config_file, capsys):
     ("[1, 2]", "must be a list of override objects"),
     ('[{"fusion": "add"}]', "unknown config keys: ['fusion']"),
     ('[{"generator": {"seed": 3}}]', "cannot override 'generator'"),
-], ids=["missing", "malformed", "wrong_shape", "not_objects", "unknown_key", "generator"])
+    ('{"cells": [{}], "seeds": [1]}', "must be a list of override objects"),
+], ids=["missing", "malformed", "wrong_shape", "not_objects", "unknown_key", "generator",
+        "unread_key"])
 def test_bad_grid_is_a_one_line_error(tmp_path, tiny_config_file, capsys, content, message):
     cfg_path, _ = tiny_config_file
     grid = tmp_path / "grid.json"

@@ -49,16 +49,17 @@ def test_unknown_keys_rejected():
 
 
 def test_step2_requires_step1_or_override():
-    # invariance_on_all is legal exactly where it acts: step 2 without step 1
+    # a file's invariance_on_all must be what the steps give: step 2 without step 1
     for step1, step2 in itertools.product((False, True), repeat=2):
         acts = step2 and not step1
-        RunConfig(enable_step1=step1, enable_step2=step2, invariance_on_all=acts)
-        with pytest.raises(ContractError, match=r"^invariance_on_all must be \(enable_step2 "
-                                                r"and not enable_step1\): "):
-            RunConfig(enable_step1=step1, enable_step2=step2, invariance_on_all=not acts)
+        steps = {"enable_step1": step1, "enable_step2": step2}
+        assert RunConfig.from_dict({**steps, "invariance_on_all": acts}) == RunConfig(**steps)
+        with pytest.raises(ContractError, match=rf"^invariance_on_all must be "
+                                                rf"{json.dumps(acts)}, got "):
+            RunConfig.from_dict({**steps, "invariance_on_all": not acts})
         # the 2.5D environment exists only in step 2's invariance term
         if step2:
-            RunConfig(enable_step1=step1, invariance_on_all=acts, include_25d=True)
+            RunConfig(enable_step1=step1, include_25d=True)
         else:
             with pytest.raises(ContractError, match="^include_25d needs enable_step2: "):
                 RunConfig(enable_step1=step1, enable_step2=False, include_25d=True)
@@ -71,7 +72,7 @@ def test_step1_needs_a_mining_epoch():
     for epochs in (4, 5):
         with pytest.raises(ContractError, match=r"^enable_step1 needs mining_warmup < epochs: "):
             RunConfig(epochs=epochs, mining_warmup=5)
-    RunConfig(epochs=5, mining_warmup=5, enable_step1=False, invariance_on_all=True)
+    RunConfig(epochs=5, mining_warmup=5, enable_step1=False)
 
 
 def test_identity_init_needs_matching_dims():
@@ -86,22 +87,29 @@ def test_identity_init_needs_matching_dims():
     assert cfg.generator.dim == 12
 
 
-# a value each retired key had in some earlier file, other than its one value
+# a value each retired key had in some earlier file, other than its one value;
+# invariance_on_all's other value is the negation of the one its steps give
 RETIRED_OTHER = {"encoder_hidden": [7], "encoder_init": "random", "output_dim": 12,
-                 "head2d_mode": "affine", "head3d_mode": "affine"}
+                 "head2d_mode": "affine", "head3d_mode": "affine", "head_scale": 0.5,
+                 "view_attention_hidden": 64, "mining_period": 2}
 
 
 @pytest.mark.parametrize("name", sorted(RETIRED))
 def test_retired_key_loads_only_at_its_one_value(name):
     gen = GeneratorConfig(invariant_dim=5, confound_dim=3)
-    one = gen.dim if RETIRED[name] is None else RETIRED[name]
-    cfg = RunConfig.from_dict({"generator": dataclasses.asdict(gen), name: one})
-    assert cfg == RunConfig(generator=gen) and name not in cfg.to_dict()
-    with pytest.raises(ContractError) as err:
-        RunConfig.from_dict({"generator": dataclasses.asdict(gen), name: RETIRED_OTHER[name]})
-    assert str(err.value) == (f"{name} must be {json.dumps(one)}, got "
-                              f"{json.dumps(RETIRED_OTHER[name])}: a retired field, fixed at "
-                              "the one model's value")
+    for step1, step2 in itertools.product((False, True), repeat=2):
+        steps = {"enable_step1": step1, "enable_step2": step2}
+        want = RunConfig(generator=gen, **steps)
+        one = RETIRED[name](want)
+        other = RETIRED_OTHER.get(name, not one)
+        data = {"generator": dataclasses.asdict(gen), **steps}
+        cfg = RunConfig.from_dict({**data, name: one})
+        assert cfg == want and name not in cfg.to_dict()
+        with pytest.raises(ContractError) as err:
+            RunConfig.from_dict({**data, name: other})
+        assert str(err.value) == (f"{name} must be {json.dumps(one)}, got {json.dumps(other)}: "
+                                  "a retired field, fixed at the value the rest of the config "
+                                  "gives")
     # only a file may name it: keyword construction and replace never do
     with pytest.raises(TypeError):
         RunConfig(**{name: one})
@@ -110,12 +118,16 @@ def test_retired_key_loads_only_at_its_one_value(name):
 
 
 def test_earlier_default_config_loads_to_the_same_config():
-    # the file as written before the retirement: today's keys and the five
+    # the file as written before the last retirement (today's keys and four
+    # more), and before the one ahead of it (five more again)
     parent = json.loads(DEFAULT_CONFIG.read_text())
-    parent.update({"encoder_hidden": [], "encoder_init": "identity", "output_dim": 20,
-                   "head2d_mode": "cosine", "head3d_mode": "cosine"})
-    assert RunConfig.from_dict(parent) == load_config(str(DEFAULT_CONFIG)) == RunConfig()
-    assert sorted(parent) == sorted([*RunConfig().to_dict(), *RETIRED])
+    parent.update({"head_scale": 0.25, "view_attention_hidden": 32, "mining_period": 1,
+                   "invariance_on_all": False})
+    earlier = {**parent, "encoder_hidden": [], "encoder_init": "identity", "output_dim": 20,
+               "head2d_mode": "cosine", "head3d_mode": "cosine"}
+    assert (RunConfig.from_dict(parent) == RunConfig.from_dict(earlier)
+            == load_config(str(DEFAULT_CONFIG)) == RunConfig())
+    assert sorted(earlier) == sorted([*RunConfig().to_dict(), *RETIRED])
 
 
 def test_generator_knobs_validated():
@@ -202,7 +214,9 @@ def test_rejected_at_construction(overrides):
 _WRONG_TYPE = {"int": 2.5, "float": "0.5", "bool": "no", "str": 5}
 # the same for the retired keys, which only a file names
 _RETIRED_WRONG_TYPE = {"encoder_hidden": ["a"], "encoder_init": 5, "output_dim": 2.5,
-                       "head2d_mode": 5, "head3d_mode": 5}
+                       "head2d_mode": 5, "head3d_mode": 5, "head_scale": "0.5",
+                       "view_attention_hidden": 2.5, "mining_period": 2.5,
+                       "invariance_on_all": "no"}
 
 
 @pytest.mark.parametrize("cls,name,value", [
@@ -222,7 +236,7 @@ def test_wrongly_typed_field_rejected(cls, name, value):
 
 def test_boundary_values_accepted():
     RunConfig(rex_lambda_min=0.5, rex_beta=0.0, irm_lambda=0.0, posterior_p2=1.0,
-              posterior_p3=1.0, mining_warmup=1, mining_period=1, mining_topk=1)
+              posterior_p3=1.0, mining_warmup=1, mining_topk=1)
     RunConfig(include_25d=True, rex_lambda_min=1.0 / 3.0)
     RunConfig(weight_decay=0.0, momentum=0.0)
     RunConfig(fusion_mode="add")

@@ -31,7 +31,7 @@ from invgate.harness import (
     train,
 )
 from invgate.losses import IRM_VARIANTS, ContrastiveBatch, cross_entropy, sup_infonce
-from invgate.mining import fit_gmm2, mining_schedule, select_modality_hard
+from invgate.mining import fit_gmm2, select_modality_hard
 
 
 def tiny_cfg(seed=0, **kw):
@@ -79,10 +79,11 @@ class TestTrainingLoop:
             assert set(rec["d_joint"]) <= set(rec["d2"]) | set(rec["d3"])
 
     def test_mining_respects_schedule(self):
-        cfg = tiny_cfg(epochs=6, mining_warmup=3, mining_period=2)
+        # mining runs at every epoch from mining_warmup on
+        cfg = tiny_cfg(epochs=6, mining_warmup=3)
         result = Trainer(cfg).run()
         mined_epochs = [m["epoch"] for m in result.metrics if m["mining"] is not None]
-        assert mined_epochs == [e for e in range(6) if mining_schedule(e, 3, 2)]
+        assert mined_epochs == [3, 4, 5]
 
     def test_empty_joint_hard_leaves_gate_untouched(self):
         # mining runs at epoch 2 but finds no joint-hard row in this 24-row
@@ -156,7 +157,7 @@ class TestDatasetFit:
         with pytest.raises(ContractError, match="config num_views 2 != dataset num_views 3"):
             Trainer(tiny_cfg(use_view_attention=True), three_views)
         # view-mean aggregation takes any view count, invariance term included
-        cfg = tiny_cfg(epochs=3, enable_step1=False, invariance_on_all=True)
+        cfg = tiny_cfg(epochs=3, enable_step1=False)
         metrics = Trainer(cfg, three_views).run().metrics
         assert all(m["inv_batches"] > 0 for m in metrics)
 
@@ -170,10 +171,10 @@ class TestMiningFit:
             return fit_gmm2(losses)
 
         monkeypatch.setattr(harness, "fit_gmm2", counting_fit)
-        cfg = tiny_cfg(epochs=6, mining_warmup=2, mining_period=2)
+        cfg = tiny_cfg(epochs=6, mining_warmup=2)
         result = Trainer(cfg).run()
         n = sum(m["mining"] is not None for m in result.metrics)
-        assert n == sum(mining_schedule(e, 2, 2) for e in range(6)) > 0
+        assert n == cfg.epochs - cfg.mining_warmup    # epochs 2 to 5
         assert shapes == [(2, cfg.generator.num_classes * cfg.generator.shots)] * n
 
     @pytest.mark.parametrize("constant", [0, 1])
@@ -226,7 +227,7 @@ def _just_under_and_over(name, n):
 
 
 # every row an anchor from epoch 0
-_INV_ALL = {"enable_step1": False, "invariance_on_all": True}
+_INV_ALL = {"enable_step1": False}
 
 
 class TestOverflowBound:
@@ -251,7 +252,7 @@ class TestOverflowBound:
     def test_loaded_dataset_is_bounded_by_its_views(self):
         # the config's generator has 2 shots; the datasets have 16, then twice the views
         gen = GeneratorConfig(num_classes=4, shots=2, seed=0)
-        cfg = RunConfig(generator=gen, epochs=2, enable_step1=False, invariance_on_all=True,
+        cfg = RunConfig(generator=gen, epochs=2, enable_step1=False,
                         inv_theta=losses._LOG_MAX - np.log(32 * 4) - 0.01)
         metrics = Trainer(cfg, generate(dataclasses.replace(gen, shots=16))).run().metrics
         assert all(np.isfinite(m["loss_inv"]) for m in metrics)
@@ -298,7 +299,7 @@ def zero_cross_entropy(logits, labels):
 
 class TestRoutingAudit:
     def test_inv_backward_touches_only_gate(self):
-        cfg = tiny_cfg(enable_step1=False, enable_step2=True, invariance_on_all=True)
+        cfg = tiny_cfg(enable_step1=False, enable_step2=True)
         trainer = Trainer(cfg)
         idx = np.arange(8)
         per_view, agg2 = trainer.model.features_2d(trainer.train_views[idx])
@@ -311,16 +312,14 @@ class TestRoutingAudit:
                 assert p.grad is None, name
 
     def test_total_is_the_weighted_sum_of_parts(self):
-        cfg = tiny_cfg(enable_step1=False, enable_step2=True, invariance_on_all=True,
-                       align_alpha=3.0)
+        cfg = tiny_cfg(enable_step1=False, enable_step2=True, align_alpha=3.0)
         total, parts = Trainer(cfg).total_objective(np.arange(8), epoch=0, batch_i=0)
         assert None not in parts.values()
         assert total.item() == parts["ce"] + parts["inv"] + 3.0 * parts["align"]
 
     def test_invariance_step_encodes_2d_once(self, monkeypatch):
         # the invariance term reuses the batch's 2D features, 2.5D included
-        cfg = tiny_cfg(enable_step1=False, enable_step2=True, invariance_on_all=True,
-                       include_25d=True)
+        cfg = tiny_cfg(enable_step1=False, enable_step2=True, include_25d=True)
         trainer = Trainer(cfg)
         calls = []
         forward = ModalityEncoder.__call__
@@ -337,7 +336,7 @@ class TestRoutingAudit:
     def test_two_epoch_inv_only_run_freezes_encoders(self, monkeypatch):
         monkeypatch.setattr(harness, "cross_entropy", zero_cross_entropy)
         cfg = tiny_cfg(epochs=2, enable_step1=False, enable_step2=True,
-                       invariance_on_all=True, enable_align=False)
+                       enable_align=False)
         trainer = Trainer(cfg)
         before2d = param_bytes(trainer.model, "enc2d")
         before3d = param_bytes(trainer.model, "enc3d")
@@ -377,8 +376,7 @@ class TestRoutingAudit:
         # with step 2 off no term reaches the gate: alignment multiplies by a
         # detached mask, so a gate at 0.5 is the no-gate baseline. 2.5D needs
         # step 2, here anchored on every row, so its invariance batches reach the gate.
-        steps = (dict(enable_step1=False, invariance_on_all=True) if include_25d
-                 else dict(enable_step2=False))
+        steps = dict(enable_step1=False) if include_25d else dict(enable_step2=False)
         cfg = tiny_cfg(use_view_attention=True, include_25d=include_25d, **steps)
         trainer = Trainer(cfg)
         before = param_bytes(trainer.model, "gate.")
@@ -395,8 +393,8 @@ class TestRoutingAudit:
         # the 2.5D environment's fixed weights are no parameters
         assert not [n for n in names if "xattn." in n]
 
-    FLAGS = ("enable_step1", "enable_step2", "enable_align", "invariance_on_all",
-             "include_25d", "use_view_attention")
+    FLAGS = ("enable_step1", "enable_step2", "enable_align", "include_25d",
+             "use_view_attention")
 
     def test_flag_lattice_fails_at_construction_or_moves_every_parameter(self):
         # the gate is the one parameter allowed to stay put, and exactly when no
@@ -428,7 +426,7 @@ class TestRoutingAudit:
                 runs.add(("\n".join(metrics_log_lines(metrics)),
                           b"".join(after[n] for n in sorted(after))))
         assert not stuck and not unmined
-        assert counts == {"trained": 42, "rejected": 86}
+        assert counts == {"trained": 42, "rejected": 22}
         # no flag is ignored: every config that constructs trains a run of its own
         assert len(runs) == 42
 
@@ -567,7 +565,23 @@ class TestAblate:
         calls = []
         monkeypatch.setattr(harness.Trainer, "run", lambda self: calls.append(1))
         with pytest.raises(ContractError, match="^invariance_on_all must be "):
-            ablate(tiny_cfg(epochs=2), [{}, {"fusion_mode": "additive"}, {"enable_step1": False}])
+            ablate(tiny_cfg(epochs=2), [{}, {"fusion_mode": "additive"},
+                                        {"enable_step2": False, "invariance_on_all": True}])
+        assert not calls
+
+    @pytest.mark.parametrize("step1,step2", itertools.product((False, True), repeat=2))
+    def test_cell_names_invariance_on_all_only_where_it_holds(self, monkeypatch, step1, step2):
+        # a cell is read as a config file is: the retired key is accepted
+        # only at the value the cell's two steps give it
+        cfg = tiny_cfg(epochs=2)
+        steps = {"enable_step1": step1, "enable_step2": step2}
+        if step2 and not step1:
+            assert ablate(cfg, [{**steps, "invariance_on_all": True}]) == ablate(cfg, [steps])
+            return
+        calls = []
+        monkeypatch.setattr(harness.Trainer, "run", lambda self: calls.append(1))
+        with pytest.raises(ContractError, match="^invariance_on_all must be false, got true: "):
+            ablate(cfg, [{}, {**steps, "invariance_on_all": True}])
         assert not calls
 
     def test_table_shaped_grid(self):

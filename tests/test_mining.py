@@ -13,7 +13,6 @@ from invgate.mining import (
     MixtureStack,
     _topk_overlaps,
     fit_gmm2,
-    mining_schedule,
     posterior_small,
     select_joint_hard,
     select_modality_hard,
@@ -254,18 +253,6 @@ class TestSelectJointHard:
         b = select_joint_hard(shuffled, probs2, probs3, labels, rho=0.3, k=3)
         np.testing.assert_array_equal(a.d_joint, b.d_joint)
         assert a.r1 == b.r1 and a.r2 == b.r2
-
-
-class TestSchedule:
-    def test_warmup_blocks(self):
-        assert not mining_schedule(4, warmup=5, period=1)
-
-    def test_fires_at_warmup(self):
-        assert mining_schedule(5, warmup=5, period=1)
-
-    def test_period_three(self):
-        fired = [e for e in range(5, 12) if mining_schedule(e, warmup=5, period=3)]
-        assert fired == [5, 8, 11]
 
 
 # -- vectorised EM and selection against the per-component / per-row loops ----
