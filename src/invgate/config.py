@@ -130,6 +130,10 @@ class RunConfig:
                 raise ContractError(f"{name} {getattr(self, name)} overflows: {name} times "
                                     f"its term's worst case {term} is not finite")
 
+    @property
+    def anchors_every_row(self) -> bool:   # without step 1 no mining picks step 2's anchors
+        return self.enable_step2 and not self.enable_step1
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -164,7 +168,7 @@ RETIRED = {
     "head_scale": lambda cfg: HEAD_SCALE,
     "view_attention_hidden": lambda cfg: VIEW_ATTENTION_HIDDEN,
     "mining_period": lambda cfg: 1,
-    "invariance_on_all": lambda cfg: cfg.enable_step2 and not cfg.enable_step1,
+    "invariance_on_all": lambda cfg: cfg.anchors_every_row,
 }
 
 

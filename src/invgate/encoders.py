@@ -83,9 +83,8 @@ class MultiViewAggregator:
     the delta-blend of the two paths.
     """
 
-    def __init__(self, num_views: int, dim: int, hidden: int = VIEW_ATTENTION_HIDDEN, *,
-                 rng: np.random.Generator):
-        cat = num_views * dim
+    def __init__(self, num_views: int, dim: int, rng: np.random.Generator):
+        cat, hidden = num_views * dim, VIEW_ATTENTION_HIDDEN
         self.f1_w = T.parameter(rng.normal(0, 1 / np.sqrt(cat), (cat, hidden)), name="mva.f1.w")
         self.f1_b = T.parameter(np.zeros(hidden), name="mva.f1.b")
         self.f2_w = T.parameter(rng.normal(0, 1 / np.sqrt(hidden), (hidden, dim)), name="mva.f2.w")

@@ -187,9 +187,7 @@ class Trainer:
         cfg.check_exponents(self.dataset.config.num_views)
         self.model, self.optimizer = _build(cfg)
         self.train_x3, self.train_views, self.train_labels = self.dataset.arrays("train")
-        # without step 1 no mining picks step 2's anchors, so every row is one
-        every_row = cfg.enable_step2 and not cfg.enable_step1
-        self.d_joint = np.arange(len(self.train_labels) if every_row else 0)
+        self.d_joint = np.arange(len(self.train_labels) if cfg.anchors_every_row else 0)
         self.fusion = FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode)
         self.metrics: list[dict] = []
         self.last_eval: EvalRecord | None = None   # the latest epoch's test-split record

@@ -178,8 +178,8 @@ class TestClassHead:
 
 
 class TestMultiViewAggregator:
-    def make(self, n=3, d=4, hidden=6, seed=0):
-        return MultiViewAggregator(n, d, hidden, rng=np.random.default_rng(seed))
+    def make(self, n=3, d=4, seed=0):
+        return MultiViewAggregator(n, d, rng=np.random.default_rng(seed))
 
     def identity_proj(self, agg):
         agg.proj_w.data[:] = np.eye(agg.proj_w.shape[0])
@@ -204,7 +204,7 @@ class TestMultiViewAggregator:
 
     def test_orthogonal_views_uniform_weights(self):
         # affinity matrix by hand: T = [[1,0],[0,1]], row means .5 -> softmax [.5,.5]
-        agg = MultiViewAggregator(2, 2, 4, rng=np.random.default_rng(2))
+        agg = MultiViewAggregator(2, 2, rng=np.random.default_rng(2))
         self.identity_proj(agg)
         v1, v2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         per_view = T.constant(np.stack([v1, v2])[None])
