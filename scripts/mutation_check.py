@@ -84,8 +84,9 @@ MUTATIONS = (
      "            if p.grad is not None:\n"),
     ("RunConfig accepts view attention without alignment", "config.py",
      "        if self.use_view_attention and not self.enable_align:\n", "        if False:\n"),
-    ("RunConfig accepts view_attention_delta 0 and 1", "config.py",
-     "0.0 < self.view_attention_delta < 1.0", "0.0 <= self.view_attention_delta <= 1.0"),
+    ("RunConfig drops the align_alpha overflow bound", "config.py",
+     "        if self.enable_align:\n            worst[",
+     "        if False:\n            worst["),
     ("load_checkpoint skips the xattn equality check", "harness.py",
      '                if raw != np.ascontiguousarray(want, dtype="<f8").tobytes():\n',
      "                if False:\n"),

@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from invgate.config import RunConfig
+from invgate.container import atomic_open
 from invgate.data import GeneratorConfig, generate
 from invgate.harness import ablate, ablation_csv
 
@@ -50,7 +51,7 @@ def main() -> None:
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "results.csv")
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(ablation_csv(all_rows))
     print(f"wrote {path}")
 

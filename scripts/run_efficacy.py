@@ -21,6 +21,7 @@ import json
 import numpy as np
 
 from invgate.config import RunConfig
+from invgate.container import atomic_open
 from invgate.data import GeneratorConfig, bayes_oracle, generate
 from invgate.harness import Trainer
 
@@ -80,7 +81,7 @@ def main() -> None:
               f"conflict ratio halved in {halved}/{len(frac_rows)} seeds\n")
         rows += frac_rows
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_open(args.out) as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)
         print(f"wrote {args.out}")
 

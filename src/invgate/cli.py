@@ -47,7 +47,7 @@ def _apply_overrides(cfg: RunConfig, args) -> tuple[RunConfig, dict]:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    p.add_argument("--lambda", dest="irm_lambda", type=float, help="invariance penalty weight")
+    p.add_argument("--lambda", dest="irm_lambda", type=float, help="IRMv1 penalty weight")
     p.add_argument("--alpha", dest="align_alpha", type=float, help="alignment loss weight")
     p.add_argument("--phi", dest="fusion_phi", type=float, help="2D fusion temperature")
     p.add_argument("--rho", dest="mining_rho", type=float, help="mining target fraction")

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 from .container import canonical_json
 from .data import GeneratorConfig, check_fields
-from .encoders import HEAD_SCALE, VIEW_ATTENTION_HIDDEN
+from .encoders import HEAD_SCALE, VIEW_ATTENTION_DELTA, VIEW_ATTENTION_HIDDEN
 from .errors import ContractError
 from .fusion import MODE_ALIASES
-from .losses import IRM_VARIANTS, exp_sums_finite
+from .losses import ALIGN_TAU, INV_THETA, IRM_VARIANTS
+from .mining import MINING_TOPK
 
 
 @dataclass
@@ -25,16 +26,11 @@ class RunConfig:
 
     # model
     use_view_attention: bool = False
-    view_attention_delta: float = 0.5
 
     # losses
     irm_lambda: float = 5.0
     align_alpha: float = 1.0
-    align_tau: float = 2.0
     irm_variant: str = "v_rex"              # irmv1 | mm_rex | v_rex
-    inv_theta: float = 5.0                  # similarity multiplier inside the
-                                            # invariance risk, must be positive;
-                                            # irmv1 pins it at 1
     rex_lambda_min: float = 0.0
     rex_beta: float = 1.0
     include_25d: bool = False
@@ -48,7 +44,6 @@ class RunConfig:
     posterior_p2: float = 0.5
     posterior_p3: float = 0.5
     mining_warmup: int = 5                  # mining runs at every epoch from this one on
-    mining_topk: int = 5
 
     # optimizer
     base_lr: float = 0.01
@@ -84,47 +79,30 @@ class RunConfig:
         envs = 2 + self.include_25d
         if self.rex_lambda_min > 1.0 / envs:
             raise ContractError(f"rex_lambda_min must be <= 1/{envs} with {envs} environments")
-        for name in ("fusion_phi", "align_tau", "base_lr", "inv_theta"):
+        for name in ("fusion_phi", "base_lr"):
             if not getattr(self, name) > 0.0:
                 raise ContractError(f"{name} must be positive")
         for name in ("rex_beta", "irm_lambda", "weight_decay"):
             if not getattr(self, name) >= 0.0:
                 raise ContractError(f"{name} must be non-negative")
-        for name in ("mining_warmup", "mining_topk"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1")
+        if self.mining_warmup < 1:
+            raise ContractError("mining_warmup must be >= 1")
         for name in ("posterior_p2", "posterior_p3", "mining_rho"):
             if not (0.0 < getattr(self, name) <= 1.0):
                 raise ContractError(f"{name} must lie in (0, 1]")
         if not (0.0 <= self.momentum < 1.0):
             raise ContractError("momentum must lie in [0, 1)")
-        if not (0.0 < self.view_attention_delta < 1.0):
-            raise ContractError("view_attention_delta must lie in (0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be positive")
         if self.n_3d_augments < 1:
             raise ContractError("need at least one augmented 3D copy")
-        self.check_exponents(self.generator.num_views)
-
-    def check_exponents(self, num_views: int) -> None:
-        """Raise ContractError if an enabled term can reach inf: its exponentials
-        summed (alignment's over a batch, a REx risk's over a pool of `num_views`
-        views), or its weight times the term's worst case. Alignment is at most
-        log(batch_size) + 2 * align_tau, so align_alpha times that must be
-        finite; each IRMv1 penalty is at most 4 * irm_lambda, summed over
-        2 + include_25d environments."""
-        bounds, worst = {}, {}
+        # a weight times its term's worst case: alignment is at most
+        # log(batch_size) + 2 * ALIGN_TAU, each IRMv1 penalty at most 4 * irm_lambda
+        worst = {}
         if self.enable_align:
-            bounds["align_tau"] = self.batch_size
-            worst["align_alpha"] = math.log(self.batch_size) + 2 * self.align_tau
+            worst["align_alpha"] = math.log(self.batch_size) + 2 * ALIGN_TAU
         if self.enable_step2 and self.irm_variant == "irmv1":
-            worst["irm_lambda"] = 4 * (2 + self.include_25d)
-        elif self.enable_step2:
-            bounds["inv_theta"] = self.batch_size * max(num_views, 1 + self.n_3d_augments)
-        for name, rows in bounds.items():
-            if not exp_sums_finite(getattr(self, name), rows):
-                raise ContractError(f"{name} {getattr(self, name)} overflows: exp({name}) "
-                                    f"summed over {rows} rows is not finite")
+            worst["irm_lambda"] = 4 * envs
         for name, term in worst.items():
             if not math.isfinite(getattr(self, name) * term):
                 raise ContractError(f"{name} {getattr(self, name)} overflows: {name} times "
@@ -169,6 +147,10 @@ RETIRED = {
     "view_attention_hidden": lambda cfg: VIEW_ATTENTION_HIDDEN,
     "mining_period": lambda cfg: 1,
     "invariance_on_all": lambda cfg: cfg.anchors_every_row,
+    "inv_theta": lambda cfg: INV_THETA,
+    "align_tau": lambda cfg: ALIGN_TAU,
+    "mining_topk": lambda cfg: MINING_TOPK,
+    "view_attention_delta": lambda cfg: VIEW_ATTENTION_DELTA,
 }
 
 

@@ -13,8 +13,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-# the head prototypes' initial scale and the view attention's hidden width
-HEAD_SCALE, VIEW_ATTENTION_HIDDEN = 0.25, 32
+# the head prototypes' initial scale, the view attention's hidden width and
+# its blend weight on the view path (in (0, 1), so both paths train)
+HEAD_SCALE, VIEW_ATTENTION_HIDDEN, VIEW_ATTENTION_DELTA = 0.25, 32, 0.5
 
 
 class ModalityEncoder:
@@ -96,7 +97,7 @@ class MultiViewAggregator:
     def params(self) -> list[Tensor]:
         return [self.f1_w, self.f1_b, self.f2_w, self.f2_b, self.proj_w, self.proj_b]
 
-    def __call__(self, per_view: Tensor, delta: float) -> Tensor:
+    def __call__(self, per_view: Tensor, delta: float = VIEW_ATTENTION_DELTA) -> Tensor:
         """[B, N, d] per-view features -> [B, d] blended feature."""
         b, n, d = per_view.shape
 

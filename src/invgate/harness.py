@@ -32,6 +32,7 @@ from .encoders import ClassHead, CrossAttention, GateMask, ModalityEncoder, Mult
 from .errors import CheckpointError, ContractError, NumericError
 from .fusion import EvalRecord, FusionConfig, confusion_csv, fuse, predict
 from .losses import (
+    INV_THETA,
     ContrastiveBatch,
     contrastive_report,
     cross_entropy,
@@ -87,7 +88,7 @@ class Model:
         """[B, N, d_in] -> (per-view features [B, N, d], aggregated [B, d])."""
         per_view = self.enc2d(T.constant(views))
         if self.mva is not None:
-            agg = self.mva(per_view, self.cfg.view_attention_delta)
+            agg = self.mva(per_view)
         else:
             agg = T.mean_(per_view, axis=1)
         return per_view, agg
@@ -184,7 +185,6 @@ class Trainer:
         self.cfg = cfg
         self.dataset = dataset if dataset is not None else generate(cfg.generator)
         _check_fits(cfg, self.dataset, "config")
-        cfg.check_exponents(self.dataset.config.num_views)
         self.model, self.optimizer = _build(cfg)
         self.train_x3, self.train_views, self.train_labels = self.dataset.arrays("train")
         self.d_joint = np.arange(len(self.train_labels) if cfg.anchors_every_row else 0)
@@ -221,8 +221,7 @@ class Trainer:
         d2, d3 = hard
         candidates = np.union1d(d2, d3)
         self.d_joint, r1, r2 = (
-            select_joint_hard(candidates, probs2, probs3, self.train_labels,
-                              rho=cfg.mining_rho, k=cfg.mining_topk)
+            select_joint_hard(candidates, probs2, probs3, self.train_labels, rho=cfg.mining_rho)
             if candidates.size else (np.empty(0, dtype=int), float("nan"), 0))
         return {"d2": d2.tolist(), "d3": d3.tolist(), "d_joint": self.d_joint.tolist(),
                 "r1": float(r1), "r2": int(r2), "p2": float(cfg.posterior_p2),
@@ -277,7 +276,7 @@ class Trainer:
                 if contrastive_report(batch).n_pairs > 0}
         if len(envs) < 2:
             return None
-        return modality_irm_loss(envs, cfg.irm_variant, cfg.irm_lambda, cfg.inv_theta,
+        return modality_irm_loss(envs, cfg.irm_variant, cfg.irm_lambda, INV_THETA,
                                  cfg.rex_lambda_min, cfg.rex_beta)
 
     def total_objective(self, idx: np.ndarray, epoch: int, batch_i: int):
@@ -302,7 +301,7 @@ class Trainer:
         if cfg.enable_align and idx.size >= 2:
             z2 = self.model.gate.apply(agg2, learn=False)
             z3 = self.model.gate.apply(feats3, learn=False)
-            align = nt_xent_align(z2, z3, tau=cfg.align_tau)
+            align = nt_xent_align(z2, z3)
             total = T.add(total, T.mul(align, T.constant(cfg.align_alpha)))
             parts["align"] = align.item()
         return total, parts

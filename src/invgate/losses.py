@@ -32,6 +32,9 @@ from .errors import ContractError, DegenerateBatchError
 from .tensor import Tensor
 
 IRM_VARIANTS = ("irmv1", "mm_rex", "v_rex")
+# the similarity multipliers of the run's invariance risks (the REx variants';
+# IRMv1 takes its risks at 1) and of its alignment term
+INV_THETA, ALIGN_TAU = 5.0, 2.0
 # exp(theta * sim) and a sum of n of them stay finite while |theta| + log(n) is below
 _LOG_MAX = float(np.log(np.finfo(float).max)) - 1e-6
 
@@ -289,7 +292,7 @@ def modality_irm_loss(envs: Mapping[str, ContrastiveBatch], variant: str, lam: f
     return v_rex(risks, beta)
 
 
-def nt_xent_align(z2: Tensor, z3: Tensor, tau: float) -> Tensor:
+def nt_xent_align(z2: Tensor, z3: Tensor, tau: float = ALIGN_TAU) -> Tensor:
     """Cross-modality NT-Xent over gated features of the same samples.
 
     The i-th 2D/3D pair is the positive; each anchor is contrasted against

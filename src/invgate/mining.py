@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import ContractError, MixtureDegeneracyError
 
+# the classes each branch ranks on top when the joint criterion compares them
+MINING_TOPK = 5
+
 
 @dataclass
 class MixtureFit:
@@ -195,7 +198,7 @@ def select_joint_hard(
     probs3: np.ndarray,
     labels: np.ndarray,
     rho: float,
-    k: int,
+    k: int = MINING_TOPK,
 ) -> JointSelection:
     """Joint hard samples among candidates, with quantile-derived thresholds.
 

@@ -125,6 +125,9 @@ RETIRED_KEYS = {"encoder_hidden": [], "encoder_init": "identity", "output_dim": 
 RUN_KEYS = {"head_scale": 0.25, "view_attention_hidden": 32, "mining_period": 1,
             "invariance_on_all": True}
 
+# and so does that of files written while the four shape constants were fields
+SHAPE_KEYS = {"inv_theta": 5.0, "align_tau": 2.0, "mining_topk": 5, "view_attention_delta": 0.5}
+
 
 def _check_file_listing_keys_loads(result, keys, tmp_path):
     old, new, fresh = tmp_path / "old.igck", tmp_path / "new.igck", tmp_path / "fresh.igck"
@@ -153,6 +156,14 @@ def test_file_listing_the_retired_keys_loads(short_run, tmp_path):
 def test_step2_only_25d_file_listing_the_retired_run_keys_loads(run_25d, tmp_path):
     assert not run_25d.cfg.enable_step1 and run_25d.cfg.include_25d
     _check_file_listing_keys_loads(run_25d, RUN_KEYS, tmp_path)
+
+
+def test_file_listing_the_retired_shape_keys_loads(short_run, run_25d, tmp_path):
+    # a file the last version wrote, and a step-2-only 2.5D one from before both retirements
+    for name, result, keys in (("tiny", short_run[1], SHAPE_KEYS),
+                               ("25d", run_25d, {**RUN_KEYS, **SHAPE_KEYS})):
+        (tmp_path / name).mkdir()
+        _check_file_listing_keys_loads(result, keys, tmp_path / name)
 
 
 def test_file_listing_the_derived_xattn_arrays_loads(run_25d, tmp_path):

@@ -408,6 +408,8 @@ RETIRED_OTHER = {"encoder_hidden": ([7], "[]"), "encoder_init": ("random", '"ide
                  "output_dim": (12, "10"), "head2d_mode": ("affine", '"cosine"'),
                  "head3d_mode": ("affine", '"cosine"'), "head_scale": (0.5, "0.25"),
                  "view_attention_hidden": (64, "32"), "mining_period": (2, "1"),
+                 "inv_theta": (1.0, "5.0"), "align_tau": (0.5, "2.0"), "mining_topk": (3, "5"),
+                 "view_attention_delta": (0.25, "0.5"),
                  "invariance_on_all": (True, "false"),
                  "invariance_on_all-step2_only": (False, "true", {"enable_step1": False})}
 
