@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from .config import RunConfig, load_config, read_json_file
+from .config import RunConfig, load_config, read_json_file, upgrade_config
 from .data import GeneratorConfig, generate, load_dataset, save_dataset, write_manifest
 from .container import atomic_open
 from .errors import CheckpointError, ContractError, NumericError
@@ -25,7 +25,7 @@ def _load_generator_config(path: str) -> GeneratorConfig:
     generator_keys = {f.name for f in dataclasses.fields(GeneratorConfig)}
     if isinstance(data, dict) and set(data) <= generator_keys:
         return GeneratorConfig(**data)
-    return RunConfig.from_dict(data).generator
+    return RunConfig.from_dict(upgrade_config(data)).generator
 
 
 def _apply_overrides(cfg: RunConfig, args) -> tuple[RunConfig, dict]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .container import canonical_json
-from .data import GeneratorConfig, check_fields
+from .data import GeneratorConfig, check_fields, check_type
 from .encoders import HEAD_SCALE, VIEW_ATTENTION_DELTA, VIEW_ATTENTION_HIDDEN
 from .errors import ContractError
 from .fusion import MODE_ALIASES
@@ -117,19 +117,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """The config a file names; every file an earlier version wrote loads."""
-        kwargs = {k: v for k, v in _known_keys(data, cls, "config", RETIRED).items()
-                  if k not in RETIRED}
+        """The config a current-layout dict names (see `upgrade_config`)."""
+        kwargs = dict(_known_keys(data, cls, "config"))
         if "generator" in kwargs:
             kwargs["generator"] = GeneratorConfig(
                 **_known_keys(kwargs["generator"], GeneratorConfig, "generator"))
-        cfg = cls(**kwargs)
-        for name, derive in RETIRED.items():
-            if name in data and canonical_json(data[name]) != (want := canonical_json(derive(cfg))):
-                raise ContractError(f"{name} must be {want}, got "
-                                    f"{canonical_json(data[name])}: a retired field, fixed "
-                                    "at the value the rest of the config gives")
-        return cfg
+        return cls(**kwargs)
 
     def replace(self, **overrides) -> "RunConfig":
         return dataclasses.replace(self, **_known_keys(overrides, RunConfig, "config"))
@@ -154,12 +147,30 @@ RETIRED = {
 }
 
 
-def _known_keys(data, cls, what: str, retired=()) -> dict:
-    """`data`, which must be a dict naming only fields of dataclass `cls` and
-    `retired` keys."""
+def upgrade_config(data):
+    """`data` in the current layout: each retired key it names must hold the
+    value the rest of the config gives, read through that value's type (so
+    an integer spelling of a float is that float), and is then dropped."""
+    if not isinstance(data, dict) or RETIRED.keys().isdisjoint(data):
+        return data
+    current = {k: v for k, v in data.items() if k not in RETIRED}
+    cfg = RunConfig.from_dict(current)
+    for name, derive in RETIRED.items():
+        if name in data:
+            want = derive(cfg)
+            check_type(name, type(want).__name__, data[name])
+            if data[name] != want:
+                raise ContractError(f"{name} must be {canonical_json(want)}, got "
+                                    f"{canonical_json(data[name])}: a retired field, fixed "
+                                    "at the value the rest of the config gives")
+    return current
+
+
+def _known_keys(data, cls, what: str) -> dict:
+    """`data`, which must be a dict naming only fields of dataclass `cls`."""
     if not isinstance(data, dict):
         raise ContractError(f"{what} must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)} - set(retired)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ContractError(f"unknown {what} keys: {sorted(unknown)}")
     return data
@@ -175,5 +186,5 @@ def read_json_file(path: str, what: str = "config"):
 
 
 def load_config(path: str) -> RunConfig:
-    return RunConfig.from_dict(read_json_file(path))
+    return RunConfig.from_dict(upgrade_config(read_json_file(path)))
 

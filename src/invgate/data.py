@@ -46,14 +46,20 @@ _FIELD_KINDS = {
 }
 
 
+def check_type(name: str, annotation: str, value) -> None:
+    """Reject `value` for a field annotated `annotation`: one of another type,
+    or a NaN or infinite float."""
+    what, ok = _FIELD_KINDS.get(annotation, (None, None))
+    if ok is not None and not ok(value):
+        raise ContractError(f"{name} must be {what}, got {value!r}")
+
+
 def check_fields(config) -> None:
     """Reject a config dataclass with a field of the wrong type, a NaN or
     infinite float, or a negative seed. A nested config checks its own."""
     for f in fields(config):
         value = getattr(config, f.name)
-        what, ok = _FIELD_KINDS.get(f.type, (None, None))
-        if ok is not None and not ok(value):
-            raise ContractError(f"{f.name} must be {what}, got {value!r}")
+        check_type(f.name, f.type, value)
         if f.name == "seed" and value < 0:
             raise ContractError(f"seed must be >= 0, got {value}")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import container
 from . import tensor as T
-from .config import RunConfig
+from .config import RunConfig, upgrade_config
 from .container import canonical_json
 from .data import Dataset, augment_3d, generate
 from .encoders import ClassHead, CrossAttention, GateMask, ModalityEncoder, MultiViewAggregator
@@ -421,69 +422,83 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
                     (np.ascontiguousarray(arrays[n], dtype="<f8") for n in names))
 
 
+def _upgrade_checkpoint(path: str, version: int, header: dict, arrays: list):
+    """A file's header and (name, shape, bytes) arrays in the current layout:
+    its config through `upgrade_config`; a version 1 `optimizer` block, and
+    the `xattn.wv` and `xattn.wv2` arrays 2.5D files listed while they were
+    parameters, checked against the ones the config gives, then dropped."""
+    header = {**header, "config": upgrade_config(header["config"])}
+    cfg = RunConfig.from_dict(header["config"])
+    if version == 1:
+        block = canonical_json(header.pop("optimizer", None))
+        derived = canonical_json({"base_lr": cfg.base_lr, "weight_decay": cfg.weight_decay,
+                                  "momentum": cfg.momentum, "epoch": header["epoch"],
+                                  "total_epochs": cfg.epochs, "lr_min": 0.0})
+        if block != derived:
+            raise CheckpointError(f"{path}: optimizer block {block} is not {derived}, "
+                                  "the one its config and epoch give")
+    derived_arrays = {}
+    if cfg.include_25d:
+        xattn = CrossAttention(cfg.generator.dim, rng=_component_rng(cfg.seed, "xattn"))
+        derived_arrays = {"xattn.wv": xattn.wv, "xattn.wv2": xattn.wv2}
+    kept = []
+    for name, shape, raw in arrays:
+        want = derived_arrays.pop(name, None)     # a second listing stays, and is rejected
+        if want is None:
+            kept.append((name, shape, raw))
+        elif shape != want.shape or raw != np.ascontiguousarray(want, "<f8").tobytes():
+            raise CheckpointError(f"{path}: array '{name}' is not the one its config derives")
+    return header, kept
+
+
 def load_checkpoint(path: str) -> TrainResult:
-    """The TrainResult that `save_checkpoint` took, with no metrics; one array
-    per read. A damaged file, a malformed header field, a header key it does
-    not read, a header version other than the preamble's, an epoch outside
-    [0, epochs), a v1 optimizer block other than the one its config and
-    epoch give, an array the model has no place for or that the header lists
-    twice, a missing parameter, a non-finite array and an `xattn.*` array
-    other than the one the config derives raise CheckpointError."""
+    """The TrainResult that `save_checkpoint` took, with no metrics; one read
+    per array, then `_upgrade_checkpoint`. A damaged file, a malformed
+    header field, a header key it does not read, a header version other
+    than the preamble's, an epoch outside [0, epochs), an array the model
+    has no place for or that the header lists twice, a missing parameter and
+    a non-finite array raise CheckpointError."""
     with container.read(path, CHECKPOINT_MAGIC, (1, CHECKPOINT_VERSION),
                         CHECKPOINT_FORMAT) as (version, header, take):
         with container.malformed(path):
-            cfg = RunConfig.from_dict(header["config"])
             entries = [(str(e["name"]), tuple(e["shape"])) for e in header["arrays"]]
-            epoch = header["epoch"]
-        unknown = sorted(set(header) - {"format", "version", "config", "epoch", "arrays"}
-                         - ({"optimizer"} if version == 1 else set()))
-        if unknown:
-            raise CheckpointError(f"{path}: unexpected header key {unknown[0]!r}")
-        said = canonical_json(header.get("version"))
-        if said != str(version):
-            raise CheckpointError(f"{path}: header version {said} is not the file's "
-                                  f"version {version}")
-        if type(epoch) is not int or not 0 <= epoch < cfg.epochs:
-            raise CheckpointError(f"{path}: header epoch {epoch!r} is not an int "
-                                  f"in [0, epochs {cfg.epochs})")
-        if version == 1:    # its optimizer block repeats four config values and the epoch
-            block = canonical_json(header.get("optimizer"))
-            derived = canonical_json({"base_lr": cfg.base_lr, "weight_decay": cfg.weight_decay,
-                                      "momentum": cfg.momentum, "epoch": epoch,
-                                      "total_epochs": cfg.epochs, "lr_min": 0.0})
-            if block != derived:
-                raise CheckpointError(f"{path}: optimizer block {block} is not {derived}, "
-                                      "the one its config and epoch give")
-        model, opt = _build(cfg)
-        opt.epoch = epoch
-        params = model.named_params()
-        # files written while the 2.5D weights were parameters list them too
-        fixed = {"xattn.wv": model.xattn.wv, "xattn.wv2": model.xattn.wv2} if model.xattn else {}
-        seen: set[str] = set()
-        for name, shape in entries:
-            param = params.get(name.removeprefix(_VELOCITY))
-            want = fixed.get(name) if param is None else param.data
-            if want is None:
-                raise CheckpointError(f"{path}: unexpected array '{name}'")
-            if name in seen:
-                raise CheckpointError(f"{path}: array '{name}' listed twice")
-            seen.add(name)
-            if shape != want.shape:
-                raise CheckpointError(f"{path}: shape mismatch for '{name}': "
-                                      f"file {shape} vs model {want.shape}")
-            raw = take(8 * want.size, f"array '{name}'")
-            if param is None:
-                if raw != np.ascontiguousarray(want, dtype="<f8").tobytes():
-                    raise CheckpointError(f"{path}: array '{name}' is not the one "
-                                          "its config derives")
-                continue
-            arr = np.frombuffer(raw, dtype="<f8").reshape(param.data.shape).copy()
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"{path}: non-finite values in array '{name}'")
-            if name.startswith(_VELOCITY):
-                opt.velocity[param.name] = arr
-            else:
-                param.data = arr
+            arrays = [(name, shape, take(8 * math.prod(shape), f"array '{name}'"))
+                      for name, shape in entries]
+    with container.malformed(path):
+        header, arrays = _upgrade_checkpoint(path, version, header, arrays)
+        cfg = RunConfig.from_dict(header["config"])
+        epoch = header["epoch"]
+    unknown = sorted(set(header) - {"format", "version", "config", "epoch", "arrays"})
+    if unknown:
+        raise CheckpointError(f"{path}: unexpected header key {unknown[0]!r}")
+    said = canonical_json(header.get("version"))
+    if said != str(version):
+        raise CheckpointError(f"{path}: header version {said} is not the file's "
+                              f"version {version}")
+    if type(epoch) is not int or not 0 <= epoch < cfg.epochs:
+        raise CheckpointError(f"{path}: header epoch {epoch!r} is not an int "
+                              f"in [0, epochs {cfg.epochs})")
+    model, opt = _build(cfg)
+    opt.epoch = epoch
+    params = model.named_params()
+    seen: set[str] = set()
+    for name, shape, raw in arrays:
+        param = params.get(name.removeprefix(_VELOCITY))
+        if param is None:
+            raise CheckpointError(f"{path}: unexpected array '{name}'")
+        if name in seen:
+            raise CheckpointError(f"{path}: array '{name}' listed twice")
+        seen.add(name)
+        if shape != param.data.shape:
+            raise CheckpointError(f"{path}: shape mismatch for '{name}': "
+                                  f"file {shape} vs model {param.data.shape}")
+        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: non-finite values in array '{name}'")
+        if name.startswith(_VELOCITY):
+            opt.velocity[param.name] = arr
+        else:
+            param.data = arr
     missing = sorted(set(params) - seen)
     if missing:
         raise CheckpointError(f"{path}: missing parameter array '{missing[0]}'")
@@ -517,7 +532,8 @@ def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = Non
     if any("generator" in cell for cell in cells):
         raise ContractError("an ablation cell cannot override 'generator': every cell "
                             "shares one dataset")
-    cfgs = [RunConfig.from_dict({**base_cfg.to_dict(), **cell}) for cell in cells]
+    cfgs = [RunConfig.from_dict(upgrade_config({**base_cfg.to_dict(), **cell}))
+            for cell in cells]
     dataset = dataset if dataset is not None else generate(base_cfg.generator)
     cache: dict[str, TrainResult] = {}
     rows = []

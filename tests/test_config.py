@@ -6,17 +6,22 @@ from pathlib import Path
 
 import pytest
 
-from invgate.config import RETIRED, RunConfig, load_config
+from invgate.config import RETIRED, RunConfig, load_config, upgrade_config
 from invgate.data import GeneratorConfig
 from invgate.errors import ContractError
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
+def read(data) -> RunConfig:
+    """The config `data` gives, read as a config file is: upgraded, then built."""
+    return RunConfig.from_dict(upgrade_config(data))
+
+
 def test_defaults_are_consistent():
     # the retired output_dim's one value is the default generator's dim
     cfg = RunConfig()
-    assert RunConfig.from_dict({"output_dim": cfg.generator.dim}) == cfg
+    assert read({"output_dim": cfg.generator.dim}) == cfg
 
 
 def test_dict_roundtrip():
@@ -53,10 +58,10 @@ def test_step2_requires_step1_or_override():
     for step1, step2 in itertools.product((False, True), repeat=2):
         acts = step2 and not step1
         steps = {"enable_step1": step1, "enable_step2": step2}
-        assert RunConfig.from_dict({**steps, "invariance_on_all": acts}) == RunConfig(**steps)
+        assert read({**steps, "invariance_on_all": acts}) == RunConfig(**steps)
         with pytest.raises(ContractError, match=rf"^invariance_on_all must be "
                                                 rf"{json.dumps(acts)}, got "):
-            RunConfig.from_dict({**steps, "invariance_on_all": not acts})
+            read({**steps, "invariance_on_all": not acts})
         # the 2.5D environment exists only in step 2's invariance term
         if step2:
             RunConfig(enable_step1=step1, include_25d=True)
@@ -79,11 +84,11 @@ def test_identity_init_needs_matching_dims():
     # the one encoder is a square identity-initialised map, so a file's
     # output_dim must be its generator's dim and its encoder_hidden empty
     with pytest.raises(ContractError, match=r"^output_dim must be 20, got 12: "):
-        RunConfig.from_dict({"output_dim": 12})
+        read({"output_dim": 12})
     with pytest.raises(ContractError, match=r"^encoder_hidden must be \[\], got \[32\]: "):
-        RunConfig.from_dict({"encoder_hidden": [32]})
-    cfg = RunConfig.from_dict({"output_dim": 12, "encoder_hidden": [],
-                               "generator": {"invariant_dim": 4, "confound_dim": 8}})
+        read({"encoder_hidden": [32]})
+    cfg = read({"output_dim": 12, "encoder_hidden": [],
+                "generator": {"invariant_dim": 4, "confound_dim": 8}})
     assert cfg.generator.dim == 12
 
 
@@ -93,25 +98,47 @@ RETIRED_OTHER = {"encoder_hidden": [7], "encoder_init": "random", "output_dim": 
                  "head2d_mode": "affine", "head3d_mode": "affine", "head_scale": 0.5,
                  "view_attention_hidden": 64, "mining_period": 2, "inv_theta": 1.0,
                  "align_tau": 0.5, "mining_topk": 3, "view_attention_delta": 0.25}
+# further values once rejected by the retired fields' own range rules, each
+# now another value than the key's one
+RETIRED_WRONG = [("align_tau", 0.0), ("inv_theta", -5.0), ("inv_theta", 0.0),
+                 ("mining_period", 0), ("mining_topk", 0), ("head_scale", -1.0),
+                 ("encoder_init", "xavier"), ("output_dim", 0), ("encoder_hidden", 5),
+                 ("encoder_hidden", (-2,)), ("encoder_hidden", (0,)), ("encoder_hidden", [4.0]),
+                 ("head2d_mode", "linear"), ("head3d_mode", "linear"),
+                 ("view_attention_hidden", -1), ("view_attention_delta", 0.0),
+                 ("view_attention_delta", 1.0), ("view_attention_delta", 2.0)]
 
 
-@pytest.mark.parametrize("name", sorted(RETIRED))
-def test_retired_key_loads_only_at_its_one_value(name):
+def _as_is(value):
+    return value
+
+
+@pytest.mark.parametrize("name,other,spell", [
+    *(pytest.param(name, RETIRED_OTHER.get(name), _as_is, id=name) for name in sorted(RETIRED)),
+    *(pytest.param(name, other, _as_is, id=f"{name}={other}") for name, other in RETIRED_WRONG),
+    # a float key's one value spelled as an integer, as a live float field takes one
+    pytest.param("align_tau", RETIRED_OTHER["align_tau"], int, id="align_tau=2"),
+    pytest.param("inv_theta", RETIRED_OTHER["inv_theta"], int, id="inv_theta=5"),
+])
+def test_retired_key_loads_only_at_its_one_value(name, other, spell):
     gen = GeneratorConfig(invariant_dim=5, confound_dim=3)
     for step1, step2 in itertools.product((False, True), repeat=2):
         steps = {"enable_step1": step1, "enable_step2": step2}
         want = RunConfig(generator=gen, **steps)
         one = RETIRED[name](want)
-        other = RETIRED_OTHER.get(name, not one)
+        wrong = not one if other is None else other
         data = {"generator": dataclasses.asdict(gen), **steps}
-        cfg = RunConfig.from_dict({**data, name: one})
+        cfg = read({**data, name: spell(one)})
         assert cfg == want and name not in cfg.to_dict()
         with pytest.raises(ContractError) as err:
-            RunConfig.from_dict({**data, name: other})
-        assert str(err.value) == (f"{name} must be {json.dumps(one)}, got {json.dumps(other)}: "
+            read({**data, name: wrong})
+        assert str(err.value) == (f"{name} must be {json.dumps(one)}, got {json.dumps(wrong)}: "
                                   "a retired field, fixed at the value the rest of the config "
                                   "gives")
-    # only a file may name it: keyword construction and replace never do
+    # only an earlier file may name it: RunConfig.from_dict, keyword
+    # construction and replace never do
+    with pytest.raises(ContractError, match=rf"^unknown config keys: \['{name}'\]"):
+        RunConfig.from_dict({name: one})
     with pytest.raises(TypeError):
         RunConfig(**{name: one})
     with pytest.raises(ContractError, match=rf"^unknown config keys: \['{name}'\]"):
@@ -129,8 +156,8 @@ def test_earlier_default_config_loads_to_the_same_config():
              "invariance_on_all": False}
     earlier = {**older, "encoder_hidden": [], "encoder_init": "identity", "output_dim": 20,
                "head2d_mode": "cosine", "head3d_mode": "cosine"}
-    assert (RunConfig.from_dict(parent) == RunConfig.from_dict(older)
-            == RunConfig.from_dict(earlier) == load_config(str(DEFAULT_CONFIG)) == RunConfig())
+    assert (read(parent) == read(older) == read(earlier) == load_config(str(DEFAULT_CONFIG))
+            == RunConfig())
     assert sorted(earlier) == sorted([*RunConfig().to_dict(), *RETIRED])
 
 
@@ -169,43 +196,22 @@ def test_replace_rejects_unknown_keys():
     {"irm_variant": "mm_rex", "rex_lambda_min": 0.9},
     {"include_25d": True, "rex_lambda_min": 0.4},
     {"fusion_phi": 0.0},
-    {"align_tau": 0.0},
-    {"inv_theta": -5.0},
-    {"inv_theta": 0.0},
     {"rex_beta": -0.5},
     {"irm_lambda": -1.0},
     {"mining_warmup": 0},
-    {"mining_period": 0},
-    {"mining_topk": 0},
     {"posterior_p2": 0.0},
     {"posterior_p3": 1.5},
     {"base_lr": 0.0},
     {"base_lr": float("nan")},
-    {"head_scale": -1.0},
     {"weight_decay": -1.0},
-    {"encoder_init": "random", "output_dim": 0},
-    {"encoder_init": "xavier"},
-    {"head2d_mode": "linear"},
-    {"head3d_mode": "linear"},
     {"momentum": 1.0},
-    {"view_attention_delta": 2.0},
-    # the retired view_attention_delta loads only at 0.5, inside (0, 1)
-    {"view_attention_delta": 0.0},
-    {"view_attention_delta": 1.0},
     {"fusion_mode": "product"},
     {"align_alpha": float("nan")},
-    {"enable_step1": False, "invariance_on_all": True, "inv_theta": float("nan")},
     {"irm_variant": "mm_rex", "rex_lambda_min": float("nan")},
-    {"align_tau": float("inf")},
     {"generator": {"sigma_invariant": float("nan")}},
     {"generator": {"sigma_invariant": -0.3}},
     {"generator": {"sigma_confound": -0.05}},
-    {"use_view_attention": True, "view_attention_hidden": -1},
-    {"encoder_init": "random", "encoder_hidden": (-2,)},
-    {"encoder_init": "random", "encoder_hidden": (0,)},
     {"epochs": True},
-    {"encoder_hidden": 5},
-    {"encoder_init": "random", "encoder_hidden": [4.0]},
     {"seed": -1},
     {"generator": {"seed": -1}},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
@@ -222,6 +228,9 @@ _RETIRED_WRONG_TYPE = {"encoder_hidden": ["a"], "encoder_init": 5, "output_dim":
                        "view_attention_hidden": 2.5, "mining_period": 2.5,
                        "invariance_on_all": "no", "inv_theta": "5.0", "align_tau": "2.0",
                        "mining_topk": 2.5, "view_attention_delta": "0.5"}
+# values a live field of the retired key's type rejects, though one equals its one value
+_RETIRED_WRONG_SPELLING = [("invariance_on_all", 0), ("output_dim", 20.0),
+                           ("align_tau", float("inf")), ("inv_theta", float("nan"))]
 
 
 @pytest.mark.parametrize("cls,name,value", [
@@ -230,11 +239,13 @@ _RETIRED_WRONG_TYPE = {"encoder_hidden": ["a"], "encoder_init": 5, "output_dim":
       for f in dataclasses.fields(cls) if f.type in _WRONG_TYPE),
     *(pytest.param(RunConfig, name, value, id=f"RunConfig-{name}")
       for name, value in _RETIRED_WRONG_TYPE.items()),
+    *(pytest.param(RunConfig, name, value, id=f"RunConfig-{name}={value}")
+      for name, value in _RETIRED_WRONG_SPELLING),
 ])
 def test_wrongly_typed_field_rejected(cls, name, value):
     with pytest.raises(ContractError, match=f"^{name} must be "):
         if name in RETIRED:
-            RunConfig.from_dict({name: value})
+            read({name: value})
         else:
             cls(**{name: value})
 
