@@ -85,8 +85,13 @@ MUTATIONS = (
     ("RunConfig accepts view attention without alignment", "config.py",
      "        if self.use_view_attention and not self.enable_align:\n", "        if False:\n"),
     ("RunConfig drops the align_alpha overflow bound", "config.py",
-     "        if self.enable_align:\n            worst[",
-     "        if False:\n            worst["),
+     'worst = {"align_alpha": math.log(self.batch_size) + 2 * ALIGN_TAU,\n'
+     '                 "irm_lambda"',
+     'worst = {"irm_lambda"'),
+    ("RunConfig skips the read-condition check", "config.py",
+     "            if value != default and any(", "            if False and any("),
+    ("RunConfig accepts alignment on batches of one row", "config.py",
+     "        if self.enable_align and self.batch_size < 2:\n", "        if False:\n"),
     ("_upgrade_checkpoint skips the xattn equality check", "harness.py",
      '        elif shape != want.shape or raw != np.ascontiguousarray(want, "<f8").tobytes():\n',
      "        elif False:\n"),
@@ -105,10 +110,12 @@ MUTATIONS = (
      "cfgs = (RunConfig.from_dict(upgrade_config({**base_cfg.to_dict(), **cell}))\n"
      "            for cell in cells)"),
     ("upgrade_config accepts a retired key at any value of its type", "config.py",
-     "            if data[name] != want:\n", "            if False:\n"),
+     "            if value != want:\n", "            if False:\n"),
     ("upgrade_config compares a retired value by canonical JSON, so 2 is not 2.0", "config.py",
-     "            if data[name] != want:\n",
-     "            if canonical_json(data[name]) != canonical_json(want):\n"),
+     "            if value != want:\n",
+     "            if canonical_json(value) != canonical_json(want):\n"),
+    ("upgrade_config reads a retired value as given, so a tuple is not a list", "config.py",
+     "json.loads(canonical_json(data[name]))", "data[name]"),
     ("RunConfig accepts step 1 in a run that ends before mining_warmup", "config.py",
      "        if self.enable_step1 and self.mining_warmup >= self.epochs:\n",
      "        if False:\n"),

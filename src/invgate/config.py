@@ -73,6 +73,9 @@ class RunConfig:
         if self.use_view_attention and not self.enable_align:
             raise ContractError("use_view_attention needs enable_align: no other term "
                                 "trains the view attention")
+        if self.enable_align and self.batch_size < 2:
+            raise ContractError("enable_align needs batch_size >= 2: alignment runs only "
+                                "on batches of 2 or more rows")
         if self.irm_variant not in IRM_VARIANTS:
             raise ContractError(f"unknown irm_variant {self.irm_variant!r}; "
                                 f"expected one of {IRM_VARIANTS}")
@@ -96,13 +99,17 @@ class RunConfig:
             raise ContractError("epochs and batch_size must be positive")
         if self.n_3d_augments < 1:
             raise ContractError("need at least one augmented 3D copy")
-        # a weight times its term's worst case: alignment is at most
-        # log(batch_size) + 2 * ALIGN_TAU, each IRMv1 penalty at most 4 * irm_lambda
-        worst = {}
-        if self.enable_align:
-            worst["align_alpha"] = math.log(self.batch_size) + 2 * ALIGN_TAU
-        if self.enable_step2 and self.irm_variant == "irmv1":
-            worst["irm_lambda"] = 4 * envs
+        for name, needs in READ_WHEN.items():
+            value, default = getattr(self, name), _DEFAULTS[name]
+            if value != default and any(getattr(self, k) != v for k, v in needs.items()):
+                when = " and ".join(k if v is True else f"{k} {v!r}" for k, v in needs.items())
+                raise ContractError(f"{name} {value!r} is read only with {when}: leave it at "
+                                    f"its default {default!r}")
+        # a weight times its term's worst case (an unread weight is its finite
+        # default): alignment is at most log(batch_size) + 2 * ALIGN_TAU, each
+        # IRMv1 penalty at most 4 * irm_lambda
+        worst = {"align_alpha": math.log(self.batch_size) + 2 * ALIGN_TAU,
+                 "irm_lambda": 4 * envs}
         for name, term in worst.items():
             if not math.isfinite(getattr(self, name) * term):
                 raise ContractError(f"{name} {getattr(self, name)} overflows: {name} times "
@@ -127,6 +134,20 @@ class RunConfig:
     def replace(self, **overrides) -> "RunConfig":
         return dataclasses.replace(self, **_known_keys(overrides, RunConfig, "config"))
 
+
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+# each loss and mining weight with the settings under which some term reads
+# it: elsewhere it must keep its default, so no two configs that construct
+# train one run
+READ_WHEN = {
+    "irm_lambda": {"enable_step2": True, "irm_variant": "irmv1"},
+    "rex_beta": {"enable_step2": True, "irm_variant": "v_rex"},
+    "rex_lambda_min": {"enable_step2": True, "irm_variant": "mm_rex"},
+    "align_alpha": {"enable_align": True},
+    "n_3d_augments": {"enable_step2": True},
+    **dict.fromkeys(("mining_rho", "posterior_p2", "posterior_p3"), {"enable_step1": True}),
+}
 
 # retired fields, each with the value the rest of a config gives it: a file
 # may name one only at that value
@@ -157,11 +178,12 @@ def upgrade_config(data):
     cfg = RunConfig.from_dict(current)
     for name, derive in RETIRED.items():
         if name in data:
-            want = derive(cfg)
-            check_type(name, type(want).__name__, data[name])
-            if data[name] != want:
+            # as a file holds the value: a grid cell's tuple is a list
+            want, value = derive(cfg), json.loads(canonical_json(data[name]))
+            check_type(name, type(want).__name__, value)
+            if value != want:
                 raise ContractError(f"{name} must be {canonical_json(want)}, got "
-                                    f"{canonical_json(data[name])}: a retired field, fixed "
+                                    f"{canonical_json(value)}: a retired field, fixed "
                                     "at the value the rest of the config gives")
     return current
 

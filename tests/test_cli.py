@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from invgate.container import canonical_json
 from invgate.data import MAGIC, GeneratorConfig, load_dataset
 from invgate.errors import CheckpointError
 from invgate.harness import load_checkpoint
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
 @pytest.fixture()
@@ -123,7 +126,9 @@ def test_train_flag_lands_in_manifest_config(tmp_path, monkeypatch, flag, field,
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     gen = GeneratorConfig(num_classes=4, shots=2, invariant_dim=6, confound_dim=4,
                           num_views=2, seed=0)
-    cfg = RunConfig(generator=gen, epochs=2, batch_size=8, mining_warmup=1)
+    # IRMv1, so that --lambda sets a weight the run reads
+    cfg = RunConfig(generator=gen, epochs=2, batch_size=8, mining_warmup=1,
+                    irm_variant="irmv1")
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg.to_dict()))
     assert getattr(cfg, field) != value
@@ -313,6 +318,8 @@ def test_missing_artefact_is_a_one_line_error(artefacts, tiny_config_file, tmp_p
 
 def test_train_eval_pipeline(tmp_path, tiny_config_file, capsys):
     cfg_path, cfg = tiny_config_file
+    # IRMv1, so that --lambda sets a weight the run reads
+    cfg_path.write_text(json.dumps(cfg.replace(irm_variant="irmv1").to_dict()))
     data = tmp_path / "data.igds"
     main(["generate", "--config", str(cfg_path), "--out", str(data)])
     run_dir = tmp_path / "run"
@@ -330,6 +337,17 @@ def test_train_eval_pipeline(tmp_path, tiny_config_file, capsys):
     out = capsys.readouterr().out
     assert "acc_joint" in out
     assert (eval_dir / "per_sample.csv").exists()
+
+
+def test_flag_for_a_weight_the_run_does_not_read_is_a_one_line_error(tmp_path, capsys):
+    # the default config runs V-REx, which reads no irm_lambda
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(DEFAULT_CONFIG), "--out", str(run_dir),
+                 "--lambda", "50"]) == 2
+    assert capsys.readouterr().err == (
+        "invgate: error: irm_lambda 50.0 is read only with enable_step2 and irm_variant "
+        "'irmv1': leave it at its default 5.0\n")
+    assert not run_dir.exists()
 
 
 def test_train_flag_overrides_disable_steps(tmp_path, tiny_config_file):

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from invgate.config import RETIRED, RunConfig, load_config, upgrade_config
+from invgate.config import READ_WHEN, RETIRED, RunConfig, load_config, upgrade_config
 from invgate.data import GeneratorConfig
 from invgate.errors import ContractError
+from invgate.losses import IRM_VARIANTS
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
@@ -25,7 +26,7 @@ def test_defaults_are_consistent():
 
 
 def test_dict_roundtrip():
-    cfg = RunConfig(seed=7, irm_lambda=2.5)
+    cfg = RunConfig(seed=7, irm_variant="irmv1", irm_lambda=2.5)
     again = RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
 
@@ -119,6 +120,9 @@ def _as_is(value):
     # a float key's one value spelled as an integer, as a live float field takes one
     pytest.param("align_tau", RETIRED_OTHER["align_tau"], int, id="align_tau=2"),
     pytest.param("inv_theta", RETIRED_OTHER["inv_theta"], int, id="inv_theta=5"),
+    # a Python grid cell's tuple, which a file holds as a list
+    pytest.param("encoder_hidden", RETIRED_OTHER["encoder_hidden"], tuple,
+                 id="encoder_hidden=()"),
 ])
 def test_retired_key_loads_only_at_its_one_value(name, other, spell):
     gen = GeneratorConfig(invariant_dim=5, confound_dim=3)
@@ -251,14 +255,25 @@ def test_wrongly_typed_field_rejected(cls, name, value):
 
 
 def test_boundary_values_accepted():
-    RunConfig(rex_lambda_min=0.5, rex_beta=0.0, irm_lambda=0.0, posterior_p2=1.0,
-              posterior_p3=1.0, mining_warmup=1)
-    RunConfig(include_25d=True, rex_lambda_min=1.0 / 3.0)
+    RunConfig(irm_variant="mm_rex", rex_lambda_min=0.5)
+    RunConfig(rex_beta=0.0)
+    RunConfig(irm_variant="irmv1", irm_lambda=0.0)
+    RunConfig(posterior_p2=1.0, posterior_p3=1.0, mining_warmup=1)
+    RunConfig(irm_variant="mm_rex", include_25d=True, rex_lambda_min=1.0 / 3.0)
     RunConfig(weight_decay=0.0, momentum=0.0)
     RunConfig(fusion_mode="add")
     # a float field keeps an int as given, so a manifest keeps its bytes
     cfg = RunConfig.from_dict({"base_lr": 1, "generator": {"p_conflict": 0}})
     assert type(cfg.to_dict()["base_lr"]) is int and type(cfg.generator.p_conflict) is int
+
+
+def test_alignment_needs_two_rows_a_batch():
+    # nt_xent_align runs only on batches of 2 or more rows, so at batch_size 1
+    # alignment would train nothing
+    with pytest.raises(ContractError, match="^enable_align needs batch_size >= 2: "):
+        RunConfig(batch_size=1)
+    RunConfig(batch_size=1, enable_align=False)
+    RunConfig(batch_size=2)
 
 
 def test_view_attention_needs_alignment():
@@ -292,10 +307,53 @@ def test_overflowing_exponentials_rejected(overrides, message):
     assert str(err.value).startswith(message)
 
 
-@pytest.mark.parametrize("overrides", [
-    {"enable_align": False, "align_alpha": sys.float_info.max},
-    {"irm_variant": "v_rex", "irm_lambda": sys.float_info.max},    # REx reads no lambda
-    {"enable_step2": False, "irm_variant": "irmv1", "irm_lambda": sys.float_info.max},
+# each field some term reads only under one condition: a legal value other
+# than its default, the settings under which it is read, and the condition as
+# its error names it
+READ_CASES = {
+    "irm_lambda": (2.0, {"enable_step2": True, "irm_variant": "irmv1"},
+                   "enable_step2 and irm_variant 'irmv1'"),
+    "rex_beta": (0.5, {"enable_step2": True, "irm_variant": "v_rex"},
+                 "enable_step2 and irm_variant 'v_rex'"),
+    "rex_lambda_min": (0.2, {"enable_step2": True, "irm_variant": "mm_rex"},
+                       "enable_step2 and irm_variant 'mm_rex'"),
+    "align_alpha": (0.5, {"enable_align": True}, "enable_align"),
+    "n_3d_augments": (2, {"enable_step2": True}, "enable_step2"),
+    "mining_rho": (0.5, {"enable_step1": True}, "enable_step1"),
+    "posterior_p2": (0.3, {"enable_step1": True}, "enable_step1"),
+    "posterior_p3": (0.7, {"enable_step1": True}, "enable_step1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_CASES))
+def test_field_leaves_its_default_only_where_a_term_reads_it(name):
+    assert sorted(READ_WHEN) == sorted(READ_CASES)
+    value, needs, when = READ_CASES[name]
+    default = getattr(RunConfig(), name)
+    for *flags, variant in itertools.product((False, True), (False, True), (False, True),
+                                             IRM_VARIANTS):
+        kw = dict(zip(("enable_step1", "enable_step2", "enable_align"), flags),
+                  irm_variant=variant)
+        RunConfig(**kw, **{name: default})
+        if all(kw[k] == v for k, v in needs.items()):
+            assert getattr(RunConfig(**kw, **{name: value}), name) == value
+            continue
+        with pytest.raises(ContractError) as err:
+            RunConfig(**kw, **{name: value})
+        assert str(err.value) == (f"{name} {value!r} is read only with {when}: leave it at "
+                                  f"its default {default!r}")
+
+
+@pytest.mark.parametrize("overrides,when", [
+    ({"enable_align": False, "align_alpha": sys.float_info.max}, "enable_align"),
+    ({"irm_variant": "v_rex", "irm_lambda": sys.float_info.max},     # REx reads no lambda
+     "enable_step2 and irm_variant 'irmv1'"),
+    ({"enable_step2": False, "irm_variant": "irmv1", "irm_lambda": sys.float_info.max},
+     "enable_step2 and irm_variant 'irmv1'"),
 ], ids=["alpha_align_off", "lambda_v_rex", "lambda_step2_off"])
-def test_unused_exponent_has_no_bound(overrides):
-    RunConfig(**overrides)
+def test_unread_weight_is_rejected_before_its_bound(overrides, when):
+    # the bounds hold unconditionally, since an unread weight keeps its default
+    name = list(overrides)[-1]
+    with pytest.raises(ContractError, match=rf"^{name} 1.7976931348623157e\+308 is read only "
+                                            rf"with {when}: "):
+        RunConfig(**overrides)

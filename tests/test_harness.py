@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from invgate import harness
 from invgate import tensor as T
-from invgate.config import RunConfig
+from invgate.config import READ_WHEN, RunConfig
 from invgate.data import GeneratorConfig, generate
 from invgate.encoders import ModalityEncoder, MultiViewAggregator
 from invgate.errors import ContractError, NumericError
@@ -32,6 +32,34 @@ from invgate.harness import (
 )
 from invgate.losses import ALIGN_TAU, IRM_VARIANTS, ContrastiveBatch, cross_entropy, sup_infonce
 from invgate.mining import fit_gmm2, select_modality_hard
+
+
+# a legal value other than its default for each field that some term reads
+# only under one condition (config.READ_WHEN)
+READ_OTHER = {"irm_lambda": 50.0, "rex_beta": 10.0, "rex_lambda_min": 0.3, "align_alpha": 10.0,
+              "n_3d_augments": 3, "mining_rho": 1.0, "posterior_p2": 1.0, "posterior_p3": 0.1}
+
+
+@st.composite
+def small_run(draw):
+    """RunConfig keywords for a small run: its epochs, batch size, flags and IRM
+    variant, and each field of config.READ_WHEN that the run reads at its
+    default or at its READ_OTHER value. Alignment is drawn only on batches
+    of 2 or more rows, where it can run."""
+    batch_size = draw(st.integers(1, 8))
+    run = {"epochs": draw(st.integers(2, 7)), "batch_size": batch_size,
+           "irm_variant": draw(st.sampled_from(IRM_VARIANTS)),
+           **{flag: draw(st.booleans()) for flag in ("enable_step1", "enable_step2",
+                                                     "include_25d", "use_view_attention")},
+           "enable_align": batch_size >= 2 and draw(st.booleans())}
+    try:
+        cfg = RunConfig(mining_warmup=1, **run)
+    except ContractError:
+        return run
+    for name, needs in READ_WHEN.items():
+        if all(getattr(cfg, k) == v for k, v in needs.items()):
+            run[name] = draw(st.sampled_from((getattr(cfg, name), READ_OTHER[name])))
+    return run
 
 
 def tiny_cfg(seed=0, **kw):
@@ -116,27 +144,27 @@ class TestTrainingLoop:
 
     @settings(max_examples=50, deadline=10_000)
     # a 3-row train split: too few samples for a mixture, so mining finds nothing
-    @example(shots=1, epochs=3, num_views=2, num_classes=3, batch_size=3, seed=0,
-             irm_variant="v_rex", include_25d=False, use_view_attention=False)
-    @given(shots=st.integers(1, 4), epochs=st.integers(2, 7), num_views=st.integers(1, 3),
-           num_classes=st.integers(3, 5), batch_size=st.integers(1, 8),
-           irm_variant=st.sampled_from(IRM_VARIANTS), include_25d=st.booleans(),
-           use_view_attention=st.booleans(), seed=st.integers(0, 3))
+    @example(shots=1, num_views=2, num_classes=3, seed=0,
+             run={"epochs": 3, "batch_size": 3, "irm_variant": "v_rex"})
+    @given(shots=st.integers(1, 4), num_views=st.integers(1, 3), num_classes=st.integers(3, 5),
+           seed=st.integers(0, 3), run=small_run())
     def test_small_config_fails_at_construction_or_trains_finite(
-            self, shots, epochs, num_views, num_classes, batch_size, seed, **flags):
+            self, shots, num_views, num_classes, seed, run):
         gen = GeneratorConfig(num_classes=num_classes, shots=shots, invariant_dim=3,
                               confound_dim=2, num_views=num_views, seed=seed)
         try:
-            trainer = Trainer(RunConfig(generator=gen, epochs=epochs,
-                                        batch_size=batch_size, mining_warmup=1,
-                                        seed=seed, **flags))
+            trainer = Trainer(RunConfig(generator=gen, mining_warmup=1, seed=seed, **run))
         except ContractError:
             return
         for rec in trainer.run().metrics:
             for key in ("lr", "loss_ce", "loss_inv", "loss_align", "acc2", "acc3",
                         "acc_joint", "c_err"):
                 assert rec[key] is None or np.isfinite(rec[key]), (rec["epoch"], key)
-            assert num_classes * shots >= 4 or rec["n_joint_hard"] == 0
+            # too few rows for a mixture: mining finds none (without step 1
+            # every row is an anchor)
+            assert (num_classes * shots >= 4 or not trainer.cfg.enable_step1
+                    or rec["n_joint_hard"] == 0)
+            assert (rec["loss_align"] is None) == (not trainer.cfg.enable_align)
 
 
 class TestDatasetFit:
@@ -383,35 +411,49 @@ class TestRoutingAudit:
         # the gate is the one parameter allowed to stay put, and exactly when no
         # invariance batch ran: then it is the no-gate baseline. At these
         # settings every mined run finds joint-hard rows, and MM-REx's
-        # rex_lambda_min > 0 lets the 2.5D environment's risk count.
-        counts, stuck, unmined, runs = {"trained": 0, "rejected": 0}, [], [], set()
+        # rex_lambda_min > 0 lets the 2.5D environment's risk count. Each
+        # lattice config also trains once with each READ_WHEN field at its
+        # READ_OTHER value, which is not the lattice's own either.
+        assert set(READ_OTHER) == set(READ_WHEN)
+        counts, stuck, unmined = {"trained": 0, "rejected": 0, "perturbed": 0}, [], []
+        runs = set()
         for values in itertools.product((False, True), repeat=len(self.FLAGS)):
             flags = dict(zip(self.FLAGS, values))
             for variant in IRM_VARIANTS if flags["enable_step2"] else ("v_rex",):
-                try:
-                    trainer = Trainer(RunConfig(
-                        generator=GeneratorConfig(num_classes=6, shots=6), epochs=2,
-                        mining_warmup=1, mining_rho=0.5, irm_variant=variant,
-                        rex_lambda_min=0.2 if variant == "mm_rex" else 0.0, **flags))
-                except ContractError:
-                    counts["rejected"] += 1
-                    continue
-                counts["trained"] += 1
-                before = param_bytes(trainer.model, "")
-                metrics = trainer.run().metrics
-                inv_batches = sum(m["inv_batches"] for m in metrics)
-                after = param_bytes(trainer.model, "")
-                unmoved = sorted(n for n in before if after[n] == before[n])
-                if unmoved != ([] if inv_batches else ["gate.mask_logits"]):
-                    stuck.append((variant, flags, inv_batches, unmoved))
-                if flags["enable_step1"] and flags["enable_step2"] and not inv_batches:
-                    unmined.append((variant, flags))
-                runs.add(("\n".join(metrics_log_lines(metrics)),
-                          b"".join(after[n] for n in sorted(after))))
+                lattice = dict(generator=GeneratorConfig(num_classes=6, shots=6), epochs=2,
+                               mining_warmup=1, irm_variant=variant, **flags)
+                if flags["enable_step1"]:
+                    lattice["mining_rho"] = 0.5
+                if variant == "mm_rex":
+                    lattice["rex_lambda_min"] = 0.2
+                for field in (None, *READ_OTHER):
+                    kw = lattice if field is None else {**lattice, field: READ_OTHER[field]}
+                    try:
+                        trainer = Trainer(RunConfig(**kw))
+                    except ContractError:
+                        if field is None:
+                            counts["rejected"] += 1
+                        continue
+                    counts["trained" if field is None else "perturbed"] += 1
+                    before = param_bytes(trainer.model, "")
+                    metrics = trainer.run().metrics
+                    inv_batches = sum(m["inv_batches"] for m in metrics)
+                    after = param_bytes(trainer.model, "")
+                    unmoved = sorted(n for n in before if after[n] == before[n])
+                    if unmoved != ([] if inv_batches else ["gate.mask_logits"]):
+                        stuck.append((variant, flags, field, inv_batches, unmoved))
+                    if flags["enable_step1"] and flags["enable_step2"] and not inv_batches:
+                        unmined.append((variant, flags, field))
+                    runs.add(("\n".join(metrics_log_lines(metrics)),
+                              b"".join(after[n] for n in sorted(after))))
         assert not stuck and not unmined
-        assert counts == {"trained": 42, "rejected": 22}
-        # no flag is ignored: every config that constructs trains a run of its own
-        assert len(runs) == 42
+        # each trained config perturbs the fields it reads: the IRM variant's
+        # and n_3d_augments with step 2, the three mining fields with step 1,
+        # and align_alpha with alignment
+        assert counts == {"trained": 42, "rejected": 22, "perturbed": 163}
+        # no flag or field is ignored: every config that constructs trains a run
+        # of its own
+        assert len(runs) == 42 + 163
 
     def test_named_params_holds_each_components_params_once(self):
         model = Model(tiny_cfg(use_view_attention=True, include_25d=True))
@@ -449,7 +491,7 @@ class TestSingleBranchOracle:
 
     def test_flags_off_equals_independent_branches(self):
         cfg = tiny_cfg(seed=3, epochs=4, enable_step1=False, enable_step2=False,
-                       enable_align=False, irm_lambda=0.0, align_alpha=0.0)
+                       enable_align=False)
         joint = Trainer(cfg).run().metrics[-1]
         assert abs(joint["acc2"] - self._oracle_branch_acc(cfg, "e2d")) < 1e-9
         assert abs(joint["acc3"] - self._oracle_branch_acc(cfg, "e3d")) < 1e-9
