@@ -39,8 +39,9 @@ MUTATIONS = (
      "    jitter = 0.0 + z ", "    jitter = z "),
     ("_pair_weights keeps each anchor as its own positive", "losses.py",
      "    pos[np.arange(own.size), own] = False", "    pass"),
-    ("_pair_weights keeps the positives of non-anchor rows", "losses.py",
-     "        pos[~mask] = False\n", "        pass\n"),
+    ("_pair_weights scores the non-anchor rows of a partial anchor mask", "losses.py",
+     "    rows = slice(None) if mask is None or mask.all() else np.flatnonzero(mask)\n",
+     "    rows = slice(None)\n"),
     ("contrastive_report counts each anchor as its own pair", "losses.py",
      "np.bincount(labels)[anchors] - 1", "np.bincount(labels)[anchors]"),
     # `ce3 + ce2` for the objective's `ce2 + ce3` is not listed: a sum of two
@@ -119,6 +120,11 @@ MUTATIONS = (
     ("RunConfig accepts step 1 in a run that ends before mining_warmup", "config.py",
      "        if self.enable_step1 and self.mining_warmup >= self.epochs:\n",
      "        if False:\n"),
+    ("READ_WHEN omits mining_warmup", "config.py",
+     '("mining_rho", "posterior_p2", "posterior_p3", "mining_warmup")',
+     '("mining_rho", "posterior_p2", "posterior_p3")'),
+    ("upgrade_config lets a value no file can hold escape as a TypeError", "config.py",
+     "            except TypeError:", "            except ValueError:"),
 )
 
 

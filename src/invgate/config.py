@@ -137,16 +137,17 @@ class RunConfig:
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
-# each loss and mining weight with the settings under which some term reads
-# it: elsewhere it must keep its default, so no two configs that construct
-# train one run
+# each loss weight and mining setting with the condition under which some
+# term reads it: elsewhere it must keep its default, so no two configs that
+# construct train one run
 READ_WHEN = {
     "irm_lambda": {"enable_step2": True, "irm_variant": "irmv1"},
     "rex_beta": {"enable_step2": True, "irm_variant": "v_rex"},
     "rex_lambda_min": {"enable_step2": True, "irm_variant": "mm_rex"},
     "align_alpha": {"enable_align": True},
     "n_3d_augments": {"enable_step2": True},
-    **dict.fromkeys(("mining_rho", "posterior_p2", "posterior_p3"), {"enable_step1": True}),
+    **dict.fromkeys(("mining_rho", "posterior_p2", "posterior_p3", "mining_warmup"),
+                    {"enable_step1": True}),
 }
 
 # retired fields, each with the value the rest of a config gives it: a file
@@ -178,14 +179,20 @@ def upgrade_config(data):
     cfg = RunConfig.from_dict(current)
     for name, derive in RETIRED.items():
         if name in data:
-            # as a file holds the value: a grid cell's tuple is a list
-            want, value = derive(cfg), json.loads(canonical_json(data[name]))
+            want = derive(cfg)
+            try:    # as a file holds the value: a grid cell's tuple is a list
+                value = json.loads(canonical_json(data[name]))
+            except TypeError:   # no file can hold it (a set, say), so it is not `want`
+                raise _not_retired_value(name, want, repr(data[name])) from None
             check_type(name, type(want).__name__, value)
             if value != want:
-                raise ContractError(f"{name} must be {canonical_json(want)}, got "
-                                    f"{canonical_json(value)}: a retired field, fixed "
-                                    "at the value the rest of the config gives")
+                raise _not_retired_value(name, want, canonical_json(value))
     return current
+
+
+def _not_retired_value(name: str, want, got: str) -> ContractError:
+    return ContractError(f"{name} must be {canonical_json(want)}, got {got}: a retired "
+                         "field, fixed at the value the rest of the config gives")
 
 
 def _known_keys(data, cls, what: str) -> dict:

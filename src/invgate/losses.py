@@ -35,13 +35,6 @@ IRM_VARIANTS = ("irmv1", "mm_rex", "v_rex")
 # the similarity multipliers of the run's invariance risks (the REx variants';
 # IRMv1 takes its risks at 1) and of its alignment term
 INV_THETA, ALIGN_TAU = 5.0, 2.0
-# exp(theta * sim) and a sum of n of them stay finite while |theta| + log(n) is below
-_LOG_MAX = float(np.log(np.finfo(float).max)) - 1e-6
-
-
-def exp_sums_finite(scale: float, n: int) -> bool:
-    """True if sums of n terms exp(scale * s), |s| <= 1, stay finite."""
-    return abs(scale) + np.log(n) < _LOG_MAX
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -95,20 +88,15 @@ class ContrastiveReport:
     n_pairs: int
 
 
-def _pair_weights(batch: ContrastiveBatch, theta: float):
+def _pair_weights(batch: ContrastiveBatch):
     """(anchor rows, their [a, n] negative and positive masks, 1 / pairs); no pair
-    raises. An exp that may overflow takes every row, to keep the composite's NaN."""
+    raises."""
     labels, mask = batch.labels, batch.anchor_mask
-    n = len(labels)
-    partial = mask is not None and not mask.all()
-    every_row = not partial or not exp_sums_finite(theta, n)
-    rows = slice(None) if every_row else np.flatnonzero(mask)
+    rows = slice(None) if mask is None or mask.all() else np.flatnonzero(mask)
     pos = labels[rows, None] == labels
     negf = (~pos).astype(float)
-    own = np.arange(n)[rows]
+    own = np.arange(len(labels))[rows]
     pos[np.arange(own.size), own] = False       # an anchor is not its own positive
-    if partial and every_row:
-        pos[~mask] = False
     n_pairs = np.count_nonzero(pos)
     if n_pairs == 0:
         raise DegenerateBatchError("no anchor has a positive")
@@ -124,13 +112,13 @@ def _full(part: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
     return out
 
 
-def _pool_node(batch: ContrastiveBatch, terms, theta: float = 1.0) -> Tensor:
-    """One node over matmul_t(z, z), z the normalized pool, |theta| bounding
-    every exp argument. `terms(sim, rows, negf, posf, scale)` gets sim's anchor
-    rows and returns the value, then a pullback to them per similarity matrix its
-    composite builds, each handing the features two contributions. The matmuls,
-    their VJP and the value's sum stay [n, n], as rounding depends on shape."""
-    weights = _pair_weights(batch, theta)
+def _pool_node(batch: ContrastiveBatch, terms) -> Tensor:
+    """One node over matmul_t(z, z), z the normalized pool. `terms(sim, rows,
+    negf, posf, scale)` gets sim's anchor rows and returns the value, then a
+    pullback to them per similarity matrix its composite builds, each handing
+    the features two contributions. The matmuls, their VJP and the value's sum
+    stay [n, n], as rounding depends on shape."""
+    weights = _pair_weights(batch)
     rows = weights[0]
     x = batch.features.data
     z, norms = T._l2n(x, -1)
@@ -208,9 +196,12 @@ def sup_infonce(batch: ContrastiveBatch, theta: float = 1.0) -> Tensor:
 
     Per anchor-positive pair: -log( e^{s+ th} / (e^{s+ th} + sum_neg e^{s- th}) ),
     averaged over all pairs. Anchors with no positive are skipped; a batch
-    with no pairs at all is degenerate.
+    with no pairs at all is degenerate. Only anchor rows are computed: that
+    equals the composite over every row while |theta| + log(n) < log(float max),
+    about 709.78, for a pool of n rows. Every caller's theta (at most INV_THETA)
+    is below that by about 700.
     """
-    return _pool_node(batch, lambda sim, *w: _infonce(sim, theta, *w), theta)
+    return _pool_node(batch, lambda sim, *w: _infonce(sim, theta, *w))
 
 
 def irm_grad_theta(batch: ContrastiveBatch) -> Tensor:

@@ -21,8 +21,9 @@ from invgate.harness import (
 def tiny_cfg(seed=0, **kw):
     gen = GeneratorConfig(num_classes=4, shots=4, invariant_dim=6, confound_dim=4,
                           num_views=2, seed=seed)
-    defaults = dict(generator=gen, epochs=3, batch_size=8,
-                    mining_warmup=1, seed=seed)
+    defaults = dict(generator=gen, epochs=3, batch_size=8, seed=seed)
+    if kw.get("enable_step1", True):    # mining from epoch 1, where step 1 mines
+        defaults["mining_warmup"] = 1
     defaults.update(kw)
     return RunConfig(**defaults)
 

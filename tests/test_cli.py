@@ -126,9 +126,9 @@ def test_train_flag_lands_in_manifest_config(tmp_path, monkeypatch, flag, field,
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     gen = GeneratorConfig(num_classes=4, shots=2, invariant_dim=6, confound_dim=4,
                           num_views=2, seed=0)
-    # IRMv1, so that --lambda sets a weight the run reads
-    cfg = RunConfig(generator=gen, epochs=2, batch_size=8, mining_warmup=1,
-                    irm_variant="irmv1")
+    # IRMv1, so that --lambda sets a weight the run reads; mining from the
+    # default warm-up, which --no-step1 leaves unread at its default
+    cfg = RunConfig(generator=gen, epochs=6, batch_size=8, irm_variant="irmv1")
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg.to_dict()))
     assert getattr(cfg, field) != value
@@ -351,7 +351,9 @@ def test_flag_for_a_weight_the_run_does_not_read_is_a_one_line_error(tmp_path, c
 
 
 def test_train_flag_overrides_disable_steps(tmp_path, tiny_config_file):
-    cfg_path, _ = tiny_config_file
+    cfg_path, cfg = tiny_config_file
+    # mining from the default warm-up, which --no-step1 leaves unread at its default
+    cfg_path.write_text(json.dumps(cfg.replace(epochs=6, mining_warmup=5).to_dict()))
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--out", str(run_dir),
                  "--no-step1", "--no-step2", "--no-align", "--seed", "9"]) == 0
@@ -422,6 +424,7 @@ def _with_header_config(checkpoint, path, edits: dict):
 # a value each retired key took in some earlier file, other than its one value
 # (tiny_config_file's dim is 10), and the steps it is read with: the last two
 # are invariance_on_all at each value, on steps that give it the other one
+# (without step 1, at the default mining warm-up)
 RETIRED_OTHER = {"encoder_hidden": ([7], "[]"), "encoder_init": ("random", '"identity"'),
                  "output_dim": (12, "10"), "head2d_mode": ("affine", '"cosine"'),
                  "head3d_mode": ("affine", '"cosine"'), "head_scale": (0.5, "0.25"),
@@ -429,7 +432,8 @@ RETIRED_OTHER = {"encoder_hidden": ([7], "[]"), "encoder_init": ("random", '"ide
                  "inv_theta": (1.0, "5.0"), "align_tau": (0.5, "2.0"), "mining_topk": (3, "5"),
                  "view_attention_delta": (0.25, "0.5"),
                  "invariance_on_all": (True, "false"),
-                 "invariance_on_all-step2_only": (False, "true", {"enable_step1": False})}
+                 "invariance_on_all-step2_only": (False, "true",
+                                                  {"enable_step1": False, "mining_warmup": 5})}
 
 
 @pytest.mark.parametrize("case", RETIRED_OTHER)

@@ -114,6 +114,20 @@ def _as_is(value):
     return value
 
 
+@pytest.mark.parametrize("value", [{1}, set(), (1 + 2j)], ids=["set", "empty_set", "complex"])
+def test_retired_key_holding_what_no_file_can_hold_is_rejected(value):
+    # as a live field's wrong type is: the error names the key and the value
+    with pytest.raises(ContractError) as err:
+        read({"seed": value})
+    assert str(err.value) == f"seed must be an integer, got {value!r}"
+    for name in ("encoder_hidden", "inv_theta"):
+        one = json.dumps(RETIRED[name](RunConfig()))
+        with pytest.raises(ContractError) as err:
+            read({name: value})
+        assert str(err.value) == (f"{name} must be {one}, got {value!r}: a retired field, "
+                                  "fixed at the value the rest of the config gives")
+
+
 @pytest.mark.parametrize("name,other,spell", [
     *(pytest.param(name, RETIRED_OTHER.get(name), _as_is, id=name) for name in sorted(RETIRED)),
     *(pytest.param(name, other, _as_is, id=f"{name}={other}") for name, other in RETIRED_WRONG),
@@ -322,6 +336,7 @@ READ_CASES = {
     "mining_rho": (0.5, {"enable_step1": True}, "enable_step1"),
     "posterior_p2": (0.3, {"enable_step1": True}, "enable_step1"),
     "posterior_p3": (0.7, {"enable_step1": True}, "enable_step1"),
+    "mining_warmup": (3, {"enable_step1": True}, "enable_step1"),
 }
 
 

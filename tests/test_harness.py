@@ -37,23 +37,27 @@ from invgate.mining import fit_gmm2, select_modality_hard
 # a legal value other than its default for each field that some term reads
 # only under one condition (config.READ_WHEN)
 READ_OTHER = {"irm_lambda": 50.0, "rex_beta": 10.0, "rex_lambda_min": 0.3, "align_alpha": 10.0,
-              "n_3d_augments": 3, "mining_rho": 1.0, "posterior_p2": 1.0, "posterior_p3": 0.1}
+              "n_3d_augments": 3, "mining_rho": 1.0, "posterior_p2": 1.0, "posterior_p3": 0.1,
+              "mining_warmup": 2}
 
 
 @st.composite
 def small_run(draw):
     """RunConfig keywords for a small run: its epochs, batch size, flags and IRM
     variant, and each field of config.READ_WHEN that the run reads at its
-    default or at its READ_OTHER value. Alignment is drawn only on batches
-    of 2 or more rows, where it can run."""
+    default or at its READ_OTHER value (the mining warm-up at 1 or
+    READ_OTHER's). Alignment is drawn only on batches of 2 or more rows, where
+    it can run."""
     batch_size = draw(st.integers(1, 8))
     run = {"epochs": draw(st.integers(2, 7)), "batch_size": batch_size,
            "irm_variant": draw(st.sampled_from(IRM_VARIANTS)),
            **{flag: draw(st.booleans()) for flag in ("enable_step1", "enable_step2",
                                                      "include_25d", "use_view_attention")},
            "enable_align": batch_size >= 2 and draw(st.booleans())}
+    if run["enable_step1"]:
+        run["mining_warmup"] = 1
     try:
-        cfg = RunConfig(mining_warmup=1, **run)
+        cfg = RunConfig(**run)
     except ContractError:
         return run
     for name, needs in READ_WHEN.items():
@@ -65,8 +69,9 @@ def small_run(draw):
 def tiny_cfg(seed=0, **kw):
     gen = GeneratorConfig(num_classes=4, shots=6, invariant_dim=6, confound_dim=4,
                           num_views=2, seed=seed)
-    defaults = dict(generator=gen, epochs=4, batch_size=8,
-                    mining_warmup=1, seed=seed)
+    defaults = dict(generator=gen, epochs=4, batch_size=8, seed=seed)
+    if kw.get("enable_step1", True):    # mining from epoch 1, where step 1 mines
+        defaults["mining_warmup"] = 1
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -145,7 +150,7 @@ class TestTrainingLoop:
     @settings(max_examples=50, deadline=10_000)
     # a 3-row train split: too few samples for a mixture, so mining finds nothing
     @example(shots=1, num_views=2, num_classes=3, seed=0,
-             run={"epochs": 3, "batch_size": 3, "irm_variant": "v_rex"})
+             run={"epochs": 3, "batch_size": 3, "irm_variant": "v_rex", "mining_warmup": 1})
     @given(shots=st.integers(1, 4), num_views=st.integers(1, 3), num_classes=st.integers(3, 5),
            seed=st.integers(0, 3), run=small_run())
     def test_small_config_fails_at_construction_or_trains_finite(
@@ -153,7 +158,7 @@ class TestTrainingLoop:
         gen = GeneratorConfig(num_classes=num_classes, shots=shots, invariant_dim=3,
                               confound_dim=2, num_views=num_views, seed=seed)
         try:
-            trainer = Trainer(RunConfig(generator=gen, mining_warmup=1, seed=seed, **run))
+            trainer = Trainer(RunConfig(generator=gen, seed=seed, **run))
         except ContractError:
             return
         for rec in trainer.run().metrics:
@@ -256,7 +261,7 @@ _INV_ALL = {"enable_step1": False}
 
 class TestOverflowBound:
     @pytest.mark.parametrize("name,n,overrides,term", [
-        ("align_alpha", 32, {}, "loss_align"),
+        ("align_alpha", 32, {"mining_warmup": 1}, "loss_align"),
         ("irm_lambda", 2, {**_INV_ALL, "irm_variant": "irmv1"}, "loss_inv"),
     ])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -264,8 +269,7 @@ class TestOverflowBound:
         under, over = _just_under_and_over(name, n)
         with pytest.raises(ContractError, match=f"^{name} "):
             RunConfig(**overrides, **{name: over})
-        metrics = Trainer(RunConfig(epochs=2, mining_warmup=1, **overrides,
-                                    **{name: under})).run().metrics
+        metrics = Trainer(RunConfig(epochs=2, **overrides, **{name: under})).run().metrics
         for m in metrics:
             assert m[term] is not None
             assert all(np.isfinite(m[k]) for k in ("loss_ce", term, "acc2", "acc3", "acc_joint"))
@@ -413,17 +417,18 @@ class TestRoutingAudit:
         # settings every mined run finds joint-hard rows, and MM-REx's
         # rex_lambda_min > 0 lets the 2.5D environment's risk count. Each
         # lattice config also trains once with each READ_WHEN field at its
-        # READ_OTHER value, which is not the lattice's own either.
+        # READ_OTHER value, which is not the lattice's own either: over three
+        # epochs a mined run mines from epoch 1, or from READ_OTHER's 2.
         assert set(READ_OTHER) == set(READ_WHEN)
         counts, stuck, unmined = {"trained": 0, "rejected": 0, "perturbed": 0}, [], []
         runs = set()
         for values in itertools.product((False, True), repeat=len(self.FLAGS)):
             flags = dict(zip(self.FLAGS, values))
             for variant in IRM_VARIANTS if flags["enable_step2"] else ("v_rex",):
-                lattice = dict(generator=GeneratorConfig(num_classes=6, shots=6), epochs=2,
-                               mining_warmup=1, irm_variant=variant, **flags)
+                lattice = dict(generator=GeneratorConfig(num_classes=6, shots=6), epochs=3,
+                               irm_variant=variant, **flags)
                 if flags["enable_step1"]:
-                    lattice["mining_rho"] = 0.5
+                    lattice.update(mining_warmup=1, mining_rho=0.5)
                 if variant == "mm_rex":
                     lattice["rex_lambda_min"] = 0.2
                 for field in (None, *READ_OTHER):
@@ -448,12 +453,12 @@ class TestRoutingAudit:
                               b"".join(after[n] for n in sorted(after))))
         assert not stuck and not unmined
         # each trained config perturbs the fields it reads: the IRM variant's
-        # and n_3d_augments with step 2, the three mining fields with step 1,
+        # and n_3d_augments with step 2, the four mining fields with step 1,
         # and align_alpha with alignment
-        assert counts == {"trained": 42, "rejected": 22, "perturbed": 163}
+        assert counts == {"trained": 42, "rejected": 22, "perturbed": 184}
         # no flag or field is ignored: every config that constructs trains a run
         # of its own
-        assert len(runs) == 42 + 163
+        assert len(runs) == 42 + 184
 
     def test_named_params_holds_each_components_params_once(self):
         model = Model(tiny_cfg(use_view_attention=True, include_25d=True))
@@ -543,6 +548,13 @@ class TestEvaluate:
             assert acc == pytest.approx((preds == labels).mean())
 
 
+def _cell(step1, step2, **rest):
+    """An ablation cell over a base without step 1: the two steps, with mining
+    from epoch 1 where step 1 mines, and `rest`."""
+    return {"enable_step1": step1, "enable_step2": step2,
+            **({"mining_warmup": 1} if step1 else {}), **rest}
+
+
 class TestAblate:
     def test_single_cell_equals_plain_run(self):
         cfg = tiny_cfg(seed=2)
@@ -570,9 +582,8 @@ class TestAblate:
     def test_cells_without_step2_share_training(self, monkeypatch):
         # without step 2 mining feeds no term, so a step-1-only cell trains
         # what the cell with neither step trains
-        cfg = tiny_cfg(epochs=3)
-        cells = [{"enable_step1": s1, "enable_step2": False, "enable_align": False}
-                 for s1 in (True, False)]
+        cfg = tiny_cfg(epochs=3, enable_step1=False)
+        cells = [_cell(s1, False, enable_align=False) for s1 in (True, False)]
         separate = [ablate(cfg, [cell])[0] for cell in cells]
         calls = []
         orig = harness.Trainer.run
@@ -598,8 +609,8 @@ class TestAblate:
     def test_cell_names_invariance_on_all_only_where_it_holds(self, monkeypatch, step1, step2):
         # a cell is read as a config file is: the retired key is accepted
         # only at the value the cell's two steps give it
-        cfg = tiny_cfg(epochs=2)
-        steps = {"enable_step1": step1, "enable_step2": step2}
+        cfg = tiny_cfg(epochs=2, enable_step1=False)
+        steps = _cell(step1, step2)
         if step2 and not step1:
             assert ablate(cfg, [{**steps, "invariance_on_all": True}]) == ablate(cfg, [steps])
             return
@@ -610,13 +621,12 @@ class TestAblate:
         assert not calls
 
     def test_table_shaped_grid(self):
-        cfg = tiny_cfg(epochs=2)
+        cfg = tiny_cfg(epochs=2, enable_step1=False)
         cells = []
         for s1 in (True, False):
             for s2 in (True, False):
                 for fusion in ("multiplicative", "additive"):
-                    cell = {"enable_step1": s1, "enable_step2": s2,
-                            "enable_align": s1 and s2, "fusion_mode": fusion}
+                    cell = _cell(s1, s2, enable_align=s1 and s2, fusion_mode=fusion)
                     if s2 and not s1:
                         cell["invariance_on_all"] = True
                     cells.append(cell)
