@@ -84,13 +84,13 @@ MUTATIONS = (
      "            p.grad = np.zeros_like(p.data) if p.grad is None else p.grad\n"
      "            if p.grad is not None:\n"),
     ("RunConfig accepts view attention without alignment", "config.py",
-     "        if self.use_view_attention and not self.enable_align:\n", "        if False:\n"),
+     '    "use_view_attention": {"enable_align": True},\n', ""),
     ("RunConfig drops the align_alpha overflow bound", "config.py",
      'worst = {"align_alpha": math.log(self.batch_size) + 2 * ALIGN_TAU,\n'
      '                 "irm_lambda"',
      'worst = {"irm_lambda"'),
     ("RunConfig skips the read-condition check", "config.py",
-     "            if value != default and any(", "            if False and any("),
+     "            if value != default and _unread(", "            if False and _unread("),
     ("RunConfig accepts alignment on batches of one row", "config.py",
      "        if self.enable_align and self.batch_size < 2:\n", "        if False:\n"),
     ("_upgrade_checkpoint skips the xattn equality check", "harness.py",
@@ -102,13 +102,13 @@ MUTATIONS = (
      "        if name in data:\n",
      "        if name in data and name != \"invariance_on_all\":\n"),
     ("RunConfig accepts include_25d without step 2", "config.py",
-     "        if self.include_25d and not self.enable_step2:\n", "        if False:\n"),
+     '    "include_25d": {"enable_step2": True},\n', ""),
     ("load_checkpoint skips the header key check", "harness.py",
      "    if unknown:\n", "    if False:\n"),
     ("ablate builds each cell's config only when it reaches the cell", "harness.py",
-     "cfgs = [RunConfig.from_dict(upgrade_config({**base_cfg.to_dict(), **cell}))\n"
+     "cfgs = [RunConfig.from_dict(upgrade_config(merge_overrides(base_cfg.to_dict(), cell)))\n"
      "            for cell in cells]",
-     "cfgs = (RunConfig.from_dict(upgrade_config({**base_cfg.to_dict(), **cell}))\n"
+     "cfgs = (RunConfig.from_dict(upgrade_config(merge_overrides(base_cfg.to_dict(), cell)))\n"
      "            for cell in cells)"),
     ("upgrade_config accepts a retired key at any value of its type", "config.py",
      "            if value != want:\n", "            if False:\n"),
@@ -125,6 +125,10 @@ MUTATIONS = (
      '("mining_rho", "posterior_p2", "posterior_p3")'),
     ("upgrade_config lets a value no file can hold escape as a TypeError", "config.py",
      "            except TypeError:", "            except ValueError:"),
+    ("a step-off override keeps the fields it leaves unread", "config.py",
+     "        if name not in overrides and _unread(merged, name):\n", "        if False:\n"),
+    ("the reset also drops a field the overrides name", "config.py",
+     "if name not in overrides and _unread(merged, name):", "if _unread(merged, name):"),
 )
 
 

@@ -67,12 +67,6 @@ class RunConfig:
         if self.enable_step1 and self.mining_warmup >= self.epochs:
             raise ContractError("enable_step1 needs mining_warmup < epochs: mining first "
                                 "runs at epoch mining_warmup")
-        if self.include_25d and not self.enable_step2:
-            raise ContractError("include_25d needs enable_step2: the 2.5D environment "
-                                "exists only in the invariance term")
-        if self.use_view_attention and not self.enable_align:
-            raise ContractError("use_view_attention needs enable_align: no other term "
-                                "trains the view attention")
         if self.enable_align and self.batch_size < 2:
             raise ContractError("enable_align needs batch_size >= 2: alignment runs only "
                                 "on batches of 2 or more rows")
@@ -101,7 +95,7 @@ class RunConfig:
             raise ContractError("need at least one augmented 3D copy")
         for name, needs in READ_WHEN.items():
             value, default = getattr(self, name), _DEFAULTS[name]
-            if value != default and any(getattr(self, k) != v for k, v in needs.items()):
+            if value != default and _unread(vars(self), name):
                 when = " and ".join(k if v is True else f"{k} {v!r}" for k, v in needs.items())
                 raise ContractError(f"{name} {value!r} is read only with {when}: leave it at "
                                     f"its default {default!r}")
@@ -132,23 +126,44 @@ class RunConfig:
         return cls(**kwargs)
 
     def replace(self, **overrides) -> "RunConfig":
-        return dataclasses.replace(self, **_known_keys(overrides, RunConfig, "config"))
+        """This config under `overrides` (see `merge_overrides`)."""
+        return RunConfig(**merge_overrides(vars(self), _known_keys(overrides, RunConfig, "config")))
 
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
-# each loss weight and mining setting with the condition under which some
-# term reads it: elsewhere it must keep its default, so no two configs that
-# construct train one run
+# each field that one step owns, with the condition under which some term
+# reads it (the 2.5D environment only in step 2, the view attention only in
+# alignment): elsewhere it keeps its default, so no two valid configs train one run
 READ_WHEN = {
     "irm_lambda": {"enable_step2": True, "irm_variant": "irmv1"},
     "rex_beta": {"enable_step2": True, "irm_variant": "v_rex"},
     "rex_lambda_min": {"enable_step2": True, "irm_variant": "mm_rex"},
     "align_alpha": {"enable_align": True},
     "n_3d_augments": {"enable_step2": True},
+    "include_25d": {"enable_step2": True},
+    "use_view_attention": {"enable_align": True},
     **dict.fromkeys(("mining_rho", "posterior_p2", "posterior_p3", "mining_warmup"),
                     {"enable_step1": True}),
 }
+
+
+def _unread(fields: dict, name: str) -> bool:
+    """Whether no term reads field `name` of the config whose fields are `fields`."""
+    return any(fields[k] != v for k, v in READ_WHEN[name].items())
+
+
+def merge_overrides(base: dict, overrides: dict) -> dict:
+    """The fields of `base` under `overrides`, with each `READ_WHEN` field that
+    `overrides` does not name back at its default where the result no longer
+    reads it: a step turned off drops what `base` tuned for it, while a field
+    named where it is not read still fails at construction."""
+    merged = {**base, **overrides}
+    for name in READ_WHEN:
+        if name not in overrides and _unread(merged, name):
+            merged[name] = _DEFAULTS[name]
+    return merged
+
 
 # retired fields, each with the value the rest of a config gives it: a file
 # may name one only at that value

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import container
 from . import tensor as T
-from .config import RunConfig, upgrade_config
+from .config import RunConfig, merge_overrides, upgrade_config
 from .container import canonical_json
 from .data import Dataset, augment_3d, generate
 from .encoders import ClassHead, CrossAttention, GateMask, ModalityEncoder, MultiViewAggregator
@@ -513,10 +513,6 @@ def evaluate_checkpoint(path: str, dataset: Dataset, fusion: FusionConfig) -> Ev
 
 # -- ablation grid ----------------------------------------------------------------
 
-_TRAINING_IRRELEVANT = {"fusion_phi", "fusion_mode"}
-# without step 2 nothing reads the mined set, and mining changes no parameter
-# and draws no random numbers: these fields cannot change what such a run trains
-_MINING_ONLY = ("enable_step1", "mining_", "posterior_")
 # an ablation row's columns: the cell's RunConfig fields, then its EvalRecord aggregates
 ABLATION_COLUMNS = ("enable_step1", "enable_step2", "enable_align", "fusion_mode", "seed",
                     "acc2", "acc3", "acc_joint", "c_err")
@@ -524,23 +520,26 @@ ABLATION_COLUMNS = ("enable_step1", "enable_step2", "enable_align", "fusion_mode
 
 def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = None,
            progress=None) -> list[dict]:
-    """Run every override cell, each read as a config file is (a rejected
-    cell stops all training), sharing seeds and reusing training runs for
-    cells that differ only in fusion settings or, with step 2 off, in mining."""
+    """Run every override cell, each merged into `base_cfg` (see
+    `merge_overrides`) and read as a config file is (a rejected cell stops
+    all training), sharing seeds and reusing training runs for cells that
+    differ only in fusion settings or, with step 2 off, in mining."""
     if not cells:
         raise ContractError("empty ablation grid")
     if any("generator" in cell for cell in cells):
         raise ContractError("an ablation cell cannot override 'generator': every cell "
                             "shares one dataset")
-    cfgs = [RunConfig.from_dict(upgrade_config({**base_cfg.to_dict(), **cell}))
+    cfgs = [RunConfig.from_dict(upgrade_config(merge_overrides(base_cfg.to_dict(), cell)))
             for cell in cells]
     dataset = dataset if dataset is not None else generate(base_cfg.generator)
     cache: dict[str, TrainResult] = {}
     rows = []
     for cfg in cfgs:
-        train_key = canonical_json({k: v for k, v in cfg.to_dict().items()
-                                    if k not in _TRAINING_IRRELEVANT
-                                    and (cfg.enable_step2 or not k.startswith(_MINING_ONLY))})
+        # fusion acts only at inference; without step 2 nothing reads the mined
+        # set, and mining changes no parameter and draws no random numbers
+        train_key = canonical_json(merge_overrides(cfg.to_dict(), {
+            "fusion_phi": RunConfig.fusion_phi, "fusion_mode": RunConfig.fusion_mode,
+            "enable_step1": cfg.enable_step1 and cfg.enable_step2}))
         if train_key not in cache:
             cache[train_key] = Trainer(cfg, dataset).run()
         rec = evaluate_model(cache[train_key].model, dataset,

@@ -150,25 +150,10 @@ def select_modality_hard(losses: np.ndarray, p: float, fit: MixtureFit) -> np.nd
     return np.flatnonzero(post < p)
 
 
-def topk_indices(logits: np.ndarray, k: int) -> np.ndarray:
-    """Top-k class indices by logit, ties broken toward the smaller index."""
-    logits = np.asarray(logits)
-    if k > logits.shape[-1]:
-        raise ContractError(f"k={k} exceeds {logits.shape[-1]} classes")
-    order = np.lexsort((np.arange(logits.shape[-1]), -logits))
-    return order[:k]
-
-
-def topk_overlap(f2: np.ndarray, f3: np.ndarray, k: int) -> int:
-    """|top-k(f2) intersect top-k(f3)|."""
-    a = set(topk_indices(f2, k).tolist())
-    b = set(topk_indices(f3, k).tolist())
-    return len(a & b)
-
-
 def _topk_overlaps(f2: np.ndarray, f3: np.ndarray, k: int) -> np.ndarray:
-    """topk_overlap of every row pair: a stable argsort of the negated
-    scores breaks ties toward the smaller index, as topk_indices does."""
+    """|top-k(f2[i]) intersect top-k(f3[i])| for every row i, each top-k set
+    breaking ties toward the smaller class index (a stable argsort of the
+    negated scores)."""
     rows = np.arange(f2.shape[0])[:, None]
     member = np.zeros((2,) + f2.shape, dtype=bool)
     member[0, rows, np.argsort(-f2, axis=1, kind="stable")[:, :k]] = True

@@ -168,23 +168,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,))
-
-
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
     return _node(data, (a,), lambda g: (g * data,))
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-    return _node(data, (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-    return _node(data, (a,), lambda g: (g * 0.5 / data,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -228,23 +214,6 @@ def swap_last2(a: Tensor) -> Tensor:
         raise ShapeError(f"swap_last2 expects >=2-d, got {a.shape}")
     data = np.swapaxes(a.data, -1, -2).copy()
     return _node(data, (a,), lambda g: (np.swapaxes(g, -1, -2),))
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ContractError("concat of zero tensors")
-    try:
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat shapes do not conform: {[t.shape for t in tensors]}") from exc
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _node(data, tensors, vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -22,7 +22,9 @@ from invgate.harness import (
     metrics_log_lines,
     save_checkpoint,
 )
-from invgate.mining import fit_gmm2, select_joint_hard, topk_overlap
+from invgate.mining import fit_gmm2, select_joint_hard
+
+from oracles import topk_overlap
 
 SEEDS = [0, 1, 2, 3, 4]
 

@@ -352,15 +352,25 @@ def test_flag_for_a_weight_the_run_does_not_read_is_a_one_line_error(tmp_path, c
 
 def test_train_flag_overrides_disable_steps(tmp_path, tiny_config_file):
     cfg_path, cfg = tiny_config_file
-    # mining from the default warm-up, which --no-step1 leaves unread at its default
-    cfg_path.write_text(json.dumps(cfg.replace(epochs=6, mining_warmup=5).to_dict()))
-    run_dir = tmp_path / "run"
-    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir),
-                 "--no-step1", "--no-step2", "--no-align", "--seed", "9"]) == 0
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["config"]["enable_step1"] is False
-    assert manifest["config"]["enable_step2"] is False
-    assert manifest["config"]["seed"] == 9
+    # (what the file tunes, the flags, what the manifest echoes): a flag that
+    # turns a step off drops what the file tuned for that step
+    cases = [
+        ({"epochs": 6, "mining_warmup": 5},
+         ["--no-step1", "--no-step2", "--no-align", "--seed", "9"],
+         {"enable_step1": False, "enable_step2": False, "seed": 9}),
+        ({"mining_rho": 0.4}, ["--no-step1"],
+         {"enable_step1": False, "mining_warmup": 5, "mining_rho": 0.25}),
+        ({"include_25d": True, "irm_variant": "irmv1", "irm_lambda": 2.0}, ["--no-step2"],
+         {"enable_step2": False, "include_25d": False, "irm_lambda": 5.0}),
+        ({"use_view_attention": True, "align_alpha": 0.5}, ["--no-align"],
+         {"enable_align": False, "use_view_attention": False, "align_alpha": 1.0}),
+    ]
+    for i, (tuned, flags, echoed) in enumerate(cases):
+        cfg_path.write_text(json.dumps(cfg.replace(**tuned).to_dict()))
+        run_dir = tmp_path / f"run{i}"
+        assert main(["train", "--config", str(cfg_path), "--out", str(run_dir), *flags]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert {k: manifest["config"][k] for k in echoed} == echoed
 
 
 def test_env_seed_override_recorded(tmp_path, tiny_config_file, monkeypatch):

@@ -67,7 +67,7 @@ def test_step2_requires_step1_or_override():
         if step2:
             RunConfig(enable_step1=step1, include_25d=True)
         else:
-            with pytest.raises(ContractError, match="^include_25d needs enable_step2: "):
+            with pytest.raises(ContractError, match="^include_25d True is read only with enable_step2: "):
                 RunConfig(enable_step1=step1, enable_step2=False, include_25d=True)
 
 
@@ -292,7 +292,7 @@ def test_alignment_needs_two_rows_a_batch():
 
 def test_view_attention_needs_alignment():
     # no other term's gradient reaches the view attention
-    with pytest.raises(ContractError, match="^use_view_attention needs enable_align: "):
+    with pytest.raises(ContractError, match="^use_view_attention True is read only with enable_align: "):
         RunConfig(use_view_attention=True, enable_align=False, enable_step2=False)
     RunConfig(use_view_attention=True, enable_align=True, enable_step1=False,
               enable_step2=False)
@@ -333,6 +333,8 @@ READ_CASES = {
                        "enable_step2 and irm_variant 'mm_rex'"),
     "align_alpha": (0.5, {"enable_align": True}, "enable_align"),
     "n_3d_augments": (2, {"enable_step2": True}, "enable_step2"),
+    "include_25d": (True, {"enable_step2": True}, "enable_step2"),
+    "use_view_attention": (True, {"enable_align": True}, "enable_align"),
     "mining_rho": (0.5, {"enable_step1": True}, "enable_step1"),
     "posterior_p2": (0.3, {"enable_step1": True}, "enable_step1"),
     "posterior_p3": (0.7, {"enable_step1": True}, "enable_step1"),

@@ -35,7 +35,8 @@ from invgate.mining import fit_gmm2, select_modality_hard
 
 
 # a legal value other than its default for each field that some term reads
-# only under one condition (config.READ_WHEN)
+# only under one condition (config.READ_WHEN), but include_25d and
+# use_view_attention, which the lattice and small_run draw as flags
 READ_OTHER = {"irm_lambda": 50.0, "rex_beta": 10.0, "rex_lambda_min": 0.3, "align_alpha": 10.0,
               "n_3d_augments": 3, "mining_rho": 1.0, "posterior_p2": 1.0, "posterior_p3": 0.1,
               "mining_warmup": 2}
@@ -44,15 +45,15 @@ READ_OTHER = {"irm_lambda": 50.0, "rex_beta": 10.0, "rex_lambda_min": 0.3, "alig
 @st.composite
 def small_run(draw):
     """RunConfig keywords for a small run: its epochs, batch size, flags and IRM
-    variant, and each field of config.READ_WHEN that the run reads at its
+    variant, and each other field of config.READ_WHEN that the run reads at its
     default or at its READ_OTHER value (the mining warm-up at 1 or
     READ_OTHER's). Alignment is drawn only on batches of 2 or more rows, where
     it can run."""
     batch_size = draw(st.integers(1, 8))
+    flags = ("enable_step1", "enable_step2", "include_25d", "use_view_attention")
     run = {"epochs": draw(st.integers(2, 7)), "batch_size": batch_size,
            "irm_variant": draw(st.sampled_from(IRM_VARIANTS)),
-           **{flag: draw(st.booleans()) for flag in ("enable_step1", "enable_step2",
-                                                     "include_25d", "use_view_attention")},
+           **{flag: draw(st.booleans()) for flag in flags},
            "enable_align": batch_size >= 2 and draw(st.booleans())}
     if run["enable_step1"]:
         run["mining_warmup"] = 1
@@ -61,7 +62,7 @@ def small_run(draw):
     except ContractError:
         return run
     for name, needs in READ_WHEN.items():
-        if all(getattr(cfg, k) == v for k, v in needs.items()):
+        if name not in flags and all(getattr(cfg, k) == v for k, v in needs.items()):
             run[name] = draw(st.sampled_from((getattr(cfg, name), READ_OTHER[name])))
     return run
 
@@ -419,7 +420,7 @@ class TestRoutingAudit:
         # lattice config also trains once with each READ_WHEN field at its
         # READ_OTHER value, which is not the lattice's own either: over three
         # epochs a mined run mines from epoch 1, or from READ_OTHER's 2.
-        assert set(READ_OTHER) == set(READ_WHEN)
+        assert set(READ_OTHER) == set(READ_WHEN) - set(self.FLAGS)
         counts, stuck, unmined = {"trained": 0, "rejected": 0, "perturbed": 0}, [], []
         runs = set()
         for values in itertools.product((False, True), repeat=len(self.FLAGS)):
@@ -557,11 +558,16 @@ def _cell(step1, step2, **rest):
 
 class TestAblate:
     def test_single_cell_equals_plain_run(self):
-        cfg = tiny_cfg(seed=2)
-        rows = ablate(cfg, [{}])
-        plain = Trainer(cfg).run().metrics[-1]
-        assert rows[0]["acc_joint"] == pytest.approx(plain["acc_joint"])
-        assert rows[0]["c_err"] == pytest.approx(plain["c_err"])
+        # a cell that turns step 1 off drops the mining fields its base tuned
+        for base, cell, cfg in (
+                (tiny_cfg(seed=2), {}, tiny_cfg(seed=2)),
+                (RunConfig(epochs=4, mining_warmup=1, mining_rho=0.4), {"enable_step1": False},
+                 RunConfig(epochs=4, enable_step1=False))):
+            rows = ablate(base, [cell])
+            plain = Trainer(cfg).run().metrics[-1]
+            assert len(rows) == 1
+            assert rows[0]["acc_joint"] == pytest.approx(plain["acc_joint"])
+            assert rows[0]["c_err"] == pytest.approx(plain["c_err"])
 
     def test_fusion_cells_share_training(self, monkeypatch):
         import invgate.harness as H

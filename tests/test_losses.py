@@ -21,6 +21,8 @@ from invgate.losses import (
     v_rex,
 )
 
+import oracles
+
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 
@@ -269,7 +271,7 @@ class TestCombineObjective:
 
 
 def _composite_cross_entropy(logits, labels):
-    return T.neg(T.gather(T.log_softmax(logits, axis=-1), labels))
+    return oracles.neg(T.gather(T.log_softmax(logits, axis=-1), labels))
 
 
 def _composite_pair_masks(batch):
@@ -291,7 +293,7 @@ def _composite_sup_infonce(batch, theta=1.0):
     s = T.mul(_composite_similarity(batch), T.constant(theta))
     exp_s = T.exp(s)
     neg_sum = T.sum_(T.mul(exp_s, T.constant(neg.astype(float))), axis=1, keepdims=True)
-    pair_loss = T.sub(T.log(T.add(exp_s, neg_sum)), s)
+    pair_loss = T.sub(oracles.log(T.add(exp_s, neg_sum)), s)
     total = T.sum_(T.mul(pair_loss, T.constant(pos.astype(float))))
     return T.mul(total, T.constant(1.0 / int(pos.sum())))
 
@@ -320,7 +322,7 @@ def _composite_irmv1(envs, lam):
 
 
 def _composite_v_rex(env_losses, beta):
-    stacked = T.concat([T.reshape(x, (1,) + x.shape) for x in env_losses], axis=0)
+    stacked = oracles.concat([T.reshape(x, (1,) + x.shape) for x in env_losses], axis=0)
     mean = T.mean_(stacked)
     var = T.mean_(T.square(T.sub(stacked, mean)))
     return T.add(T.mul(var, T.constant(beta)), T.sum_(stacked))
@@ -334,7 +336,7 @@ def _composite_nt_xent(z2, z3, tau):
     diag = np.arange(n)
 
     def direction(s):
-        return T.sub(T.log(T.sum_(T.exp(s), axis=1)), T.gather(s, diag))
+        return T.sub(oracles.log(T.sum_(T.exp(s), axis=1)), T.gather(s, diag))
 
     fwd = direction(sims)
     rev = direction(T.transpose2d(sims))

@@ -16,10 +16,10 @@ from invgate.mining import (
     posterior_small,
     select_joint_hard,
     select_modality_hard,
-    topk_indices,
-    topk_overlap,
     wrong_class_confidence,
 )
+
+from oracles import topk_indices, topk_overlap
 
 BIMODAL = np.array([0.1, 0.1, 0.1, 0.1, 5.0, 5.0])
 
