@@ -417,8 +417,8 @@ class TestRoutingAudit:
         # invariance batch ran: then it is the no-gate baseline. At these
         # settings every mined run finds joint-hard rows, and MM-REx's
         # rex_lambda_min > 0 lets the 2.5D environment's risk count. Each
-        # lattice config also trains once with each READ_WHEN field at its
-        # READ_OTHER value, which is not the lattice's own either: over three
+        # lattice config also trains once with each READ_WHEN field but the
+        # flags at its READ_OTHER value, which is not the lattice's own either: over three
         # epochs a mined run mines from epoch 1, or from READ_OTHER's 2.
         assert set(READ_OTHER) == set(READ_WHEN) - set(self.FLAGS)
         counts, stuck, unmined = {"trained": 0, "rejected": 0, "perturbed": 0}, [], []
