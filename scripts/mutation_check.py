@@ -129,6 +129,19 @@ MUTATIONS = (
      "        if name not in overrides and _unread(merged, name):\n", "        if False:\n"),
     ("the reset also drops a field the overrides name", "config.py",
      "if name not in overrides and _unread(merged, name):", "if _unread(merged, name):"),
+    ("READ_WHEN omits irm_variant", "config.py",
+     '    "irm_variant": {"enable_step2": True},\n', ""),
+    ("the 2D head node takes its view mean by np.mean", "tensor.py",
+     "    data = np.add.reduce(per_view, axis=1) * scale\n",
+     "    data = np.mean(per_view, axis=1)\n"),
+    ("cross_entropy divides its sum by n instead of multiplying by 1 / n", "losses.py",
+     "np.add.reduce(-log_probs[np.arange(n), labels], axis=None) * scale",
+     "np.add.reduce(-log_probs[np.arange(n), labels], axis=None) / n"),
+    ("affine hands b the output gradient without _unbroadcast", "tensor.py",
+     "gb = (_unbroadcast(g, b.data.shape) if b_bc else g) if b.requires_grad else None",
+     "gb = g if b.requires_grad else None"),
+    ("backward keeps a leaf's first gradient as handed, not as a fresh 0.0 + g", "tensor.py",
+     "                node.grad = g + 0.0\n", "                node.grad = g\n"),
 )
 
 

@@ -139,6 +139,7 @@ READ_WHEN = {
     "irm_lambda": {"enable_step2": True, "irm_variant": "irmv1"},
     "rex_beta": {"enable_step2": True, "irm_variant": "v_rex"},
     "rex_lambda_min": {"enable_step2": True, "irm_variant": "mm_rex"},
+    "irm_variant": {"enable_step2": True},
     "align_alpha": {"enable_align": True},
     "n_3d_augments": {"enable_step2": True},
     "include_25d": {"enable_step2": True},

@@ -31,7 +31,7 @@ class ModalityEncoder:
         return [self.w, self.b]
 
     def __call__(self, x: Tensor | np.ndarray) -> Tensor:
-        return T.add(T.matmul(T.as_tensor(x), self.w), self.b)
+        return T.affine(T.as_tensor(x), self.w, self.b)
 
 
 class GateMask:
@@ -50,8 +50,9 @@ class GateMask:
         m = T.sigmoid(self.mask_logits)
         return m if learn else m.detach()
 
-    def apply(self, x: Tensor | np.ndarray, learn: bool = True) -> Tensor:
-        return T.mul(self.mask(learn=learn), T.as_tensor(x))
+    def apply(self, x: Tensor | np.ndarray) -> Tensor:
+        """The gated features, through a learnable mask."""
+        return T.mul(self.mask(), T.as_tensor(x))
 
     def values(self) -> np.ndarray:
         with T.no_grad():
@@ -71,8 +72,12 @@ class ClassHead:
         return [self.prototypes]
 
     def logits(self, features: Tensor | np.ndarray) -> Tensor:
-        # raises on a zero-norm feature
-        return T.cosine_matmul_t(T.as_tensor(features), self.prototypes)
+        """Cosine logits of [B, d] features; of [B, N, d] per-view features, the
+        view mean of each view's logits. Raises on a zero-norm feature."""
+        features = T.as_tensor(features)
+        if features.ndim == 3:
+            return T.view_cosine(features, self.prototypes)
+        return T.cosine_matmul_t(features, self.prototypes)
 
 
 class MultiViewAggregator:
@@ -102,15 +107,12 @@ class MultiViewAggregator:
         b, n, d = per_view.shape
 
         flat = T.reshape(per_view, (b, n * d))
-        f_global = T.add(
-            T.matmul(T.relu(T.add(T.matmul(flat, self.f1_w), self.f1_b)), self.f2_w),
-            self.f2_b,
-        )
+        f_global = T.affine(T.relu(T.affine(flat, self.f1_w, self.f1_b)), self.f2_w, self.f2_b)
 
         vn = T.l2_normalize(per_view, axis=-1)
         affinity = T.matmul(vn, T.swap_last2(vn))            # [B, N, N]
         weights = T.softmax(T.mean_(affinity, axis=2), axis=-1)  # [B, N]
-        projected = T.add(T.matmul(per_view, self.proj_w), self.proj_b)
+        projected = T.affine(per_view, self.proj_w, self.proj_b)
         weighted = T.mul(projected, T.reshape(weights, (b, n, 1)))
         f_view = T.relu(T.sum_(weighted, axis=1))
 

@@ -42,7 +42,7 @@ def _loss_builders(seed: int):
     labels_b = _labels(rng)
 
     def ce(leaves):
-        return T.mean_(cross_entropy(leaves[0], labels))
+        return cross_entropy(leaves[0], labels)
 
     def infonce(leaves):
         return sup_infonce(ContrastiveBatch(leaves[0], labels), theta=1.0)
@@ -105,12 +105,24 @@ def _loss_builders(seed: int):
     def fused_cosine_matmul_t(leaves):
         return T.sum_(T.square(T.cosine_matmul_t(leaves[0], leaves[1])))
 
+    # an encoder's map of constant [N, 2, D] views, and a map of a grad-requiring x
+    def fused_affine(leaves):
+        x, w, b = leaves
+        return T.add(T.sum_(T.square(T.affine(T.constant(views), w, b))),
+                     T.sum_(T.mul(T.affine(x, w, b), weights)))
+
+    def fused_view_cosine(leaves):
+        return T.sum_(T.square(T.view_cosine(leaves[0], leaves[1])))
+
     feat = rng.uniform(-2, 2, size=(N, D))
     feat_b = rng.uniform(-2, 2, size=(N, D))
     logits = rng.uniform(-2, 2, size=(N, C))
     gate_logits = rng.uniform(-2, 2, size=D)
     weights = T.constant(rng.uniform(-1, 1, size=(N, D)))
     index = rng.integers(0, D, size=N)
+    views = rng.uniform(-2, 2, size=(N, 2, D))
+    w, b = rng.uniform(-1, 1, size=(D, D)), rng.uniform(-1, 1, size=D)
+    per_view, protos = rng.uniform(-2, 2, size=(2, 3, D)), rng.uniform(-2, 2, size=(C, D))
     return [
         ("cross_entropy", ce, [logits]),
         ("sup_infonce", infonce, [feat]),
@@ -127,6 +139,8 @@ def _loss_builders(seed: int):
         ("fused_gather", fused_gather, [feat]),
         ("fused_matmul_t", fused_matmul_t, [feat, feat_b]),
         ("fused_cosine_matmul_t", fused_cosine_matmul_t, [feat, feat_b]),
+        ("fused_affine", fused_affine, [feat, w, b]),
+        ("fused_view_cosine", fused_view_cosine, [per_view, protos]),
     ]
 
 
@@ -141,7 +155,7 @@ def _pipeline_builder(seed: int):
         feats = T.add(T.matmul(T.constant(x), w), b)
         gated = T.mul(T.sigmoid(mask_logits), feats)
         logits = T.matmul(gated, T.transpose2d(protos))
-        return T.mean_(cross_entropy(logits, labels))
+        return cross_entropy(logits, labels)
 
     return pipeline, [
         rng.uniform(-1, 1, size=(D, D)),

@@ -85,20 +85,10 @@ class Model:
 
     # -- forward paths --------------------------------------------------------
 
-    def features_2d(self, views: np.ndarray) -> tuple[T.Tensor, T.Tensor]:
-        """[B, N, d_in] -> (per-view features [B, N, d], aggregated [B, d])."""
-        per_view = self.enc2d(T.constant(views))
-        if self.mva is not None:
-            agg = self.mva(per_view)
-        else:
-            agg = T.mean_(per_view, axis=1)
-        return per_view, agg
-
-    def logits_2d(self, per_view: T.Tensor) -> T.Tensor:
-        b, n, d = per_view.shape
-        flat = T.reshape(per_view, (b * n, d))
-        per_view_logits = T.reshape(self.head2d.logits(flat), (b, n, self.head2d.num_classes))
-        return T.mean_(per_view_logits, axis=1)
+    def aggregate_2d(self, per_view: T.Tensor) -> T.Tensor:
+        """[B, N, d] per-view features -> [B, d]: view attention's blend, or the
+        view mean."""
+        return self.mva(per_view) if self.mva is not None else T.mean_(per_view, axis=1)
 
 
 def _build(cfg: RunConfig) -> tuple[Model, SGD]:
@@ -123,7 +113,7 @@ def _branch_outputs(model: Model, x3: np.ndarray, views: np.ndarray):
     per-view logits, so no view aggregate is built."""
     with T.no_grad():
         logits3 = model.head3d.logits(model.enc3d(x3))
-        logits2 = model.logits_2d(model.enc2d(T.constant(views)))
+        logits2 = model.head2d.logits(model.enc2d(views))
     return logits2.data, logits3.data
 
 
@@ -231,7 +221,7 @@ class Trainer:
     # -- loss terms -----------------------------------------------------------
 
     def _invariance_term(self, idx: np.ndarray, epoch: int, batch_i: int,
-                         per_view: T.Tensor, agg2: T.Tensor):
+                         per_view: T.Tensor, agg2: T.Tensor | None):
         """Invariance loss anchored at the batch's joint-hard members.
 
         The whole batch joins each environment's pool (otherwise the few
@@ -239,7 +229,8 @@ class Trainer:
         positives); only mined rows act as anchors. Features enter detached,
         so this term's backward reaches nothing but the gate. `per_view` and
         `agg2` are the batch's 2D features from `total_objective`; only their
-        values are read.
+        values are read, and the 2.5D environment aggregates `per_view` itself
+        when `agg2` is None.
         """
         cfg = self.cfg
         if self.d_joint.size == 0:
@@ -268,6 +259,8 @@ class Trainer:
         anchors2 = np.repeat(is_hard, per_view.shape[1])
         pools = {"2d": (feats2, labels2, anchors2), "3d": (feats3, labels3, anchors3)}
         if self.model.xattn is not None:
+            if agg2 is None:
+                agg2 = self.model.aggregate_2d(per_view)
             pools["2.5d"] = (self.model.xattn(agg2.data, feats3[: idx.size]), labels, is_hard)
         envs = {name: ContrastiveBatch(self.model.gate.apply(f), y, anchor_mask=a)
                 for name, (f, y, a) in pools.items()}
@@ -286,11 +279,14 @@ class Trainer:
         cfg = self.cfg
         labels = self.train_labels[idx]
         feats3 = self.model.enc3d(self.train_x3[idx])
-        per_view, agg2 = self.model.features_2d(self.train_views[idx])
+        per_view = self.model.enc2d(self.train_views[idx])
+        # alignment reads the view aggregate; without it, the 2.5D environment
+        # builds its own, and no other term reads one
+        aligned = cfg.enable_align and idx.size >= 2
+        agg2 = self.model.aggregate_2d(per_view) if aligned else None
 
-        ce2 = cross_entropy(self.model.logits_2d(per_view), labels)
-        ce3 = cross_entropy(self.model.head3d.logits(feats3), labels)
-        total = T.add(T.mean_(ce2), T.mean_(ce3))
+        total = T.add(cross_entropy(self.model.head2d.logits(per_view), labels),
+                      cross_entropy(self.model.head3d.logits(feats3), labels))
         parts = {"ce": total.item(), "inv": None, "align": None}
 
         if cfg.enable_step2:
@@ -299,10 +295,9 @@ class Trainer:
                 total = T.add(total, inv)
                 parts["inv"] = inv.item()
 
-        if cfg.enable_align and idx.size >= 2:
-            z2 = self.model.gate.apply(agg2, learn=False)
-            z3 = self.model.gate.apply(feats3, learn=False)
-            align = nt_xent_align(z2, z3)
+        if aligned:
+            mask = self.model.gate.mask(learn=False)
+            align = nt_xent_align(T.mul(mask, agg2), T.mul(mask, feats3))
             total = T.add(total, T.mul(align, T.constant(cfg.align_alpha)))
             parts["align"] = align.item()
         return total, parts

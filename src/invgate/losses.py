@@ -2,8 +2,8 @@
 
 Three terms make up the overall objective:
 
-* per-sample cross-entropy on each branch's logits (updates the encoders
-  and heads),
+* the batch mean of cross-entropy on each branch's logits (updates the
+  encoders and heads),
 * an invariance loss over gated features treated as one environment per
   modality: a supervised InfoNCE risk plus a squared gradient penalty taken
   at a scalar dummy multiplier of 1 (updates only the gate; callers feed it
@@ -38,7 +38,7 @@ INV_THETA, ALIGN_TAU = 5.0, 2.0
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-sample cross-entropy, shape [batch]; callers take the mean."""
+    """The batch mean of per-sample cross-entropy, a scalar."""
     labels = np.asarray(labels)
     if logits.ndim != 2:
         raise ContractError(f"logits must be [batch, classes], got {logits.shape}")
@@ -48,10 +48,16 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= c:
         raise ContractError(f"labels must lie in [0, {c}), got range "
                             f"[{labels.min()}, {labels.max()}]")
-    # one node: neg(gather(log_softmax(logits), labels))
+    # one node: mean_(neg(gather(log_softmax(logits), labels)))
     log_probs, e, s = T._log_softmax(logits.data, 1)
-    return T._node(-log_probs[np.arange(n), labels], (logits,),
-                   lambda g: (T._log_softmax_vjp(T._gather_vjp(-g, (n, c), labels), e, s),))
+    scale = 1.0 / n
+    value = np.add.reduce(-log_probs[np.arange(n), labels], axis=None) * scale
+
+    def vjp(g):
+        g_rows = T._spread(g * scale, None, (n,))
+        return (T._log_softmax_vjp(T._gather_vjp(-g_rows, (n, c), labels), e, s),)
+
+    return T._node(value, (logits,), vjp)
 
 
 @dataclass

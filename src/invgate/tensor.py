@@ -216,25 +216,41 @@ def swap_last2(a: Tensor) -> Tensor:
     return _node(data, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2d@2d, batched Nd@Nd (equal batch dims), or Nd@2d."""
+def _check_matmul(a, b) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul expects matrices, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product: 2d@2d, batched Nd@Nd (equal batch dims), or Nd@2d."""
+    _check_matmul(a, b)
+    return _node(np.matmul(a.data, b.data), (a, b),
+                 lambda g: _matmul_vjp(g, a.data, b.data, a.requires_grad, b.requires_grad))
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """add(matmul(x, w), b), the encoders' and view attention's maps, as one
+    node. For a batched `x` and a 2-d `w`, w's gradient stays the batched
+    product summed over the batch, as the composite's is."""
+    _check_matmul(x, w)
+    xw = np.matmul(x.data, w.data)
+    try:
+        data = np.add(xw, b.data)
+    except ValueError as exc:
+        raise ShapeError(f"add: shapes {xw.shape} and {b.shape} do not conform") from exc
+    xw_bc, b_bc = xw.shape != data.shape, b.data.shape != data.shape
 
     def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
-        return ga, gb
+        g_xw = _unbroadcast(g, xw.shape) if xw_bc else g
+        gx, gw = _matmul_vjp(g_xw, x.data, w.data, x.requires_grad, w.requires_grad)
+        gb = (_unbroadcast(g, b.data.shape) if b_bc else g) if b.requires_grad else None
+        return gx, gw, gb
 
-    return _node(data, (a, b), vjp)
+    return _node(data, (x, w, b), vjp)
 
 
 def _check_matmul_t(a, b) -> None:
@@ -262,6 +278,27 @@ def cosine_matmul_t(a: Tensor, b: Tensor) -> Tensor:
     data, pullback = _cosine(a.data, b.data)
     return _node(data, (a, a, b, b),
                  lambda g: pullback(g, a.requires_grad, b.requires_grad))
+
+
+def view_cosine(a: Tensor, b: Tensor) -> Tensor:
+    """The 2D head's logits of [B, N, d] per-view features `a`, as one node:
+    mean_(reshape(cosine_matmul_t(reshape(a, (B * N, d)), b), (B, N, C)), axis=1).
+    Parents (a, b, b): the flattened views hand `a` the sum of their two
+    gradients, in one piece."""
+    if a.ndim != 3:
+        raise ShapeError(f"view_cosine expects [B, N, d] features, got {a.shape}")
+    n_batch, n_views, d = a.shape
+    flat, pullback = _cosine(a.data.reshape((n_batch * n_views, d)), b.data)
+    per_view = flat.reshape((n_batch, n_views, b.shape[0]))
+    scale = 1.0 / n_views
+    data = np.add.reduce(per_view, axis=1) * scale
+
+    def vjp(g):
+        g_flat = _spread(g * scale, (n_batch, 1, b.shape[0]), per_view.shape).reshape(flat.shape)
+        ga, ga_norms, gb, gb_norms = pullback(g_flat, a.requires_grad, b.requires_grad)
+        return (None if ga is None else (ga + ga_norms).reshape(a.shape)), gb, gb_norms
+
+    return _node(data, (a, b, b), vjp)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -356,11 +393,16 @@ def _l2n_vjp(g, x, norms):
     return g / norms, g_norms * 0.5 / norms * 2.0 * x
 
 
-def _log_softmax(x: np.ndarray, axis: int):
-    """(log_softmax, shifted exponentials, their sums) along `axis`."""
+def _shifted_exp(x: np.ndarray, axis: int):
+    """(x less its max, the exponentials of that, their sums) along `axis`."""
     shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    s = np.add.reduce(e, axis=axis, keepdims=True)
+    return shifted, e, np.add.reduce(e, axis=axis, keepdims=True)
+
+
+def _log_softmax(x: np.ndarray, axis: int):
+    """(log_softmax, shifted exponentials, their sums) along `axis`."""
+    shifted, e, s = _shifted_exp(x, axis)
     return shifted - np.log(s), e, s
 
 
@@ -377,10 +419,15 @@ def _gather_vjp(g, shape, index):
     return g[:, None] * onehot
 
 
-def _matmul_t_vjp(g, a, bt, need_a=True, need_b=True):
-    ga = _unbroadcast(np.matmul(g, bt.swapaxes(-1, -2)), a.shape) if need_a else None
-    gb = _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), bt.shape).T if need_b else None
+def _matmul_vjp(g, a, b, need_a=True, need_b=True):
+    ga = _unbroadcast(np.matmul(g, b.swapaxes(-1, -2)), a.shape) if need_a else None
+    gb = _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), b.shape) if need_b else None
     return ga, gb
+
+
+def _matmul_t_vjp(g, a, bt, need_a=True, need_b=True):
+    ga, gbt = _matmul_vjp(g, a, bt, need_a, need_b)
+    return ga, None if gbt is None else gbt.T
 
 
 def _cosine(a: np.ndarray, b: np.ndarray):
@@ -435,10 +482,12 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node._vjp is None:
-            # leaf: accumulate into .grad
+            # leaf: accumulate into .grad; a first gradient is a fresh array,
+            # 0.0 + g as a zero-filled one would make it (-0.0 turns +0.0)
             if node.grad is None:
-                node.grad = np.zeros(node.data.shape)
-            node.grad += g
+                node.grad = g + 0.0
+            else:
+                node.grad += g
             continue
         for p, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not p.requires_grad:

@@ -162,8 +162,7 @@ def test_eval_nan_phi_is_a_one_line_error(artefacts, capsys):
 def test_diverging_train_is_a_one_line_error(tmp_path, tiny_config_file, capsys, monkeypatch):
     cfg_path, _ = tiny_config_file
     # a loss that diverges at the first step, whatever the config's rules reject
-    monkeypatch.setattr(harness, "cross_entropy",
-                        lambda logits, labels: T.constant(np.full(len(labels), np.inf)))
+    monkeypatch.setattr(harness, "cross_entropy", lambda logits, labels: T.constant(np.inf))
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err == "invgate: error: non-finite loss at epoch 0, batch 0\n"
@@ -361,7 +360,8 @@ def test_train_flag_overrides_disable_steps(tmp_path, tiny_config_file):
         ({"mining_rho": 0.4}, ["--no-step1"],
          {"enable_step1": False, "mining_warmup": 5, "mining_rho": 0.25}),
         ({"include_25d": True, "irm_variant": "irmv1", "irm_lambda": 2.0}, ["--no-step2"],
-         {"enable_step2": False, "include_25d": False, "irm_lambda": 5.0}),
+         {"enable_step2": False, "include_25d": False, "irm_variant": "v_rex",
+          "irm_lambda": 5.0}),
         ({"use_view_attention": True, "align_alpha": 0.5}, ["--no-align"],
          {"enable_align": False, "use_view_attention": False, "align_alpha": 1.0}),
     ]

@@ -331,6 +331,7 @@ READ_CASES = {
                  "enable_step2 and irm_variant 'v_rex'"),
     "rex_lambda_min": (0.2, {"enable_step2": True, "irm_variant": "mm_rex"},
                        "enable_step2 and irm_variant 'mm_rex'"),
+    "irm_variant": ("irmv1", {"enable_step2": True}, "enable_step2"),
     "align_alpha": (0.5, {"enable_align": True}, "enable_align"),
     "n_3d_augments": (2, {"enable_step2": True}, "enable_step2"),
     "include_25d": (True, {"enable_step2": True}, "enable_step2"),
@@ -347,18 +348,19 @@ def test_field_leaves_its_default_only_where_a_term_reads_it(name):
     assert sorted(READ_WHEN) == sorted(READ_CASES)
     value, needs, when = READ_CASES[name]
     default = getattr(RunConfig(), name)
-    for *flags, variant in itertools.product((False, True), (False, True), (False, True),
-                                             IRM_VARIANTS):
-        kw = dict(zip(("enable_step1", "enable_step2", "enable_align"), flags),
-                  irm_variant=variant)
-        RunConfig(**kw, **{name: default})
-        if all(kw[k] == v for k, v in needs.items()):
-            assert getattr(RunConfig(**kw, **{name: value}), name) == value
-            continue
-        with pytest.raises(ContractError) as err:
-            RunConfig(**kw, **{name: value})
-        assert str(err.value) == (f"{name} {value!r} is read only with {when}: leave it at "
-                                  f"its default {default!r}")
+    for flags in itertools.product((False, True), repeat=3):
+        kw = dict(zip(("enable_step1", "enable_step2", "enable_align"), flags))
+        # the variant is read only with step 2
+        for variant in IRM_VARIANTS if kw["enable_step2"] else (RunConfig.irm_variant,):
+            kw["irm_variant"] = variant
+            RunConfig(**{**kw, name: default})
+            if all(kw[k] == v for k, v in needs.items()):
+                assert getattr(RunConfig(**{**kw, name: value}), name) == value
+                continue
+            with pytest.raises(ContractError) as err:
+                RunConfig(**{**kw, name: value})
+            assert str(err.value) == (f"{name} {value!r} is read only with {when}: leave it "
+                                      f"at its default {default!r}")
 
 
 @pytest.mark.parametrize("overrides,when", [

@@ -64,18 +64,24 @@ class TestEncoders:
         assert enc.w.grad is not None and enc.b.grad is not None
 
 
+def encode_2d(model, views):
+    """(per-view features, their aggregate), as training builds them."""
+    per_view = model.enc2d(views)
+    return per_view, model.aggregate_2d(per_view)
+
+
 class TestEncode2d:
     def test_identical_views_mean_is_adapter_output(self):
         v = np.array([1.0, 2.0, 3.0])
-        _, x2 = small_model(3, 3).features_2d(np.stack([v, v, v])[None])
+        _, x2 = encode_2d(small_model(3, 3), np.stack([v, v, v])[None])
         np.testing.assert_allclose(x2.data[0], v)
 
     def test_single_view_equals_per_view(self):
-        per_view, x2 = small_model(3, 1).features_2d(np.array([[[1.0, 0.0, -1.0]]]))
+        per_view, x2 = encode_2d(small_model(3, 1), np.array([[[1.0, 0.0, -1.0]]]))
         np.testing.assert_array_equal(per_view.data[:, 0], x2.data)
 
     def test_two_view_mean(self):
-        _, x2 = small_model(2, 2).features_2d(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        _, x2 = encode_2d(small_model(2, 2), np.array([[[1.0, 0.0], [0.0, 1.0]]]))
         np.testing.assert_allclose(x2.data, [[0.5, 0.5]])
 
     def test_empty_viewset_rejected(self):
@@ -87,7 +93,7 @@ class TestEncode2d:
         model = small_model(3, 3)
         randomize(model.enc2d, rng)
         views = rng.normal(size=(2, 3, 3))
-        per_view, mean = model.features_2d(views)
+        per_view, mean = encode_2d(model, views)
         w, b = model.enc2d.w.data, model.enc2d.b.data
         for i in range(2):
             # independent oracle: each view through the affine map, then the mean
@@ -117,13 +123,13 @@ class TestGate:
     def test_learn_false_blocks_mask_grad(self):
         gate = GateMask(2)
         x = T.parameter([1.0, 2.0], name="x")
-        T.backward(T.sum_(gate.apply(x, learn=False)))
+        T.backward(T.sum_(T.mul(gate.mask(learn=False), x)))
         assert gate.mask_logits.grad is None
         assert x.grad is not None
 
     def test_learn_true_reaches_mask(self):
         gate = GateMask(2)
-        T.backward(T.sum_(gate.apply(np.ones(2), learn=True)))
+        T.backward(T.sum_(gate.apply(np.ones(2))))
         assert gate.mask_logits.grad is not None
 
     @given(st.integers(0, 3), st.floats(-4, 4), st.floats(0.01, 4))
@@ -162,7 +168,7 @@ class TestClassHead:
         model = small_model(2, 2)
         model.head2d.prototypes.data[:] = np.eye(2)      # per-view logits = unit features
         per_view = T.constant(np.array([[[1.0, 0.0], [0.0, 1.0]]]))  # [1, 2, 2]
-        np.testing.assert_allclose(model.logits_2d(per_view).data, [[0.5, 0.5]])
+        np.testing.assert_allclose(model.head2d.logits(per_view).data, [[0.5, 0.5]])
 
     def test_zero_norm_cosine_rejected(self):
         with pytest.raises(NumericError):

@@ -33,6 +33,8 @@ from invgate.harness import (
 from invgate.losses import ALIGN_TAU, IRM_VARIANTS, ContrastiveBatch, cross_entropy, sup_infonce
 from invgate.mining import fit_gmm2, select_modality_hard
 
+import oracles
+
 
 # a legal value other than its default for each field that some term reads
 # only under one condition (config.READ_WHEN), but include_25d and
@@ -44,17 +46,18 @@ READ_OTHER = {"irm_lambda": 50.0, "rex_beta": 10.0, "rex_lambda_min": 0.3, "alig
 
 @st.composite
 def small_run(draw):
-    """RunConfig keywords for a small run: its epochs, batch size, flags and IRM
-    variant, and each other field of config.READ_WHEN that the run reads at its
+    """RunConfig keywords for a small run: its epochs, batch size, flags and,
+    with step 2, IRM variant, and each other field of config.READ_WHEN that the run reads at its
     default or at its READ_OTHER value (the mining warm-up at 1 or
     READ_OTHER's). Alignment is drawn only on batches of 2 or more rows, where
     it can run."""
     batch_size = draw(st.integers(1, 8))
     flags = ("enable_step1", "enable_step2", "include_25d", "use_view_attention")
     run = {"epochs": draw(st.integers(2, 7)), "batch_size": batch_size,
-           "irm_variant": draw(st.sampled_from(IRM_VARIANTS)),
            **{flag: draw(st.booleans()) for flag in flags},
            "enable_align": batch_size >= 2 and draw(st.booleans())}
+    if run["enable_step2"]:
+        run["irm_variant"] = draw(st.sampled_from(IRM_VARIANTS))
     if run["enable_step1"]:
         run["mining_warmup"] = 1
     try:
@@ -62,7 +65,7 @@ def small_run(draw):
     except ContractError:
         return run
     for name, needs in READ_WHEN.items():
-        if name not in flags and all(getattr(cfg, k) == v for k, v in needs.items()):
+        if name not in run and all(getattr(cfg, k) == v for k, v in needs.items()):
             run[name] = draw(st.sampled_from((getattr(cfg, name), READ_OTHER[name])))
     return run
 
@@ -238,7 +241,8 @@ class TestMiningFit:
         with mock.patch.object(harness, "_branch_outputs", lambda *_: tuple(logits)):
             stats = trainer._train_split_stats()
         with T.no_grad():
-            ces = [cross_entropy(T.constant(x), labels).data for x in logits]
+            ces = [oracles.composite_cross_entropy_rows(T.constant(x), labels).data
+                   for x in logits]
         probs = []
         for x in logits:    # max-shift, exp, divide by the sum
             e = np.exp(x - x.max(axis=-1, keepdims=True))
@@ -295,8 +299,8 @@ class TestSingleView:
         idx = np.concatenate([[lone], others])
 
         def inv_term(idx):
-            per_view, agg2 = trainer.model.features_2d(trainer.train_views[idx])
-            return trainer._invariance_term(idx, 0, 0, per_view, agg2)
+            per_view = trainer.model.enc2d(trainer.train_views[idx])
+            return trainer._invariance_term(idx, 0, 0, per_view, None)
 
         trainer.d_joint = np.array([lone])
         # the anchor's class appears once in the batch: only the 3D pool, which
@@ -308,9 +312,9 @@ class TestSingleView:
 
 
 def zero_cross_entropy(logits, labels):
-    """Per-sample cross-entropy stand-in: zeros with no gradient, so the real
-    training loop runs every other config-enabled term alone."""
-    return T.constant(np.zeros(len(labels)))
+    """Cross-entropy stand-in: a batch mean of zero with no gradient, so the
+    real training loop runs every other config-enabled term alone."""
+    return T.constant(0.0)
 
 
 class TestRoutingAudit:
@@ -318,8 +322,8 @@ class TestRoutingAudit:
         cfg = tiny_cfg(enable_step1=False, enable_step2=True)
         trainer = Trainer(cfg)
         idx = np.arange(8)
-        per_view, agg2 = trainer.model.features_2d(trainer.train_views[idx])
-        inv = trainer._invariance_term(idx, 0, 0, per_view, agg2)
+        per_view = trainer.model.enc2d(trainer.train_views[idx])
+        inv = trainer._invariance_term(idx, 0, 0, per_view, None)
         trainer.optimizer.zero_grad()
         T.backward(inv)
         assert trainer.model.gate.mask_logits.grad is not None
@@ -420,7 +424,7 @@ class TestRoutingAudit:
         # lattice config also trains once with each READ_WHEN field but the
         # flags at its READ_OTHER value, which is not the lattice's own either: over three
         # epochs a mined run mines from epoch 1, or from READ_OTHER's 2.
-        assert set(READ_OTHER) == set(READ_WHEN) - set(self.FLAGS)
+        assert set(READ_OTHER) == set(READ_WHEN) - set(self.FLAGS) - {"irm_variant"}
         counts, stuck, unmined = {"trained": 0, "rejected": 0, "perturbed": 0}, [], []
         runs = set()
         for values in itertools.product((False, True), repeat=len(self.FLAGS)):
@@ -484,11 +488,11 @@ class TestSingleBranchOracle:
                 idx = order[start: start + cfg.batch_size]
                 labels = trainer.train_labels[idx]
                 if branch == "e2d":
-                    per_view, _ = model.features_2d(trainer.train_views[idx])
-                    loss = T.mean_(cross_entropy(model.logits_2d(per_view), labels))
+                    per_view = model.enc2d(trainer.train_views[idx])
+                    loss = cross_entropy(model.head2d.logits(per_view), labels)
                 else:
                     feats3 = model.enc3d(trainer.train_x3[idx])
-                    loss = T.mean_(cross_entropy(model.head3d.logits(feats3), labels))
+                    loss = cross_entropy(model.head3d.logits(feats3), labels)
                 opt.zero_grad()
                 T.backward(loss)
                 opt.step()

@@ -253,8 +253,8 @@ class TestCombineObjective:
         enc_out = T.parameter(rng.normal(size=(6, 4)), name="feat")  # stands in for E params
         labels = np.array([0, 0, 1, 1, 2, 2])
         envs = {
-            "2d": ContrastiveBatch(gate.apply(enc_out.detach(), learn=True), labels),
-            "3d": ContrastiveBatch(gate.apply(rng.normal(size=(6, 4)), learn=True), labels),
+            "2d": ContrastiveBatch(gate.apply(enc_out.detach()), labels),
+            "3d": ContrastiveBatch(gate.apply(rng.normal(size=(6, 4))), labels),
         }
         T.backward(irmv1(envs, 5.0))
         assert gate.mask_logits.grad is not None
@@ -264,98 +264,10 @@ class TestCombineObjective:
 # -- fused loss nodes against the composites they replace ----------------------
 #
 # Each loss term is one tape node whose forward pass and VJP repeat its
-# composite's numpy operations in order. The composites below are the
+# composite's numpy operations in order. The composites in `oracles` are the
 # primitive-op versions; the fused nodes must match them bit for bit, in
 # value and in every leaf gradient, with further consumers of each input on
 # both sides of the node.
-
-
-def _composite_cross_entropy(logits, labels):
-    return oracles.neg(T.gather(T.log_softmax(logits, axis=-1), labels))
-
-
-def _composite_pair_masks(batch):
-    labels = batch.labels
-    same = labels[:, None] == labels[None, :]
-    pos = same & ~np.eye(len(labels), dtype=bool)
-    if batch.anchor_mask is not None:
-        pos = pos & batch.anchor_mask[:, None]
-    return pos, ~same
-
-
-def _composite_similarity(batch):
-    z = T.l2_normalize(batch.features, axis=-1)
-    return T.matmul_t(z, z)
-
-
-def _composite_sup_infonce(batch, theta=1.0):
-    pos, neg = _composite_pair_masks(batch)
-    s = T.mul(_composite_similarity(batch), T.constant(theta))
-    exp_s = T.exp(s)
-    neg_sum = T.sum_(T.mul(exp_s, T.constant(neg.astype(float))), axis=1, keepdims=True)
-    pair_loss = T.sub(oracles.log(T.add(exp_s, neg_sum)), s)
-    total = T.sum_(T.mul(pair_loss, T.constant(pos.astype(float))))
-    return T.mul(total, T.constant(1.0 / int(pos.sum())))
-
-
-def _composite_irm_grad_theta(batch):
-    pos, neg = _composite_pair_masks(batch)
-    s = _composite_similarity(batch)
-    exp_s = T.exp(s)
-    negf = T.constant(neg.astype(float))
-    neg_exp_sum = T.sum_(T.mul(exp_s, negf), axis=1, keepdims=True)
-    neg_weighted = T.sum_(T.mul(T.mul(exp_s, negf), s), axis=1, keepdims=True)
-    expectation = T.div(T.add(T.mul(exp_s, s), neg_weighted), T.add(exp_s, neg_exp_sum))
-    per_pair = T.sub(expectation, s)
-    total = T.sum_(T.mul(per_pair, T.constant(pos.astype(float))))
-    return T.mul(total, T.constant(1.0 / int(pos.sum())))
-
-
-def _composite_irmv1(envs, lam):
-    terms = [T.add(_composite_sup_infonce(b), T.mul(T.square(_composite_irm_grad_theta(b)),
-                                                    T.constant(lam)))
-             for b in envs.values()]
-    total = terms[0]
-    for term in terms[1:]:
-        total = T.add(total, term)
-    return total
-
-
-def _composite_v_rex(env_losses, beta):
-    stacked = oracles.concat([T.reshape(x, (1,) + x.shape) for x in env_losses], axis=0)
-    mean = T.mean_(stacked)
-    var = T.mean_(T.square(T.sub(stacked, mean)))
-    return T.add(T.mul(var, T.constant(beta)), T.sum_(stacked))
-
-
-def _composite_nt_xent(z2, z3, tau):
-    n = z2.shape[0]
-    a = T.l2_normalize(z2, axis=-1)
-    b = T.l2_normalize(z3, axis=-1)
-    sims = T.mul(T.matmul_t(a, b), T.constant(tau))
-    diag = np.arange(n)
-
-    def direction(s):
-        return T.sub(oracles.log(T.sum_(T.exp(s), axis=1)), T.gather(s, diag))
-
-    fwd = direction(sims)
-    rev = direction(T.transpose2d(sims))
-    return T.mul(T.add(T.sum_(fwd), T.sum_(rev)), T.constant(0.5 / n))
-
-
-def _run_with_consumers(build, shapes, seed):
-    """Value and leaf gradients of a loss in which every input of `build`
-    also feeds one consumer handled before the node and one after it."""
-    rng = np.random.default_rng(seed)
-    xs = [T.parameter(rng.uniform(-2.0, 2.0, size=shape)) for shape in shapes]
-    first = [T.sum_(T.square(T.mul(x, T.constant(rng.normal(size=x.shape))))) for x in xs]
-    y = build(xs)
-    last = [T.sum_(T.exp(T.mul(x, T.constant(rng.normal(size=x.shape))))) for x in xs]
-    total = first[0]
-    for term in [*first[1:], T.sum_(T.mul(y, T.constant(rng.normal(size=y.shape)))), *last]:
-        total = T.add(total, term)
-    T.backward(total)
-    return [y.data, total.data, *(x.grad for x in xs)]
 
 
 LABELS6 = np.array([0, 0, 1, 1, 2, 0])
@@ -376,45 +288,49 @@ def _gate_envs(xs):
 
 LOSS_CASES = [
     ("cross_entropy", lambda xs: cross_entropy(xs[0], np.array([2, 0, 3, 3, 1])),
-     lambda xs: _composite_cross_entropy(xs[0], np.array([2, 0, 3, 3, 1])), [(5, 4)]),
+     lambda xs: oracles.composite_cross_entropy(xs[0], np.array([2, 0, 3, 3, 1])), [(5, 4)]),
+    # the 2D branch's loss path, as training builds it: 5 rows, so the mean's 1/5 rounds
+    ("cross_entropy_views", lambda xs: cross_entropy(T.view_cosine(xs[0], xs[1]), LABELS5),
+     lambda xs: oracles.composite_cross_entropy(oracles.composite_view_cosine(xs[0], xs[1]),
+                                                LABELS5), [(5, 3, 4), (2, 4)]),
     ("sup_infonce", lambda xs: sup_infonce(_env(xs[0]), theta=2.5),
-     lambda xs: _composite_sup_infonce(_env(xs[0]), theta=2.5), [(6, 3)]),
+     lambda xs: oracles.composite_sup_infonce(_env(xs[0]), theta=2.5), [(6, 3)]),
     ("sup_infonce_anchored", lambda xs: sup_infonce(_env(xs[0], anchors=ANCHORS6)),
-     lambda xs: _composite_sup_infonce(_env(xs[0], anchors=ANCHORS6)), [(6, 3)]),
+     lambda xs: oracles.composite_sup_infonce(_env(xs[0], anchors=ANCHORS6)), [(6, 3)]),
     ("irm_grad_theta", lambda xs: T.square(irm_grad_theta(_env(xs[0]))),
-     lambda xs: T.square(_composite_irm_grad_theta(_env(xs[0]))), [(6, 3)]),
+     lambda xs: T.square(oracles.composite_irm_grad_theta(_env(xs[0]))), [(6, 3)]),
     ("irmv1", lambda xs: irmv1(
         {"a": _env(xs[0]), "b": _env(xs[1], LABELS6[::-1].copy(), ANCHORS6)}, 5.0),
-     lambda xs: _composite_irmv1(
+     lambda xs: oracles.composite_irmv1(
          {"a": _env(xs[0]), "b": _env(xs[1], LABELS6[::-1].copy(), ANCHORS6)}, 5.0),
      [(6, 3), (6, 3)]),
     ("irmv1_gate", lambda xs: irmv1(_gate_envs(xs), 3.0),
-     lambda xs: _composite_irmv1(_gate_envs(xs), 3.0), [(3,), (6, 3), (6, 3)]),
+     lambda xs: oracles.composite_irmv1(_gate_envs(xs), 3.0), [(3,), (6, 3), (6, 3)]),
     ("v_rex", lambda xs: v_rex([T.sum_(T.square(xs[0])), T.mean_(xs[1]), T.sum_(xs[0])], 2.0),
-     lambda xs: _composite_v_rex([T.sum_(T.square(xs[0])), T.mean_(xs[1]), T.sum_(xs[0])], 2.0),
+     lambda xs: oracles.composite_v_rex([T.sum_(T.square(xs[0])), T.mean_(xs[1]), T.sum_(xs[0])], 2.0),
      [(3,), (4,)]),
     ("v_rex_gate", lambda xs: v_rex([sup_infonce(b, theta=5.0) for b in _gate_envs(xs).values()],
                                     1.0),
-     lambda xs: _composite_v_rex([_composite_sup_infonce(b, theta=5.0)
+     lambda xs: oracles.composite_v_rex([oracles.composite_sup_infonce(b, theta=5.0)
                                   for b in _gate_envs(xs).values()], 1.0),
      [(3,), (6, 3), (6, 3)]),
     ("mm_rex_gate", lambda xs: mm_rex([sup_infonce(b, theta=5.0) for b in _gate_envs(xs).values()],
                                       0.2),
-     lambda xs: mm_rex([_composite_sup_infonce(b, theta=5.0)
+     lambda xs: mm_rex([oracles.composite_sup_infonce(b, theta=5.0)
                         for b in _gate_envs(xs).values()], 0.2),
      [(3,), (6, 3), (6, 3)]),
     ("nt_xent_align", lambda xs: nt_xent_align(xs[0], xs[1], tau=2.0),
-     lambda xs: _composite_nt_xent(xs[0], xs[1], 2.0), [(5, 3), (5, 3)]),
+     lambda xs: oracles.composite_nt_xent(xs[0], xs[1], 2.0), [(5, 3), (5, 3)]),
     ("nt_xent_align_shared", lambda xs: nt_xent_align(xs[0], T.mul(xs[0], xs[1]), tau=3.0),
-     lambda xs: _composite_nt_xent(xs[0], T.mul(xs[0], xs[1]), 3.0), [(4, 3), (4, 3)]),
+     lambda xs: oracles.composite_nt_xent(xs[0], T.mul(xs[0], xs[1]), 3.0), [(4, 3), (4, 3)]),
 ]
 
 
 @pytest.mark.parametrize("name,fused,composite,shapes", LOSS_CASES, ids=[c[0] for c in LOSS_CASES])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fused_loss_bit_identical_to_composite(name, fused, composite, shapes, seed):
-    got = _run_with_consumers(fused, shapes, seed)
-    want = _run_with_consumers(composite, shapes, seed)
+    got = oracles.run_with_consumers(fused, shapes, seed)
+    want = oracles.run_with_consumers(composite, shapes, seed)
     for i, (a, b) in enumerate(zip(got, want)):
         assert np.array_equal(a, b), f"{name}: output {i}"
 
@@ -434,15 +350,15 @@ def test_fused_losses_record_one_node():
 OVERFLOW_CASES = [
     # each composite overflows an intermediate (exp, a square, a product)
     ("sup_infonce", lambda x: sup_infonce(_env(x), theta=1e3),
-     lambda x: _composite_sup_infonce(_env(x), theta=1e3)),
+     lambda x: oracles.composite_sup_infonce(_env(x), theta=1e3)),
     ("nt_xent_align", lambda x: nt_xent_align(x, T.constant(x.data[::-1].copy()), tau=1e3),
-     lambda x: _composite_nt_xent(x, T.constant(x.data[::-1].copy()), 1e3)),
+     lambda x: oracles.composite_nt_xent(x, T.constant(x.data[::-1].copy()), 1e3)),
     ("irmv1", lambda x: irmv1({"a": _env(x), "b": _env(x)}, np.inf),
-     lambda x: _composite_irmv1({"a": _env(x), "b": _env(x)}, np.inf)),
+     lambda x: oracles.composite_irmv1({"a": _env(x), "b": _env(x)}, np.inf)),
     ("v_rex", lambda x: v_rex([T.sum_(x), T.constant(1e200)], 1.0),
-     lambda x: _composite_v_rex([T.sum_(x), T.constant(1e200)], 1.0)),
+     lambda x: oracles.composite_v_rex([T.sum_(x), T.constant(1e200)], 1.0)),
     ("cross_entropy", lambda x: cross_entropy(T.mul(x, T.constant(np.inf)), LABELS6 % 3),
-     lambda x: _composite_cross_entropy(T.mul(x, T.constant(np.inf)), LABELS6 % 3)),
+     lambda x: oracles.composite_cross_entropy(T.mul(x, T.constant(np.inf)), LABELS6 % 3)),
 ]
 
 
@@ -464,7 +380,7 @@ def test_anchored_pool_equals_composite_at_large_theta(spread, theta):
     # in value and gradient
     x = E1 + spread * np.random.default_rng(0).normal(size=(6, 3))
     got, want = [], []
-    for loss, out in ((sup_infonce, got), (_composite_sup_infonce, want)):
+    for loss, out in ((sup_infonce, got), (oracles.composite_sup_infonce, want)):
         leaf = T.parameter(x)
         with np.errstate(all="ignore"):
             y = loss(_env(leaf, anchors=ANCHORS6), theta=theta)
@@ -501,19 +417,19 @@ def test_anchored_pools_bit_identical_to_composite(pool):
 
     cases = [
         (lambda xs: sup_infonce(env(xs[0]), theta=1.0),
-         lambda xs: _composite_sup_infonce(env(xs[0]), theta=1.0)),
+         lambda xs: oracles.composite_sup_infonce(env(xs[0]), theta=1.0)),
         (lambda xs: sup_infonce(env(xs[0]), theta=5.0),
-         lambda xs: _composite_sup_infonce(env(xs[0]), theta=5.0)),
-        (lambda xs: irm_grad_theta(env(xs[0])), lambda xs: _composite_irm_grad_theta(env(xs[0]))),
+         lambda xs: oracles.composite_sup_infonce(env(xs[0]), theta=5.0)),
+        (lambda xs: irm_grad_theta(env(xs[0])), lambda xs: oracles.composite_irm_grad_theta(env(xs[0]))),
         (lambda xs: irmv1({"a": env(xs[0]), "b": env(xs[1])}, 5.0),
-         lambda xs: _composite_irmv1({"a": env(xs[0]), "b": env(xs[1])}, 5.0)),
+         lambda xs: oracles.composite_irmv1({"a": env(xs[0]), "b": env(xs[1])}, 5.0)),
     ]
     for fused, composite in cases:
         try:
-            got = _run_with_consumers(fused, [(len(labels), d)] * 2, seed)
+            got = oracles.run_with_consumers(fused, [(len(labels), d)] * 2, seed)
         except DegenerateBatchError:      # no anchor has a positive, or no anchor at all
             return
-        want = _run_with_consumers(composite, [(len(labels), d)] * 2, seed)
+        want = oracles.run_with_consumers(composite, [(len(labels), d)] * 2, seed)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 

@@ -69,6 +69,17 @@ def test_backward_accumulates_until_zeroed():
     np.testing.assert_array_equal(x.grad, first)
 
 
+def test_leaf_gradients_start_as_fresh_arrays():
+    # add hands both leaves one array; its -0.0 from the product turns +0.0, as
+    # accumulating into a zero-filled gradient would make it
+    x, y = T.parameter([1.0, 2.0]), T.parameter([3.0, 4.0])
+    loss = T.sum_(T.mul(T.add(x, y), T.constant([-0.0, 1.0])))
+    T.backward(loss)
+    assert x.grad is not y.grad and not np.signbit(x.grad).any()
+    T.backward(loss)
+    assert np.array_equal(x.grad, [0.0, 2.0]) and np.array_equal(y.grad, [0.0, 2.0])
+
+
 def test_no_grad_blocks_recording():
     x = T.parameter([1.0])
     with T.no_grad():
@@ -148,7 +159,9 @@ OP_CASES = [
     ("matmul_t", lambda ls: T.sum_(T.square(T.matmul_t(ls[0], ls[1]))), 2, (3, 4)),
     ("matmul_t_self", lambda ls: T.sum_(T.square(T.matmul_t(ls[0], ls[0]))), 1, (3, 4)),
     ("cosine_matmul_t", lambda ls: T.sum_(T.square(T.cosine_matmul_t(ls[0], ls[1]))), 2, (3, 4)),
-    ("cross_entropy", lambda ls: T.sum_(cross_entropy(ls[0], np.array([2, 0, 3]))), 1, (3, 4)),
+    ("cross_entropy", lambda ls: cross_entropy(ls[0], np.array([2, 0, 3])), 1, (3, 4)),
+    ("affine", lambda ls: T.sum_(T.square(T.affine(ls[0], ls[1], ls[2]))), "affine", None),
+    ("view_cosine", lambda ls: T.sum_(T.square(T.view_cosine(ls[0], ls[1]))), "views", None),
     ("sup_infonce", lambda ls: sup_infonce(ContrastiveBatch(ls[0], POOL), theta=2.0), 1, (6, 3)),
     ("irm_grad_theta", lambda ls: T.square(irm_grad_theta(ContrastiveBatch(ls[0], POOL))), 1, (6, 3)),
     ("irmv1", lambda ls: modality_irm_loss({e: ContrastiveBatch(x, POOL) for e, x in zip("ab", ls)},
@@ -167,6 +180,10 @@ def test_op_gradients_match_finite_differences(name, build, arity, shape):
         arrays_in = [_rand(rng, 3, 4), _rand(rng, 4)]
     elif arity == "bmm":
         arrays_in = [_rand(rng, 2, 3, 4), _rand(rng, 2, 3, 4)]
+    elif arity == "affine":
+        arrays_in = [_rand(rng, 2, 3, 4), _rand(rng, 4, 2), _rand(rng, 2)]
+    elif arity == "views":
+        arrays_in = [_rand(rng, 2, 3, 4), _rand(rng, 5, 4)]
     else:
         arrays_in = [_rand(rng, *shape) for _ in range(arity)]
     err = check_gradients(build, arrays_in)
@@ -198,32 +215,6 @@ def test_backward_deterministic_repeat():
 # the order in which contributions accumulate is checked too.
 
 
-def _composite_mean(a, axis=None, keepdims=False):
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return T.mul(T.sum_(a, axis=axis, keepdims=keepdims), T.constant(1.0 / n))
-
-
-def _composite_log_softmax(a, axis=-1):
-    ax = axis if axis >= 0 else a.ndim + axis
-    shifted = T.sub(a, T.constant(np.max(a.data, axis=ax, keepdims=True)))
-    return T.sub(shifted, oracles.log(T.sum_(T.exp(shifted), axis=ax, keepdims=True)))
-
-
-def _composite_l2_normalize(a, axis=-1):
-    ax = axis if axis >= 0 else a.ndim + axis
-    return T.div(a, oracles.sqrt(T.sum_(T.square(a), axis=ax, keepdims=True)))
-
-
-def _composite_gather(a, index):
-    onehot = np.zeros(a.shape)
-    onehot[np.arange(a.shape[0]), index] = 1.0
-    return T.sum_(T.mul(a, T.constant(onehot)), axis=1)
-
-
-def _composite_matmul_t(a, b):
-    return T.matmul(a, T.transpose2d(b))
-
-
 def _run(op, shape, seed):
     """Forward value and leaf gradients of a loss where x feeds op and two
     further consumers: `backward` hands x one of their gradients before op's
@@ -241,21 +232,21 @@ def _run(op, shape, seed):
 
 
 FUSED_CASES = [
-    ("mean_all", lambda x: T.mean_(x), lambda x: _composite_mean(x), (4, 5)),
-    ("mean_axis1", lambda x: T.mean_(x, axis=1), lambda x: _composite_mean(x, axis=1), (3, 4, 5)),
+    ("mean_all", lambda x: T.mean_(x), lambda x: oracles.composite_mean(x), (4, 5)),
+    ("mean_axis1", lambda x: T.mean_(x, axis=1), lambda x: oracles.composite_mean(x, axis=1), (3, 4, 5)),
     ("mean_keepdims", lambda x: T.mean_(x, axis=-1, keepdims=True),
-     lambda x: _composite_mean(x, axis=-1, keepdims=True), (6, 5)),
-    ("log_softmax", lambda x: T.log_softmax(x), lambda x: _composite_log_softmax(x), (6, 5)),
+     lambda x: oracles.composite_mean(x, axis=-1, keepdims=True), (6, 5)),
+    ("log_softmax", lambda x: T.log_softmax(x), lambda x: oracles.composite_log_softmax(x), (6, 5)),
     ("log_softmax_axis0", lambda x: T.log_softmax(x, axis=0),
-     lambda x: _composite_log_softmax(x, axis=0), (3, 4, 2)),
-    ("l2_normalize", lambda x: T.l2_normalize(x), lambda x: _composite_l2_normalize(x), (7, 5)),
+     lambda x: oracles.composite_log_softmax(x, axis=0), (3, 4, 2)),
+    ("l2_normalize", lambda x: T.l2_normalize(x), lambda x: oracles.composite_l2_normalize(x), (7, 5)),
     ("l2_normalize_3d", lambda x: T.l2_normalize(x, axis=1),
-     lambda x: _composite_l2_normalize(x, axis=1), (2, 3, 4)),
+     lambda x: oracles.composite_l2_normalize(x, axis=1), (2, 3, 4)),
     ("gather", lambda x: T.gather(x, np.array([1, 0, 4, 4, 2])),
-     lambda x: _composite_gather(x, np.array([1, 0, 4, 4, 2])), (5, 5)),
-    ("matmul_t_self", lambda x: T.matmul_t(x, x), lambda x: _composite_matmul_t(x, x), (6, 4)),
+     lambda x: oracles.composite_gather(x, np.array([1, 0, 4, 4, 2])), (5, 5)),
+    ("matmul_t_self", lambda x: T.matmul_t(x, x), lambda x: oracles.composite_matmul_t(x, x), (6, 4)),
     ("matmul_t_normalized", lambda x: T.matmul_t(T.l2_normalize(x), T.l2_normalize(T.mul(x, x))),
-     lambda x: _composite_matmul_t(_composite_l2_normalize(x), _composite_l2_normalize(T.mul(x, x))),
+     lambda x: oracles.composite_matmul_t(oracles.composite_l2_normalize(x), oracles.composite_l2_normalize(T.mul(x, x))),
      (5, 3)),
     ("cosine_matmul_t", lambda x: T.cosine_matmul_t(x, T.mul(x, x)),
      lambda x: T.matmul_t(T.l2_normalize(x), T.l2_normalize(T.mul(x, x))), (5, 3)),
@@ -274,12 +265,62 @@ def test_fused_op_bit_identical_to_composite(name, fused, composite, shape, seed
         assert np.array_equal(got, want), name
 
 
+# the several-input fused ops, each input with consumers before and after the
+# op: the encoders' and view attention's maps (w's gradient over constant
+# [B, N, d] views is the batched product summed over the batch) and the 2D
+# head's per-view logits, over 3 views so that the view mean's 1/3 rounds
+VIEWS = np.random.default_rng(9).normal(size=(2, 3, 4))
+MULTI_CASES = [
+    ("affine", lambda xs: T.affine(*xs), lambda xs: oracles.composite_affine(*xs),
+     [(5, 3), (3, 4), (4,)]),
+    ("affine_views", lambda xs: T.affine(T.constant(VIEWS), *xs),
+     lambda xs: oracles.composite_affine(T.constant(VIEWS), *xs), [(4, 4), (4,)]),
+    ("affine_grad_views", lambda xs: T.affine(*xs), lambda xs: oracles.composite_affine(*xs),
+     [(2, 3, 4), (4, 2), (1, 2)]),
+    ("affine_shared", lambda xs: T.affine(xs[0], xs[1], T.mean_(xs[0], axis=0)),
+     lambda xs: oracles.composite_affine(xs[0], xs[1], T.mean_(xs[0], axis=0)), [(3, 3), (3, 3)]),
+    ("view_cosine", lambda xs: T.view_cosine(*xs), lambda xs: oracles.composite_view_cosine(*xs),
+     [(2, 3, 4), (5, 4)]),
+    ("view_cosine_encoded", lambda xs: T.view_cosine(T.affine(T.constant(VIEWS), *xs[:2]), xs[2]),
+     lambda xs: oracles.composite_view_cosine(
+         oracles.composite_affine(T.constant(VIEWS), *xs[:2]), xs[2]), [(4, 4), (4,), (5, 4)]),
+]
+
+
+@pytest.mark.parametrize("name,fused,composite,shapes", MULTI_CASES,
+                         ids=[c[0] for c in MULTI_CASES])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_multi_input_fused_op_bit_identical_to_composite(name, fused, composite, shapes, seed):
+    got = oracles.run_with_consumers(fused, shapes, seed)
+    want = oracles.run_with_consumers(composite, shapes, seed)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and np.array_equal(a, b), f"{name}: output {i}"
+
+
 def test_fused_ops_record_one_node():
     x = T.parameter(np.ones((3, 4)))
     for op in (T.mean_, T.log_softmax, T.l2_normalize,
                lambda a: T.gather(a, np.zeros(3, dtype=int)), lambda a: T.matmul_t(a, a),
                lambda a: T.cosine_matmul_t(a, a)):
         assert all(p is x for p in op(x)._parents)
+    w, b = T.parameter(np.ones((4, 2))), T.parameter(np.ones(2))
+    assert T.affine(x, w, b)._parents == (x, w, b)
+    views, protos = T.parameter(np.ones((2, 3, 4))), T.parameter(np.ones((5, 4)))
+    assert T.view_cosine(views, protos)._parents == (views, protos, protos)
+
+
+def test_affine_keeps_matmul_shape_errors():
+    for x, w in ((np.ones(3), np.ones((3, 2))), (np.ones((2, 3)), np.ones((2, 3))),
+                 (np.ones((2, 2, 3)), np.ones((3, 3, 2)))):
+        with pytest.raises(ShapeError) as want:
+            T.matmul(T.constant(x), T.constant(w))
+        with pytest.raises(ShapeError) as got:
+            T.affine(T.constant(x), T.constant(w), T.constant(np.zeros(2)))
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ShapeError, match="^add: shapes"):
+        T.affine(T.constant(np.ones((2, 3))), T.constant(np.ones((3, 2))), T.constant(np.ones(3)))
+    with pytest.raises(ShapeError, match="view_cosine expects"):
+        T.view_cosine(T.constant(np.ones((2, 3))), T.constant(np.ones((5, 3))))
 
 
 def test_matmul_t_rejects_bad_shapes():
