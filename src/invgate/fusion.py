@@ -38,7 +38,7 @@ class FusionConfig:
 
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    _, e, s = T._shifted_exp(x, axis)
+    _, e, s = T._log_softmax(x, axis)
     return e / s
 
 

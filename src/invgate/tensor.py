@@ -393,16 +393,11 @@ def _l2n_vjp(g, x, norms):
     return g / norms, g_norms * 0.5 / norms * 2.0 * x
 
 
-def _shifted_exp(x: np.ndarray, axis: int):
-    """(x less its max, the exponentials of that, their sums) along `axis`."""
-    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return shifted, e, np.add.reduce(e, axis=axis, keepdims=True)
-
-
 def _log_softmax(x: np.ndarray, axis: int):
     """(log_softmax, shifted exponentials, their sums) along `axis`."""
-    shifted, e, s = _shifted_exp(x, axis)
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = np.add.reduce(e, axis=axis, keepdims=True)
     return shifted - np.log(s), e, s
 
 

@@ -47,10 +47,10 @@ READ_OTHER = {"irm_lambda": 50.0, "rex_beta": 10.0, "rex_lambda_min": 0.3, "alig
 @st.composite
 def small_run(draw):
     """RunConfig keywords for a small run: its epochs, batch size, flags and,
-    with step 2, IRM variant, and each other field of config.READ_WHEN that the run reads at its
-    default or at its READ_OTHER value (the mining warm-up at 1 or
-    READ_OTHER's). Alignment is drawn only on batches of 2 or more rows, where
-    it can run."""
+    with step 2, IRM variant, and each other field of config.READ_WHEN that
+    the run reads at its default or at its READ_OTHER value (the mining
+    warm-up at 1 or READ_OTHER's). Alignment is drawn only on batches of 2 or
+    more rows, where it can run."""
     batch_size = draw(st.integers(1, 8))
     flags = ("enable_step1", "enable_step2", "include_25d", "use_view_attention")
     run = {"epochs": draw(st.integers(2, 7)), "batch_size": batch_size,
@@ -65,7 +65,8 @@ def small_run(draw):
     except ContractError:
         return run
     for name, needs in READ_WHEN.items():
-        if name not in run and all(getattr(cfg, k) == v for k, v in needs.items()):
+        if name not in (*flags, "irm_variant") and all(getattr(cfg, k) == v
+                                                       for k, v in needs.items()):
             run[name] = draw(st.sampled_from((getattr(cfg, name), READ_OTHER[name])))
     return run
 

@@ -261,18 +261,19 @@ class TestCombineObjective:
         assert enc_out.grad is None
 
 
-# -- fused loss nodes against the composites they replace ----------------------
+# -- several-input fused nodes against the composites they replace -------------
 #
-# Each loss term is one tape node whose forward pass and VJP repeat its
-# composite's numpy operations in order. The composites in `oracles` are the
-# primitive-op versions; the fused nodes must match them bit for bit, in
-# value and in every leaf gradient, with further consumers of each input on
-# both sides of the node.
+# Each loss term, and each tensor node of more than one input, is one tape
+# node whose forward pass and VJP repeat its composite's numpy operations in
+# order. The composites in `oracles` are the primitive-op versions; the fused
+# nodes must match them bit for bit, in value and in every leaf gradient, with
+# further consumers of each input on both sides of the node.
 
 
 LABELS6 = np.array([0, 0, 1, 1, 2, 0])
 ANCHORS6 = np.array([True, False, True, True, False, False])
 LABELS5 = np.array([1, 0, 1, 0, 0])
+VIEWS = np.random.default_rng(9).normal(size=(2, 3, 4))
 
 
 def _env(x, labels=LABELS6, anchors=None):
@@ -287,6 +288,22 @@ def _gate_envs(xs):
 
 
 LOSS_CASES = [
+    # the encoders' and view attention's maps (w's gradient over constant
+    # [B, N, d] views is the batched product summed over the batch) and the
+    # 2D head's per-view logits, over 3 views so that the view mean's 1/3 rounds
+    ("affine", lambda xs: T.affine(*xs), lambda xs: oracles.composite_affine(*xs),
+     [(5, 3), (3, 4), (4,)]),
+    ("affine_views", lambda xs: T.affine(T.constant(VIEWS), *xs),
+     lambda xs: oracles.composite_affine(T.constant(VIEWS), *xs), [(4, 4), (4,)]),
+    ("affine_grad_views", lambda xs: T.affine(*xs), lambda xs: oracles.composite_affine(*xs),
+     [(2, 3, 4), (4, 2), (1, 2)]),
+    ("affine_shared", lambda xs: T.affine(xs[0], xs[1], T.mean_(xs[0], axis=0)),
+     lambda xs: oracles.composite_affine(xs[0], xs[1], T.mean_(xs[0], axis=0)), [(3, 3), (3, 3)]),
+    ("view_cosine", lambda xs: T.view_cosine(*xs), lambda xs: oracles.composite_view_cosine(*xs),
+     [(2, 3, 4), (5, 4)]),
+    ("view_cosine_encoded", lambda xs: T.view_cosine(T.affine(T.constant(VIEWS), *xs[:2]), xs[2]),
+     lambda xs: oracles.composite_view_cosine(
+         oracles.composite_affine(T.constant(VIEWS), *xs[:2]), xs[2]), [(4, 4), (4,), (5, 4)]),
     ("cross_entropy", lambda xs: cross_entropy(xs[0], np.array([2, 0, 3, 3, 1])),
      lambda xs: oracles.composite_cross_entropy(xs[0], np.array([2, 0, 3, 3, 1])), [(5, 4)]),
     # the 2D branch's loss path, as training builds it: 5 rows, so the mean's 1/5 rounds
@@ -332,7 +349,7 @@ def test_fused_loss_bit_identical_to_composite(name, fused, composite, shapes, s
     got = oracles.run_with_consumers(fused, shapes, seed)
     want = oracles.run_with_consumers(composite, shapes, seed)
     for i, (a, b) in enumerate(zip(got, want)):
-        assert np.array_equal(a, b), f"{name}: output {i}"
+        assert a.shape == b.shape and np.array_equal(a, b), f"{name}: output {i}"
 
 
 def test_fused_losses_record_one_node():

@@ -265,38 +265,6 @@ def test_fused_op_bit_identical_to_composite(name, fused, composite, shape, seed
         assert np.array_equal(got, want), name
 
 
-# the several-input fused ops, each input with consumers before and after the
-# op: the encoders' and view attention's maps (w's gradient over constant
-# [B, N, d] views is the batched product summed over the batch) and the 2D
-# head's per-view logits, over 3 views so that the view mean's 1/3 rounds
-VIEWS = np.random.default_rng(9).normal(size=(2, 3, 4))
-MULTI_CASES = [
-    ("affine", lambda xs: T.affine(*xs), lambda xs: oracles.composite_affine(*xs),
-     [(5, 3), (3, 4), (4,)]),
-    ("affine_views", lambda xs: T.affine(T.constant(VIEWS), *xs),
-     lambda xs: oracles.composite_affine(T.constant(VIEWS), *xs), [(4, 4), (4,)]),
-    ("affine_grad_views", lambda xs: T.affine(*xs), lambda xs: oracles.composite_affine(*xs),
-     [(2, 3, 4), (4, 2), (1, 2)]),
-    ("affine_shared", lambda xs: T.affine(xs[0], xs[1], T.mean_(xs[0], axis=0)),
-     lambda xs: oracles.composite_affine(xs[0], xs[1], T.mean_(xs[0], axis=0)), [(3, 3), (3, 3)]),
-    ("view_cosine", lambda xs: T.view_cosine(*xs), lambda xs: oracles.composite_view_cosine(*xs),
-     [(2, 3, 4), (5, 4)]),
-    ("view_cosine_encoded", lambda xs: T.view_cosine(T.affine(T.constant(VIEWS), *xs[:2]), xs[2]),
-     lambda xs: oracles.composite_view_cosine(
-         oracles.composite_affine(T.constant(VIEWS), *xs[:2]), xs[2]), [(4, 4), (4,), (5, 4)]),
-]
-
-
-@pytest.mark.parametrize("name,fused,composite,shapes", MULTI_CASES,
-                         ids=[c[0] for c in MULTI_CASES])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_multi_input_fused_op_bit_identical_to_composite(name, fused, composite, shapes, seed):
-    got = oracles.run_with_consumers(fused, shapes, seed)
-    want = oracles.run_with_consumers(composite, shapes, seed)
-    for i, (a, b) in enumerate(zip(got, want)):
-        assert a.shape == b.shape and np.array_equal(a, b), f"{name}: output {i}"
-
-
 def test_fused_ops_record_one_node():
     x = T.parameter(np.ones((3, 4)))
     for op in (T.mean_, T.log_softmax, T.l2_normalize,
