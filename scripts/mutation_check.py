@@ -142,6 +142,12 @@ MUTATIONS = (
      "gb = g if b.requires_grad else None"),
     ("backward keeps a leaf's first gradient as handed, not as a fresh 0.0 + g", "tensor.py",
      "                node.grad = g + 0.0\n", "                node.grad = g\n"),
+    ("softmax's VJP drops the normalizer's share", "tensor.py",
+     "(g / s + _spread(_unbroadcast(-g * e / (s * s), s.shape), None, e.shape)) * e",
+     "g / s * e"),
+    ("alignment multiplies by the learnable mask", "harness.py",
+     "mask = T.constant(self.model.gate.values())",
+     "mask = T.sigmoid(self.model.gate.mask_logits)"),
 )
 
 

@@ -44,17 +44,12 @@ class GateMask:
     def params(self) -> list[Tensor]:
         return [self.mask_logits]
 
-    def mask(self, learn: bool = True) -> Tensor:
-        """sigmoid(mask_logits); `learn=False` detaches it so gradients pass
-        through the product to the features but never reach the logits."""
-        m = T.sigmoid(self.mask_logits)
-        return m if learn else m.detach()
-
     def apply(self, x: Tensor | np.ndarray) -> Tensor:
         """The gated features, through a learnable mask."""
-        return T.mul(self.mask(), T.as_tensor(x))
+        return T.mul(T.sigmoid(self.mask_logits), T.as_tensor(x))
 
     def values(self) -> np.ndarray:
+        """sigmoid(mask_logits) as a plain array, recording no node."""
         with T.no_grad():
             return T.sigmoid(self.mask_logits).data.copy()
 

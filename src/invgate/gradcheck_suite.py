@@ -29,6 +29,10 @@ N, D, C = 6, 4, 3  # pool size, feature dim, classes
 N_CONFIGS, TOL, THETA_TOL = 20, 1e-4, 1e-6  # seeds per check; worst relative error bounds
 
 
+def _sum_squares(x):
+    return T.sum_(T.mul(x, x))
+
+
 def _labels(rng, n=N, c=C):
     labels = rng.integers(0, c, size=n)
     labels[0] = labels[1]                 # guarantee a positive pair
@@ -48,7 +52,8 @@ def _loss_builders(seed: int):
         return sup_infonce(ContrastiveBatch(leaves[0], labels), theta=1.0)
 
     def penalty(leaves):
-        return T.square(irm_grad_theta(ContrastiveBatch(leaves[0], labels)))
+        grad_theta = irm_grad_theta(ContrastiveBatch(leaves[0], labels))
+        return T.mul(grad_theta, grad_theta)
 
     def inv_irmv1(leaves):
         envs = {
@@ -88,38 +93,31 @@ def _loss_builders(seed: int):
 
     # the fused tape ops, weighted so that no gradient is trivially uniform
     def fused_mean(leaves):
-        return T.sum_(T.square(T.mean_(T.mul(leaves[0], weights), axis=0)))
+        return _sum_squares(T.mean_(T.mul(leaves[0], weights), axis=0))
 
-    def fused_log_softmax(leaves):
-        return T.sum_(T.mul(T.log_softmax(leaves[0], axis=-1), weights))
+    def fused_softmax(leaves):
+        return T.sum_(T.mul(T.softmax(leaves[0], axis=-1), weights))
 
     def fused_l2_normalize(leaves):
         return T.sum_(T.mul(T.l2_normalize(leaves[0], axis=-1), weights))
 
-    def fused_gather(leaves):
-        return T.sum_(T.square(T.gather(leaves[0], index)))
-
-    def fused_matmul_t(leaves):
-        return T.sum_(T.square(T.matmul_t(leaves[0], leaves[1])))
-
     def fused_cosine_matmul_t(leaves):
-        return T.sum_(T.square(T.cosine_matmul_t(leaves[0], leaves[1])))
+        return _sum_squares(T.cosine_matmul_t(leaves[0], leaves[1]))
 
     # an encoder's map of constant [N, 2, D] views, and a map of a grad-requiring x
     def fused_affine(leaves):
         x, w, b = leaves
-        return T.add(T.sum_(T.square(T.affine(T.constant(views), w, b))),
+        return T.add(_sum_squares(T.affine(T.constant(views), w, b)),
                      T.sum_(T.mul(T.affine(x, w, b), weights)))
 
     def fused_view_cosine(leaves):
-        return T.sum_(T.square(T.view_cosine(leaves[0], leaves[1])))
+        return _sum_squares(T.view_cosine(leaves[0], leaves[1]))
 
     feat = rng.uniform(-2, 2, size=(N, D))
     feat_b = rng.uniform(-2, 2, size=(N, D))
     logits = rng.uniform(-2, 2, size=(N, C))
     gate_logits = rng.uniform(-2, 2, size=D)
     weights = T.constant(rng.uniform(-1, 1, size=(N, D)))
-    index = rng.integers(0, D, size=N)
     views = rng.uniform(-2, 2, size=(N, 2, D))
     w, b = rng.uniform(-1, 1, size=(D, D)), rng.uniform(-1, 1, size=D)
     per_view, protos = rng.uniform(-2, 2, size=(2, 3, D)), rng.uniform(-2, 2, size=(C, D))
@@ -134,10 +132,8 @@ def _loss_builders(seed: int):
         ("mm_rex", rex_mm, [feat, feat_b]),
         ("v_rex", rex_v, [feat, feat_b]),
         ("fused_mean", fused_mean, [feat]),
-        ("fused_log_softmax", fused_log_softmax, [feat]),
+        ("fused_softmax", fused_softmax, [feat]),
         ("fused_l2_normalize", fused_l2_normalize, [feat]),
-        ("fused_gather", fused_gather, [feat]),
-        ("fused_matmul_t", fused_matmul_t, [feat, feat_b]),
         ("fused_cosine_matmul_t", fused_cosine_matmul_t, [feat, feat_b]),
         ("fused_affine", fused_affine, [feat, w, b]),
         ("fused_view_cosine", fused_view_cosine, [per_view, protos]),
@@ -145,17 +141,18 @@ def _loss_builders(seed: int):
 
 
 def _pipeline_builder(seed: int):
-    """Encoder -> gate -> head -> CE, differentiated through every stage."""
+    """Encoder -> gate -> head -> CE, differentiated through every stage, with
+    the nodes a training run builds: an affine map, the learnable sigmoid
+    mask's product and a cosine head."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, C, size=5)
     x = rng.uniform(-2, 2, size=(5, D))
 
     def pipeline(leaves):
         w, b, mask_logits, protos = leaves
-        feats = T.add(T.matmul(T.constant(x), w), b)
+        feats = T.affine(T.constant(x), w, b)
         gated = T.mul(T.sigmoid(mask_logits), feats)
-        logits = T.matmul(gated, T.transpose2d(protos))
-        return cross_entropy(logits, labels)
+        return cross_entropy(T.cosine_matmul_t(gated, protos), labels)
 
     return pipeline, [
         rng.uniform(-1, 1, size=(D, D)),

@@ -8,8 +8,8 @@ metrics record appended. Everything is a pure function of the run config.
 
 Gradient routing is structural, and it is the only routing mechanism: the
 invariance term sees only detached encoder outputs (so its backward can reach
-nothing but the gate), and the alignment term multiplies by a detached copy
-of the mask (so the gate's logits never learn from it). Each optimizer step
+nothing but the gate), and the alignment term multiplies by the mask's values
+as a constant (so the gate's logits never learn from it). Each optimizer step
 then updates exactly the parameters its backward pass reached.
 """
 
@@ -296,7 +296,7 @@ class Trainer:
                 parts["inv"] = inv.item()
 
         if aligned:
-            mask = self.model.gate.mask(learn=False)
+            mask = T.constant(self.model.gate.values())
             align = nt_xent_align(T.mul(mask, agg2), T.mul(mask, feats3))
             total = T.add(total, T.mul(align, T.constant(cfg.align_alpha)))
             parts["align"] = align.item()

@@ -9,7 +9,8 @@ Three terms make up the overall objective:
   at a scalar dummy multiplier of 1 (updates only the gate; callers feed it
   detached features),
 * a cross-modality NT-Xent alignment between the gated 2D and 3D features
-  of the same sample (updates the encoders through a detached mask).
+  of the same sample (updates the encoders through the mask's constant
+  values).
 
 The penalty's inner derivative is supplied in closed form as a
 differentiable node, so plain first-order backprop covers everything. Each

@@ -147,30 +147,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _broadcast_op(a, b, np.add, lambda g: g, lambda g: g, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_op(a, b, np.subtract, lambda g: g, lambda g: -g, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _broadcast_op(
         a, b, np.multiply, lambda g: g * b.data, lambda g: g * a.data, "mul"
     )
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_op(
-        a,
-        b,
-        np.divide,
-        lambda g: g / b.data,
-        lambda g: -g * a.data / (b.data * b.data),
-        "div",
-    )
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-    return _node(data, (a,), lambda g: (g * data,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -187,10 +167,6 @@ def relu(a: Tensor) -> Tensor:
     return _node(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def square(a: Tensor) -> Tensor:
-    return _node(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
-
-
 # -- structural ops -----------------------------------------------------------
 
 
@@ -201,12 +177,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}") from exc
     return _node(data, (a,), lambda g: (g.reshape(a.shape),))
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose2d expects 2-d, got {a.shape}")
-    return _node(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def swap_last2(a: Tensor) -> Tensor:
@@ -253,28 +223,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(data, (x, w, b), vjp)
 
 
-def _check_matmul_t(a, b) -> None:
-    if b.ndim != 2:
-        raise ShapeError(f"matmul_t expects a 2-d right operand, got {b.shape}")
-    if a.ndim < 2 or a.shape[-1] != b.shape[1]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape[::-1]}")
-
-
-def matmul_t(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T for a 2-d `b`, as one node: matmul(a, transpose2d(b)).
-
-    The composite hands `b` its gradient only after a's ancestors; when `b`
-    also feeds those ancestors, the accumulation order there differs.
-    """
-    _check_matmul_t(a, b)
-    bt = b.data.T.copy()
-    return _node(np.matmul(a.data, bt), (a, b),
-                 lambda g: _matmul_t_vjp(g, a.data, bt, a.requires_grad, b.requires_grad))
-
-
 def cosine_matmul_t(a: Tensor, b: Tensor) -> Tensor:
-    """matmul_t(l2_normalize(a), l2_normalize(b)), the cosine heads' logits, as
-    one node; parents (a, a, b, b), as each normalization hands two gradients."""
+    """l2_normalize(a) @ l2_normalize(b).T for a 2-d `b`, the cosine heads'
+    logits, as one node; parents (a, a, b, b), as each normalization hands
+    two gradients."""
     data, pullback = _cosine(a.data, b.data)
     return _node(data, (a, a, b, b),
                  lambda g: pullback(g, a.requires_grad, b.requires_grad))
@@ -301,13 +253,14 @@ def view_cosine(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b, b), vjp)
 
 
-# -- reductions ---------------------------------------------------------------
+# -- reductions and normalizations ---------------------------------------------
 #
-# The fused ops here and matmul_t are single tape nodes whose forward pass and
-# VJP repeat, operation for operation, the arithmetic of the primitive
-# composite they replace, so results stay bit-identical to building that
-# composite. np.add.reduce is ndarray.sum without its Python-level wrapper
-# (likewise maximum.reduce for max, logical_or.reduce for any).
+# The fused ops here and above (affine, cosine_matmul_t, view_cosine) are
+# single tape nodes whose forward pass and VJP repeat, operation for
+# operation, the arithmetic of the primitive composite they replace, so
+# results stay bit-identical to building that composite. np.add.reduce is
+# ndarray.sum without its Python-level wrapper (likewise maximum.reduce for
+# max, logical_or.reduce for any).
 
 
 def _kept_shape(shape: tuple[int, ...], axis, keepdims: bool):
@@ -340,28 +293,13 @@ def mean_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _node(data, (a,), lambda g: (_spread(g * scale, kept, a.data.shape),))
 
 
-def gather(a: Tensor, index: np.ndarray) -> Tensor:
-    """out[i] = a[i, index[i]] for a 2-d `a`: the row sums of `a` times a
-    one-hot matrix, without the products."""
-    index = np.asarray(index)
-    return _node(a.data[np.arange(a.shape[0]), index], (a,),
-                 lambda g: (_gather_vjp(g, a.data.shape, index),))
-
-
-# -- composites (backward falls out of the primitives) ------------------------
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along `axis`; the max shift is a constant, which is exact."""
-    shift = constant(np.max(a.data, axis=axis, keepdims=True))
-    e = exp(sub(a, shift))
-    return div(e, sum_(e, axis=axis if axis >= 0 else a.ndim + axis, keepdims=True))
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """(a - max) - log(sum(exp(a - max))) along `axis`, as one node."""
-    data, e, s = _log_softmax(a.data, axis if axis >= 0 else a.ndim + axis)
-    return _node(data, (a,), lambda g: (_log_softmax_vjp(g, e, s),))
+    """exp(a - max) / sum(exp(a - max)) along `axis`, as one node; the max
+    shift is a constant, which is exact. The VJP repeats the composite's
+    div, sum_, exp and sub in that order."""
+    _, e, s = _log_softmax(a.data, axis)
+    return _node(e / s, (a,), lambda g: (
+        (g / s + _spread(_unbroadcast(-g * e / (s * s), s.shape), None, e.shape)) * e,))
 
 
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
@@ -426,8 +364,11 @@ def _matmul_t_vjp(g, a, bt, need_a=True, need_b=True):
 
 
 def _cosine(a: np.ndarray, b: np.ndarray):
-    """(value, pullback) of matmul_t(l2_normalize(a), l2_normalize(b))."""
-    _check_matmul_t(a, b)
+    """(value, pullback) of l2_normalize(a) @ l2_normalize(b).T."""
+    if b.ndim != 2:
+        raise ShapeError(f"matmul_t expects a 2-d right operand, got {b.shape}")
+    if a.ndim < 2 or a.shape[-1] != b.shape[1]:
+        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape[::-1]}")
     za, na = _l2n(a, -1)
     zb, nb = _l2n(b, -1)
     bt = zb.T.copy()

@@ -20,6 +20,30 @@ def neg(a: T.Tensor) -> T.Tensor:
     return T._node(-a.data, (a,), lambda g: (-g,))
 
 
+def sub(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    return T._broadcast_op(a, b, np.subtract, lambda g: g, lambda g: -g, "sub")
+
+
+def div(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    return T._broadcast_op(a, b, np.divide, lambda g: g / b.data,
+                           lambda g: -g * a.data / (b.data * b.data), "div")
+
+
+def exp(a: T.Tensor) -> T.Tensor:
+    data = np.exp(a.data)
+    return T._node(data, (a,), lambda g: (g * data,))
+
+
+def square(a: T.Tensor) -> T.Tensor:
+    return T._node(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
+
+
+def transpose2d(a: T.Tensor) -> T.Tensor:
+    if a.ndim != 2:
+        raise ShapeError(f"transpose2d expects 2-d, got {a.shape}")
+    return T._node(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
 def log(a: T.Tensor) -> T.Tensor:
     data = np.log(a.data)
     return T._node(data, (a,), lambda g: (g / a.data,))
@@ -71,15 +95,21 @@ def composite_mean(a, axis=None, keepdims=False):
     return T.mul(T.sum_(a, axis=axis, keepdims=keepdims), T.constant(1.0 / n))
 
 
+def composite_softmax(a, axis=-1):
+    shift = T.constant(np.max(a.data, axis=axis, keepdims=True))
+    e = exp(sub(a, shift))
+    return div(e, T.sum_(e, axis=axis if axis >= 0 else a.ndim + axis, keepdims=True))
+
+
 def composite_log_softmax(a, axis=-1):
     ax = axis if axis >= 0 else a.ndim + axis
-    shifted = T.sub(a, T.constant(np.max(a.data, axis=ax, keepdims=True)))
-    return T.sub(shifted, log(T.sum_(T.exp(shifted), axis=ax, keepdims=True)))
+    shifted = sub(a, T.constant(np.max(a.data, axis=ax, keepdims=True)))
+    return sub(shifted, log(T.sum_(exp(shifted), axis=ax, keepdims=True)))
 
 
 def composite_l2_normalize(a, axis=-1):
     ax = axis if axis >= 0 else a.ndim + axis
-    return T.div(a, sqrt(T.sum_(T.square(a), axis=ax, keepdims=True)))
+    return div(a, sqrt(T.sum_(square(a), axis=ax, keepdims=True)))
 
 
 def composite_gather(a, index):
@@ -89,11 +119,11 @@ def composite_gather(a, index):
 
 
 def composite_matmul_t(a, b):
-    return T.matmul(a, T.transpose2d(b))
+    return T.matmul(a, transpose2d(b))
 
 
 def composite_cosine_matmul_t(a, b):
-    return T.matmul_t(T.l2_normalize(a), T.l2_normalize(b))
+    return composite_matmul_t(T.l2_normalize(a), T.l2_normalize(b))
 
 
 def composite_affine(x, w, b):
@@ -111,7 +141,7 @@ def composite_view_cosine(a, b):
 
 def composite_cross_entropy_rows(logits, labels):
     """Per-sample cross-entropy, the terms of the fused node's batch mean."""
-    return neg(T.gather(T.log_softmax(logits, axis=-1), labels))
+    return neg(composite_gather(composite_log_softmax(logits, axis=-1), labels))
 
 
 def composite_cross_entropy(logits, labels):
@@ -129,15 +159,15 @@ def composite_pair_masks(batch):
 
 def composite_similarity(batch):
     z = T.l2_normalize(batch.features, axis=-1)
-    return T.matmul_t(z, z)
+    return composite_matmul_t(z, z)
 
 
 def composite_sup_infonce(batch, theta=1.0):
     pos, neg_mask = composite_pair_masks(batch)
     s = T.mul(composite_similarity(batch), T.constant(theta))
-    exp_s = T.exp(s)
+    exp_s = exp(s)
     neg_sum = T.sum_(T.mul(exp_s, T.constant(neg_mask.astype(float))), axis=1, keepdims=True)
-    pair_loss = T.sub(log(T.add(exp_s, neg_sum)), s)
+    pair_loss = sub(log(T.add(exp_s, neg_sum)), s)
     total = T.sum_(T.mul(pair_loss, T.constant(pos.astype(float))))
     return T.mul(total, T.constant(1.0 / int(pos.sum())))
 
@@ -145,19 +175,19 @@ def composite_sup_infonce(batch, theta=1.0):
 def composite_irm_grad_theta(batch):
     pos, neg_mask = composite_pair_masks(batch)
     s = composite_similarity(batch)
-    exp_s = T.exp(s)
+    exp_s = exp(s)
     negf = T.constant(neg_mask.astype(float))
     neg_exp_sum = T.sum_(T.mul(exp_s, negf), axis=1, keepdims=True)
     neg_weighted = T.sum_(T.mul(T.mul(exp_s, negf), s), axis=1, keepdims=True)
-    expectation = T.div(T.add(T.mul(exp_s, s), neg_weighted), T.add(exp_s, neg_exp_sum))
-    per_pair = T.sub(expectation, s)
+    expectation = div(T.add(T.mul(exp_s, s), neg_weighted), T.add(exp_s, neg_exp_sum))
+    per_pair = sub(expectation, s)
     total = T.sum_(T.mul(per_pair, T.constant(pos.astype(float))))
     return T.mul(total, T.constant(1.0 / int(pos.sum())))
 
 
 def composite_irmv1_term(batch, lam):
     return T.add(composite_sup_infonce(batch),
-                 T.mul(T.square(composite_irm_grad_theta(batch)), T.constant(lam)))
+                 T.mul(square(composite_irm_grad_theta(batch)), T.constant(lam)))
 
 
 def composite_irmv1(envs, lam):
@@ -171,7 +201,7 @@ def composite_irmv1(envs, lam):
 def composite_v_rex(env_losses, beta):
     stacked = concat([T.reshape(x, (1,) + x.shape) for x in env_losses], axis=0)
     mean = T.mean_(stacked)
-    var = T.mean_(T.square(T.sub(stacked, mean)))
+    var = T.mean_(square(sub(stacked, mean)))
     return T.add(T.mul(var, T.constant(beta)), T.sum_(stacked))
 
 
@@ -179,14 +209,14 @@ def composite_nt_xent(z2, z3, tau=losses.ALIGN_TAU):
     n = z2.shape[0]
     a = T.l2_normalize(z2, axis=-1)
     b = T.l2_normalize(z3, axis=-1)
-    sims = T.mul(T.matmul_t(a, b), T.constant(tau))
+    sims = T.mul(composite_matmul_t(a, b), T.constant(tau))
     diag = np.arange(n)
 
     def direction(s):
-        return T.sub(log(T.sum_(T.exp(s), axis=1)), T.gather(s, diag))
+        return sub(log(T.sum_(exp(s), axis=1)), composite_gather(s, diag))
 
     fwd = direction(sims)
-    rev = direction(T.transpose2d(sims))
+    rev = direction(transpose2d(sims))
     return T.mul(T.add(T.sum_(fwd), T.sum_(rev)), T.constant(0.5 / n))
 
 
@@ -195,9 +225,9 @@ def run_with_consumers(build, shapes, seed):
     also feeds one consumer handled before the node and one after it."""
     rng = np.random.default_rng(seed)
     xs = [T.parameter(rng.uniform(-2.0, 2.0, size=shape)) for shape in shapes]
-    first = [T.sum_(T.square(T.mul(x, T.constant(rng.normal(size=x.shape))))) for x in xs]
+    first = [T.sum_(square(T.mul(x, T.constant(rng.normal(size=x.shape))))) for x in xs]
     y = build(xs)
-    last = [T.sum_(T.exp(T.mul(x, T.constant(rng.normal(size=x.shape))))) for x in xs]
+    last = [T.sum_(exp(T.mul(x, T.constant(rng.normal(size=x.shape))))) for x in xs]
     total = first[0]
     for term in [*first[1:], T.sum_(T.mul(y, T.constant(rng.normal(size=y.shape)))), *last]:
         total = T.add(total, term)
@@ -210,10 +240,8 @@ def run_with_consumers(build, shapes, seed):
 # through `T`, so with all of them swapped no fused node is left
 COMPOSITES = (
     (T, "mean_", composite_mean),
-    (T, "log_softmax", composite_log_softmax),
+    (T, "softmax", composite_softmax),
     (T, "l2_normalize", composite_l2_normalize),
-    (T, "gather", composite_gather),
-    (T, "matmul_t", composite_matmul_t),
     (T, "cosine_matmul_t", composite_cosine_matmul_t),
     (T, "affine", composite_affine),
     (T, "view_cosine", composite_view_cosine),

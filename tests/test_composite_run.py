@@ -64,8 +64,10 @@ def test_composites_train_the_same_bytes_as_the_fused_nodes(cfg):
             stack.enter_context(mock.patch.object(owner, attr, counted(attr, composite)))
         composite = _train(cfg)
     assert fused[2] > 0
-    # the three nodes of the CE path, and the variant's pool node, ran as composites
+    # the three nodes of the CE path, the variant's pool node and, with view
+    # attention, its softmax ran as composites
     pool = "_irmv1_term" if cfg.irm_variant == "irmv1" else "sup_infonce"
     assert all(calls[name] for name in ("affine", "view_cosine", "cross_entropy", pool))
+    assert bool(calls["softmax"]) == cfg.use_view_attention
     assert composite[0] == fused[0]
     assert composite[1] == fused[1]

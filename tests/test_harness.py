@@ -338,6 +338,24 @@ class TestRoutingAudit:
         assert None not in parts.values()
         assert total.item() == parts["ce"] + parts["inv"] + 3.0 * parts["align"]
 
+    def test_alignment_step_records_no_sigmoid(self, monkeypatch):
+        # alignment multiplies by the gate's values as a constant, so a step
+        # without invariance records no sigmoid node for the gate
+        trainer = Trainer(tiny_cfg(enable_step1=False, enable_step2=False))
+        sigmoids = []
+        node = T._node
+
+        def spy(data, parents, vjp):
+            out = node(data, parents, vjp)
+            if out._parents and sys._getframe(1).f_code is T.sigmoid.__code__:
+                sigmoids.append(out)
+            return out
+
+        monkeypatch.setattr(T, "_node", spy)
+        _, parts = trainer.total_objective(np.arange(8), epoch=0, batch_i=0)
+        assert parts["align"] is not None
+        assert sigmoids == []
+
     def test_invariance_step_encodes_2d_once(self, monkeypatch):
         # the invariance term reuses the batch's 2D features, 2.5D included
         cfg = tiny_cfg(enable_step1=False, enable_step2=True, include_25d=True)

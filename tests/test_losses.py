@@ -304,6 +304,10 @@ LOSS_CASES = [
     ("view_cosine_encoded", lambda xs: T.view_cosine(T.affine(T.constant(VIEWS), *xs[:2]), xs[2]),
      lambda xs: oracles.composite_view_cosine(
          oracles.composite_affine(T.constant(VIEWS), *xs[:2]), xs[2]), [(4, 4), (4,), (5, 4)]),
+    # view attention's weights over the views, and a softmax over a middle axis
+    ("softmax", lambda xs: T.softmax(xs[0]), lambda xs: oracles.composite_softmax(xs[0]), [(4, 5)]),
+    ("softmax_axis1", lambda xs: T.softmax(xs[0], axis=1),
+     lambda xs: oracles.composite_softmax(xs[0], axis=1), [(2, 3, 4)]),
     ("cross_entropy", lambda xs: cross_entropy(xs[0], np.array([2, 0, 3, 3, 1])),
      lambda xs: oracles.composite_cross_entropy(xs[0], np.array([2, 0, 3, 3, 1])), [(5, 4)]),
     # the 2D branch's loss path, as training builds it: 5 rows, so the mean's 1/5 rounds
@@ -314,8 +318,8 @@ LOSS_CASES = [
      lambda xs: oracles.composite_sup_infonce(_env(xs[0]), theta=2.5), [(6, 3)]),
     ("sup_infonce_anchored", lambda xs: sup_infonce(_env(xs[0], anchors=ANCHORS6)),
      lambda xs: oracles.composite_sup_infonce(_env(xs[0], anchors=ANCHORS6)), [(6, 3)]),
-    ("irm_grad_theta", lambda xs: T.square(irm_grad_theta(_env(xs[0]))),
-     lambda xs: T.square(oracles.composite_irm_grad_theta(_env(xs[0]))), [(6, 3)]),
+    ("irm_grad_theta", lambda xs: oracles.square(irm_grad_theta(_env(xs[0]))),
+     lambda xs: oracles.square(oracles.composite_irm_grad_theta(_env(xs[0]))), [(6, 3)]),
     ("irmv1", lambda xs: irmv1(
         {"a": _env(xs[0]), "b": _env(xs[1], LABELS6[::-1].copy(), ANCHORS6)}, 5.0),
      lambda xs: oracles.composite_irmv1(
@@ -323,8 +327,8 @@ LOSS_CASES = [
      [(6, 3), (6, 3)]),
     ("irmv1_gate", lambda xs: irmv1(_gate_envs(xs), 3.0),
      lambda xs: oracles.composite_irmv1(_gate_envs(xs), 3.0), [(3,), (6, 3), (6, 3)]),
-    ("v_rex", lambda xs: v_rex([T.sum_(T.square(xs[0])), T.mean_(xs[1]), T.sum_(xs[0])], 2.0),
-     lambda xs: oracles.composite_v_rex([T.sum_(T.square(xs[0])), T.mean_(xs[1]), T.sum_(xs[0])], 2.0),
+    ("v_rex", lambda xs: v_rex([T.sum_(oracles.square(xs[0])), T.mean_(xs[1]), T.sum_(xs[0])], 2.0),
+     lambda xs: oracles.composite_v_rex([T.sum_(oracles.square(xs[0])), T.mean_(xs[1]), T.sum_(xs[0])], 2.0),
      [(3,), (4,)]),
     ("v_rex_gate", lambda xs: v_rex([sup_infonce(b, theta=5.0) for b in _gate_envs(xs).values()],
                                     1.0),

@@ -1,4 +1,7 @@
+import inspect
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from invgate import tensor as T
+from invgate.config import RunConfig
 from invgate.errors import ContractError, NumericError, ShapeError
 from invgate.gradcheck import check_gradients
+from invgate.harness import Trainer
 from invgate.losses import (
     ContrastiveBatch,
     cross_entropy,
@@ -35,8 +40,8 @@ def test_softmax_direct_evaluation():
 
 def test_cosine_similarity_identity():
     # the cosine heads' form: normalized rows, then a @ b.T
-    v = T.l2_normalize(T.constant([[0.3, -1.2, 4.0]]))
-    assert T.matmul_t(v, v).item() == pytest.approx(1.0, abs=1e-12)
+    v = T.constant([[0.3, -1.2, 4.0]])
+    assert T.cosine_matmul_t(v, v).item() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_backward_sum_is_ones():
@@ -129,44 +134,65 @@ def _rand(rng, *shape):
     return rng.uniform(-2.0, 2.0, size=shape)
 
 
+# One-node ops built from the kernels that cross_entropy, the pools and the
+# alignment node share. No run builds these nodes, so tensor.py keeps none;
+# here they check the kernels against their composites under any upstream
+# gradient, not only the one-hot gradients those nodes hand them.
+def log_softmax_node(x, axis=-1):
+    data, e, s = T._log_softmax(x.data, axis)
+    return T._node(data, (x,), lambda g: (T._log_softmax_vjp(g, e, s),))
+
+
+def gather_node(x, index):
+    return T._node(x.data[np.arange(x.shape[0]), index], (x,),
+                   lambda g: (T._gather_vjp(g, x.data.shape, index),))
+
+
+def matmul_t_node(a, b):
+    bt = b.data.T.copy()
+    return T._node(np.matmul(a.data, bt), (a, b),
+                   lambda g: T._matmul_t_vjp(g, a.data, bt, a.requires_grad, b.requires_grad))
+
+
 POOL = np.array([0, 0, 1, 1, 2, 0])   # labels of a contrastive pool with positives
 OP_CASES = [
     ("add", lambda ls: T.sum_(T.add(ls[0], ls[1])), 2, (3, 4)),
-    ("sub", lambda ls: T.sum_(T.sub(ls[0], ls[1])), 2, (3, 4)),
+    ("sub", lambda ls: T.sum_(oracles.sub(ls[0], ls[1])), 2, (3, 4)),
     ("mul", lambda ls: T.sum_(T.mul(ls[0], ls[1])), 2, (3, 4)),
-    ("div", lambda ls: T.sum_(T.div(ls[0], T.add(T.mul(ls[1], ls[1]), T.constant(1.0)))), 2, (3, 4)),
+    ("div", lambda ls: T.sum_(oracles.div(ls[0], T.add(T.mul(ls[1], ls[1]), T.constant(1.0)))), 2, (3, 4)),
     ("matmul", lambda ls: T.sum_(T.matmul(ls[0], ls[1])), "mat", None),
-    ("exp", lambda ls: T.sum_(T.exp(ls[0])), 1, (5,)),
+    ("exp", lambda ls: T.sum_(oracles.exp(ls[0])), 1, (5,)),
     ("log", lambda ls: T.sum_(oracles.log(T.add(T.mul(ls[0], ls[0]), T.constant(0.5)))), 1, (5,)),
     ("sqrt", lambda ls: T.sum_(oracles.sqrt(T.add(T.mul(ls[0], ls[0]), T.constant(0.5)))), 1, (5,)),
     ("sigmoid", lambda ls: T.sum_(T.sigmoid(ls[0])), 1, (7,)),
     ("relu", lambda ls: T.sum_(T.relu(ls[0])), 1, (7,)),
     ("softmax", lambda ls: T.sum_(T.mul(T.softmax(ls[0]), T.constant(np.arange(6.0)))), 1, (6,)),
-    ("log_softmax", lambda ls: T.sum_(T.mul(T.log_softmax(ls[0], axis=-1), T.constant(np.ones((2, 4))))), 1, (2, 4)),
+    ("softmax_axis1", lambda ls: T.sum_(T.mul(T.softmax(ls[0], axis=1), T.constant(np.arange(24.0).reshape(2, 3, 4)))), 1, (2, 3, 4)),
+    ("log_softmax", lambda ls: T.sum_(T.mul(log_softmax_node(ls[0]), T.constant(np.ones((2, 4))))), 1, (2, 4)),
     ("mean", lambda ls: T.mean_(T.mul(ls[0], ls[0])), 1, (3, 4)),
-    ("l2_norm", lambda ls: T.sum_(oracles.sqrt(T.sum_(T.square(T.add(ls[0], T.constant(3.0))), axis=-1))), 1, (3, 4)),
-    ("concat", lambda ls: T.sum_(T.square(oracles.concat([ls[0], ls[1]], axis=0))), 2, (3, 2)),
-    ("reshape", lambda ls: T.sum_(T.square(T.reshape(ls[0], (6,)))), 1, (2, 3)),
+    ("l2_norm", lambda ls: T.sum_(oracles.sqrt(T.sum_(oracles.square(T.add(ls[0], T.constant(3.0))), axis=-1))), 1, (3, 4)),
+    ("concat", lambda ls: T.sum_(oracles.square(oracles.concat([ls[0], ls[1]], axis=0))), 2, (3, 2)),
+    ("reshape", lambda ls: T.sum_(oracles.square(T.reshape(ls[0], (6,)))), 1, (2, 3)),
     ("cosine", lambda ls: T.sum_(T.mul(T.l2_normalize(T.add(ls[0], T.constant(3.0))), T.l2_normalize(T.add(ls[1], T.constant(3.0))))), 2, (4, 3)),
     ("broadcast_mul", lambda ls: T.sum_(T.mul(ls[0], T.reshape(ls[1], (1, 4)))), "bc", None),
     ("batched_matmul", lambda ls: T.sum_(T.matmul(ls[0], T.swap_last2(ls[1]))), "bmm", None),
-    ("mean_axis", lambda ls: T.sum_(T.square(T.mean_(ls[0], axis=1))), 1, (2, 3, 4)),
+    ("mean_axis", lambda ls: T.sum_(oracles.square(T.mean_(ls[0], axis=1))), 1, (2, 3, 4)),
     ("mean_keepdims", lambda ls: T.sum_(T.mul(T.mean_(ls[0], axis=-1, keepdims=True), ls[0])), 1, (3, 4)),
-    ("log_softmax_3d", lambda ls: T.sum_(T.square(T.log_softmax(ls[0], axis=1))), 1, (2, 3, 4)),
+    ("log_softmax_3d", lambda ls: T.sum_(oracles.square(log_softmax_node(ls[0], axis=1))), 1, (2, 3, 4)),
     ("l2_normalize", lambda ls: T.sum_(T.mul(T.l2_normalize(ls[0]), T.constant(np.arange(12.0).reshape(3, 4)))), 1, (3, 4)),
     ("l2_normalize_reused", lambda ls: T.sum_(T.mul(T.l2_normalize(ls[0], axis=0), ls[0])), 1, (3, 4)),
-    ("gather", lambda ls: T.sum_(T.square(T.gather(ls[0], np.array([2, 0, 3])))), 1, (3, 4)),
-    ("matmul_t", lambda ls: T.sum_(T.square(T.matmul_t(ls[0], ls[1]))), 2, (3, 4)),
-    ("matmul_t_self", lambda ls: T.sum_(T.square(T.matmul_t(ls[0], ls[0]))), 1, (3, 4)),
-    ("cosine_matmul_t", lambda ls: T.sum_(T.square(T.cosine_matmul_t(ls[0], ls[1]))), 2, (3, 4)),
+    ("gather", lambda ls: T.sum_(oracles.square(gather_node(ls[0], np.array([2, 0, 3])))), 1, (3, 4)),
+    ("matmul_t", lambda ls: T.sum_(oracles.square(matmul_t_node(ls[0], ls[1]))), 2, (3, 4)),
+    ("matmul_t_self", lambda ls: T.sum_(oracles.square(matmul_t_node(ls[0], ls[0]))), 1, (3, 4)),
+    ("cosine_matmul_t", lambda ls: T.sum_(oracles.square(T.cosine_matmul_t(ls[0], ls[1]))), 2, (3, 4)),
     ("cross_entropy", lambda ls: cross_entropy(ls[0], np.array([2, 0, 3])), 1, (3, 4)),
-    ("affine", lambda ls: T.sum_(T.square(T.affine(ls[0], ls[1], ls[2]))), "affine", None),
-    ("view_cosine", lambda ls: T.sum_(T.square(T.view_cosine(ls[0], ls[1]))), "views", None),
+    ("affine", lambda ls: T.sum_(oracles.square(T.affine(ls[0], ls[1], ls[2]))), "affine", None),
+    ("view_cosine", lambda ls: T.sum_(oracles.square(T.view_cosine(ls[0], ls[1]))), "views", None),
     ("sup_infonce", lambda ls: sup_infonce(ContrastiveBatch(ls[0], POOL), theta=2.0), 1, (6, 3)),
-    ("irm_grad_theta", lambda ls: T.square(irm_grad_theta(ContrastiveBatch(ls[0], POOL))), 1, (6, 3)),
+    ("irm_grad_theta", lambda ls: oracles.square(irm_grad_theta(ContrastiveBatch(ls[0], POOL))), 1, (6, 3)),
     ("irmv1", lambda ls: modality_irm_loss({e: ContrastiveBatch(x, POOL) for e, x in zip("ab", ls)},
                                            "irmv1", 5.0, 1.0, 0.0, 1.0), 2, (6, 3)),
-    ("v_rex", lambda ls: v_rex([T.sum_(T.square(ls[0])), T.sum_(ls[1]), T.mean_(ls[0])], 2.0), 2, (3,)),
+    ("v_rex", lambda ls: v_rex([T.sum_(oracles.square(ls[0])), T.sum_(ls[1]), T.mean_(ls[0])], 2.0), 2, (3,)),
     ("nt_xent_align", lambda ls: nt_xent_align(ls[0], ls[1], tau=3.0), 2, (4, 3)),
 ]
 
@@ -198,7 +224,7 @@ def test_backward_deterministic_repeat():
     def run():
         x.grad = None
         w.grad = None
-        loss = T.sum_(T.square(T.relu(T.matmul(x, w))))
+        loss = T.sum_(oracles.square(T.relu(T.matmul(x, w))))
         T.backward(loss)
         return x.grad.copy(), w.grad.copy()
 
@@ -224,9 +250,9 @@ def _run(op, shape, seed):
     w = [T.constant(rng.normal(size=shape)) for _ in range(2)]
     first = T.mul(x, w[0])
     y = op(x)
-    last = T.exp(T.mul(x, w[1]))
+    last = oracles.exp(T.mul(x, w[1]))
     out_w = T.constant(rng.normal(size=y.shape))
-    loss = T.add(T.add(T.sum_(T.square(first)), T.sum_(T.mul(y, out_w))), T.sum_(last))
+    loss = T.add(T.add(T.sum_(oracles.square(first)), T.sum_(T.mul(y, out_w))), T.sum_(last))
     T.backward(loss)
     return y.data, loss.data, x.grad
 
@@ -236,25 +262,25 @@ FUSED_CASES = [
     ("mean_axis1", lambda x: T.mean_(x, axis=1), lambda x: oracles.composite_mean(x, axis=1), (3, 4, 5)),
     ("mean_keepdims", lambda x: T.mean_(x, axis=-1, keepdims=True),
      lambda x: oracles.composite_mean(x, axis=-1, keepdims=True), (6, 5)),
-    ("log_softmax", lambda x: T.log_softmax(x), lambda x: oracles.composite_log_softmax(x), (6, 5)),
-    ("log_softmax_axis0", lambda x: T.log_softmax(x, axis=0),
+    ("log_softmax", lambda x: log_softmax_node(x), lambda x: oracles.composite_log_softmax(x), (6, 5)),
+    ("log_softmax_axis0", lambda x: log_softmax_node(x, axis=0),
      lambda x: oracles.composite_log_softmax(x, axis=0), (3, 4, 2)),
     ("l2_normalize", lambda x: T.l2_normalize(x), lambda x: oracles.composite_l2_normalize(x), (7, 5)),
     ("l2_normalize_3d", lambda x: T.l2_normalize(x, axis=1),
      lambda x: oracles.composite_l2_normalize(x, axis=1), (2, 3, 4)),
-    ("gather", lambda x: T.gather(x, np.array([1, 0, 4, 4, 2])),
+    ("gather", lambda x: gather_node(x, np.array([1, 0, 4, 4, 2])),
      lambda x: oracles.composite_gather(x, np.array([1, 0, 4, 4, 2])), (5, 5)),
-    ("matmul_t_self", lambda x: T.matmul_t(x, x), lambda x: oracles.composite_matmul_t(x, x), (6, 4)),
-    ("matmul_t_normalized", lambda x: T.matmul_t(T.l2_normalize(x), T.l2_normalize(T.mul(x, x))),
+    ("matmul_t_self", lambda x: matmul_t_node(x, x), lambda x: oracles.composite_matmul_t(x, x), (6, 4)),
+    # the cosine node against the composite of primitives all the way down
+    ("matmul_t_normalized", lambda x: T.cosine_matmul_t(x, T.mul(x, x)),
      lambda x: oracles.composite_matmul_t(oracles.composite_l2_normalize(x), oracles.composite_l2_normalize(T.mul(x, x))),
      (5, 3)),
     ("cosine_matmul_t", lambda x: T.cosine_matmul_t(x, T.mul(x, x)),
-     lambda x: T.matmul_t(T.l2_normalize(x), T.l2_normalize(T.mul(x, x))), (5, 3)),
+     lambda x: oracles.composite_cosine_matmul_t(x, T.mul(x, x)), (5, 3)),
     ("cosine_matmul_t_self", lambda x: T.cosine_matmul_t(x, x),
-     lambda x: T.matmul_t(T.l2_normalize(x), T.l2_normalize(x)), (6, 4)),
+     lambda x: oracles.composite_cosine_matmul_t(x, x), (6, 4)),
     ("cosine_matmul_t_3d", lambda x: T.cosine_matmul_t(x, T.constant(np.ones((2, 4)))),
-     lambda x: T.matmul_t(T.l2_normalize(x), T.l2_normalize(T.constant(np.ones((2, 4))))),
-     (2, 3, 4)),
+     lambda x: oracles.composite_cosine_matmul_t(x, T.constant(np.ones((2, 4)))), (2, 3, 4)),
 ]
 
 
@@ -267,9 +293,7 @@ def test_fused_op_bit_identical_to_composite(name, fused, composite, shape, seed
 
 def test_fused_ops_record_one_node():
     x = T.parameter(np.ones((3, 4)))
-    for op in (T.mean_, T.log_softmax, T.l2_normalize,
-               lambda a: T.gather(a, np.zeros(3, dtype=int)), lambda a: T.matmul_t(a, a),
-               lambda a: T.cosine_matmul_t(a, a)):
+    for op in (T.mean_, T.softmax, T.l2_normalize, lambda a: T.cosine_matmul_t(a, a)):
         assert all(p is x for p in op(x)._parents)
     w, b = T.parameter(np.ones((4, 2))), T.parameter(np.ones(2))
     assert T.affine(x, w, b)._parents == (x, w, b)
@@ -292,8 +316,34 @@ def test_affine_keeps_matmul_shape_errors():
 
 
 def test_matmul_t_rejects_bad_shapes():
-    for op in (T.matmul_t, T.cosine_matmul_t):
-        with pytest.raises(ShapeError):
-            op(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 4))))
-        with pytest.raises(ShapeError):
-            op(T.constant(np.ones((2, 3))), T.constant(np.ones(3)))
+    with pytest.raises(ShapeError, match="inner dims"):
+        T.cosine_matmul_t(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 4))))
+    with pytest.raises(ShapeError, match="2-d right operand"):
+        T.cosine_matmul_t(T.constant(np.ones((2, 3))), T.constant(np.ones(3)))
+
+
+def test_every_tape_op_is_built_by_a_training_run():
+    """Each public function of tensor.py that builds a node records one on the
+    tape in one of three small runs, so an op that only tests call cannot
+    come back: those belong in tests/oracles.py."""
+    ops = {f.__code__: name for name, f in vars(T).items()
+           if inspect.isfunction(f) and not name.startswith("_") and f.__module__ == T.__name__
+           and {"_node", "_broadcast_op"} & set(f.__code__.co_names)}
+    recorded = set()
+    node = T._node
+
+    def spy(data, parents, vjp):
+        out = node(data, parents, vjp)
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in ops:
+            frame = frame.f_back
+        if out._parents and frame is not None:
+            recorded.add(ops[frame.f_code])
+        return out
+
+    with mock.patch.object(T, "_node", spy):
+        for cfg in (RunConfig(),
+                    RunConfig(include_25d=True, use_view_attention=True, irm_variant="irmv1"),
+                    RunConfig(irm_variant="mm_rex")):
+            Trainer(cfg).run()
+    assert sorted(recorded) == sorted(ops.values())
