@@ -148,6 +148,13 @@ MUTATIONS = (
     ("alignment multiplies by the learnable mask", "harness.py",
      "mask = T.constant(self.model.gate.values())",
      "mask = T.sigmoid(self.model.gate.mask_logits)"),
+    ("RETIRED['momentum'] returns WEIGHT_DECAY", "config.py",
+     '    "momentum": lambda cfg: MOMENTUM,\n', '    "momentum": lambda cfg: WEIGHT_DECAY,\n'),
+    ("the 2.5D view mean is built on the live tape", "harness.py",
+     "                with T.no_grad():\n                    agg2 = ",
+     "                if True:\n                    agg2 = "),
+    ("RunConfig keeps a fusion alias as given", "config.py",
+     "        self.fusion_mode = MODE_ALIASES[self.fusion_mode]\n", ""),
 )
 
 

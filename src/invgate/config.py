@@ -16,8 +16,9 @@ from .data import GeneratorConfig, check_fields, check_type
 from .encoders import HEAD_SCALE, VIEW_ATTENTION_DELTA, VIEW_ATTENTION_HIDDEN
 from .errors import ContractError
 from .fusion import MODE_ALIASES
-from .losses import ALIGN_TAU, INV_THETA, IRM_VARIANTS
+from .losses import ALIGN_TAU, INV_THETA, IRM_VARIANTS, REX_BETA
 from .mining import MINING_TOPK
+from .optim import BASE_LR, MOMENTUM, WEIGHT_DECAY
 
 
 @dataclass
@@ -32,7 +33,6 @@ class RunConfig:
     align_alpha: float = 1.0
     irm_variant: str = "v_rex"              # irmv1 | mm_rex | v_rex
     rex_lambda_min: float = 0.0
-    rex_beta: float = 1.0
     include_25d: bool = False
 
     # fusion (inference-time only)
@@ -46,9 +46,6 @@ class RunConfig:
     mining_warmup: int = 5                  # mining runs at every epoch from this one on
 
     # optimizer
-    base_lr: float = 0.01
-    weight_decay: float = 1e-4
-    momentum: float = 0.9
     epochs: int = 50
     batch_size: int = 32
 
@@ -64,6 +61,7 @@ class RunConfig:
         check_fields(self)
         if self.fusion_mode not in MODE_ALIASES:
             raise ContractError(f"unknown fusion mode {self.fusion_mode!r}")
+        self.fusion_mode = MODE_ALIASES[self.fusion_mode]
         if self.enable_step1 and self.mining_warmup >= self.epochs:
             raise ContractError("enable_step1 needs mining_warmup < epochs: mining first "
                                 "runs at epoch mining_warmup")
@@ -76,19 +74,15 @@ class RunConfig:
         envs = 2 + self.include_25d
         if self.rex_lambda_min > 1.0 / envs:
             raise ContractError(f"rex_lambda_min must be <= 1/{envs} with {envs} environments")
-        for name in ("fusion_phi", "base_lr"):
-            if not getattr(self, name) > 0.0:
-                raise ContractError(f"{name} must be positive")
-        for name in ("rex_beta", "irm_lambda", "weight_decay"):
-            if not getattr(self, name) >= 0.0:
-                raise ContractError(f"{name} must be non-negative")
+        if not self.fusion_phi > 0.0:
+            raise ContractError("fusion_phi must be positive")
+        if not self.irm_lambda >= 0.0:
+            raise ContractError("irm_lambda must be non-negative")
         if self.mining_warmup < 1:
             raise ContractError("mining_warmup must be >= 1")
         for name in ("posterior_p2", "posterior_p3", "mining_rho"):
             if not (0.0 < getattr(self, name) <= 1.0):
                 raise ContractError(f"{name} must lie in (0, 1]")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ContractError("momentum must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be positive")
         if self.n_3d_augments < 1:
@@ -137,7 +131,6 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 # alignment): elsewhere it keeps its default, so no two valid configs train one run
 READ_WHEN = {
     "irm_lambda": {"enable_step2": True, "irm_variant": "irmv1"},
-    "rex_beta": {"enable_step2": True, "irm_variant": "v_rex"},
     "rex_lambda_min": {"enable_step2": True, "irm_variant": "mm_rex"},
     "irm_variant": {"enable_step2": True},
     "align_alpha": {"enable_align": True},
@@ -182,6 +175,10 @@ RETIRED = {
     "align_tau": lambda cfg: ALIGN_TAU,
     "mining_topk": lambda cfg: MINING_TOPK,
     "view_attention_delta": lambda cfg: VIEW_ATTENTION_DELTA,
+    "base_lr": lambda cfg: BASE_LR,
+    "weight_decay": lambda cfg: WEIGHT_DECAY,
+    "momentum": lambda cfg: MOMENTUM,
+    "rex_beta": lambda cfg: REX_BETA,
 }
 
 

@@ -7,7 +7,7 @@ and takes one optimizer step; (d) the test split is evaluated and one
 metrics record appended. Everything is a pure function of the run config.
 
 Gradient routing is structural, and it is the only routing mechanism: the
-invariance term sees only detached encoder outputs (so its backward can reach
+invariance term sees only the encoder outputs' values (so its backward can reach
 nothing but the gate), and the alignment term multiplies by the mask's values
 as a constant (so the gate's logits never learn from it). Each optimizer step
 then updates exactly the parameters its backward pass reached.
@@ -34,6 +34,7 @@ from .errors import CheckpointError, ContractError, NumericError
 from .fusion import EvalRecord, FusionConfig, confusion_csv, fuse, predict
 from .losses import (
     INV_THETA,
+    REX_BETA,
     ContrastiveBatch,
     contrastive_report,
     cross_entropy,
@@ -41,7 +42,7 @@ from .losses import (
     nt_xent_align,
 )
 from .mining import fit_gmm2, select_joint_hard, select_modality_hard
-from .optim import SGD
+from .optim import BASE_LR, MOMENTUM, SGD, WEIGHT_DECAY
 
 METRICS_FORMAT = "invgate-metrics"
 METRICS_VERSION = 1
@@ -65,7 +66,6 @@ class Model:
 
     def __init__(self, cfg: RunConfig):
         d, c = cfg.generator.dim, cfg.generator.num_classes
-        self.cfg = cfg
         self.enc2d = ModalityEncoder("enc2d", d)
         self.enc3d = ModalityEncoder("enc3d", d)
         self.head2d = ClassHead(c, d, _component_rng(cfg.seed, "head2d"), name="head2d")
@@ -94,7 +94,7 @@ class Model:
 def _build(cfg: RunConfig) -> tuple[Model, SGD]:
     """A fresh model for `cfg` and the optimizer over its parameters."""
     model = Model(cfg)
-    return model, SGD(model.named_params(), cfg)
+    return model, SGD(model.named_params(), cfg.epochs)
 
 
 @dataclass
@@ -221,16 +221,16 @@ class Trainer:
     # -- loss terms -----------------------------------------------------------
 
     def _invariance_term(self, idx: np.ndarray, epoch: int, batch_i: int,
-                         per_view: T.Tensor, agg2: T.Tensor | None):
+                         per_view: np.ndarray, agg2: np.ndarray | None):
         """Invariance loss anchored at the batch's joint-hard members.
 
         The whole batch joins each environment's pool (otherwise the few
         mined anchors would see mostly their own augmented copies as
-        positives); only mined rows act as anchors. Features enter detached,
+        positives); only mined rows act as anchors. Features enter as arrays,
         so this term's backward reaches nothing but the gate. `per_view` and
-        `agg2` are the batch's 2D features from `total_objective`; only their
-        values are read, and the 2.5D environment aggregates `per_view` itself
-        when `agg2` is None.
+        `agg2` are the values of the batch's 2D features from
+        `total_objective`; the 2.5D environment aggregates `per_view` itself,
+        off the tape, when `agg2` is None.
         """
         cfg = self.cfg
         if self.d_joint.size == 0:
@@ -250,7 +250,7 @@ class Trainer:
         aug = [augment_3d(x3_hard, rng, jitter_sigma=jitter) for _ in range(cfg.n_3d_augments)]
         with T.no_grad():
             feats3 = self.model.enc3d(np.concatenate([self.train_x3[idx], *aug], axis=0)).data
-        feats2 = per_view.data.reshape(-1, cfg.generator.dim)
+        feats2 = per_view.reshape(-1, cfg.generator.dim)
 
         n_aug = cfg.n_3d_augments * subset.size
         labels3 = np.concatenate([labels, np.tile(self.train_labels[subset], cfg.n_3d_augments)])
@@ -260,18 +260,20 @@ class Trainer:
         pools = {"2d": (feats2, labels2, anchors2), "3d": (feats3, labels3, anchors3)}
         if self.model.xattn is not None:
             if agg2 is None:
-                agg2 = self.model.aggregate_2d(per_view)
-            pools["2.5d"] = (self.model.xattn(agg2.data, feats3[: idx.size]), labels, is_hard)
-        envs = {name: ContrastiveBatch(self.model.gate.apply(f), y, anchor_mask=a)
-                for name, (f, y, a) in pools.items()}
+                with T.no_grad():
+                    agg2 = self.model.aggregate_2d(T.constant(per_view)).data
+            pools["2.5d"] = (self.model.xattn(agg2, feats3[: idx.size]), labels, is_hard)
         # an environment scores only if some anchor has a same-class partner in
-        # its pool; with one view per sample the 2D pool can lack one
-        envs = {name: batch for name, batch in envs.items()
-                if contrastive_report(batch).n_pairs > 0}
+        # its pool (with one view per sample the 2D pool can lack one); only
+        # those environments put their gated features on the tape
+        envs = {name: ContrastiveBatch(T.constant(f), y, anchor_mask=a)
+                for name, (f, y, a) in pools.items()}
+        envs = {name: ContrastiveBatch(self.model.gate.apply(b.features), b.labels, b.anchor_mask)
+                for name, b in envs.items() if contrastive_report(b).n_pairs > 0}
         if len(envs) < 2:
             return None
         return modality_irm_loss(envs, cfg.irm_variant, cfg.irm_lambda, INV_THETA,
-                                 cfg.rex_lambda_min, cfg.rex_beta)
+                                 cfg.rex_lambda_min, REX_BETA)
 
     def total_objective(self, idx: np.ndarray, epoch: int, batch_i: int):
         """Compute the objective for one batch of train indices: cross-entropy
@@ -290,7 +292,8 @@ class Trainer:
         parts = {"ce": total.item(), "inv": None, "align": None}
 
         if cfg.enable_step2:
-            inv = self._invariance_term(idx, epoch, batch_i, per_view, agg2)
+            inv = self._invariance_term(idx, epoch, batch_i, per_view.data,
+                                        None if agg2 is None else agg2.data)
             if inv is not None:
                 total = T.add(total, inv)
                 parts["inv"] = inv.item()
@@ -426,8 +429,8 @@ def _upgrade_checkpoint(path: str, version: int, header: dict, arrays: list):
     cfg = RunConfig.from_dict(header["config"])
     if version == 1:
         block = canonical_json(header.pop("optimizer", None))
-        derived = canonical_json({"base_lr": cfg.base_lr, "weight_decay": cfg.weight_decay,
-                                  "momentum": cfg.momentum, "epoch": header["epoch"],
+        derived = canonical_json({"base_lr": BASE_LR, "weight_decay": WEIGHT_DECAY,
+                                  "momentum": MOMENTUM, "epoch": header["epoch"],
                                   "total_epochs": cfg.epochs, "lr_min": 0.0})
         if block != derived:
             raise CheckpointError(f"{path}: optimizer block {block} is not {derived}, "

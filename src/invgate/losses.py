@@ -34,8 +34,8 @@ from .tensor import Tensor
 
 IRM_VARIANTS = ("irmv1", "mm_rex", "v_rex")
 # the similarity multipliers of the run's invariance risks (the REx variants';
-# IRMv1 takes its risks at 1) and of its alignment term
-INV_THETA, ALIGN_TAU = 5.0, 2.0
+# IRMv1 takes its risks at 1) and of its alignment term, and V-REx's variance weight
+INV_THETA, ALIGN_TAU, REX_BETA = 5.0, 2.0, 1.0
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -12,23 +12,25 @@ import math
 
 import numpy as np
 
-from .config import RunConfig
 from .tensor import Tensor
+
+# every run's base rate, decoupled weight decay and momentum
+BASE_LR, WEIGHT_DECAY, MOMENTUM = 0.01, 1e-4, 0.9
 
 
 class SGD:
     """Momentum SGD over named parameters; decay is applied to weights directly.
-    `cfg` gives the rate, decay, momentum and epoch count; the rate anneals with
-    `epoch`. `velocity` is keyed by parameter name."""
+    The rate anneals with `epoch` over `epochs`. `velocity` is keyed by
+    parameter name."""
 
-    def __init__(self, params: dict[str, Tensor], cfg: RunConfig):
+    def __init__(self, params: dict[str, Tensor], epochs: int):
         self.params = params
-        self.cfg, self.epoch = cfg, 0
+        self.epochs, self.epoch = epochs, 0
         self.velocity: dict[str, np.ndarray] = {}
 
     def lr(self) -> float:
-        """lr(t) = 0.5 * base_lr * (1 + cos(pi * epoch / epochs))."""
-        return 0.5 * self.cfg.base_lr * (1.0 + math.cos(math.pi * (self.epoch / self.cfg.epochs)))
+        """lr(t) = 0.5 * BASE_LR * (1 + cos(pi * epoch / epochs))."""
+        return 0.5 * BASE_LR * (1.0 + math.cos(math.pi * (self.epoch / self.epochs)))
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -37,7 +39,7 @@ class SGD:
     def step(self) -> float:
         """One update of every parameter with a gradient, at the current
         epoch's rate; returns the rate used."""
-        lr, wd, mom = self.lr(), self.cfg.weight_decay, self.cfg.momentum
+        lr, wd, mom = self.lr(), WEIGHT_DECAY, MOMENTUM
         for name, p in self.params.items():
             if p.grad is not None:
                 v = self.velocity[name] = mom * self.velocity.get(name, 0.0) + p.grad

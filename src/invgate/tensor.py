@@ -73,10 +73,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        """A view of the same values cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"

@@ -16,6 +16,8 @@ from invgate.harness import (
     load_checkpoint,
     save_checkpoint,
 )
+from invgate.losses import REX_BETA
+from invgate.optim import BASE_LR, MOMENTUM, WEIGHT_DECAY
 
 
 def tiny_cfg(seed=0, **kw):
@@ -249,14 +251,16 @@ def _rewrite(path, edit_header=None, edit_payload=None):
 
 
 def _v1(edit):
-    """A header edit: rewrite the header as version 1, whose `optimizer` block
-    repeats four config values and the epoch and adds lr_min 0.0, then apply `edit`."""
+    """A header edit: rewrite the header as version 1, whose config names the
+    optimizer's three settings and V-REx's beta and whose `optimizer` block
+    repeats the three settings, `epochs` and the epoch and adds lr_min 0.0,
+    then apply `edit`."""
     def edit_v1(header):
         cfg = header["config"]
+        settings = {"base_lr": BASE_LR, "weight_decay": WEIGHT_DECAY, "momentum": MOMENTUM}
+        cfg.update(settings, rex_beta=REX_BETA)
         header.update(version=1, optimizer={
-            "base_lr": cfg["base_lr"], "weight_decay": cfg["weight_decay"],
-            "momentum": cfg["momentum"], "epoch": header["epoch"],
-            "total_epochs": cfg["epochs"], "lr_min": 0.0})
+            **settings, "epoch": header["epoch"], "total_epochs": cfg["epochs"], "lr_min": 0.0})
         edit(header)
     return edit_v1
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from invgate import harness
+from invgate import harness, optim
 from invgate import tensor as T
 from invgate.config import READ_WHEN, RunConfig
 from invgate.data import GeneratorConfig, generate
@@ -39,7 +39,7 @@ import oracles
 # a legal value other than its default for each field that some term reads
 # only under one condition (config.READ_WHEN), but include_25d and
 # use_view_attention, which the lattice and small_run draw as flags
-READ_OTHER = {"irm_lambda": 50.0, "rex_beta": 10.0, "rex_lambda_min": 0.3, "align_alpha": 10.0,
+READ_OTHER = {"irm_lambda": 50.0, "rex_lambda_min": 0.3, "align_alpha": 10.0,
               "n_3d_augments": 3, "mining_rho": 1.0, "posterior_p2": 1.0, "posterior_p3": 0.1,
               "mining_warmup": 2}
 
@@ -135,20 +135,21 @@ class TestTrainingLoop:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mining", [True, False])
-    def test_non_finite_parameters_name_the_epoch(self, mining):
+    def test_non_finite_parameters_name_the_epoch(self, monkeypatch, mining):
         # the last step of epoch 0 overflows the parameters; no later batch
         # loss is computed from them before the test split is evaluated
+        monkeypatch.setattr(optim, "BASE_LR", 1e300)
         gen = GeneratorConfig(num_classes=4, shots=4, invariant_dim=6, confound_dim=4,
                               num_views=2, seed=0)
-        cfg = tiny_cfg(generator=gen, base_lr=1e300, epochs=2, enable_step1=mining,
-                       enable_step2=mining)
+        cfg = tiny_cfg(generator=gen, epochs=2, enable_step1=mining, enable_step2=mining)
         with pytest.raises(NumericError, match=r"non-finite parameter '.+' after epoch 0"):
             Trainer(cfg).run()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_guard_names_epoch_and_batch(self):
+    def test_nan_guard_names_epoch_and_batch(self, monkeypatch):
         # one step at this rate overflows the squared feature norms
-        cfg = tiny_cfg(base_lr=1e200, epochs=2)
+        monkeypatch.setattr(optim, "BASE_LR", 1e200)
+        cfg = tiny_cfg(epochs=2)
         with pytest.raises(Exception, match="epoch"):
             Trainer(cfg).run()
 
@@ -300,7 +301,7 @@ class TestSingleView:
         idx = np.concatenate([[lone], others])
 
         def inv_term(idx):
-            per_view = trainer.model.enc2d(trainer.train_views[idx])
+            per_view = trainer.model.enc2d(trainer.train_views[idx]).data
             return trainer._invariance_term(idx, 0, 0, per_view, None)
 
         trainer.d_joint = np.array([lone])
@@ -323,7 +324,7 @@ class TestRoutingAudit:
         cfg = tiny_cfg(enable_step1=False, enable_step2=True)
         trainer = Trainer(cfg)
         idx = np.arange(8)
-        per_view = trainer.model.enc2d(trainer.train_views[idx])
+        per_view = trainer.model.enc2d(trainer.train_views[idx]).data
         inv = trainer._invariance_term(idx, 0, 0, per_view, None)
         trainer.optimizer.zero_grad()
         T.backward(inv)
@@ -371,6 +372,37 @@ class TestRoutingAudit:
         _, parts = trainer.total_objective(np.arange(8), epoch=0, batch_i=0)
         assert parts["inv"] is not None
         assert calls.count(trainer.model.enc2d) == 1
+
+    @pytest.mark.parametrize("rows,flags", [
+        (8, {"enable_align": False}),
+        # a one-row batch skips alignment, whose view attention then runs only here
+        (1, {"use_view_attention": True}),
+    ], ids=["no_alignment", "view_attention_one_row"])
+    def test_invariance_step_records_only_nodes_its_loss_reaches(self, monkeypatch, rows,
+                                                                 flags):
+        # where no alignment reads the view aggregate, the 2.5D environment
+        # takes it off the tape, so every node the step records is one its
+        # backward pass visits
+        trainer = Trainer(tiny_cfg(enable_step1=False, include_25d=True, **flags))
+        recorded = []
+        node = T._node
+
+        def spy(data, parents, vjp):
+            out = node(data, parents, vjp)
+            if out._parents:
+                recorded.append(out)
+            return out
+
+        monkeypatch.setattr(T, "_node", spy)
+        total, parts = trainer.total_objective(np.arange(rows), epoch=0, batch_i=0)
+        assert parts["inv"] is not None and parts["align"] is None
+        reached, stack = set(), [total]
+        while stack:
+            t = stack.pop()
+            if id(t) not in reached:
+                reached.add(id(t))
+                stack.extend(t._parents)
+        assert recorded and [t for t in recorded if id(t) not in reached] == []
 
     def test_two_epoch_inv_only_run_freezes_encoders(self, monkeypatch):
         monkeypatch.setattr(harness, "cross_entropy", zero_cross_entropy)
@@ -477,12 +509,12 @@ class TestRoutingAudit:
                               b"".join(after[n] for n in sorted(after))))
         assert not stuck and not unmined
         # each trained config perturbs the fields it reads: the IRM variant's
-        # and n_3d_augments with step 2, the four mining fields with step 1,
-        # and align_alpha with alignment
-        assert counts == {"trained": 42, "rejected": 22, "perturbed": 184}
+        # weight (V-REx has none) and n_3d_augments with step 2, the four
+        # mining fields with step 1, and align_alpha with alignment
+        assert counts == {"trained": 42, "rejected": 22, "perturbed": 172}
         # no flag or field is ignored: every config that constructs trains a run
         # of its own
-        assert len(runs) == 42 + 184
+        assert len(runs) == 42 + 172
 
     def test_named_params_holds_each_components_params_once(self):
         model = Model(tiny_cfg(use_view_attention=True, include_25d=True))

@@ -253,7 +253,7 @@ class TestCombineObjective:
         enc_out = T.parameter(rng.normal(size=(6, 4)), name="feat")  # stands in for E params
         labels = np.array([0, 0, 1, 1, 2, 2])
         envs = {
-            "2d": ContrastiveBatch(gate.apply(enc_out.detach()), labels),
+            "2d": ContrastiveBatch(gate.apply(T.constant(enc_out.data)), labels),
             "3d": ContrastiveBatch(gate.apply(rng.normal(size=(6, 4))), labels),
         }
         T.backward(irmv1(envs, 5.0))
