@@ -154,7 +154,14 @@ MUTATIONS = (
      "                with T.no_grad():\n                    agg2 = ",
      "                if True:\n                    agg2 = "),
     ("RunConfig keeps a fusion alias as given", "config.py",
-     "        self.fusion_mode = MODE_ALIASES[self.fusion_mode]\n", ""),
+     "self.fusion_mode = self.fusion.mode", "self.fusion.mode"),
+    ("the trainer evaluates with the default FusionConfig", "harness.py",
+     "evaluate_model(self.model, self.dataset, cfg.fusion)",
+     "evaluate_model(self.model, self.dataset, FusionConfig())"),
+    ("cosine_lr anneals from epoch + 1", "optim.py",
+     "math.pi * (epoch / epochs)", "math.pi * ((epoch + 1) / epochs)"),
+    ("modality_irm_loss passes INV_THETA as V-REx's beta", "losses.py",
+     "    return v_rex(risks, REX_BETA)\n", "    return v_rex(risks, INV_THETA)\n"),
 )
 
 

@@ -15,7 +15,7 @@ from .container import canonical_json
 from .data import GeneratorConfig, check_fields, check_type
 from .encoders import HEAD_SCALE, VIEW_ATTENTION_DELTA, VIEW_ATTENTION_HIDDEN
 from .errors import ContractError
-from .fusion import MODE_ALIASES
+from .fusion import FusionConfig
 from .losses import ALIGN_TAU, INV_THETA, IRM_VARIANTS, REX_BETA
 from .mining import MINING_TOPK
 from .optim import BASE_LR, MOMENTUM, WEIGHT_DECAY
@@ -59,9 +59,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.fusion_mode not in MODE_ALIASES:
-            raise ContractError(f"unknown fusion mode {self.fusion_mode!r}")
-        self.fusion_mode = MODE_ALIASES[self.fusion_mode]
+        self.fusion_mode = self.fusion.mode     # an alias is stored as the mode it names
         if self.enable_step1 and self.mining_warmup >= self.epochs:
             raise ContractError("enable_step1 needs mining_warmup < epochs: mining first "
                                 "runs at epoch mining_warmup")
@@ -74,8 +72,6 @@ class RunConfig:
         envs = 2 + self.include_25d
         if self.rex_lambda_min > 1.0 / envs:
             raise ContractError(f"rex_lambda_min must be <= 1/{envs} with {envs} environments")
-        if not self.fusion_phi > 0.0:
-            raise ContractError("fusion_phi must be positive")
         if not self.irm_lambda >= 0.0:
             raise ContractError("irm_lambda must be non-negative")
         if self.mining_warmup < 1:
@@ -102,6 +98,10 @@ class RunConfig:
             if not math.isfinite(getattr(self, name) * term):
                 raise ContractError(f"{name} {getattr(self, name)} overflows: {name} times "
                                     f"its term's worst case {term} is not finite")
+
+    @property
+    def fusion(self) -> FusionConfig:
+        return FusionConfig(self.fusion_phi, self.fusion_mode)
 
     @property
     def anchors_every_row(self) -> bool:   # without step 1 no mining picks step 2's anchors

@@ -58,7 +58,6 @@ class ClassHead:
     """Class-prototype head with cosine-similarity logits."""
 
     def __init__(self, num_classes: int, dim: int, rng: np.random.Generator, name: str = "head"):
-        self.num_classes = num_classes
         protos = rng.normal(0.0, HEAD_SCALE / np.sqrt(dim), size=(num_classes, dim))
         self.prototypes = T.parameter(protos, name=f"{name}.prototypes")
 

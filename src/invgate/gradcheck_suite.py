@@ -60,7 +60,7 @@ def _loss_builders(seed: int):
             "2d": ContrastiveBatch(leaves[0], labels),
             "3d": ContrastiveBatch(leaves[1], labels_b),
         }
-        return modality_irm_loss(envs, "irmv1", 5.0, 1.0, 0.0, 1.0)
+        return modality_irm_loss(envs, "irmv1", 5.0, 0.0)
 
     gate_feats_2d = rng.normal(size=(N, D))
     gate_feats_3d = rng.normal(size=(N, D))
@@ -71,7 +71,7 @@ def _loss_builders(seed: int):
             "2d": ContrastiveBatch(T.mul(mask, T.constant(gate_feats_2d)), pools[0], anchors[0]),
             "3d": ContrastiveBatch(T.mul(mask, T.constant(gate_feats_3d)), pools[1], anchors[1]),
         }
-        return modality_irm_loss(envs, "irmv1", 5.0, 1.0, 0.0, 1.0)
+        return modality_irm_loss(envs, "irmv1", 5.0, 0.0)
 
     # labels and anchors of the trainer's pools for three samples, the second
     # hard: two views each in 2D, the batch and 3 copies of the hard one in 3D

@@ -19,6 +19,7 @@ import ctypes
 import functools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -33,8 +34,6 @@ from .encoders import ClassHead, CrossAttention, GateMask, ModalityEncoder, Mult
 from .errors import CheckpointError, ContractError, NumericError
 from .fusion import EvalRecord, FusionConfig, confusion_csv, fuse, predict
 from .losses import (
-    INV_THETA,
-    REX_BETA,
     ContrastiveBatch,
     contrastive_report,
     cross_entropy,
@@ -42,7 +41,7 @@ from .losses import (
     nt_xent_align,
 )
 from .mining import fit_gmm2, select_joint_hard, select_modality_hard
-from .optim import BASE_LR, MOMENTUM, SGD, WEIGHT_DECAY
+from .optim import BASE_LR, MOMENTUM, SGD, WEIGHT_DECAY, cosine_lr
 
 METRICS_FORMAT = "invgate-metrics"
 METRICS_VERSION = 1
@@ -91,18 +90,13 @@ class Model:
         return self.mva(per_view) if self.mva is not None else T.mean_(per_view, axis=1)
 
 
-def _build(cfg: RunConfig) -> tuple[Model, SGD]:
-    """A fresh model for `cfg` and the optimizer over its parameters."""
-    model = Model(cfg)
-    return model, SGD(model.named_params(), cfg.epochs)
-
-
 @dataclass
 class TrainResult:
     cfg: RunConfig
     model: Model
     optimizer: SGD
     metrics: list[dict]
+    epoch: int      # the last epoch trained, which a checkpoint records
 
     def final(self, key: str):
         return self.metrics[-1][key]
@@ -176,10 +170,10 @@ class Trainer:
         self.cfg = cfg
         self.dataset = dataset if dataset is not None else generate(cfg.generator)
         _check_fits(cfg, self.dataset, "config")
-        self.model, self.optimizer = _build(cfg)
+        self.model = Model(cfg)
+        self.optimizer = SGD(self.model.named_params())
         self.train_x3, self.train_views, self.train_labels = self.dataset.arrays("train")
         self.d_joint = np.arange(len(self.train_labels) if cfg.anchors_every_row else 0)
-        self.fusion = FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode)
         self.metrics: list[dict] = []
         self.last_eval: EvalRecord | None = None   # the latest epoch's test-split record
 
@@ -272,8 +266,7 @@ class Trainer:
                 for name, b in envs.items() if contrastive_report(b).n_pairs > 0}
         if len(envs) < 2:
             return None
-        return modality_irm_loss(envs, cfg.irm_variant, cfg.irm_lambda, INV_THETA,
-                                 cfg.rex_lambda_min, REX_BETA)
+        return modality_irm_loss(envs, cfg.irm_variant, cfg.irm_lambda, cfg.rex_lambda_min)
 
     def total_objective(self, idx: np.ndarray, epoch: int, batch_i: int):
         """Compute the objective for one batch of train indices: cross-entropy
@@ -309,14 +302,13 @@ class Trainer:
 
     def run_epoch(self, epoch: int) -> dict:
         cfg = self.cfg
-        self.optimizer.epoch = epoch
+        lr = cosine_lr(epoch, cfg.epochs)
         mining = self._mine(epoch)
         order = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _SEED_TAGS["batches"], epoch])
         ).permutation(len(self.train_labels))
 
-        sums = {"ce": 0.0, "inv": 0.0, "align": 0.0}
-        counts = {"ce": 0, "inv": 0, "align": 0}
+        terms = {"ce": [], "inv": [], "align": []}   # each batch's value of each term it ran
         for batch_i in range(0, len(order), cfg.batch_size):
             idx = order[batch_i: batch_i + cfg.batch_size]
             total, parts = self.total_objective(idx, epoch, batch_i // cfg.batch_size)
@@ -326,24 +318,23 @@ class Trainer:
                 )
             self.optimizer.zero_grad()
             T.backward(total)
-            self.optimizer.step()
+            self.optimizer.step(lr)
             for key, val in parts.items():
                 if val is not None:
-                    sums[key] += val
-                    counts[key] += 1
+                    terms[key].append(val)
         # the loss check above runs before each step, so it cannot see the last one
         for name, param in self.model.named_params().items():
             if not np.isfinite(param.data).all():
                 raise NumericError(f"non-finite parameter '{name}' after epoch {epoch}")
 
-        rec = self.last_eval = evaluate_model(self.model, self.dataset, self.fusion)
+        rec = self.last_eval = evaluate_model(self.model, self.dataset, cfg.fusion)
         record = {
             "epoch": epoch,
-            "lr": self.optimizer.lr(),
-            "loss_ce": sums["ce"] / counts["ce"] if counts["ce"] else None,
-            "loss_inv": sums["inv"] / counts["inv"] if counts["inv"] else None,
-            "loss_align": sums["align"] / counts["align"] if counts["align"] else None,
-            "inv_batches": counts["inv"],
+            "lr": lr,
+            # each term's batch mean, summed left to right (`sum` compensates from 3.12 on)
+            **{f"loss_{key}": functools.reduce(operator.add, vals, 0.0) / len(vals) if vals else None
+               for key, vals in terms.items()},
+            "inv_batches": len(terms["inv"]),
             "n_joint_hard": int(self.d_joint.size),
             "mining": mining,
             **rec.aggregates(),
@@ -355,7 +346,7 @@ class Trainer:
         for epoch in range(self.cfg.epochs):
             self.run_epoch(epoch)
         return TrainResult(cfg=self.cfg, model=self.model, optimizer=self.optimizer,
-                           metrics=self.metrics)
+                           metrics=self.metrics, epoch=self.cfg.epochs - 1)
 
 
 # -- top-level entry points -----------------------------------------------------
@@ -408,13 +399,12 @@ _VELOCITY = "opt.velocity."
 def save_checkpoint(path: str, result: TrainResult) -> None:
     """Parameters and optimizer velocities as float64 arrays sorted by name,
     so save -> load -> save is byte-identical; the header adds the config and
-    the optimizer's epoch."""
-    opt = result.optimizer
+    the result's epoch."""
     arrays = {name: p.data for name, p in result.model.named_params().items()}
-    arrays.update({_VELOCITY + name: v for name, v in opt.velocity.items()})
+    arrays.update({_VELOCITY + name: v for name, v in result.optimizer.velocity.items()})
     names = sorted(arrays)
     header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-              "config": result.cfg.to_dict(), "epoch": opt.epoch,
+              "config": result.cfg.to_dict(), "epoch": result.epoch,
               "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names]}
     container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
                     (np.ascontiguousarray(arrays[n], dtype="<f8") for n in names))
@@ -476,9 +466,9 @@ def load_checkpoint(path: str) -> TrainResult:
     if type(epoch) is not int or not 0 <= epoch < cfg.epochs:
         raise CheckpointError(f"{path}: header epoch {epoch!r} is not an int "
                               f"in [0, epochs {cfg.epochs})")
-    model, opt = _build(cfg)
-    opt.epoch = epoch
+    model = Model(cfg)
     params = model.named_params()
+    opt = SGD(params)
     seen: set[str] = set()
     for name, shape, raw in arrays:
         param = params.get(name.removeprefix(_VELOCITY))
@@ -500,7 +490,7 @@ def load_checkpoint(path: str) -> TrainResult:
     missing = sorted(set(params) - seen)
     if missing:
         raise CheckpointError(f"{path}: missing parameter array '{missing[0]}'")
-    return TrainResult(cfg=cfg, model=model, optimizer=opt, metrics=[])
+    return TrainResult(cfg=cfg, model=model, optimizer=opt, metrics=[], epoch=epoch)
 
 
 def evaluate_checkpoint(path: str, dataset: Dataset, fusion: FusionConfig) -> EvalRecord:
@@ -540,8 +530,7 @@ def ablate(base_cfg: RunConfig, cells: list[dict], dataset: Dataset | None = Non
             "enable_step1": cfg.enable_step1 and cfg.enable_step2}))
         if train_key not in cache:
             cache[train_key] = Trainer(cfg, dataset).run()
-        rec = evaluate_model(cache[train_key].model, dataset,
-                             FusionConfig(phi=cfg.fusion_phi, mode=cfg.fusion_mode))
+        rec = evaluate_model(cache[train_key].model, dataset, cfg.fusion)
         row = {c: getattr(cfg if hasattr(cfg, c) else rec, c) for c in ABLATION_COLUMNS}
         rows.append(row)
         if progress is not None:

@@ -274,20 +274,23 @@ def v_rex(env_losses: Sequence[Tensor], beta: float) -> Tensor:
 
 
 def modality_irm_loss(envs: Mapping[str, ContrastiveBatch], variant: str, lam: float,
-                      theta: float, lambda_min: float, beta: float) -> Tensor:
+                      lambda_min: float) -> Tensor:
     """Invariance loss over two or more per-modality environments of gated features.
 
     irmv1: sum_e [ L_e + lam * (dL_e/dtheta|_{theta=1})^2 ], its risks at
-    theta = 1 whatever `theta` is. The REx variants replace the gradient
-    penalty with min-max (`lambda_min`) or variance (`beta`) terms over the
-    risks at `theta`; they read no `lam`.
+    theta = 1. The REx variants replace the gradient penalty with min-max
+    (`lambda_min`) or variance (`REX_BETA`) terms over the risks at
+    `INV_THETA`; they read no `lam`. A variant not in `IRM_VARIANTS` raises
+    ContractError.
     """
+    if variant not in IRM_VARIANTS:
+        raise ContractError(f"unknown irm_variant {variant!r}; expected one of {IRM_VARIANTS}")
     if variant == "irmv1":
         return functools.reduce(T.add, [_irmv1_term(batch, lam) for batch in envs.values()])
-    risks = [sup_infonce(batch, theta=theta) for batch in envs.values()]
+    risks = [sup_infonce(batch, theta=INV_THETA) for batch in envs.values()]
     if variant == "mm_rex":
         return mm_rex(risks, lambda_min)
-    return v_rex(risks, beta)
+    return v_rex(risks, REX_BETA)
 
 
 def nt_xent_align(z2: Tensor, z3: Tensor, tau: float = ALIGN_TAU) -> Tensor:

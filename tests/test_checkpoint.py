@@ -45,7 +45,7 @@ def test_save_load_bit_identical_params(short_run, tmp_path):
     model, opt = loaded.model, loaded.optimizer
     for name, param in result.model.named_params().items():
         assert model.named_params()[name].data.tobytes() == param.data.tobytes()
-    assert opt.epoch == result.cfg.epochs - 1
+    assert loaded.epoch == result.cfg.epochs - 1
     assert opt.velocity.keys() == result.optimizer.velocity.keys()
     for name, vel in result.optimizer.velocity.items():
         assert opt.velocity[name].tobytes() == vel.tobytes()
@@ -56,7 +56,7 @@ def test_save_load_save_byte_stable(short_run, tmp_path):
     p1, p2 = tmp_path / "a.igck", tmp_path / "b.igck"
     save_checkpoint(str(p1), result)
     save_checkpoint(str(p2), load_checkpoint(str(p1)))
-    # load restores the optimizer's epoch
+    # load restores the result's epoch
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -77,7 +77,7 @@ def test_v1_file_loads_bit_identically(short_run, tmp_path):
     _rewrite(v1, _v1(lambda h: None))
     assert v1.read_bytes()[4:8] == np.uint32(1).tobytes()
     loaded = load_checkpoint(str(v1))
-    assert loaded.optimizer.epoch == result.optimizer.epoch
+    assert loaded.epoch == result.epoch
     for name, param in result.model.named_params().items():
         assert loaded.model.named_params()[name].data.tobytes() == param.data.tobytes()
     assert loaded.optimizer.velocity.keys() == result.optimizer.velocity.keys()
@@ -104,7 +104,7 @@ def _write_v2(path, result, extra_arrays=None, extra_config=None, edit=lambda ar
     names = sorted(arrays)
     header = {"format": "invgate-checkpoint", "version": 2,
               "config": {**result.cfg.to_dict(), **(extra_config or {})},
-              "epoch": result.optimizer.epoch,
+              "epoch": result.epoch,
               "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names]}
     container.write(str(path), b"IGCK", 2, header,
                     (np.ascontiguousarray(arrays[n], dtype="<f8") for n in names))
@@ -144,7 +144,7 @@ def _check_file_listing_keys_loads(result, keys, tmp_path):
     assert loaded.optimizer.velocity.keys() == result.optimizer.velocity.keys()
     for name, vel in result.optimizer.velocity.items():
         assert loaded.optimizer.velocity[name].tobytes() == vel.tobytes()
-    assert loaded.optimizer.epoch == result.optimizer.epoch
+    assert loaded.epoch == result.epoch
     # saving it writes the file a fresh save writes, whose config lists none of them
     save_checkpoint(str(new), loaded)
     save_checkpoint(str(fresh), result)

@@ -9,6 +9,7 @@ import pytest
 from invgate.config import READ_WHEN, RETIRED, RunConfig, load_config, upgrade_config
 from invgate.data import GeneratorConfig
 from invgate.errors import ContractError
+from invgate.fusion import FusionConfig
 from invgate.losses import IRM_VARIANTS
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
@@ -286,6 +287,24 @@ def test_boundary_values_accepted():
     # a float field keeps an int as given, so a manifest keeps its bytes
     cfg = RunConfig.from_dict({"fusion_phi": 1, "generator": {"p_conflict": 0}})
     assert type(cfg.to_dict()["fusion_phi"]) is int and type(cfg.generator.p_conflict) is int
+
+
+def test_fusion_settings_accepted_where_fusion_config_accepts_them():
+    # RunConfig checks its fusion_phi and fusion_mode through FusionConfig
+    def built(make):
+        try:
+            return make()
+        except ContractError:
+            return None
+
+    phis = (1.0, 2, 1e-300, 0.0, -1.0, float("nan"), float("inf"), 10 ** 400, "2.0", True, None)
+    modes = ("multiplicative", "mul", "additive", "add", "product", "Mul", "", 1, None)
+    for phi, mode in itertools.product(phis, modes):
+        fusion = built(lambda: FusionConfig(phi, mode))
+        cfg = built(lambda: RunConfig(fusion_phi=phi, fusion_mode=mode))
+        assert (cfg is None) == (fusion is None), (phi, mode)
+        if cfg is not None:
+            assert cfg.fusion == fusion and cfg.fusion_mode == fusion.mode, (phi, mode)
 
 
 def test_alignment_needs_two_rows_a_batch():

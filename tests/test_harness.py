@@ -29,6 +29,7 @@ from invgate.harness import (
     metrics_log_lines,
     save_checkpoint,
     train,
+    write_eval_artifacts,
 )
 from invgate.losses import ALIGN_TAU, IRM_VARIANTS, ContrastiveBatch, cross_entropy, sup_infonce
 from invgate.mining import fit_gmm2, select_modality_hard
@@ -531,7 +532,7 @@ class TestSingleBranchOracle:
         trainer = Trainer(cfg)
         model, opt = trainer.model, trainer.optimizer
         for epoch in range(cfg.epochs):
-            opt.epoch = epoch
+            lr = optim.cosine_lr(epoch, cfg.epochs)
             order = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, 21, epoch])
             ).permutation(len(trainer.train_labels))
@@ -546,7 +547,7 @@ class TestSingleBranchOracle:
                     loss = cross_entropy(model.head3d.logits(feats3), labels)
                 opt.zero_grad()
                 T.backward(loss)
-                opt.step()
+                opt.step(lr)
         rec = evaluate_model(model, trainer.dataset, FusionConfig())
         return rec.acc2 if branch == "e2d" else rec.acc3
 
@@ -695,6 +696,27 @@ class TestAblate:
         assert len(rows) == 8
         csv = ablation_csv(rows)
         assert csv.count("\n") == 9
+
+
+class TestRunFusion:
+    def test_run_evaluates_with_its_config_fusion(self, tmp_path):
+        # additive at phi 2.0 gives another joint prediction than the default
+        # fusion at every epoch of this run
+        cfg = tiny_cfg(fusion_mode="additive", fusion_phi=2.0)
+        fusion = FusionConfig(2.0, "additive")
+        trainer = Trainer(cfg)
+        for epoch in range(cfg.epochs):
+            record = trainer.run_epoch(epoch)
+            want = evaluate_model(trainer.model, trainer.dataset, fusion).aggregates()
+            assert want != evaluate_model(trainer.model, trainer.dataset,
+                                          FusionConfig()).aggregates()
+            assert {key: record[key] for key in want} == want
+        out, expected = tmp_path / "run", tmp_path / "expected"
+        result = train(cfg, trainer.dataset, out_dir=str(out))
+        write_eval_artifacts(evaluate_model(result.model, trainer.dataset, fusion), str(expected))
+        for name in ("per_sample.csv", "confusion_2d.csv", "confusion_3d.csv",
+                     "confusion_joint.csv", "aggregates.json"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 class TestTrainArtifacts:

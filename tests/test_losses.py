@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from invgate import tensor as T
 from invgate.encoders import GateMask
 from invgate.errors import ContractError, DegenerateBatchError
 from invgate.losses import (
+    INV_THETA,
+    IRM_VARIANTS,
+    REX_BETA,
     ContrastiveBatch,
     _pair_weights,
     contrastive_report,
@@ -33,7 +37,7 @@ def batch(features, labels):
 
 def irmv1(envs, lam):
     """The irmv1 invariance loss at penalty weight `lam`; it reads no other knob."""
-    return modality_irm_loss(envs, "irmv1", lam, 1.0, 0.0, 1.0)
+    return modality_irm_loss(envs, "irmv1", lam, 0.0)
 
 
 class TestCrossEntropy:
@@ -171,6 +175,26 @@ class TestModalityIrm:
             assert penalty >= -1e-12
             grads_zero = all(abs(irm_grad_theta(b).item()) < 1e-15 for b in envs.values())
             assert (abs(penalty) < 1e-12) == grads_zero
+
+    def _six_row_envs(self):
+        rng = np.random.default_rng(3)
+        labels = [0, 0, 1, 1, 2, 2]
+        return {"2d": batch(rng.normal(size=(6, 4)), labels),
+                "3d": batch(rng.normal(size=(6, 4)), labels)}
+
+    def test_rex_variants_read_their_own_theta_and_beta(self):
+        envs = self._six_row_envs()
+        at_theta = [sup_infonce(b, theta=INV_THETA) for b in envs.values()]
+        assert (modality_irm_loss(envs, "v_rex", 0.0, 0.0).item()
+                == v_rex(at_theta, REX_BETA).item())
+        assert (modality_irm_loss(envs, "mm_rex", 0.0, 0.25).item()
+                == mm_rex(at_theta, 0.25).item())
+
+    @pytest.mark.parametrize("variant", ["mmrex", "irm", "V_REX", ""])
+    def test_unknown_variant_rejected(self, variant):
+        # not scored as V-REx, the last variant the function reads
+        with pytest.raises(ContractError, match=re.escape(f"expected one of {IRM_VARIANTS}")):
+            modality_irm_loss(self._six_row_envs(), variant, 5.0, 0.0)
 
 
 def risks(values):

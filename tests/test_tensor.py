@@ -191,7 +191,7 @@ OP_CASES = [
     ("sup_infonce", lambda ls: sup_infonce(ContrastiveBatch(ls[0], POOL), theta=2.0), 1, (6, 3)),
     ("irm_grad_theta", lambda ls: oracles.square(irm_grad_theta(ContrastiveBatch(ls[0], POOL))), 1, (6, 3)),
     ("irmv1", lambda ls: modality_irm_loss({e: ContrastiveBatch(x, POOL) for e, x in zip("ab", ls)},
-                                           "irmv1", 5.0, 1.0, 0.0, 1.0), 2, (6, 3)),
+                                           "irmv1", 5.0, 0.0), 2, (6, 3)),
     ("v_rex", lambda ls: v_rex([T.sum_(oracles.square(ls[0])), T.sum_(ls[1]), T.mean_(ls[0])], 2.0), 2, (3,)),
     ("nt_xent_align", lambda ls: nt_xent_align(ls[0], ls[1], tau=3.0), 2, (4, 3)),
 ]
